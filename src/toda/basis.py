@@ -25,7 +25,7 @@ from .config import TodaConfig
 from .exact import SCALAR_ONE, ZExpr, as_fraction
 from .groups import GroupElement
 from .linalg import det as generic_det
-from .linalg import transpose
+from .linalg import mat_mul, transpose
 
 Z_ZERO = ZExpr.zero()
 Z_ONE = ZExpr.one()
@@ -151,7 +151,7 @@ def pairing_matrix(w: WronskianMatrix, j: GroupElement) -> tuple[tuple[ZExpr, ..
         tuple(ZExpr.const(x) for x in row) for row in j.entries
     )
     wt = transpose(w.entries)
-    p = _mat_mul_z(_mat_mul_z(wt, jz), w.entries)
+    p = mat_mul(mat_mul(wt, jz, Z_ZERO), w.entries, Z_ZERO)
     for a in range(k):
         for b in range(k):
             entry = p[a][b]
@@ -167,16 +167,6 @@ def pairing_matrix(w: WronskianMatrix, j: GroupElement) -> tuple[tuple[ZExpr, ..
                         f"pairing entry ({a},{b}) should be {want}, got {entry}"
                     )
     return p
-
-
-def _mat_mul_z(a, b):
-    bt = transpose(b)
-    return tuple(
-        tuple(
-            sum((x * y for x, y in zip(row, col)), Z_ZERO) for col in bt
-        )
-        for row in a
-    )
 
 
 def gram_schmidt_normalizer(
@@ -235,7 +225,7 @@ def gram_schmidt_normalizer(
     # Exact verification of the final identity.
     jz = tuple(tuple(ZExpr.const(x) for x in row) for row in jrows)
     v = transpose(tuple(tuple(c) for c in cols))
-    lhs = _mat_mul_z(_mat_mul_z(transpose(v), jz), v)
+    lhs = mat_mul(mat_mul(transpose(v), jz, Z_ZERO), v, Z_ZERO)
     for a in range(k):
         for b in range(k):
             want = ZExpr.const(jrows[a][b])

@@ -138,6 +138,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.points <= 0:
+        raise ValueError(f"--points must be positive, got {args.points}")
     algebra, cfg = _config_from_args(args)
     params = _params_from_args(algebra, cfg, args)
     t0 = time.monotonic()
@@ -149,7 +151,7 @@ def cmd_verify(args) -> int:
         checks.append(
             {"name": "symmetry", "passed": sym.passed, "detail": f"failures={list(sym.failures)}"}
         )
-    mono = verify_monodromy(cfg, params)
+    mono = verify_monodromy(bundle)
     checks.append(
         {
             "name": "monodromy",

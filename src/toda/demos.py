@@ -15,7 +15,7 @@ from typing import Callable
 from .exact import ExactScalar, format_fraction
 from .groups import UnipotentCoords, unipotent_from_coords
 from .jsonio import coords_to_json, fractions_to_json, scalar_to_json
-from .lie import Algebra, coordinate_map, delta_gamma, monodromy_element
+from .lie import Algebra, coordinate_map, delta_gamma, monodromy_element, slot_name
 
 F = Fraction
 
@@ -79,7 +79,7 @@ def check_dependent_formulas(algebra: Algebra, coords: UnipotentCoords) -> list[
         got = solved.entries[i][j]
         rows.append(
             {
-                "slot": f"c{i}{j}",
+                "slot": slot_name(i, j),
                 "formula": label,
                 "value": scalar_to_json(got),
                 "matches": got == expected,

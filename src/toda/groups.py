@@ -30,7 +30,7 @@ from .exact import (
     as_fraction,
     sqrt_fraction,
 )
-from .lie import Algebra, Root, coordinate_map
+from .lie import Algebra, Root, coordinate_map, slot_name
 from .linalg import det as generic_det
 from .linalg import identity_rows, mat_mul, transpose
 
@@ -379,7 +379,7 @@ class UnipotentCoords:
         )
 
     def __repr__(self):
-        body = ", ".join(f"c{i}{j}={v}" for (i, j), v in self.items())
+        body = ", ".join(f"{slot_name(i, j)}={v}" for (i, j), v in self.items())
         return f"UnipotentCoords({self.algebra}, {body})"
 
 

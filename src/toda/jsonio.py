@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .config import TodaConfig, make_config
 from .exact import ExactScalar, Monomial, ZExpr, format_fraction, format_scalar
 from .groups import GroupElement, UnipotentCoords
-from .lie import Algebra
+from .lie import Algebra, slot_name
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -121,7 +121,7 @@ def parse_coords(algebra: Algebra, obj: Mapping[str, object]) -> UnipotentCoords
 
 
 def coords_to_json(coords: UnipotentCoords) -> dict:
-    return {f"c{i}{j}": format_scalar(v) for (i, j), v in coords.items()}
+    return {slot_name(i, j): format_scalar(v) for (i, j), v in coords.items()}
 
 
 def config_from_json(obj: Mapping) -> TodaConfig:

@@ -150,6 +150,13 @@ def positive_roots(algebra: Algebra) -> tuple[Root, ...]:
     return tuple(roots)
 
 
+def slot_name(i: int, j: int) -> str:
+    """Coordinate name of slot (i, j): "c{i}{j}", or "c{i}_{j}" once an index is >= 10."""
+    if i >= 10 or j >= 10:
+        return f"c{i}_{j}"
+    return f"c{i}{j}"
+
+
 @dataclass(frozen=True, slots=True)
 class CoordinateSlot:
     """Free lower-triangular coordinate (row, col) with its root label."""
@@ -161,7 +168,7 @@ class CoordinateSlot:
 
     @property
     def name(self) -> str:
-        return f"c{self.row}{self.col}"
+        return slot_name(self.row, self.col)
 
 
 def _slot_root(algebra: Algebra, i: int, j: int) -> Root:
@@ -258,11 +265,6 @@ class MonodromyElement:
     @property
     def k(self) -> int:
         return len(self.exponents)
-
-    def diagonal(self) -> tuple[complex, ...]:
-        import cmath
-
-        return tuple(cmath.exp(2j * cmath.pi * float(d)) for d in self.exponents)
 
     def fixes_slot(self, i: int, j: int) -> bool:
         return (self.exponents[i] - self.exponents[j]).denominator == 1

@@ -7,10 +7,10 @@ system are
 
     F_m = leading m x m principal minor of  W^dag H W,   1 <= m <= k-1,
 
-where W is the Wronskian matrix of the holomorphic basis.  The minors are
-computed exactly through a double Cauchy-Binet expansion over the closed
-form of the Wronskian column minors; every F_m is a conjugation-invariant
-sum of monomials in z and conj(z).
+where W is the Wronskian matrix of the holomorphic basis.  By Cauchy-Binet
+F_m = sum_R lambda_R^2 |g_R|^2, where g_R is the holomorphic m-minor of C W
+on the row set R; the table of these minors is built one size at a time.
+Every F_m is a conjugation-invariant sum of monomials in z and conj(z).
 
 For the C and B families the first n unknowns carry the reduction back to
 the family's own system, with the exact power-of-two normalization for B.
@@ -33,12 +33,12 @@ from .basis import (
     NuVector,
     StructureError,
     WronskianMatrix,
-    column_minor,
     nu_vector,
     wronskian,
 )
 from .config import TodaConfig, make_config
 from .exact import (
+    SCALAR_ONE,
     ExactScalar,
     FirstOrderOp,
     Monomial,
@@ -50,11 +50,10 @@ from .exact import (
 from .groups import (
     GroupElement,
     UnipotentCoords,
-    all_minors,
     diagonal_element,
     unipotent_from_coords,
 )
-from .lie import Algebra, cartan, monodromy_element
+from .lie import Algebra, cartan, monodromy_element, slot_name
 
 __all__ = [
     "TodaConfig",
@@ -181,11 +180,13 @@ class SolutionBundle:
 def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     """Build the exact unknowns F_1..F_{k-1} from (gamma, diagonal, C).
 
-    Each F_m is the leading principal minor of W^dag H W, expanded by
-    Cauchy-Binet over the all-minors table of H and the closed-form column
-    minors of W.  Every F_m is verified conjugation-invariant, and F_1 is
-    cross-checked against the direct weighted-square expansion of the rows
-    of C applied to the basis vector.
+    Each F_m is the leading principal minor of W^dag H W.  With H = B^dag B
+    and B = Lambda C, Cauchy-Binet turns it into sum_R lambda_R^2 |g_R|^2,
+    where g_R is the holomorphic minor of G = C W on the m rows R and the
+    first m columns.  The table of m-minors of G is built one size at a
+    time, by Laplace expansion along column m from the table of size m-1.
+    Every F_m is verified conjugation-invariant, and F_1 is cross-checked
+    against nu^dag H nu, which reads H directly.
     """
     nu = nu_vector(config)
     w = wronskian(nu)
@@ -194,49 +195,77 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     lams = full_lambda(config, params)
     b = diagonal_element(lams) @ c
     h = GroupElement((b.conj_transpose() @ b).entries)
-    hmin = all_minors(h)
+
+    # Columns 0..k-2 of G = C W; each entry maps a z-exponent to its coefficient.
+    g_cols = []
+    for col in range(k - 1):
+        column = []
+        for i in range(k):
+            entry: dict[Fraction, ExactScalar] = {}
+            for j in range(i + 1):
+                cij = c.entries[i][j]
+                if cij.is_zero:
+                    continue
+                for t in w.entries[j][col].terms:
+                    _add_term(entry, t.exp_z, cij * t.coeff)
+            column.append(entry)
+        g_cols.append(column)
 
     fs: list[ZExpr] = []
+    prev: dict[tuple[int, ...], dict[Fraction, ExactScalar]] = {(): {Fraction(0): SCALAR_ONE}}
     for m in range(1, k):
-        # Column minors of W over each row set, as (coefficient, exponent).
-        minors: list[tuple[tuple[int, ...], Fraction, Fraction]] = []
-        for rows in combinations(range(k), m):
-            mono = column_minor(w, rows).single_monomial()
-            minors.append((rows, mono.coeff.re, mono.exp_z))
+        column = g_cols[m - 1]
+        table: dict[tuple[int, ...], dict[Fraction, ExactScalar]] = {}
         acc: dict[tuple[Fraction, Fraction], ExactScalar] = {}
-        for s_rows, s_coeff, s_exp in minors:
-            s_key = tuple(r + 1 for r in s_rows)
-            for t_rows, t_coeff, t_exp in minors:
-                hval = hmin[(s_key, tuple(r + 1 for r in t_rows))]
-                if hval.is_zero:
-                    continue
-                contrib = (s_coeff * t_coeff) * hval
-                key = (t_exp, s_exp)
-                cur = acc.get(key)
-                acc[key] = contrib if cur is None else cur + contrib
+        for rows in combinations(range(k), m):
+            g: dict[Fraction, ExactScalar] = {}
+            for pos, r in enumerate(rows):
+                sub = prev[rows[:pos] + rows[pos + 1:]]
+                # Laplace sign (-1)^(pos + m - 1) of entry (rows[pos], m - 1).
+                flip = (pos + m) % 2 == 0
+                for e_entry, c_entry in column[r].items():
+                    if flip:
+                        c_entry = -c_entry
+                    for e_sub, c_sub in sub.items():
+                        _add_term(g, e_entry + e_sub, c_entry * c_sub)
+            g = {e: v for e, v in g.items() if not v.is_zero}
+            table[rows] = g
+            weight = Fraction(1)
+            for r in rows:
+                weight *= lams[r] * lams[r]
+            conj = [(e, v.conjugate()) for e, v in g.items()]
+            for a, ca in g.items():
+                scaled = ExactScalar(ca.re * weight, ca.im * weight)
+                for bb, cb in conj:
+                    _add_term(acc, (a, bb), scaled * cb)
+        prev = table
         f = ZExpr.from_terms(Monomial(cv, a, bb) for (a, bb), cv in acc.items())
         if not f.is_real:
             raise StructureError(f"unknown F_{m} is not conjugation-invariant")
         fs.append(f)
 
-    _check_first_unknown(fs[0], nu, c, lams)
+    _check_first_unknown(fs[0], nu, h)
     reduced = None
     if config.family in ("C", "B"):
         reduced = _reduce(config, tuple(fs))
     return SolutionBundle(config, params, nu, w, tuple(fs), reduced, h, b, c, lams)
 
 
-def _check_first_unknown(f1: ZExpr, nu: NuVector, c: GroupElement, lams) -> None:
-    # F_1 must equal sum_i lambda_i^2 |nu_i + sum_{j<i} c_ij nu_j|^2 exactly.
+def _add_term(acc: dict, key, value: ExactScalar) -> None:
+    cur = acc.get(key)
+    acc[key] = value if cur is None else cur + value
+
+
+def _check_first_unknown(f1: ZExpr, nu: NuVector, h: GroupElement) -> None:
+    # F_1 = nu^dag H nu: entry H_ab carries conj(nu_a) nu_b = chi_a chi_b zb^beta_a z^beta_b.
     k = nu.k
-    total = ZExpr.zero()
-    for i in range(k):
-        row = ZExpr.zero()
-        for j in range(i + 1):
-            row = row + c.entries[i][j] * nu.nu[j]
-        total = total + (lams[i] * lams[i]) * (row.conjugate() * row)
-    if total != f1:
-        raise StructureError("principal-minor F_1 disagrees with the direct expansion")
+    direct = ZExpr.from_terms(
+        Monomial(h.entries[a][b] * (nu.chi[a] * nu.chi[b]), nu.beta[b], nu.beta[a])
+        for a in range(k)
+        for b in range(k)
+    )
+    if direct != f1:
+        raise StructureError("principal-minor F_1 disagrees with nu^dag H nu")
 
 
 def _reduce(config: TodaConfig, fs: tuple[ZExpr, ...]) -> tuple[ReducedUnknown, ...]:
@@ -292,18 +321,17 @@ class MonodromyReport:
     analytic_offenders: tuple[str, ...]
 
 
-def verify_monodromy(
-    config: TodaConfig, params: SolutionParams, *, strict: bool = False
-) -> MonodromyReport:
-    """Two independent single-valuedness checks that must agree.
+def verify_monodromy(bundle: SolutionBundle, *, strict: bool = False) -> MonodromyReport:
+    """Two independent single-valuedness checks on an assembled bundle that must agree.
 
-    Algebraic: every nonzero entry of the solved C sits on a slot fixed by
+    Algebraic: every nonzero entry of the bundle's C sits on a slot fixed by
     conjugation with the monodromy element (integer exponent difference).
-    Analytic: every term of the assembled F_1 has an integer difference of
+    Analytic: every term of the bundle's F_1 has an integer difference of
     z and conj(z) exponents, hence is single-valued off the origin.
     """
+    config = bundle.config
     mono = monodromy_element(config.algebra, config.gamma)
-    c = unipotent_from_coords(config.algebra, params.coords)
+    c = bundle.C
     k = config.k
     alg_offenders = tuple(
         (i, j)
@@ -311,7 +339,6 @@ def verify_monodromy(
         for j in range(i)
         if not c.entries[i][j].is_zero and not mono.fixes_slot(i, j)
     )
-    bundle = assemble(config, params)
     ana_offenders = tuple(
         f"z^{t.exp_z} zb^{t.exp_zbar}"
         for t in bundle.F[0].terms
@@ -553,7 +580,7 @@ def a_case_form(config: TodaConfig, params: SolutionParams) -> ACaseReport:
         for j in range(i):
             val = params.coords.get(i, j)
             if not val.is_zero:
-                row[f"c{i}{j}"] = val * (chi[j] / chi[i])
+                row[slot_name(i, j)] = val * (chi[j] / chi[i])
         coeffs.append(row)
     forbidden = []
     violations = []
@@ -561,7 +588,7 @@ def a_case_form(config: TodaConfig, params: SolutionParams) -> ACaseReport:
         for j in range(i):
             span = sum(mu[j:i], Fraction(0))
             if span.denominator != 1:
-                name = f"c{i}{j}"
+                name = slot_name(i, j)
                 forbidden.append(name)
                 if not params.coords.get(i, j).is_zero:
                     violations.append(name)

@@ -312,7 +312,7 @@ def test_criterion_10_monodromy_agreement():
         alg = algebras[i % len(algebras)]
         cfg = make_config(alg.family, alg.rank, random_gamma(rng, alg.rank))
         params = random_params(cfg, rng, bound=2, restrict=True)
-        rep = verify_monodromy(cfg, params)
+        rep = verify_monodromy(assemble(cfg, params))
         if not (rep.passed and rep.agree):
             failures.append(("valid", str(alg), cfg.gamma))
     # 10 engineered violations: a forbidden coordinate is forced nonzero.
@@ -332,7 +332,7 @@ def test_criterion_10_monodromy_agreement():
             alg, {(slot.row, slot.col): ExactScalar.of(F(attempt, 3), F(1, 2))}
         )
         params = SolutionParams.of([F(1)] * (alg.k // 2), coords)
-        rep = verify_monodromy(cfg, params)
+        rep = verify_monodromy(assemble(cfg, params))
         if rep.passed or not rep.agree:
             failures.append(("violation missed", str(alg), slot.name))
         made += 1

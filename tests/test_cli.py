@@ -146,3 +146,32 @@ def test_unknown_command_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_verify_nonpositive_points_exit_2(capsys, points):
+    code, out, err = run(
+        capsys, "verify", "--family", "C", "--rank", "2", "--gamma", "0,0", f"--points={points}"
+    )
+    assert code == 2
+    assert "--points" in err
+    assert "pde-residual" not in out
+
+
+def test_verify_assembles_once(monkeypatch, capsys):
+    import toda.cli
+    import toda.solutions
+
+    calls = []
+    real = toda.solutions.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # Patch both lookups, so an assembly from inside a check counts as well.
+    monkeypatch.setattr(toda.cli, "assemble", counting)
+    monkeypatch.setattr(toda.solutions, "assemble", counting)
+    code, _, _ = run(capsys, "verify", "--family", "C", "--rank", "2", "--gamma", "0,0")
+    assert code == 0
+    assert len(calls) == 1

@@ -16,7 +16,7 @@ from toda.jsonio import (
     zexpr_from_json,
     zexpr_to_json,
 )
-from toda.lie import Algebra
+from toda.lie import Algebra, coordinate_map
 
 
 @pytest.mark.parametrize(
@@ -64,6 +64,24 @@ def test_coords_round_trip():
     blob = coords_to_json(coords)
     assert blob == {"c10": "-1/2", "c30": "1+i"}
     assert parse_coords(alg, blob) == coords
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [Algebra("A", n) for n in range(1, 13)]
+    + [Algebra(f, n) for f in ("C", "B") for n in range(1, 7)],
+    ids=str,
+)
+def test_coords_round_trip_every_slot(algebra):
+    # k <= 13: rows and columns past 9 need the "c11_10" form to stay unique.
+    values = {
+        (s.row, s.col): ExactScalar(F(idx + 1, 2), F(-1, idx + 2))
+        for idx, s in enumerate(coordinate_map(algebra))
+    }
+    coords = UnipotentCoords(algebra, values)
+    blob = coords_to_json(coords)
+    assert len(blob) == len(values)
+    assert parse_coords(algebra, blob) == coords
 
 
 def test_matrix_to_json():

@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from conftest import random_gamma, random_params
 from toda import Algebra, make_config
-from toda.basis import nu_vector, wronskian
+from toda.basis import column_minor, nu_vector, wronskian
 from toda.exact import ExactScalar, ZExpr
 from toda.groups import (
     GroupElement,
     UnipotentCoords,
+    all_minors,
     diagonal_element,
+    is_in_group,
 )
+from toda.lie import coordinate_map
 from toda.linalg import det as generic_det
 from toda.linalg import transpose
 from toda.solutions import (
@@ -148,13 +152,51 @@ def _principal_minors_oracle(bundle):
 
 
 @pytest.mark.parametrize(
-    "family,rank,seed", [("A", 1, 1), ("A", 2, 2), ("C", 2, 3), ("B", 2, 4)]
+    "family,rank,seed", [("A", 1, 1), ("A", 2, 2), ("C", 2, 3), ("B", 2, 4), ("A", 3, 5)]
 )
 def test_assemble_matches_direct_determinant(family, rank, seed):
     rng = random.Random(seed)
     cfg = make_config(family, rank, random_gamma(rng, rank))
     b = assemble(cfg, random_params(cfg, rng))
     assert list(b.F) == _principal_minors_oracle(b)
+
+
+def _h_minor_unknown(table, w, m):
+    # The double Cauchy-Binet sum over the all-minors table of H: the
+    # leading m x m minor of W^dag H W without going through C W.
+    k = w.k
+    acc = Z0
+    for s in combinations(range(k), m):
+        for t in combinations(range(k), m):
+            acc = acc + column_minor(w, s).conjugate() * table[
+                (tuple(x + 1 for x in s), tuple(x + 1 for x in t))
+            ] * column_minor(w, t)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma",
+    [
+        ("A", 3, (0, 0, 0)),
+        ("C", 3, (0, 0, 0)),
+        ("B", 2, (0, 0)),
+        ("B", 3, (0, 0, 0)),
+        ("A", 3, (F(1, 2), F(-1, 3), F(1, 2))),
+        ("C", 3, (F(1, 2), F(1, 3), F(-1, 4))),
+        ("B", 2, (F(-1, 2), F(1, 4))),
+        ("B", 3, (F(1, 2), F(-1, 3), F(1, 4))),
+    ],
+)
+def test_assemble_matches_h_minor_route(family, rank, gamma):
+    # gamma = 0 keeps every coordinate nonzero; a fractional gamma restricts
+    # the coordinates to the integral roots, which leaves C sparse.
+    cfg = make_config(family, rank, gamma)
+    params = random_params(cfg, random.Random(rank), restrict=True)
+    nonzero, free = len(params.coords.values), len(coordinate_map(cfg.algebra))
+    assert nonzero == free if all(x == 0 for x in gamma) else nonzero < free
+    b = assemble(cfg, params)
+    table = all_minors(b.H)
+    assert list(b.F) == [_h_minor_unknown(table, b.wronskian, m) for m in range(1, cfg.k)]
 
 
 def test_assemble_first_unknown_weighted_rows():
@@ -194,26 +236,10 @@ def test_symmetry_negative_control():
     b_mat = lam @ c_bad
     h = GroupElement((b_mat.conj_transpose() @ b_mat).entries)
     assert h.det().re == 1 and h.is_hermitian()
-    nu = nu_vector(cfg)
-    w = wronskian(nu)
-    from itertools import combinations
-
-    from toda.basis import column_minor
-    from toda.groups import all_minors, is_in_group
-
+    w = wronskian(nu_vector(cfg))
     assert not is_in_group(h)
     table = all_minors(h)
-
-    def unknown(m):
-        acc = Z0
-        for s in combinations(range(4), m):
-            for t in combinations(range(4), m):
-                acc = acc + column_minor(w, s).conjugate() * table[
-                    (tuple(x + 1 for x in s), tuple(x + 1 for x in t))
-                ] * column_minor(w, t)
-        return acc
-
-    assert unknown(1) != unknown(3)
+    assert _h_minor_unknown(table, w, 1) != _h_minor_unknown(table, w, 3)
 
 
 def test_symmetry_vacuous_for_k2():
@@ -274,7 +300,7 @@ def test_monodromy_b2_allowed():
     alg = Algebra("B", 2)
     cfg = make_config("B", 2, [F(-1, 2), F(1, 4)])
     coords = UnipotentCoords(alg, {(3, 0): ExactScalar.of(1, 1)})
-    rep = verify_monodromy(cfg, SolutionParams.of([1, 2], coords))
+    rep = verify_monodromy(assemble(cfg, SolutionParams.of([1, 2], coords)))
     assert rep.passed and rep.agree
 
 
@@ -282,18 +308,18 @@ def test_monodromy_b2_violation():
     alg = Algebra("B", 2)
     cfg = make_config("B", 2, [F(-1, 2), F(1, 4)])
     coords = UnipotentCoords(alg, {(1, 0): ExactScalar.of(1)})
-    rep = verify_monodromy(cfg, SolutionParams.of([1, 2], coords))
+    rep = verify_monodromy(assemble(cfg, SolutionParams.of([1, 2], coords)))
     assert not rep.passed and rep.agree
     assert (1, 0) in rep.algebraic_offenders
     with pytest.raises(MonodromyViolation):
-        verify_monodromy(cfg, SolutionParams.of([1, 2], coords), strict=True)
+        verify_monodromy(assemble(cfg, SolutionParams.of([1, 2], coords)), strict=True)
 
 
 def test_monodromy_integer_weights_any_coords():
     rng = random.Random(60)
     cfg = make_config("C", 2, [1, 0])
     params = random_params(cfg, rng, restrict=False)
-    rep = verify_monodromy(cfg, params)
+    rep = verify_monodromy(assemble(cfg, params))
     assert rep.passed and rep.agree
 
 
@@ -302,7 +328,7 @@ def test_monodromy_checks_agree(family, rank):
     rng = random.Random(hash((family, rank, "mono")) & 0xFFF)
     for restrict in (True, False):
         cfg = make_config(family, rank, random_gamma(rng, rank))
-        rep = verify_monodromy(cfg, random_params(cfg, rng, restrict=restrict))
+        rep = verify_monodromy(assemble(cfg, random_params(cfg, rng, restrict=restrict)))
         assert rep.agree
 
 
