@@ -53,7 +53,6 @@ from .solutions import (
     annulus_points,
     characteristic_data,
     full_lambda,
-    reduce_bundle,
     verify_integrability,
     verify_monodromy,
     verify_pde,

@@ -22,12 +22,14 @@ from .demos import build_demo
 from .exact import format_fraction
 from .groups import (
     GroupElement,
+    UnipotentCoords,
     check_minor_identity,
     classify_by_minors,
     expected_tag,
     sample_group_element,
 )
 from .jsonio import (
+    config_to_json,
     coords_to_json,
     fractions_to_json,
     parse_coords,
@@ -37,7 +39,6 @@ from .jsonio import (
 from .lie import Algebra, format_root_table, positive_roots
 from .solutions import (
     SolutionParams,
-    UnipotentCoords,
     a_case_form,
     assemble,
     characteristic_data,
@@ -65,10 +66,14 @@ def _load_coords_arg(algebra: Algebra, raw: str | None) -> UnipotentCoords:
     return parse_coords(algebra, data)
 
 
-def _config_from_args(args) -> tuple:
+def _algebra_from_args(args) -> Algebra:
     if args.family is None or args.rank is None:
         raise ValueError("--family and --rank are required")
-    algebra = Algebra(args.family, args.rank)
+    return Algebra(args.family, args.rank)
+
+
+def _config_from_args(args) -> tuple:
+    algebra = _algebra_from_args(args)
     if getattr(args, "gamma", None) is None:
         raise ValueError("--gamma is required for this command")
     cfg = make_config(args.family, args.rank, _fraction_list(args.gamma))
@@ -110,7 +115,7 @@ def cmd_solve(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "solve",
-        "config": {"family": cfg.family, "rank": cfg.rank, "gamma": fractions_to_json(cfg.gamma)},
+        "config": config_to_json(cfg),
         "lambda_full": fractions_to_json(bundle.lambdas),
         "coords": coords_to_json(params.coords),
         "beta": fractions_to_json(bundle.nu.beta),
@@ -208,7 +213,7 @@ def cmd_verify(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "verify",
-        "config": {"family": cfg.family, "rank": cfg.rank, "gamma": fractions_to_json(cfg.gamma)},
+        "config": config_to_json(cfg),
         "options": {"points": args.points, "tol": args.tol, "seed": args.seed},
         "checks": checks,
         "exponents": exponent_rows,
@@ -227,9 +232,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    if args.family is None or args.rank is None:
-        raise ValueError("--family and --rank are required")
-    algebra = Algebra(args.family, args.rank)
+    algebra = _algebra_from_args(args)
     roots = positive_roots(algebra)
     report = {
         "schema": SCHEMA,
@@ -251,7 +254,7 @@ def cmd_ngamma(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "ngamma",
-        "config": {"family": cfg.family, "rank": cfg.rank, "gamma": fractions_to_json(cfg.gamma)},
+        "config": config_to_json(cfg),
         "rows": rows,
         "members": members,
         "dimension_of_unipotent_group": algebra.rank ** 2
@@ -271,9 +274,7 @@ def cmd_ngamma(args) -> int:
 
 
 def cmd_minors(args) -> int:
-    if args.family is None or args.rank is None:
-        raise ValueError("--family and --rank are required")
-    algebra = Algebra(args.family, args.rank)
+    algebra = _algebra_from_args(args)
     results = []
     ok = True
     for idx in range(args.count):
@@ -314,7 +315,7 @@ def cmd_wsym(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "wsym",
-        "config": {"family": cfg.family, "rank": cfg.rank, "gamma": fractions_to_json(cfg.gamma)},
+        "config": config_to_json(cfg),
         "w": fractions_to_json(data.w),
         "beta": fractions_to_json(data.beta),
         "order": data.operator.order,

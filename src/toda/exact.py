@@ -153,7 +153,6 @@ class ExactScalar:
 
 SCALAR_ZERO = ExactScalar()
 SCALAR_ONE = ExactScalar(Fraction(1))
-SCALAR_I = ExactScalar(Fraction(0), Fraction(1))
 
 
 def _coerce_scalar(x):

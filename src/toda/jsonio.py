@@ -90,14 +90,6 @@ def fractions_to_json(xs: Sequence[Fraction]) -> list[str]:
     return [format_fraction(x) for x in xs]
 
 
-def algebra_to_json(a: Algebra) -> dict:
-    return {"family": a.family, "rank": a.rank}
-
-
-def parse_algebra(obj: Mapping) -> Algebra:
-    return Algebra(str(obj["family"]), int(obj["rank"]))
-
-
 _COORD_KEY = re.compile(r"^c(\d+?)(\d)$")
 
 

@@ -164,7 +164,6 @@ class CoordinateSlot:
     row: int
     col: int
     root: Root
-    free: bool = True
 
     @property
     def name(self) -> str:
@@ -289,19 +288,22 @@ def monodromy_element(algebra: Algebra, gamma: Sequence) -> MonodromyElement:
 
 
 def format_root_table(algebra: Algebra, gamma: Sequence) -> list[dict]:
-    """Rows pairing each free slot with its root, pairing value and membership."""
+    """Rows pairing each free slot with its root, pairing value and membership.
+
+    Membership is read from delta_gamma, which also checks that the integral
+    roots are closed under addition.
+    """
     g = check_gamma(algebra, gamma)
     member = {r.coeffs for r in delta_gamma(algebra, gamma)}
     rows = []
     for slot in coordinate_map(algebra):
-        val = slot.root.value(g)
         rows.append(
             {
                 "slot": slot.name,
                 "root": list(slot.root.coeffs),
                 "root_str": str(slot.root),
-                "value": format_fraction(val),
-                "integral": val.denominator == 1,
+                "value": format_fraction(slot.root.value(g)),
+                "integral": slot.root.coeffs in member,
             }
         )
     return rows

@@ -8,7 +8,7 @@ entries; nothing is numeric.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -90,7 +90,3 @@ def identity_rows(k: int, zero: T, one: T) -> tuple[tuple, ...]:
     return tuple(
         tuple(one if i == j else zero for j in range(k)) for i in range(k)
     )
-
-
-def map_matrix(m: Matrix, fn: Callable) -> tuple[tuple, ...]:
-    return tuple(tuple(fn(x) for x in row) for row in m)

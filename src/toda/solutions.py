@@ -36,7 +36,7 @@ from .basis import (
     nu_vector,
     wronskian,
 )
-from .config import TodaConfig, make_config
+from .config import TodaConfig
 from .exact import (
     SCALAR_ONE,
     ExactScalar,
@@ -56,8 +56,6 @@ from .groups import (
 from .lie import Algebra, cartan, monodromy_element, slot_name
 
 __all__ = [
-    "TodaConfig",
-    "make_config",
     "SolutionParams",
     "SolutionBundle",
     "ReducedUnknown",
@@ -67,7 +65,6 @@ __all__ = [
     "ProductConditionViolation",
     "full_lambda",
     "assemble",
-    "reduce_bundle",
     "verify_symmetry",
     "verify_monodromy",
     "characteristic_data",
@@ -143,7 +140,12 @@ def full_lambda(config: TodaConfig, params: SolutionParams) -> tuple[Fraction, .
 
 @dataclass(frozen=True)
 class ReducedUnknown:
-    """Family unknown U_index through e^(-U) = (multiplier * expr)^power."""
+    """Family unknown U_index through e^(-U) = (multiplier * expr)^power.
+
+    ``value_from`` turns an already evaluated value of ``expr`` into e^(-U):
+    it scales the real part by the multiplier, rejects a non-positive result
+    and raises it to the power.  ``value`` evaluates ``expr`` at a point first.
+    """
 
     index: int
     expr: ZExpr
@@ -152,8 +154,10 @@ class ReducedUnknown:
     ln2_coefficient: Fraction
 
     def value(self, point: complex) -> float:
-        base = self.expr.evaluate(point)
-        scaled = float(self.multiplier) * base.real
+        return self.value_from(self.expr.evaluate(point))
+
+    def value_from(self, f_value: complex) -> float:
+        scaled = float(self.multiplier) * f_value.real
         if scaled <= 0:
             raise ValueError(f"non-positive value {scaled} for unknown {self.index}")
         return scaled ** float(self.power)
@@ -168,7 +172,6 @@ class SolutionBundle:
     F: tuple[ZExpr, ...]
     reduced: tuple[ReducedUnknown, ...] | None
     H: GroupElement
-    B: GroupElement
     C: GroupElement
     lambdas: tuple[Fraction, ...]
 
@@ -248,7 +251,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     reduced = None
     if config.family in ("C", "B"):
         reduced = _reduce(config, tuple(fs))
-    return SolutionBundle(config, params, nu, w, tuple(fs), reduced, h, b, c, lams)
+    return SolutionBundle(config, params, nu, w, tuple(fs), reduced, h, c, lams)
 
 
 def _add_term(acc: dict, key, value: ExactScalar) -> None:
@@ -286,13 +289,6 @@ def _reduce(config: TodaConfig, fs: tuple[ZExpr, ...]) -> tuple[ReducedUnknown, 
                 )
             )
     return tuple(out)
-
-
-def reduce_bundle(config: TodaConfig, bundle: SolutionBundle) -> tuple[ReducedUnknown, ...]:
-    """Family unknowns of a C/B bundle (exact power-of-two shifts for B)."""
-    if config.family not in ("C", "B"):
-        raise ValueError("reduction applies to the C and B families")
-    return _reduce(config, bundle.F)
 
 
 @dataclass(frozen=True)
@@ -431,67 +427,59 @@ def verify_pde(
     count: int = 20,
     tol: float = 1e-9,
     seed: int = 7,
-    include_reduced: bool = True,
     strict: bool = False,
 ) -> PdeReport:
     """Numeric residual of the coupled log-Laplacian equations at off-cut points.
 
-    For each m the symbolic identity d_z d_zbar log F_m = prod_j F_j^(-a_mj)
-    (A-side tridiagonal exponents) is evaluated with exact symbolic
-    derivatives and compared in relative terms.  For C/B bundles the reduced
-    equations are spot-checked as well for m <= n.
+    Each point gets one table row: F_m, d_z F_m, d_zbar F_m and d_z d_zbar F_m
+    are evaluated once for every m, from exact symbolic derivatives, and give
+    the values F_m and the log-Laplacians d_z d_zbar log F_m.  One residual
+    routine compares a log-Laplacian with its Cartan product in relative
+    terms.  The A-side system d_z d_zbar log F_m = prod_j F_j^(-a_mj) is
+    checked at every point as its row is built.  For C/B bundles the family
+    system for m <= n is then checked on the same rows, each reduced unknown
+    U_i scaled from the value of F_i already in the row.
     """
     config = bundle.config
-    k = config.k
     pts = tuple(points) if points is not None else annulus_points(count, seed)
-    amat = cartan(Algebra("A", k - 1)).matrix
     derivs = []
     for f in bundle.F:
         fz = f.diff_z()
-        derivs.append((f, fz, f.diff_zbar(), fz.diff_zbar()))
+        derivs.append((fz, f.diff_zbar(), fz.diff_zbar()))
     max_res = 0.0
     worst = None
 
-    def log_laplacian(m: int, z: complex) -> complex:
-        f, fz, fzb, fzzb = derivs[m - 1]
-        fv = f.evaluate(z)
-        return (fv * fzzb.evaluate(z) - fz.evaluate(z) * fzb.evaluate(z)) / (fv * fv)
+    def residual(m: int, z: complex, lhs: complex, values: list, row: Sequence[int], unit) -> None:
+        # The Cartan product starts from the unit of the values' type:
+        # complex for the F values, float for the reduced unknowns.
+        nonlocal max_res, worst
+        rhs = unit
+        for a, v in zip(row, values):
+            if a != 0:
+                rhs *= v ** (-a)
+        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        if rel > max_res:
+            max_res, worst = rel, (m, z)
+        if strict and rel > tol:
+            raise ResidualExceeded(m, z, rel)
 
+    amat = cartan(Algebra("A", config.k - 1)).matrix
+    rows = []
     for z in pts:
-        values = [f.evaluate(z) for f, _, _, _ in derivs]
-        for m in range(1, k):
-            lhs = log_laplacian(m, z)
-            rhs = 1.0 + 0.0j
-            for j in range(1, k):
-                a = amat[m - 1][j - 1]
-                if a != 0:
-                    rhs *= values[j - 1] ** (-a)
-            rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-            if rel > max_res:
-                max_res, worst = rel, (m, z)
-            if strict and rel > tol:
-                raise ResidualExceeded(m, z, rel)
+        values = [f.evaluate(z) for f in bundle.F]
+        laps = []
+        for m, (fv, (fz, fzb, fzzb)) in enumerate(zip(values, derivs), start=1):
+            laps.append((fv * fzzb.evaluate(z) - fz.evaluate(z) * fzb.evaluate(z)) / (fv * fv))
+            residual(m, z, laps[-1], values, amat[m - 1], 1.0 + 0.0j)
+        rows.append((z, values, laps))
 
-    reduced_checked = False
-    if include_reduced and bundle.reduced is not None:
+    if bundle.reduced is not None:
         fam_matrix = cartan(config.algebra).matrix
-        n = config.rank
-        for z in pts:
-            red_vals = [r.value(z) for r in bundle.reduced]
-            for m in range(1, n + 1):
-                lhs = float(bundle.reduced[m - 1].power) * log_laplacian(m, z)
-                rhs = 1.0
-                for j in range(1, n + 1):
-                    a = fam_matrix[m - 1][j - 1]
-                    if a != 0:
-                        rhs *= red_vals[j - 1] ** (-a)
-                rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-                if rel > max_res:
-                    max_res, worst = rel, (m, z)
-                if strict and rel > tol:
-                    raise ResidualExceeded(m, z, rel)
-        reduced_checked = True
-    return PdeReport(max_res <= tol, max_res, worst, len(pts), reduced_checked)
+        for z, values, laps in rows:
+            red_vals = [r.value_from(v) for r, v in zip(bundle.reduced, values)]
+            for m, r in enumerate(bundle.reduced, start=1):
+                residual(m, z, float(r.power) * laps[m - 1], red_vals, fam_matrix[m - 1], 1.0)
+    return PdeReport(max_res <= tol, max_res, worst, len(pts), bundle.reduced is not None)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
+import ast
+import dataclasses
+import importlib
+import inspect
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
+import toda
+import toda.solutions
 from conftest import random_gamma, random_params
 from toda import Algebra, make_config
 from toda.basis import column_minor, nu_vector, wronskian
@@ -28,7 +34,6 @@ from toda.solutions import (
     assemble,
     characteristic_data,
     full_lambda,
-    reduce_bundle,
     verify_integrability,
     verify_monodromy,
     verify_pde,
@@ -255,8 +260,7 @@ def test_reduce_c3_is_plain():
     rng = random.Random(50)
     cfg = make_config("C", 3, random_gamma(rng, 3))
     b = assemble(cfg, random_params(cfg, rng))
-    red = reduce_bundle(cfg, b)
-    for i, r in enumerate(red, start=1):
+    for i, r in enumerate(b.reduced, start=1):
         assert r.expr == b.F[i - 1]
         assert r.multiplier == 1 and r.power == 1 and r.ln2_coefficient == 0
 
@@ -281,8 +285,6 @@ def test_reduce_requires_cb():
     cfg = make_config("A", 1, [0])
     b = assemble(cfg, SolutionParams.of([1, 1], no_coords("A", 1)))
     assert b.reduced is None
-    with pytest.raises(ValueError):
-        reduce_bundle(cfg, b)
 
 
 def test_reduced_value_b2():
@@ -460,6 +462,56 @@ def test_pde_strict_raises_on_absurd_tolerance():
     b = assemble(cfg, SolutionParams.of([1, 1], no_coords("A", 1)))
     with pytest.raises(ResidualExceeded):
         verify_pde(b, count=5, tol=0.0, strict=True)
+
+
+def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
+    # One table row per point: F_m and its three derivatives, for every m,
+    # shared by the A-side and the reduced system.
+    rng = random.Random(96)
+    cfg = make_config("C", 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, rng))
+    calls = []
+    original = ZExpr.evaluate
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(ZExpr, "evaluate", counting)
+    rep = verify_pde(b, count=5)
+    assert rep.passed and rep.reduced_checked
+    assert len(calls) == 4 * (cfg.k - 1) * 5
+
+
+@pytest.mark.parametrize("family,slot", [("B", 1), ("C", 0)])
+def test_pde_reduced_multiplier_negative_control(family, slot):
+    # The A-side system does not read the multipliers, so only the reduced
+    # pass can catch a wrong one.
+    rng = random.Random(97)
+    cfg = make_config(family, 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, rng))
+    assert verify_pde(b, count=5).passed
+    red = list(b.reduced)
+    red[slot] = dataclasses.replace(red[slot], multiplier=red[slot].multiplier * 2)
+    rep = verify_pde(dataclasses.replace(b, reduced=tuple(red)), count=5)
+    assert rep.reduced_checked
+    assert rep.passed is False
+
+
+def test_exported_names_resolve():
+    for name in toda.solutions.__all__:
+        assert hasattr(toda.solutions, name), name
+    tree = ast.parse(inspect.getsource(toda))
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(f"toda.{module}"), name), (module, name)
+        assert hasattr(toda, name), name
 
 
 def test_annulus_points_off_cut():
