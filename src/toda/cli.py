@@ -21,7 +21,6 @@ from .config import make_config
 from .demos import build_demo
 from .exact import format_fraction
 from .groups import (
-    GroupElement,
     UnipotentCoords,
     check_minor_identity,
     classify_by_minors,
@@ -42,6 +41,7 @@ from .solutions import (
     a_case_form,
     assemble,
     characteristic_data,
+    default_lambdas,
     verify_integrability,
     verify_monodromy,
     verify_pde,
@@ -82,12 +82,8 @@ def _config_from_args(args) -> tuple:
 
 def _params_from_args(algebra: Algebra, cfg, args) -> SolutionParams:
     coords = _load_coords_arg(algebra, getattr(args, "coords", None))
-    if getattr(args, "lambdas", None):
-        lams = _fraction_list(args.lambdas)
-    elif cfg.family == "A":
-        lams = [Fraction(1)] * cfg.k
-    else:
-        lams = [Fraction(1)] * (cfg.k // 2)
+    raw = getattr(args, "lambdas", None)
+    lams = _fraction_list(raw) if raw else default_lambdas(cfg)
     return SolutionParams.of(lams, coords)
 
 
@@ -280,7 +276,7 @@ def cmd_minors(args) -> int:
     for idx in range(args.count):
         g = sample_group_element(algebra, seed=args.seed + idx, bound=3)
         rep = check_minor_identity(g)
-        tag = classify_by_minors(GroupElement(g.entries))
+        tag = classify_by_minors(g)
         good = tag == expected_tag(algebra.k)
         ok = ok and good
         results.append(

@@ -128,16 +128,12 @@ def solution_input_from_json(obj: Mapping):
 
     Returns (config, params); lambda defaults to all ones, coords to empty.
     """
-    from .solutions import SolutionParams
+    from .solutions import SolutionParams, default_lambdas
 
     config = config_from_json(obj)
     coords = parse_coords(config.algebra, obj.get("coords", {}))
     raw_lams = obj.get("lambda")
-    if raw_lams is None:
-        count = config.k if config.family == "A" else config.k // 2
-        lams = [Fraction(1)] * count
-    else:
-        lams = [parse_fraction(x) for x in raw_lams]
+    lams = default_lambdas(config) if raw_lams is None else [parse_fraction(x) for x in raw_lams]
     return config, SolutionParams.of(lams, coords)
 
 

@@ -8,7 +8,7 @@ entries; nothing is numeric.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -33,38 +33,55 @@ def mat_mul(a: Matrix, b: Matrix, zero: T) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def det(m: Matrix, zero: T, one: T) -> T:
-    """Exact determinant by expansion over column subsets.
+def minor_table(m: Matrix, zero: T, one: T) -> Callable[[Iterable[int], Iterable[int]], T]:
+    """Memoized minors of `m`, looked up by same-size 0-based row and column sets.
 
-    Processes columns left to right; state is the set of used rows, so the
-    cost is O(2^k * k) ring multiplications.  Works over any commutative
-    ring.
+    Each minor is the Laplace expansion along its last column over minors one
+    size smaller, computed once per table; entries with `is_zero` are skipped.
+    A full determinant costs O(2^k * k) ring multiplications, every minor
+    O(sum_j j * C(k,j)^2).  The empty minor is `one`.
+    """
+    memo = {(0, 0): one}
+
+    def lookup(rows: Iterable[int], cols: Iterable[int]) -> T:
+        rmask = sum(1 << r for r in rows)
+        cmask = sum(1 << c for c in cols)
+        if rmask.bit_count() != cmask.bit_count():
+            raise ValueError("row and column index sets differ in size")
+        return _minor(m, memo, zero, rmask, cmask)
+
+    return lookup
+
+
+def _minor(m: Matrix, memo: dict, zero: T, rmask: int, cmask: int) -> T:
+    # Module-level recursion: a recursive closure would make each table a
+    # reference cycle, freed only by the cyclic garbage collector.
+    val = memo.get((rmask, cmask))
+    if val is None:
+        col = cmask.bit_length() - 1
+        negate = rmask.bit_count() % 2 == 0  # sign (-1)^(pos + size - 1)
+        val, rest = zero, rmask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            entry = m[bit.bit_length() - 1][col]
+            if not entry.is_zero:
+                term = entry * _minor(m, memo, zero, rmask ^ bit, cmask ^ (1 << col))
+                val = val - term if negate else val + term
+            negate = not negate
+        memo[rmask, cmask] = val
+    return val
+
+
+def det(m: Matrix, zero: T, one: T) -> T:
+    """Exact determinant: the full minor of a fresh `minor_table`.
+
+    Raises ValueError on a non-square matrix; the 0x0 determinant is `one`.
     """
     k = len(m)
-    if k == 0:
-        return one
-    rows = [tuple(row) for row in m]
-    if any(len(row) != k for row in rows):
+    if any(len(row) != k for row in m):
         raise ValueError("determinant of a non-square matrix")
-    # state[mask] = signed sum over row subsets `mask` of the minor built
-    # from the first popcount(mask) columns.
-    state = {0: one}
-    for col in range(k):
-        new_state: dict[int, T] = {}
-        for mask, val in state.items():
-            for r in range(k):
-                bit = 1 << r
-                if mask & bit:
-                    continue
-                entry = rows[r][col]
-                # Parity flips once per already-used row below row r.
-                flips = bin(mask >> (r + 1)).count("1")
-                term = val * entry if flips % 2 == 0 else -(val * entry)
-                key = mask | bit
-                cur = new_state.get(key)
-                new_state[key] = term if cur is None else cur + term
-        state = new_state
-    return state[(1 << k) - 1]
+    return minor_table(m, zero, one)(range(k), range(k))
 
 
 def invert_fraction_matrix(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:

@@ -51,6 +51,7 @@ from .groups import (
     GroupElement,
     UnipotentCoords,
     diagonal_element,
+    paired_diagonal,
     unipotent_from_coords,
 )
 from .lie import Algebra, cartan, monodromy_element, slot_name
@@ -63,6 +64,7 @@ __all__ = [
     "MonodromyViolation",
     "ResidualExceeded",
     "ProductConditionViolation",
+    "default_lambdas",
     "full_lambda",
     "assemble",
     "verify_symmetry",
@@ -131,30 +133,27 @@ def full_lambda(config: TodaConfig, params: SolutionParams) -> tuple[Fraction, .
         lams = lams[:-1]
     if len(lams) != n:
         raise ValueError(f"{config.algebra} needs {n} free diagonal weights, got {len(lams)}")
-    full = list(lams)
-    if k % 2 == 1:
-        full.append(Fraction(1))
-    full.extend(1 / x for x in reversed(lams))
-    return tuple(full)
+    return paired_diagonal(lams, k)
+
+
+def default_lambdas(config: TodaConfig) -> list[Fraction]:
+    """All-ones weights: k of them for A, the free k//2 for C and B."""
+    return [Fraction(1)] * (config.k if config.family == "A" else config.k // 2)
 
 
 @dataclass(frozen=True)
 class ReducedUnknown:
-    """Family unknown U_index through e^(-U) = (multiplier * expr)^power.
+    """Family unknown U_index through e^(-U) = (multiplier * F_index)^power.
 
-    ``value_from`` turns an already evaluated value of ``expr`` into e^(-U):
+    ``value_from`` turns an already evaluated value of F_index into e^(-U):
     it scales the real part by the multiplier, rejects a non-positive result
-    and raises it to the power.  ``value`` evaluates ``expr`` at a point first.
+    and raises it to the power.
     """
 
     index: int
-    expr: ZExpr
     multiplier: Fraction
     power: Fraction
     ln2_coefficient: Fraction
-
-    def value(self, point: complex) -> float:
-        return self.value_from(self.expr.evaluate(point))
 
     def value_from(self, f_value: complex) -> float:
         scaled = float(self.multiplier) * f_value.real
@@ -250,7 +249,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     _check_first_unknown(fs[0], nu, h)
     reduced = None
     if config.family in ("C", "B"):
-        reduced = _reduce(config, tuple(fs))
+        reduced = _reduce(config)
     return SolutionBundle(config, params, nu, w, tuple(fs), reduced, h, c, lams)
 
 
@@ -271,23 +270,15 @@ def _check_first_unknown(f1: ZExpr, nu: NuVector, h: GroupElement) -> None:
         raise StructureError("principal-minor F_1 disagrees with nu^dag H nu")
 
 
-def _reduce(config: TodaConfig, fs: tuple[ZExpr, ...]) -> tuple[ReducedUnknown, ...]:
+def _reduce(config: TodaConfig) -> tuple[ReducedUnknown, ...]:
     n = config.rank
     out = []
     for i in range(1, n + 1):
         if config.family == "C":
-            out.append(ReducedUnknown(i, fs[i - 1], Fraction(1), Fraction(1), Fraction(0)))
+            out.append(ReducedUnknown(i, Fraction(1), Fraction(1), Fraction(0)))
         else:
             dup = 2 if i == n else 1
-            out.append(
-                ReducedUnknown(
-                    i,
-                    fs[i - 1],
-                    Fraction(2) ** i,
-                    Fraction(1, dup),
-                    Fraction(i, dup),
-                )
-            )
+            out.append(ReducedUnknown(i, Fraction(2) ** i, Fraction(1, dup), Fraction(i, dup)))
     return tuple(out)
 
 

@@ -1,13 +1,17 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
 import pytest
 
-from toda.exact import ExactScalar, NotASquareError, SCALAR_ONE
+from toda.exact import ExactScalar, NotASquareError, SCALAR_ONE, SCALAR_ZERO, ZExpr
 from toda.groups import (
     CardinalityError,
     GroupElement,
+    IdentityViolation,
+    MinorIdentityReport,
     NonzeroForbiddenCoordinate,
     NotPositiveDefinite,
     SingularDiagonal,
@@ -33,6 +37,7 @@ from toda.groups import (
     unipotent_from_coords,
 )
 from toda.lie import Algebra, delta_gamma
+from toda.linalg import det, minor_table
 
 
 def S(x):
@@ -144,12 +149,42 @@ def test_minor_against_permutation_oracle():
 
 
 def test_all_minors_table_matches_minor():
+    for alg in (Algebra("C", 2), Algebra("B", 2)):
+        g = sample_group_element(alg, seed=9, bound=2)
+        k = g.dim
+        table = all_minors(g)
+        for m in range(1, k):
+            for s in combinations(range(1, k + 1), m):
+                for t in combinations(range(1, k + 1), m):
+                    assert table[(s, t)] == minor(g, s, t)
+
+
+@pytest.mark.parametrize("zero,one", [(SCALAR_ZERO, SCALAR_ONE), (ZExpr.zero(), ZExpr.one())])
+def test_det_and_minor_table_edge_cases(zero, one):
+    assert det((), zero, one) == one
+    with pytest.raises(ValueError):
+        det(((one, zero),), zero, one)
+    with pytest.raises(ValueError):
+        det(((one,), (zero, one)), zero, one)
+    table = minor_table(((one, zero), (zero, one)), zero, one)
+    assert table((), ()) == one and table((1,), (0,)) == zero
+    with pytest.raises(ValueError):
+        table((0,), ())
+
+
+def test_minor_table_is_freed_by_reference_counting():
+    # A table must hold no reference cycle, or each one would wait for the
+    # cyclic garbage collector.
     g = sample_group_element(Algebra("C", 2), seed=9, bound=2)
-    table = all_minors(g)
-    for m in (1, 2, 3):
-        for s in combinations(range(1, 5), m):
-            for t in combinations(range(1, 5), m):
-                assert table[(s, t)] == minor(g, s, t)
+    gc.disable()
+    try:
+        table = minor_table(g.entries, SCALAR_ZERO, SCALAR_ONE)
+        assert table(range(4), range(4)) == SCALAR_ONE
+        ref = weakref.ref(table)
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_iota_and_complement():
@@ -160,6 +195,27 @@ def test_iota_and_complement():
 def test_check_minor_identity_on_identity():
     rep = check_minor_identity(GroupElement.identity(4))
     assert rep.exhaustive and rep.tag == "Sp"
+
+
+def test_check_minor_identity_sampled_beyond_dim_7():
+    assert check_minor_identity(GroupElement.identity(8)) == MinorIdentityReport(8, "Sp", 2000, False)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_check_minor_identity_names_a_failing_witness(monkeypatch, rank):
+    # Break one entry and skip the membership pre-check, so the identity
+    # check itself must find the failure, exhaustively (k = 4) or by
+    # sampling (k = 8).
+    k = 2 * rank
+    g = sample_group_element(Algebra("C", rank), seed=1, bound=2)
+    rows = [list(r) for r in g.entries]
+    rows[0][0] = rows[0][0] + S(1)
+    bad = GroupElement.from_rows(rows)
+    monkeypatch.setattr("toda.groups.is_in_group", lambda a: True)
+    with pytest.raises(IdentityViolation) as err:
+        check_minor_identity(bad)
+    s, t = err.value.witness
+    assert minor(bad, s, t) != minor(bad, iota(complement(s, k), k), iota(complement(t, k), k))
 
 
 @pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2)])
@@ -181,8 +237,8 @@ def test_check_minor_identity_rejects_non_group():
 
 
 def test_identity_violation_witness():
-    # Hand-break one entry of a group element and check the violation fires
-    # in the sampled path (bypasses the membership pre-check).
+    # Hand-break one entry of a group element and check that the all-minors
+    # table holds a pair violating the identity (no membership pre-check).
     g = sample_group_element(Algebra("C", 2), seed=1, bound=2)
     rows = [list(r) for r in g.entries]
     rows[0][0] = rows[0][0] + S(1)
