@@ -270,6 +270,8 @@ def cmd_ngamma(args) -> int:
 
 
 def cmd_minors(args) -> int:
+    if args.count <= 0:
+        raise ValueError(f"--count must be positive, got {args.count}")
     algebra = _algebra_from_args(args)
     results = []
     ok = True

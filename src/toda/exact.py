@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[int, Fraction]
@@ -153,6 +153,74 @@ class ExactScalar:
 
 SCALAR_ZERO = ExactScalar()
 SCALAR_ONE = ExactScalar(Fraction(1))
+
+
+class GaussInt:
+    """Gaussian integer re + im*i with plain int parts.
+
+    The lean entry ring of integer kernels: a scaled matrix d*A of
+    ExactScalars has GaussInt entries, and its ring operations cost no gcd.
+    Only +, -, * and equality are defined; results go back to ExactScalar at
+    the boundary.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int = 0):
+        self.re = re
+        self.im = im
+
+    @property
+    def is_zero(self) -> bool:
+        return not (self.re or self.im)
+
+    def __add__(self, other: GaussInt) -> GaussInt:
+        return GaussInt(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: GaussInt) -> GaussInt:
+        return GaussInt(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: GaussInt) -> GaussInt:
+        return GaussInt(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussInt):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __repr__(self) -> str:
+        return f"GaussInt({self.re}, {self.im})"
+
+
+GAUSS_ZERO = GaussInt(0)
+GAUSS_ONE = GaussInt(1)
+
+GaussRows = tuple[tuple[GaussInt, ...], ...]
+
+
+def scale_to_gaussian(rows: Sequence[Sequence[ExactScalar]]) -> tuple[int, GaussRows]:
+    """The pair (d, d*rows): d is the lcm of every entry denominator.
+
+    The scaled rows have GaussInt entries; a minor of size m of the original
+    matrix is the same minor of the scaled one divided by d**m.
+    """
+    d = lcm(*(x.denominator for row in rows for s in row for x in (s.re, s.im)))
+    return d, tuple(
+        tuple(
+            GaussInt(s.re.numerator * (d // s.re.denominator),
+                     s.im.numerator * (d // s.im.denominator))
+            for s in row
+        )
+        for row in rows
+    )
+
+
+def scalar_over(value: GaussInt, den: int) -> ExactScalar:
+    """The ExactScalar value / den of a Gaussian integer and a positive int."""
+    return ExactScalar(Fraction(value.re, den), Fraction(value.im, den))
 
 
 def _coerce_scalar(x):

@@ -5,11 +5,17 @@ it is skew for even k and symmetric for odd k, with J^-1 = (-1)^(k-1) J.
 A matrix A belongs to the group when A^t J A = J and det A = 1; the even
 case is the symplectic group, the odd case the special orthogonal group.
 
-Also here: exact minors over index sets from one memoized minor table, the
-two-sided minor characterization of group membership, the reversed Cholesky
-factorization H = B^dag B with B lower-triangular, the diagonal/unipotent
-split, the constraint solver filling a unipotent group element from its free
-coordinates, and a seeded sampler of exact group elements.
+Membership, determinants and minors run on a cached integer form of each
+element: the pair (d, d*A), with d the lcm of the entry denominators and
+Gaussian-integer entries.  Each minor comes from one memoized minor table over
+d*A and is converted to ExactScalar only when returned (divided by d^m for
+size m); the membership test checks (dA)^t J (dA) = d^2 J and det(dA) = d^k.
+
+Also here: the two-sided minor characterization of group membership, the
+reversed Cholesky factorization H = B^dag B with B lower-triangular, the
+diagonal/unipotent split, the constraint solver filling a unipotent group
+element from its free coordinates, and a seeded sampler of exact group
+elements.
 
 Index sets for the public minor API are 1-based sorted tuples, matching the
 inversion iota(j) = k+1-j.
@@ -19,15 +25,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     ExactScalar,
+    GAUSS_ONE,
+    GAUSS_ZERO,
+    GaussInt,
+    GaussRows,
     SCALAR_ONE,
     SCALAR_ZERO,
     as_fraction,
+    scalar_over,
+    scale_to_gaussian,
     sqrt_fraction,
 )
 from .lie import Algebra, Root, coordinate_map, slot_name
@@ -125,8 +138,14 @@ class GroupElement:
             tuple(tuple(x.conjugate() for x in row) for row in transpose(self.entries))
         )
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, GaussRows]:
+        """(d, d*A): d is the lcm of the entry denominators, d*A has GaussInt entries."""
+        return scale_to_gaussian(self.entries)
+
     def det(self) -> ExactScalar:
-        return generic_det(self.entries, SCALAR_ZERO, SCALAR_ONE)
+        d, scaled = self._integer_form
+        return scalar_over(generic_det(scaled, GAUSS_ZERO, GAUSS_ONE), d ** self.dim)
 
     def is_hermitian(self) -> bool:
         k = self.dim
@@ -151,13 +170,28 @@ def expected_tag(k: int) -> str:
     return "Sp" if k % 2 == 0 else "SO"
 
 
+def _preserves_form(d: int, scaled: GaussRows) -> bool:
+    """(dA)^t J (dA) == d^2 J on the integer form (d, dA), i.e. A^t J A = J."""
+    k = len(scaled)
+    for p in range(k):
+        for q in range(k):
+            acc = GAUSS_ZERO
+            for r in range(k):
+                term = scaled[r][p] * scaled[k - 1 - r][q]
+                acc = acc - term if r % 2 else acc + term
+            # J[p][q] is (-1)^p on the secondary diagonal p + q = k-1, else 0.
+            target = 0 if p + q != k - 1 else (d * d if p % 2 == 0 else -d * d)
+            if acc != GaussInt(target):
+                return False
+    return True
+
+
 def is_in_group(a: GroupElement) -> bool:
-    """Exact test of A^t J A = J together with det A = 1."""
-    j = form_matrix(a.dim)
-    lhs = (a.transpose() @ j @ a).entries
-    if lhs != j.entries:
+    """Exact test of A^t J A = J together with det A = 1, on the integer form."""
+    d, scaled = a._integer_form
+    if not _preserves_form(d, scaled):
         return False
-    return a.det() == SCALAR_ONE
+    return generic_det(scaled, GAUSS_ZERO, GAUSS_ONE) == GaussInt(d ** a.dim)
 
 
 # -- index sets (1-based, sorted) --------------------------------------
@@ -181,16 +215,22 @@ def iota(s: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def _minor_lookup(a: GroupElement):
-    """Minors of A from one table; checks rows, then cols, then their sizes."""
+    """Minors of A from one table; checks rows, then cols, then their sizes.
+
+    The table runs over the cached integer form (d, dA) in GaussInt
+    arithmetic; a lookup converts only the minor it returns, as
+    minor(A; S, T) = minor(dA; S, T) / d^|S|.
+    """
     k = a.dim
-    table = minor_table(a.entries, SCALAR_ZERO, SCALAR_ONE)
+    d, scaled = a._integer_form
+    table = minor_table(scaled, GAUSS_ZERO, GAUSS_ONE)
 
     def lookup(rows: Sequence[int], cols: Sequence[int]) -> ExactScalar:
         s = _check_index_set(rows, k)
         t = _check_index_set(cols, k)
         if len(s) != len(t):
             raise CardinalityError(f"|rows|={len(s)} but |cols|={len(t)}")
-        return table([i - 1 for i in s], [j - 1 for j in t])
+        return scalar_over(table([i - 1 for i in s], [j - 1 for j in t]), d ** len(s))
 
     return lookup
 
@@ -422,8 +462,7 @@ def unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupEle
         # Target is J[p][q]; here p + q < k - 1 always, so the target is 0.
         rows[i][j] = (-const) / coeff
     g = GroupElement(tuple(tuple(r) for r in rows))
-    jm = form_matrix(k)
-    if (g.transpose() @ jm @ g).entries != jm.entries:
+    if not _preserves_form(*g._integer_form):
         raise ArithmeticError("constraint solver produced a non-group element")
     return g
 

@@ -1,8 +1,9 @@
 """Small generic matrix helpers over exact coefficient rings.
 
 Matrices are sequences of row sequences whose entries support +, -, * (and,
-for inversion, /).  Everything here works for both ExactScalar and ZExpr
-entries; nothing is numeric.
+for inversion, /).  Everything here works for ExactScalar, ZExpr and GaussInt
+entries (GaussInt: the Gaussian-integer form of a group element); nothing is
+numeric.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ def mat_mul(a: Matrix, b: Matrix, zero: T) -> tuple[tuple, ...]:
 def minor_table(m: Matrix, zero: T, one: T) -> Callable[[Iterable[int], Iterable[int]], T]:
     """Memoized minors of `m`, looked up by same-size 0-based row and column sets.
 
-    Each minor is the Laplace expansion along its last column over minors one
-    size smaller, computed once per table; entries with `is_zero` are skipped.
+    Entries may be ExactScalar, ZExpr or GaussInt (Gaussian integers, whose
+    ring operations cost no gcd).  Each minor is the Laplace expansion along
+    its last column over minors one size smaller, computed once per table;
+    entries with `is_zero` are skipped.
     A full determinant costs O(2^k * k) ring multiplications, every minor
     O(sum_j j * C(k,j)^2).  The empty minor is `one`.
     """

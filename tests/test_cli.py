@@ -158,6 +158,14 @@ def test_verify_nonpositive_points_exit_2(capsys, points):
     assert "pde-residual" not in out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_minors_nonpositive_count_exit_2(capsys, count):
+    code, out, err = run(capsys, "minors", "--family", "C", "--rank", "2", f"--count={count}")
+    assert code == 2
+    assert "--count" in err
+    assert "PASS" not in out
+
+
 def test_verify_assembles_once(monkeypatch, capsys):
     import toda.cli
     import toda.solutions

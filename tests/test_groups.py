@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from toda.exact import ExactScalar, NotASquareError, SCALAR_ONE, SCALAR_ZERO, ZExpr
+from toda.exact import ExactScalar, NotASquareError, SCALAR_ONE, SCALAR_ZERO, ZExpr, scale_to_gaussian
 from toda.groups import (
     CardinalityError,
     GroupElement,
@@ -98,6 +98,35 @@ def test_random_perturbation_not_in_group():
     assert not is_in_group(g)
 
 
+def test_paired_diagonal_with_integer_entries_in_group():
+    assert is_in_group(GroupElement.from_rows([[2, 0], [0, F(1, 2)]]))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_minus_identity_rejected_for_odd_k(k):
+    # -I keeps the form, so only the determinant (-1) rejects it.
+    neg = GroupElement.from_rows([[-1 if i == j else 0 for j in range(k)] for i in range(k)])
+    j = form_matrix(k)
+    assert (neg.transpose() @ j @ neg).entries == j.entries
+    assert neg.det() == S(-1)
+    assert not is_in_group(neg)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_scalar_multiple_of_identity_rejected(k):
+    assert not is_in_group(GroupElement.from_rows([[2 if i == j else 0 for j in range(k)] for i in range(k)]))
+
+
+@pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2)])
+def test_imaginary_part_perturbation_rejected(family, rank):
+    g = sample_group_element(Algebra(family, rank), seed=1, bound=2)
+    rows = [list(r) for r in g.entries]
+    rows[1][2] = rows[1][2] + ExactScalar(F(0), F(1, 7))
+    bad = GroupElement.from_rows(rows)
+    assert bad.entries[1][2].re == g.entries[1][2].re
+    assert not is_in_group(bad)
+
+
 # -- minors -------------------------------------------------------------------
 
 
@@ -146,6 +175,87 @@ def test_minor_against_permutation_oracle():
             for t in combinations(range(1, 5), m):
                 sub = [[entries[i - 1][j - 1] for j in t] for i in s]
                 assert minor(g, s, t) == _laplace_det(sub)
+
+
+def _fraction_det(a, s, t):
+    # Oracle: the Fraction path, linalg.det over the ExactScalar submatrix.
+    return det([[a.entries[i - 1][j - 1] for j in t] for i in s], SCALAR_ZERO, SCALAR_ONE)
+
+
+@pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2), ("C", 3), ("B", 3)])
+def test_integer_kernel_matches_fraction_path(family, rank):
+    g = sample_group_element(Algebra(family, rank), seed=2, bound=3)
+    k = g.dim
+    full = tuple(range(1, k + 1))
+    assert g.det() == _fraction_det(g, full, full) == SCALAR_ONE
+    table = all_minors(g)
+    assert len(table) == sum(len(list(combinations(full, m))) ** 2 for m in range(k + 1))
+    for (s, t), value in table.items():
+        assert value == _fraction_det(g, s, t)
+
+
+def test_integer_kernel_matches_fraction_path_sampled_c4():
+    g = sample_group_element(Algebra("C", 4), seed=3, bound=3)
+    rng = random.Random(11)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        s = tuple(sorted(rng.sample(range(1, 9), m)))
+        t = tuple(sorted(rng.sample(range(1, 9), m)))
+        assert minor(g, s, t) == _fraction_det(g, s, t)
+
+
+def test_integer_kernel_mixed_denominators():
+    # Mixed denominators, zeros, purely imaginary entries, negative numerators.
+    g = GroupElement.from_rows(
+        [
+            [ExactScalar(F(-3, 4), F(0)), 0, ExactScalar(F(0), F(5, 6)), F(-7, 9)],
+            [ExactScalar(F(0), F(-1, 10)), F(2), 0, ExactScalar(F(1, 3), F(-2, 5))],
+            [0, ExactScalar(F(-5, 12), F(7, 8)), F(1, 7), 0],
+            [F(-1), 0, ExactScalar(F(0), F(-3)), ExactScalar(F(11, 15), F(1, 2))],
+        ]
+    )
+    d, scaled = scale_to_gaussian(g.entries)
+    assert d == 2520
+    assert scaled[1][0].re == 0 and scaled[1][0].im == -252 and scaled[0][1].is_zero
+    full = (1, 2, 3, 4)
+    assert g.det() == _fraction_det(g, full, full) == _laplace_det(g.entries)
+    for (s, t), value in all_minors(g).items():
+        assert value == _fraction_det(g, s, t)
+
+
+def test_integer_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for alg, seed in ((Algebra("C", 2), 4), (Algebra("B", 1), 6), (Algebra("C", 1), 8)):
+        g = sample_group_element(alg, seed=seed, bound=3)
+        k = g.dim
+        mat = sympy.Matrix(
+            [[sympy.Rational(x.re.numerator, x.re.denominator)
+              + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator) for x in row]
+             for row in g.entries]
+        )
+        pairs = [(tuple(range(1, k + 1)), tuple(range(1, k + 1))), ((1,), (k,)), ((1, 2), (1, k))]
+        for s, t in pairs:
+            value = sympy.expand(mat.extract([i - 1 for i in s], [j - 1 for j in t]).det())
+            re, im = value.as_real_imag()
+            assert minor(g, s, t) == ExactScalar(F(str(re)), F(str(im)))
+        assert g.det() == minor(g, *pairs[0])
+
+
+def test_check_minor_identity_rescales_once(monkeypatch):
+    import toda.groups
+
+    calls = []
+    real = toda.groups.scale_to_gaussian
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    g = sample_group_element(Algebra("C", 4), seed=0, bound=3)
+    monkeypatch.setattr(toda.groups, "scale_to_gaussian", counting)
+    rep = check_minor_identity(GroupElement(g.entries))
+    assert not rep.exhaustive and rep.pairs_checked == 2000
+    assert len(calls) == 1
 
 
 def test_all_minors_table_matches_minor():
