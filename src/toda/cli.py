@@ -35,7 +35,7 @@ from .jsonio import (
     parse_fraction,
     zexpr_to_json,
 )
-from .lie import Algebra, format_root_table, positive_roots
+from .lie import Algebra, coordinate_map, format_root_table, positive_roots
 from .solutions import (
     SolutionParams,
     a_case_form,
@@ -253,9 +253,7 @@ def cmd_ngamma(args) -> int:
         "config": config_to_json(cfg),
         "rows": rows,
         "members": members,
-        "dimension_of_unipotent_group": algebra.rank ** 2
-        if algebra.family in ("C", "B")
-        else algebra.rank * (algebra.rank + 1) // 2,
+        "dimension_of_unipotent_group": len(coordinate_map(algebra)),
     }
     lines = [f"integral-root table for {algebra}, gamma = {args.gamma}"]
     lines.append(f"  {'slot':<6} {'root':<22} {'value':<8} member")

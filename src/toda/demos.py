@@ -16,6 +16,7 @@ from .exact import ExactScalar, format_fraction
 from .groups import UnipotentCoords, unipotent_from_coords
 from .jsonio import coords_to_json, fractions_to_json, scalar_to_json
 from .lie import Algebra, coordinate_map, delta_gamma, monodromy_element, slot_name
+from .solutions import reduced_unknowns
 
 F = Fraction
 
@@ -138,12 +139,11 @@ def build_demo(target: str) -> dict:
         "monodromy_exponents": fractions_to_json(mono.exponents),
         "coordinate_table": slot_rows,
         "nonzero_coordinates": [r["slot"] for r in slot_rows if r["allowed"]],
-        "dimension_of_unipotent_group": algebra.rank ** 2,
+        "dimension_of_unipotent_group": len(coordinate_map(algebra)),
     }
     if algebra.family == "B":
-        n = algebra.rank
-        offsets = [F(i) for i in range(1, n)] + [F(n, 2)]
-        report["ln2_offsets"] = fractions_to_json(offsets)
-        report["density_multipliers"] = fractions_to_json([F(2) ** i for i in range(1, n + 1)])
+        reduced = reduced_unknowns(cfg)
+        report["ln2_offsets"] = fractions_to_json([r.ln2_coefficient for r in reduced])
+        report["density_multipliers"] = fractions_to_json([r.multiplier for r in reduced])
     report["all_formulas_match"] = all(r["matches"] for r in formula_rows)
     return report

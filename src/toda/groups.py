@@ -9,7 +9,8 @@ Membership, determinants and minors run on a cached integer form of each
 element: the pair (d, d*A), with d the lcm of the entry denominators and
 Gaussian-integer entries.  Each minor comes from one memoized minor table over
 d*A and is converted to ExactScalar only when returned (divided by d^m for
-size m); the membership test checks (dA)^t J (dA) = d^2 J and det(dA) = d^k.
+size m); the membership test checks (dA)^t J (dA) = d^2 J and det(dA) = d^k,
+once per element.
 
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
@@ -143,6 +144,14 @@ class GroupElement:
         """(d, d*A): d is the lcm of the entry denominators, d*A has GaussInt entries."""
         return scale_to_gaussian(self.entries)
 
+    @cached_property
+    def _in_group(self) -> bool:
+        """Verdict of is_in_group, computed once per element."""
+        d, scaled = self._integer_form
+        if not _preserves_form(d, scaled):
+            return False
+        return generic_det(scaled, GAUSS_ZERO, GAUSS_ONE) == GaussInt(d ** self.dim)
+
     def det(self) -> ExactScalar:
         d, scaled = self._integer_form
         return scalar_over(generic_det(scaled, GAUSS_ZERO, GAUSS_ONE), d ** self.dim)
@@ -187,11 +196,8 @@ def _preserves_form(d: int, scaled: GaussRows) -> bool:
 
 
 def is_in_group(a: GroupElement) -> bool:
-    """Exact test of A^t J A = J together with det A = 1, on the integer form."""
-    d, scaled = a._integer_form
-    if not _preserves_form(d, scaled):
-        return False
-    return generic_det(scaled, GAUSS_ZERO, GAUSS_ONE) == GaussInt(d ** a.dim)
+    """Exact test of A^t J A = J together with det A = 1, run once per element."""
+    return a._in_group
 
 
 # -- index sets (1-based, sorted) --------------------------------------
@@ -215,29 +221,29 @@ def iota(s: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def _minor_lookup(a: GroupElement):
-    """Minors of A from one table; checks rows, then cols, then their sizes.
+    """Minors of A from one table, by same-size 0-based row and column sets.
 
-    The table runs over the cached integer form (d, dA) in GaussInt
-    arithmetic; a lookup converts only the minor it returns, as
-    minor(A; S, T) = minor(dA; S, T) / d^|S|.
+    The sets are not validated.  The table runs over the cached integer form
+    (d, dA) in GaussInt arithmetic; a lookup converts only the minor it
+    returns, as minor(A; S, T) = minor(dA; S, T) / d^|S|.
     """
-    k = a.dim
     d, scaled = a._integer_form
     table = minor_table(scaled, GAUSS_ZERO, GAUSS_ONE)
 
     def lookup(rows: Sequence[int], cols: Sequence[int]) -> ExactScalar:
-        s = _check_index_set(rows, k)
-        t = _check_index_set(cols, k)
-        if len(s) != len(t):
-            raise CardinalityError(f"|rows|={len(s)} but |cols|={len(t)}")
-        return scalar_over(table([i - 1 for i in s], [j - 1 for j in t]), d ** len(s))
+        return scalar_over(table(rows, cols), d ** len(rows))
 
     return lookup
 
 
 def minor(a: GroupElement, rows: Sequence[int], cols: Sequence[int]) -> ExactScalar:
     """Exact determinant of the submatrix with 1-based row/column sets."""
-    return _minor_lookup(a)(rows, cols)
+    k = a.dim
+    s = _check_index_set(rows, k)
+    t = _check_index_set(cols, k)
+    if len(s) != len(t):
+        raise CardinalityError(f"|rows|={len(s)} but |cols|={len(t)}")
+    return _minor_lookup(a)([i - 1 for i in s], [j - 1 for j in t])
 
 
 def all_minors(a: GroupElement) -> dict[tuple[tuple[int, ...], tuple[int, ...]], ExactScalar]:
@@ -249,10 +255,10 @@ def all_minors(a: GroupElement) -> dict[tuple[tuple[int, ...], tuple[int, ...]],
     k = a.dim
     lookup = _minor_lookup(a)
     return {
-        (s, t): lookup(s, t)
+        (tuple(i + 1 for i in s), tuple(j + 1 for j in t)): lookup(s, t)
         for m in range(k + 1)
-        for s in combinations(range(1, k + 1), m)
-        for t in combinations(range(1, k + 1), m)
+        for s in combinations(range(k), m)
+        for t in combinations(range(k), m)
     }
 
 
@@ -309,13 +315,13 @@ def classify_by_minors(a: GroupElement) -> str | None:
     """
     k = a.dim
     lookup = _minor_lookup(a)
-    full = tuple(range(1, k + 1))
-    if lookup(full, full) != SCALAR_ONE:
+    if lookup(range(k), range(k)) != SCALAR_ONE:
         raise ValueError("classification requires det A = 1")
-    for s in range(1, k + 1):
-        for t in range(1, k + 1):
-            big = lookup(complement((k + 1 - s,), k), complement((k + 1 - t,), k))
-            if a.entries[s - 1][t - 1] != big:
+    # 0-based, the complement of iota(s + 1) is every index but k - 1 - s.
+    drop = [[i for i in range(k) if i != k - 1 - s] for s in range(k)]
+    for s in range(k):
+        for t in range(k):
+            if a.entries[s][t] != lookup(drop[s], drop[t]):
                 return None
     tag = expected_tag(k)
     if not is_in_group(a):
@@ -340,7 +346,7 @@ def ul_cholesky(h: GroupElement) -> GroupElement:
         raise ValueError("input must be Hermitian")
     lookup = _minor_lookup(h)
     for m in range(1, k + 1):
-        lead = lookup(tuple(range(1, m + 1)), tuple(range(1, m + 1)))
+        lead = lookup(range(m), range(m))
         if not lead.is_real or lead.re <= 0:
             raise NotPositiveDefinite(m, lead)
     rows: list[list[ExactScalar]] = [[SCALAR_ZERO] * k for _ in range(k)]

@@ -9,7 +9,9 @@ system are
 
 where W is the Wronskian matrix of the holomorphic basis.  By Cauchy-Binet
 F_m = sum_R lambda_R^2 |g_R|^2, where g_R is the holomorphic m-minor of C W
-on the row set R; the table of these minors is built one size at a time.
+on the row set R, and again by Cauchy-Binet g_R = sum_{S <= R} C[R,S] W[S],
+with C[R,S] read from the minor table of C (groups) and W[S], the minor on
+rows S and the first m columns, a closed-form monomial (basis.column_minor).
 Every F_m is a conjugation-invariant sum of monomials in z and conj(z).
 
 For the C and B families the first n unknowns carry the reduction back to
@@ -27,18 +29,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from .basis import (
     NuVector,
     StructureError,
     WronskianMatrix,
+    column_minor,
     nu_vector,
     wronskian,
 )
 from .config import TodaConfig
 from .exact import (
-    SCALAR_ONE,
     ExactScalar,
     FirstOrderOp,
     Monomial,
@@ -50,6 +53,7 @@ from .exact import (
 from .groups import (
     GroupElement,
     UnipotentCoords,
+    _minor_lookup,
     diagonal_element,
     paired_diagonal,
     unipotent_from_coords,
@@ -66,6 +70,7 @@ __all__ = [
     "ProductConditionViolation",
     "default_lambdas",
     "full_lambda",
+    "reduced_unknowns",
     "assemble",
     "verify_symmetry",
     "verify_monodromy",
@@ -185,10 +190,11 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     Each F_m is the leading principal minor of W^dag H W.  With H = B^dag B
     and B = Lambda C, Cauchy-Binet turns it into sum_R lambda_R^2 |g_R|^2,
     where g_R is the holomorphic minor of G = C W on the m rows R and the
-    first m columns.  The table of m-minors of G is built one size at a
-    time, by Laplace expansion along column m from the table of size m-1.
-    Every F_m is verified conjugation-invariant, and F_1 is cross-checked
-    against nu^dag H nu, which reads H directly.
+    first m columns.  A second Cauchy-Binet sum gives
+    g_R = sum_S C[R,S] column_minor(W, S); C is lower unipotent, so only
+    row sets S <= R (entrywise) contribute.  Every C[R,S] comes from one
+    minor table of C.  Every F_m is verified conjugation-invariant, and F_1
+    is cross-checked against nu^dag H nu, which reads H directly.
     """
     nu = nu_vector(config)
     w = wronskian(nu)
@@ -197,59 +203,38 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     lams = full_lambda(config, params)
     b = diagonal_element(lams) @ c
     h = GroupElement((b.conj_transpose() @ b).entries)
-
-    # Columns 0..k-2 of G = C W; each entry maps a z-exponent to its coefficient.
-    g_cols = []
-    for col in range(k - 1):
-        column = []
-        for i in range(k):
-            entry: dict[Fraction, ExactScalar] = {}
-            for j in range(i + 1):
-                cij = c.entries[i][j]
-                if cij.is_zero:
-                    continue
-                for t in w.entries[j][col].terms:
-                    _add_term(entry, t.exp_z, cij * t.coeff)
-            column.append(entry)
-        g_cols.append(column)
+    c_minor = _minor_lookup(c)
 
     fs: list[ZExpr] = []
-    prev: dict[tuple[int, ...], dict[Fraction, ExactScalar]] = {(): {Fraction(0): SCALAR_ONE}}
     for m in range(1, k):
-        column = g_cols[m - 1]
-        table: dict[tuple[int, ...], dict[Fraction, ExactScalar]] = {}
+        # Each W minor is one monomial, keyed by its row set S.
+        w_minors = [
+            (cols, column_minor(w, cols).single_monomial())
+            for cols in combinations(range(k), m)
+        ]
         acc: dict[tuple[Fraction, Fraction], ExactScalar] = {}
         for rows in combinations(range(k), m):
             g: dict[Fraction, ExactScalar] = {}
-            for pos, r in enumerate(rows):
-                sub = prev[rows[:pos] + rows[pos + 1:]]
-                # Laplace sign (-1)^(pos + m - 1) of entry (rows[pos], m - 1).
-                flip = (pos + m) % 2 == 0
-                for e_entry, c_entry in column[r].items():
-                    if flip:
-                        c_entry = -c_entry
-                    for e_sub, c_sub in sub.items():
-                        _add_term(g, e_entry + e_sub, c_entry * c_sub)
-            g = {e: v for e, v in g.items() if not v.is_zero}
-            table[rows] = g
-            weight = Fraction(1)
-            for r in rows:
-                weight *= lams[r] * lams[r]
+            for cols, wt in w_minors:
+                # C is lower unipotent: C[R, S] vanishes unless S <= R entrywise.
+                if any(j > i for i, j in zip(rows, cols)):
+                    continue
+                cm = c_minor(rows, cols)
+                if not cm.is_zero:
+                    _add_term(g, wt.exp_z, cm * wt.coeff)
+            weight = prod(lams[r] * lams[r] for r in rows)
             conj = [(e, v.conjugate()) for e, v in g.items()]
             for a, ca in g.items():
                 scaled = ExactScalar(ca.re * weight, ca.im * weight)
                 for bb, cb in conj:
                     _add_term(acc, (a, bb), scaled * cb)
-        prev = table
         f = ZExpr.from_terms(Monomial(cv, a, bb) for (a, bb), cv in acc.items())
         if not f.is_real:
             raise StructureError(f"unknown F_{m} is not conjugation-invariant")
         fs.append(f)
 
     _check_first_unknown(fs[0], nu, h)
-    reduced = None
-    if config.family in ("C", "B"):
-        reduced = _reduce(config)
+    reduced = reduced_unknowns(config)
     return SolutionBundle(config, params, nu, w, tuple(fs), reduced, h, c, lams)
 
 
@@ -270,7 +255,14 @@ def _check_first_unknown(f1: ZExpr, nu: NuVector, h: GroupElement) -> None:
         raise StructureError("principal-minor F_1 disagrees with nu^dag H nu")
 
 
-def _reduce(config: TodaConfig) -> tuple[ReducedUnknown, ...]:
+def reduced_unknowns(config: TodaConfig) -> tuple[ReducedUnknown, ...] | None:
+    """The family unknowns U_1..U_n of a C or B configuration; None for A.
+
+    For C, e^(-U_i) = F_i.  For B, e^(-U_i) = (2^i F_i)^(1/dup) with dup = 2
+    for i = n, else 1, so the ln 2 coefficient of U_i is i / dup.
+    """
+    if config.family == "A":
+        return None
     n = config.rank
     out = []
     for i in range(1, n + 1):

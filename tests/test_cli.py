@@ -113,6 +113,31 @@ def test_minors_command(capsys):
     assert all(s["classified_as"] == "Sp" for s in report["samples"])
 
 
+def test_minors_tests_membership_once_per_sample(monkeypatch, capsys):
+    import toda.groups
+
+    calls = []
+    real = toda.groups._preserves_form
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(toda.groups, "_preserves_form", counting)
+    code, _, _ = run(capsys, "minors", "--family", "C", "--rank", "2", "--count", "1")
+    assert code == 0
+    # Two constraint solves for the sampler's unipotent factors, then one
+    # membership test shared by the sampler, the identity check and the
+    # classification.
+    assert len(calls) == 3
+
+
+def test_ngamma_dimension_is_the_coordinate_count(capsys):
+    code, out, _ = run(capsys, "ngamma", "--family", "A", "--rank", "3", "--gamma", "0,0,0", "--json")
+    assert code == 0
+    assert json.loads(out)["dimension_of_unipotent_group"] == 6
+
+
 def test_wsym_command(capsys):
     code, out, _ = run(capsys, "wsym", "--family", "A", "--rank", "1", "--gamma", "1/2", "--json")
     assert code == 0

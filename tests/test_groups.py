@@ -148,6 +148,20 @@ def test_minor_cardinality_error():
         minor(g, (1,), (1, 2))
 
 
+def test_minor_checks_rows_then_cols_then_sizes():
+    g = GroupElement.identity(3)
+    with pytest.raises(ValueError, match=r"index set \(0,\) must be") as err:
+        minor(g, (0,), (2, 1))
+    assert not isinstance(err.value, CardinalityError)
+    with pytest.raises(ValueError, match=r"index set \(2, 1\) must be") as err:
+        minor(g, (1,), (2, 1))
+    assert not isinstance(err.value, CardinalityError)
+    with pytest.raises(ValueError, match=r"index set \(4,\) must be strictly increasing within 1..3"):
+        minor(g, (1, 2), (4,))
+    with pytest.raises(CardinalityError, match=r"\|rows\|=1 but \|cols\|=2"):
+        minor(g, (1,), (1, 2))
+
+
 def _laplace_det(rows):
     # Independent oracle: determinant by permutation expansion.
     k = len(rows)
@@ -239,6 +253,21 @@ def test_integer_kernel_matches_sympy():
             re, im = value.as_real_imag()
             assert minor(g, s, t) == ExactScalar(F(str(re)), F(str(im)))
         assert g.det() == minor(g, *pairs[0])
+
+
+def test_membership_verdict_belongs_to_its_element():
+    g = sample_group_element(Algebra("C", 2), seed=0, bound=3)
+    rows = [list(r) for r in g.entries]
+    rows[0][0] = rows[0][0] + S(1)
+    bad = GroupElement.from_rows(rows)
+    assert is_in_group(g)
+    assert not is_in_group(bad)
+    assert is_in_group(g) and not is_in_group(bad)
+    # An equal element built afresh gets its own verdict, the same one.
+    assert not is_in_group(GroupElement(bad.entries))
+    assert is_in_group(GroupElement(g.entries))
+    with pytest.raises(ValueError):
+        check_minor_identity(bad)
 
 
 def test_check_minor_identity_rescales_once(monkeypatch):

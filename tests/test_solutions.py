@@ -2,11 +2,14 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toda
 import toda.solutions
@@ -20,8 +23,9 @@ from toda.groups import (
     all_minors,
     diagonal_element,
     is_in_group,
+    restrict_to_ngamma,
 )
-from toda.lie import coordinate_map
+from toda.lie import coordinate_map, delta_gamma
 from toda.linalg import det as generic_det
 from toda.linalg import transpose
 from toda.solutions import (
@@ -33,7 +37,9 @@ from toda.solutions import (
     annulus_points,
     assemble,
     characteristic_data,
+    default_lambdas,
     full_lambda,
+    reduced_unknowns,
     verify_integrability,
     verify_monodromy,
     verify_pde,
@@ -204,6 +210,75 @@ def test_assemble_matches_h_minor_route(family, rank, gamma):
     assert list(b.F) == [_h_minor_unknown(table, b.wronskian, m) for m in range(1, cfg.k)]
 
 
+coord_parts = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_assemble_skip_matches_h_minor_route_property(data):
+    # Coordinates restricted to N_gamma leave C sparse, so many minors
+    # C[R, S] with S <= R vanish too; the skip must drop only zero ones.
+    family = data.draw(st.sampled_from("ACB"))
+    rank = data.draw(st.integers(1, 2))
+    gamma = data.draw(
+        st.lists(st.fractions(min_value=F(-3, 4), max_value=2, max_denominator=4),
+                 min_size=rank, max_size=rank)
+    )
+    cfg = make_config(family, rank, gamma)
+    positive = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
+    size = len(default_lambdas(cfg))
+    lams = data.draw(st.lists(positive, min_size=size, max_size=size))
+    if family == "A":
+        lams[-1] = 1 / math.prod(lams[:-1], start=F(1))
+    values = {
+        (s.row, s.col): ExactScalar(data.draw(coord_parts), data.draw(coord_parts))
+        for s in coordinate_map(cfg.algebra)
+    }
+    coords, _ = restrict_to_ngamma(
+        UnipotentCoords(cfg.algebra, values), delta_gamma(cfg.algebra, cfg.gamma)
+    )
+    b = assemble(cfg, SolutionParams.of(lams, coords))
+    table = all_minors(b.H)
+    assert list(b.F) == [_h_minor_unknown(table, b.wronskian, m) for m in range(1, cfg.k)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma",
+    [("C", 2, (0, 0)), ("A", 2, (F(1, 2), F(1, 2))), ("A", 3, (F(1, 2), F(1, 2), F(-1, 3)))],
+)
+def test_assemble_matches_sympy_oracle(family, rank, gamma):
+    # W by symbolic differentiation of nu, H = (Lambda C)^dag (Lambda C), and
+    # each F_m the expanded leading m x m determinant of conj(W)^t H W, with
+    # z and zb = conj(z) independent symbols.
+    sympy = pytest.importorskip("sympy")
+    z, zb = sympy.symbols("z zb", positive=True)
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
+    k = cfg.k
+
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def scalar(x):
+        return q(x.re) + sympy.I * q(x.im)
+
+    nu = [q(b.nu.chi[i]) * z ** q(b.nu.beta[i]) for i in range(k)]
+    cols = [sympy.Matrix(nu)]
+    for _ in range(k - 1):
+        cols.append(cols[-1].diff(z))
+    w = sympy.Matrix.hstack(*cols)
+    assert sympy.expand(w.det(method="berkowitz")) == 1
+    lam_c = sympy.Matrix(k, k, lambda i, j: q(b.lambdas[i]) * scalar(b.C.entries[i][j]))
+    g = w.subs(z, zb).T * (lam_c.H * lam_c) * w
+    for m in range(1, k):
+        expected = sympy.expand(g[:m, :m].det(method="berkowitz"))
+        got = sum(
+            (scalar(t.coeff) * z ** q(t.exp_z) * zb ** q(t.exp_zbar) for t in b.F[m - 1].terms),
+            sympy.Integer(0),
+        )
+        assert sympy.expand(got - expected) == 0, m
+
+
 def test_assemble_first_unknown_weighted_rows():
     # F_1 must match sum lambda_i^2 |nu_i + sum_j c_ij nu_j|^2; recompute here.
     rng = random.Random(77)
@@ -279,12 +354,13 @@ def test_reduce_b3_ln2_offsets():
     cfg = make_config("B", 3, [0, 0, 0])
     b = assemble(cfg, SolutionParams.of([1, 1, 1], no_coords("B", 3)))
     assert [r.ln2_coefficient for r in b.reduced] == [1, 2, F(3, 2)]
+    assert b.reduced == reduced_unknowns(cfg)
 
 
 def test_reduce_requires_cb():
     cfg = make_config("A", 1, [0])
     b = assemble(cfg, SolutionParams.of([1, 1], no_coords("A", 1)))
-    assert b.reduced is None
+    assert b.reduced is None and reduced_unknowns(cfg) is None
 
 
 def test_reduced_value_b2():
