@@ -3,6 +3,7 @@
 from .config import TodaConfig, make_config
 from .exact import (
     BranchCutError,
+    CheckFailed,
     ExactScalar,
     FirstOrderOp,
     Monomial,

@@ -5,7 +5,9 @@ are written "p/q" on the command line, comma-separated for vectors;
 coordinates are a JSON object (inline or @file).  With --json the full
 machine-readable report is printed to stdout; with the same seed and flags
 the JSON output is byte-identical across runs.  Exit codes: 0 all requested
-checks pass, 1 a check failed, 2 usage error, 3 internal error.
+checks pass, 1 a check failed (a FAIL in the report, or an exception of the
+toda.exact.CheckFailed family), 2 usage error (any other ValueError, bad
+JSON, a missing file), 3 internal error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .config import make_config
 from .demos import build_demo
-from .exact import format_fraction
+from .exact import CheckFailed, format_fraction
 from .groups import (
     UnipotentCoords,
     check_minor_identity,
@@ -423,6 +425,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         return args.fn(args)
+    except CheckFailed as err:
+        print(f"check failed: {err}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

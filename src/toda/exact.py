@@ -4,9 +4,13 @@ An expression is a finite sum of terms ``c * z**a * zb**b`` where the
 coefficient ``c`` is a complex number with rational real and imaginary parts
 and the exponents ``a``, ``b`` are rationals (``zb`` stands for the complex
 conjugate of ``z``).  All ring operations, differentiation and conjugation
-are exact; equality is structural.  The only floating-point operation is
-:meth:`ZExpr.evaluate`, which uses the principal branch of ``z**a`` on the
-cut plane ``C \\ (-inf, 0]``.
+are exact; equality is structural.  The only floating-point path is one
+private routine: an expression is converted once into complex coefficients
+with indices into an exponent table (``_float_terms``), each point gets one
+table of principal-branch powers ``z**a`` on the cut plane
+``C \\ (-inf, 0]`` (``_power_table``), and ``_FloatTerms.value`` sums the
+terms.  :meth:`ZExpr.evaluate` runs it on a single expression; the PDE check
+runs it on F_m and its derivatives with one power table per point.
 
 Terms are keyed by the exponent pair ``(a, b)``.  Normalization merges like
 terms, drops zero coefficients and sorts terms by exponent pair, so two
@@ -29,11 +33,20 @@ from typing import Iterable, Sequence, Union
 RatLike = Union[int, Fraction]
 
 
-class BranchCutError(ValueError):
+class CheckFailed(ValueError):
+    """Base class of the errors that report a failed check, not a bad input.
+
+    The ``toda`` command exits 1 on it and 2 on any other ValueError; it
+    subclasses ValueError so that existing ``except ValueError`` callers
+    keep working.
+    """
+
+
+class BranchCutError(CheckFailed):
     """Evaluation point lies on the cut (-inf, 0] and a fractional exponent occurs."""
 
 
-class OriginError(ValueError):
+class OriginError(CheckFailed):
     """Evaluation at the origin with a negative exponent."""
 
 
@@ -461,35 +474,11 @@ class ZExpr:
         exponent occurs, and OriginError at 0 with a negative exponent.
         """
         z = complex(point)
-        fractional = any(
-            t.exp_z.denominator != 1 or t.exp_zbar.denominator != 1 for t in self.terms
+        index: dict[Fraction, int] = {}
+        compiled = _float_terms(
+            ((complex(t.coeff), t.exp_z, t.exp_zbar) for t in self.terms), index
         )
-        if z == 0:
-            if any(t.exp_z < 0 or t.exp_zbar < 0 for t in self.terms):
-                raise OriginError("negative exponent at the origin")
-            total = 0j
-            for t in self.terms:
-                if t.exp_z == 0 and t.exp_zbar == 0:
-                    total += complex(t.coeff)
-            return total
-        if z.imag == 0 and z.real < 0 and fractional:
-            raise BranchCutError(f"{z} lies on the branch cut")
-        powers: dict[Fraction, complex] = {}
-
-        def zpow(a: Fraction) -> complex:
-            val = powers.get(a)
-            if val is None:
-                if a.denominator == 1:
-                    val = z ** a.numerator
-                else:
-                    val = cmath.exp(float(a) * cmath.log(z))
-                powers[a] = val
-            return val
-
-        total = 0j
-        for t in self.terms:
-            total += complex(t.coeff) * zpow(t.exp_z) * zpow(t.exp_zbar).conjugate()
-        return total
+        return compiled.value(z, _power_table(z, index))
 
     # -- comparison / display -----------------------------------------
 
@@ -524,6 +513,83 @@ class ZExpr:
 
 _ZERO = ZExpr(())
 _ONE = ZExpr((Monomial(SCALAR_ONE),))
+
+
+@dataclass(frozen=True, slots=True)
+class _FloatTerms:
+    """Float form of a sum of terms c * z**a * zb**b over a shared exponent table.
+
+    Each term is (complex(c), index of a, index of b), in the order of the
+    exact terms it came from.  ``constant`` holds the coefficients of the
+    terms with a = b = 0; ``fractional`` and ``negative`` record whether
+    some exponent is not an integer or is below zero.
+    """
+
+    terms: tuple[tuple[complex, int, int], ...]
+    constant: tuple[complex, ...]
+    fractional: bool
+    negative: bool
+
+    def value(self, z: complex, powers: Sequence[complex] | None) -> complex:
+        """The sum at ``z`` from ``powers = _power_table(z, exponents)``.
+
+        This is the one float evaluation path.  At the origin only the
+        constant terms count (OriginError if an exponent is negative); on the
+        cut (-inf, 0] a fractional exponent raises BranchCutError.
+        """
+        if z == 0:
+            if self.negative:
+                raise OriginError("negative exponent at the origin")
+            total = 0j
+            for c in self.constant:
+                total += c
+            return total
+        if z.imag == 0 and z.real < 0 and self.fractional:
+            raise BranchCutError(f"{z} lies on the branch cut")
+        total = 0j
+        for c, ia, ib in self.terms:
+            total += c * powers[ia] * powers[ib].conjugate()
+        return total
+
+
+def _float_terms(
+    terms: Iterable[tuple[complex, Fraction, Fraction]], index: dict[Fraction, int]
+) -> _FloatTerms:
+    """Collect terms (complex c, a, b) whose exact coefficients are nonzero.
+
+    Each exponent is interned in ``index`` (exponent -> position), which
+    several expressions may share, so that one power table per point serves
+    all of them.
+    """
+    out = []
+    constant = []
+    fractional = negative = False
+    for fc, a, b in terms:
+        out.append((fc, index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+        if a == 0 and b == 0:
+            constant.append(fc)
+        fractional = fractional or a.denominator != 1 or b.denominator != 1
+        negative = negative or a < 0 or b < 0
+    return _FloatTerms(tuple(out), tuple(constant), fractional, negative)
+
+
+def _power_table(z: complex, exponents: Iterable[Fraction]) -> list[complex] | None:
+    """Principal-branch z**a for each exponent a, in order; None at the origin.
+
+    Integer exponents use z**n, fractional ones exp(a * log z).
+    """
+    if z == 0:
+        return None
+    log = None
+    table = []
+    for a in exponents:
+        if a.denominator == 1:
+            table.append(z ** a.numerator)
+        else:
+            if log is None:
+                log = cmath.log(z)
+            table.append(cmath.exp(float(a) * log))
+    return table
 
 
 def _coerce_expr(x):

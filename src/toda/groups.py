@@ -8,9 +8,11 @@ case is the symplectic group, the odd case the special orthogonal group.
 Membership, determinants and minors run on a cached integer form of each
 element: the pair (d, d*A), with d the lcm of the entry denominators and
 Gaussian-integer entries.  Each minor comes from one memoized minor table over
-d*A and is converted to ExactScalar only when returned (divided by d^m for
-size m); the membership test checks (dA)^t J (dA) = d^2 J and det(dA) = d^k,
-once per element.
+d*A (_integer_minors, the single minor getter) and is converted to
+ExactScalar only when returned (divided by d^m for size m); assembly and the
+exhaustive minor-identity check read the integer minors directly.  The
+membership test checks (dA)^t J (dA) = d^2 J and det(dA) = d^k, once per
+element.
 
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
@@ -32,6 +34,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
+    CheckFailed,
     ExactScalar,
     GAUSS_ONE,
     GAUSS_ZERO,
@@ -63,7 +66,7 @@ class IdentityViolation(AssertionError):
         self.rhs = rhs
 
 
-class NotPositiveDefinite(ValueError):
+class NotPositiveDefinite(CheckFailed):
     """Hermitian input has a non-positive leading principal minor."""
 
     def __init__(self, order, value):
@@ -72,11 +75,11 @@ class NotPositiveDefinite(ValueError):
         self.value = value
 
 
-class SingularDiagonal(ValueError):
+class SingularDiagonal(CheckFailed):
     """Lower-triangular matrix has a zero diagonal entry."""
 
 
-class NonzeroForbiddenCoordinate(ValueError):
+class NonzeroForbiddenCoordinate(CheckFailed):
     """A supplied coordinate is nonzero but its root is not integral."""
 
     def __init__(self, slot_name, value):
@@ -220,15 +223,24 @@ def iota(s: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(sorted(k + 1 - x for x in s))
 
 
-def _minor_lookup(a: GroupElement):
-    """Minors of A from one table, by same-size 0-based row and column sets.
+def _integer_minors(a: GroupElement):
+    """(d, table): the minor table of the cached integer form (d, dA).
 
-    The sets are not validated.  The table runs over the cached integer form
-    (d, dA) in GaussInt arithmetic; a lookup converts only the minor it
-    returns, as minor(A; S, T) = minor(dA; S, T) / d^|S|.
+    table(rows, cols), over same-size 0-based sets that are not validated,
+    is the GaussInt minor(dA; rows, cols) = d^|rows| * minor(A; rows, cols).
+    Every minor of a group element is read through this one getter.
     """
     d, scaled = a._integer_form
-    table = minor_table(scaled, GAUSS_ZERO, GAUSS_ONE)
+    return d, minor_table(scaled, GAUSS_ZERO, GAUSS_ONE)
+
+
+def _minor_lookup(a: GroupElement):
+    """Minors of A as ExactScalars, by same-size 0-based row and column sets.
+
+    Wraps _integer_minors: a lookup converts only the minor it returns, as
+    minor(A; S, T) = minor(dA; S, T) / d^|S|.
+    """
+    d, table = _integer_minors(a)
 
     def lookup(rows: Sequence[int], cols: Sequence[int]) -> ExactScalar:
         return scalar_over(table(rows, cols), d ** len(rows))
@@ -273,36 +285,50 @@ class MinorIdentityReport:
 def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     """Verify A[S,T] == A[iota(comp S), iota(comp T)] for same-size S, T.
 
-    Exhaustive for dim <= 7 (by size, then S, then T); beyond, 2000 pairs
-    drawn from random.Random(0) (a size in 1..dim-1, then S, then T).  The
-    input must be exactly in its group; the first failing pair raises
-    IdentityViolation with it as witness.
+    Exhaustive for dim <= 7 (by size, then S, then T), on the integer minors
+    of one table; beyond, 2000 pairs drawn from random.Random(0) (a size in
+    1..dim-1, then S, then T), through minor().  The input must be exactly in
+    its group; the first failing pair raises IdentityViolation with it as
+    witness and both minors as ExactScalars.
     """
     if not is_in_group(a):
         raise ValueError("input is not exactly symplectic/orthogonal")
     k = a.dim
     exhaustive = k <= 7
     if exhaustive:
-        table = all_minors(a)
-        pairs = list(table)
-        value = lambda s, t: table[s, t]
-    else:
-        rng = random.Random(0)
-        pairs = []
-        for _ in range(2000):
-            m = rng.randint(1, k - 1)
-            s = tuple(sorted(rng.sample(range(1, k + 1), m)))
-            t = tuple(sorted(rng.sample(range(1, k + 1), m)))
-            pairs.append((s, t))
-        # One table per minor: a table shared by all pairs grows towards all
-        # C(2k,k) minors and raised the peak RSS of `toda minors` by 5-9 %.
-        value = lambda s, t: minor(a, s, t)
-    for s, t in pairs:
-        lhs = value(s, t)
-        rhs = value(iota(complement(s, k), k), iota(complement(t, k), k))
+        # Integer minors of dA from one table: for |S| = m, v1 = d^m A[S,T]
+        # and v2 = d^(k-m) A[S',T'], so the identity reads
+        # v1 * d^(k-m) == v2 * d^m.  Only a failing pair is converted.
+        d, table = _integer_minors(a)
+        checked = 0
+        for m in range(k + 1):
+            low, high = d ** m, d ** (k - m)
+            for s in combinations(range(k), m):
+                s2 = [k - 1 - i for i in range(k) if i not in s]
+                for t in combinations(range(k), m):
+                    v1 = table(s, t)
+                    v2 = table(s2, [k - 1 - j for j in range(k) if j not in t])
+                    if v1.re * high != v2.re * low or v1.im * high != v2.im * low:
+                        raise IdentityViolation(
+                            tuple(i + 1 for i in s),
+                            tuple(j + 1 for j in t),
+                            scalar_over(v1, low),
+                            scalar_over(v2, high),
+                        )
+                    checked += 1
+        return MinorIdentityReport(k, expected_tag(k), checked, exhaustive)
+    # One table per minor: a table shared by all pairs grows towards all
+    # C(2k,k) minors and raised the peak RSS of `toda minors` by 5-9 %.
+    rng = random.Random(0)
+    for _ in range(2000):
+        m = rng.randint(1, k - 1)
+        s = tuple(sorted(rng.sample(range(1, k + 1), m)))
+        t = tuple(sorted(rng.sample(range(1, k + 1), m)))
+        lhs = minor(a, s, t)
+        rhs = minor(a, iota(complement(s, k), k), iota(complement(t, k), k))
         if lhs != rhs:
             raise IdentityViolation(s, t, lhs, rhs)
-    return MinorIdentityReport(k, expected_tag(k), len(pairs), exhaustive)
+    return MinorIdentityReport(k, expected_tag(k), 2000, exhaustive)
 
 
 def classify_by_minors(a: GroupElement) -> str | None:

@@ -14,6 +14,14 @@ with C[R,S] read from the minor table of C (groups) and W[S], the minor on
 rows S and the first m columns, a closed-form monomial (basis.column_minor).
 Every F_m is a conjugation-invariant sum of monomials in z and conj(z).
 
+Both sums run on integers: the minors of d*C are Gaussian integers, the
+W[S] coefficients of one level share a denominator L_m, and the squared
+weights one denominator Lambda.  F_m is accumulated as a Hermitian integer
+matrix over pairs of interned exponents, with the single denominator
+d^(2m) L_m^2 Lambda^m, and becomes a ZExpr once per term.  The PDE check
+compiles each F_m once into complex terms of F_m and its derivatives and
+evaluates them with one power table per point (the float routine of exact).
+
 For the C and B families the first n unknowns carry the reduction back to
 the family's own system, with the exact power-of-two normalization for B.
 The verification operations check the left/right symmetry of the F's, the
@@ -29,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .basis import (
@@ -42,18 +50,22 @@ from .basis import (
 )
 from .config import TodaConfig
 from .exact import (
+    CheckFailed,
     ExactScalar,
     FirstOrderOp,
     Monomial,
     OrdinaryOp,
     ZExpr,
+    _FloatTerms,
+    _float_terms,
+    _power_table,
     as_fraction,
     compose,
 )
 from .groups import (
     GroupElement,
     UnipotentCoords,
-    _minor_lookup,
+    _integer_minors,
     diagonal_element,
     paired_diagonal,
     unipotent_from_coords,
@@ -68,6 +80,7 @@ __all__ = [
     "MonodromyViolation",
     "ResidualExceeded",
     "ProductConditionViolation",
+    "NonPositiveUnknown",
     "default_lambdas",
     "full_lambda",
     "reduced_unknowns",
@@ -82,7 +95,7 @@ __all__ = [
 ]
 
 
-class MonodromyViolation(ValueError):
+class MonodromyViolation(CheckFailed):
     """The element C has a nonzero coordinate outside the integral subgroup."""
 
     def __init__(self, offenders):
@@ -100,8 +113,12 @@ class ResidualExceeded(AssertionError):
         self.value = value
 
 
-class ProductConditionViolation(ValueError):
+class ProductConditionViolation(CheckFailed):
     """The product of the diagonal weights violates the determinant-1 condition."""
+
+
+class NonPositiveUnknown(CheckFailed):
+    """A reduced unknown's scaled F value is not positive, so e^(-U) has no real power."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +169,7 @@ class ReducedUnknown:
 
     ``value_from`` turns an already evaluated value of F_index into e^(-U):
     it scales the real part by the multiplier, rejects a non-positive result
-    and raises it to the power.
+    (NonPositiveUnknown) and raises it to the power.
     """
 
     index: int
@@ -163,7 +180,7 @@ class ReducedUnknown:
     def value_from(self, f_value: complex) -> float:
         scaled = float(self.multiplier) * f_value.real
         if scaled <= 0:
-            raise ValueError(f"non-positive value {scaled} for unknown {self.index}")
+            raise NonPositiveUnknown(f"non-positive value {scaled} for unknown {self.index}")
         return scaled ** float(self.power)
 
 
@@ -192,55 +209,100 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     where g_R is the holomorphic minor of G = C W on the m rows R and the
     first m columns.  A second Cauchy-Binet sum gives
     g_R = sum_S C[R,S] column_minor(W, S); C is lower unipotent, so only
-    row sets S <= R (entrywise) contribute.  Every C[R,S] comes from one
-    minor table of C.  Every F_m is verified conjugation-invariant, and F_1
-    is cross-checked against nu^dag H nu, which reads H directly.
+    row sets S <= R (entrywise) contribute.
+
+    The sums run on integers (see _unknown_matrix): C[R,S] is read as the
+    Gaussian-integer minor of d*C from its one minor table, the column minor
+    coefficients are scaled by their lcm denominator L_m, and
+    lambda_r^2 = l_r / Lambda.  F_m is accumulated as a Hermitian integer
+    matrix over pairs of interned exponents with the single denominator
+    d^(2m) L_m^2 Lambda^m, checked conjugation-invariant there, and turned
+    into a ZExpr once per term.  F_1 is cross-checked against nu^dag H nu,
+    which reads H directly.
     """
     nu = nu_vector(config)
     w = wronskian(nu)
-    k = config.k
     c = unipotent_from_coords(config.algebra, params.coords)
     lams = full_lambda(config, params)
     b = diagonal_element(lams) @ c
     h = GroupElement((b.conj_transpose() @ b).entries)
-    c_minor = _minor_lookup(c)
-
-    fs: list[ZExpr] = []
-    for m in range(1, k):
-        # Each W minor is one monomial, keyed by its row set S.
-        w_minors = [
-            (cols, column_minor(w, cols).single_monomial())
-            for cols in combinations(range(k), m)
-        ]
-        acc: dict[tuple[Fraction, Fraction], ExactScalar] = {}
-        for rows in combinations(range(k), m):
-            g: dict[Fraction, ExactScalar] = {}
-            for cols, wt in w_minors:
-                # C is lower unipotent: C[R, S] vanishes unless S <= R entrywise.
-                if any(j > i for i, j in zip(rows, cols)):
-                    continue
-                cm = c_minor(rows, cols)
-                if not cm.is_zero:
-                    _add_term(g, wt.exp_z, cm * wt.coeff)
-            weight = prod(lams[r] * lams[r] for r in rows)
-            conj = [(e, v.conjugate()) for e, v in g.items()]
-            for a, ca in g.items():
-                scaled = ExactScalar(ca.re * weight, ca.im * weight)
-                for bb, cb in conj:
-                    _add_term(acc, (a, bb), scaled * cb)
-        f = ZExpr.from_terms(Monomial(cv, a, bb) for (a, bb), cv in acc.items())
-        if not f.is_real:
-            raise StructureError(f"unknown F_{m} is not conjugation-invariant")
-        fs.append(f)
-
+    d, c_minors = _integer_minors(c)
+    squares = [x * x for x in lams]
+    lam_den = lcm(*(q.denominator for q in squares))
+    lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
+    fs = []
+    for m in range(1, config.k):
+        exps, re, im, w_den = _unknown_matrix(w, m, c_minors, lam_num)
+        fs.append(_unknown_from_matrix(m, exps, re, im, d ** (2 * m) * w_den**2 * lam_den**m))
     _check_first_unknown(fs[0], nu, h)
     reduced = reduced_unknowns(config)
     return SolutionBundle(config, params, nu, w, tuple(fs), reduced, h, c, lams)
 
 
-def _add_term(acc: dict, key, value: ExactScalar) -> None:
-    cur = acc.get(key)
-    acc[key] = value if cur is None else cur + value
+def _unknown_matrix(w: WronskianMatrix, m: int, c_minors, lam_num: Sequence[int]):
+    """The integer form of F_m: (exponents, re, im, L_m).
+
+    column_minor(W, S) = (w_S / L_m) z^(e_S), with e_S = sum beta_S - m(m-1)/2
+    interned as an index into the sorted distinct exponents.  Each
+    G_R = d^m L_m g_R is a Gaussian-integer vector over those indices, and
+    entry (i, j) of the matrix re + i*im is sum_R (prod_{r in R} l_r)
+    G_R[i] conj(G_R[j]), the coefficient of z^(e_i) zb^(e_j) times
+    d^(2m) L_m^2 Lambda^m.
+    """
+    k = w.k
+    subsets = list(combinations(range(k), m))
+    minors = [column_minor(w, s).single_monomial() for s in subsets]
+    w_den = lcm(*(t.coeff.re.denominator for t in minors))
+    w_num = [t.coeff.re.numerator * (w_den // t.coeff.re.denominator) for t in minors]
+    exps = sorted({t.exp_z for t in minors})
+    index = {e: i for i, e in enumerate(exps)}
+    slots = [index[t.exp_z] for t in minors]
+    n = len(exps)
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for rows in subsets:
+        g: dict[int, list[int]] = {}
+        for cols, wn, i in zip(subsets, w_num, slots):
+            # C is lower unipotent: C[R, S] vanishes unless S <= R entrywise.
+            if any(j > r for r, j in zip(rows, cols)):
+                continue
+            v = c_minors(rows, cols)
+            if v.is_zero:
+                continue
+            cur = g.get(i)
+            if cur is None:
+                g[i] = [v.re * wn, v.im * wn]
+            else:
+                cur[0] += v.re * wn
+                cur[1] += v.im * wn
+        weight = prod(lam_num[r] for r in rows)
+        entries = [(i, a, b) for i, (a, b) in g.items() if a or b]
+        for i, ar, ai in entries:
+            ar, ai = ar * weight, ai * weight
+            re_i, im_i = re[i], im[i]
+            for j, br, bi in entries:
+                # (ar + i ai) * conj(br + i bi)
+                re_i[j] += ar * br + ai * bi
+                im_i[j] += ai * br - ar * bi
+    return exps, re, im, w_den
+
+
+def _unknown_from_matrix(m: int, exps, re, im, den: int) -> ZExpr:
+    """F_m from its integer matrix: entry (i, j) / den is the z^(e_i) zb^(e_j) coefficient.
+
+    The matrix must be Hermitian, which is F_m's conjugation invariance.
+    """
+    n = len(exps)
+    for i in range(n):
+        for j in range(i, n):
+            if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
+                raise StructureError(f"unknown F_{m} is not conjugation-invariant")
+    return ZExpr.from_terms(
+        Monomial(ExactScalar(Fraction(re[i][j], den), Fraction(im[i][j], den)), exps[i], exps[j])
+        for i in range(n)
+        for j in range(n)
+        if re[i][j] or im[i][j]
+    )
 
 
 def _check_first_unknown(f1: ZExpr, nu: NuVector, h: GroupElement) -> None:
@@ -394,6 +456,34 @@ def annulus_points(
     return tuple(pts)
 
 
+def _pde_plan(f: ZExpr, index: dict[Fraction, int]) -> tuple[_FloatTerms, ...]:
+    """Float terms of F, d_z F, d_zbar F and d_z d_zbar F from F's exact terms.
+
+    A term c z^a zb^b gives c*a z^(a-1) zb^b, c*b z^a zb^(b-1) and
+    c*a*b z^(a-1) zb^(b-1), in F's term order; vanishing terms are skipped.
+    Exponents are interned in the shared ``index``.
+    """
+    terms = [(t.coeff, t.exp_z, t.exp_zbar) for t in f.terms]
+    return (
+        _float_terms(((complex(c), a, b) for c, a, b in terms), index),
+        _float_terms(((_times(c, a), a - 1, b) for c, a, b in terms if a), index),
+        _float_terms(((_times(c, b), a, b - 1) for c, a, b in terms if b), index),
+        _float_terms(((_times(c, a * b), a - 1, b - 1) for c, a, b in terms if a and b), index),
+    )
+
+
+def _times(c: ExactScalar, q: Fraction) -> complex:
+    """complex(c * q) for rational q, without forming the exact product.
+
+    Each part is one int / int division, which is correctly rounded, as is
+    float() of the reduced Fraction: the result is the same bit for bit.
+    """
+    n, d = q.numerator, q.denominator
+    return complex(
+        c.re.numerator * n / (c.re.denominator * d), c.im.numerator * n / (c.im.denominator * d)
+    )
+
+
 @dataclass(frozen=True)
 class PdeReport:
     passed: bool
@@ -414,21 +504,22 @@ def verify_pde(
 ) -> PdeReport:
     """Numeric residual of the coupled log-Laplacian equations at off-cut points.
 
-    Each point gets one table row: F_m, d_z F_m, d_zbar F_m and d_z d_zbar F_m
-    are evaluated once for every m, from exact symbolic derivatives, and give
-    the values F_m and the log-Laplacians d_z d_zbar log F_m.  One residual
-    routine compares a log-Laplacian with its Cartan product in relative
-    terms.  The A-side system d_z d_zbar log F_m = prod_j F_j^(-a_mj) is
-    checked at every point as its row is built.  For C/B bundles the family
-    system for m <= n is then checked on the same rows, each reduced unknown
-    U_i scaled from the value of F_i already in the row.
+    Each F_m is compiled once per call into a float plan (_pde_plan): the
+    terms of F_m, d_z F_m, d_zbar F_m and d_z d_zbar F_m, read off F_m's
+    exact terms.  Each point gets one power table shared by all plans and
+    one table row: the values F_m and the log-Laplacians
+    d_z d_zbar log F_m.  One residual routine compares a log-Laplacian with
+    its Cartan product in relative terms.  The A-side system
+    d_z d_zbar log F_m = prod_j F_j^(-a_mj) is checked at every point as its
+    row is built.  For C/B bundles the family system for m <= n is then
+    checked on the same rows, each reduced unknown U_i scaled from the value
+    of F_i already in the row.
     """
     config = bundle.config
     pts = tuple(points) if points is not None else annulus_points(count, seed)
-    derivs = []
-    for f in bundle.F:
-        fz = f.diff_z()
-        derivs.append((fz, f.diff_zbar(), fz.diff_zbar()))
+    index: dict[Fraction, int] = {}
+    plans = [_pde_plan(f, index) for f in bundle.F]
+    exponents = tuple(index)
     max_res = 0.0
     worst = None
 
@@ -449,10 +540,15 @@ def verify_pde(
     amat = cartan(Algebra("A", config.k - 1)).matrix
     rows = []
     for z in pts:
-        values = [f.evaluate(z) for f in bundle.F]
+        zc = complex(z)
+        powers = _power_table(zc, exponents)
+        values = [plan[0].value(zc, powers) for plan in plans]
         laps = []
-        for m, (fv, (fz, fzb, fzzb)) in enumerate(zip(values, derivs), start=1):
-            laps.append((fv * fzzb.evaluate(z) - fz.evaluate(z) * fzb.evaluate(z)) / (fv * fv))
+        for m, (fv, (_, fz, fzb, fzzb)) in enumerate(zip(values, plans), start=1):
+            laps.append(
+                (fv * fzzb.value(zc, powers) - fz.value(zc, powers) * fzb.value(zc, powers))
+                / (fv * fv)
+            )
             residual(m, z, laps[-1], values, amat[m - 1], 1.0 + 0.0j)
         rows.append((z, values, laps))
 

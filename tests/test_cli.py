@@ -1,9 +1,20 @@
 import json
 import pathlib
+import random
 
 import pytest
 
 from toda.cli import main
+from toda.exact import BranchCutError, CheckFailed, OriginError
+from toda.groups import (
+    NonzeroForbiddenCoordinate,
+    NotPositiveDefinite,
+    SingularDiagonal,
+    random_coords,
+)
+from toda.jsonio import coords_to_json
+from toda.lie import Algebra, coordinate_map
+from toda.solutions import MonodromyViolation, NonPositiveUnknown, ProductConditionViolation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -208,3 +219,65 @@ def test_verify_assembles_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "verify", "--family", "C", "--rank", "2", "--gamma", "0,0")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 5)])
+def test_verify_dense_high_rank_passes(capsys, family, rank):
+    # gamma = 0 makes every root integral, so every coordinate is nonzero:
+    # the densest C, at k = 9 and k = 10.
+    alg = Algebra(family, rank)
+    coords = random_coords(alg, random.Random(rank), 3)
+    assert len(coords.values) == len(coordinate_map(alg))
+    code, out, _ = run(
+        capsys,
+        "verify", "--family", family, "--rank", str(rank), "--gamma", ",".join("0" * rank),
+        "--lambda", ",".join(["3/2", "1/2", "2/3", "5/2", "1/3"][: alg.k // 2]),
+        "--coords", json.dumps(coords_to_json(coords)), "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        MonodromyViolation(((2, 0),)),
+        ProductConditionViolation("product of normalized weights is 2, expected 1"),
+        NonPositiveUnknown("non-positive value -1.0 for unknown 1"),
+        NotPositiveDefinite(2, "-1"),
+        SingularDiagonal("zero diagonal entry at 0"),
+        NonzeroForbiddenCoordinate("c10", "1"),
+        BranchCutError("(-1+0j) lies on the branch cut"),
+        OriginError("negative exponent at the origin"),
+    ],
+    ids=type,
+)
+def test_failed_check_exceptions_exit_1(monkeypatch, capsys, error):
+    # Every failed-check class exits 1, ahead of the generic ValueError -> 2,
+    # and stays a ValueError for existing callers.
+    import toda.cli
+
+    def failing(args):
+        raise error
+
+    assert isinstance(error, CheckFailed) and isinstance(error, ValueError)
+    monkeypatch.setattr(toda.cli, "cmd_roots", failing)
+    code, out, err = run(capsys, "roots", "--family", "C", "--rank", "2")
+    assert code == 1
+    assert err == f"check failed: {error}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("error", [ValueError("bad input"), KeyError("c99")], ids=type)
+def test_other_errors_still_exit_2(monkeypatch, capsys, error):
+    import toda.cli
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(toda.cli, "cmd_roots", failing)
+    code, _, err = run(capsys, "roots", "--family", "C", "--rank", "2")
+    assert code == 2
+    assert err.startswith("error: ")

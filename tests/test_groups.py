@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction as F
@@ -355,6 +356,46 @@ def test_check_minor_identity_names_a_failing_witness(monkeypatch, rank):
         check_minor_identity(bad)
     s, t = err.value.witness
     assert minor(bad, s, t) != minor(bad, iota(complement(s, k), k), iota(complement(t, k), k))
+
+
+def _first_identity_failure(a):
+    # The exhaustive check over the ExactScalar table of all_minors: pairs by
+    # size, then S, then T; the first failing pair with both minors.
+    k = a.dim
+    table = all_minors(a)
+    for s, t in table:
+        lhs, rhs = table[s, t], table[iota(complement(s, k), k), iota(complement(t, k), k)]
+        if lhs != rhs:
+            return (s, t), lhs, rhs
+    return None
+
+
+@pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2), ("C", 3), ("B", 3)])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_exhaustive_identity_witness_matches_all_minors(monkeypatch, family, rank, part):
+    # Integer comparison, same report: the witness, lhs, rhs and message of
+    # the first failing pair are those of the all_minors route, and
+    # all_minors itself is not called.
+    monkeypatch.setattr("toda.groups.is_in_group", lambda a: True)
+    for seed in range(3):
+        g = sample_group_element(Algebra(family, rank), seed=seed, bound=2)
+        k = g.dim
+        rows = [list(r) for r in g.entries]
+        i, j = random.Random(seed).sample(range(k), 2)
+        bump = ExactScalar(F(1, 3), F(0)) if part == "re" else ExactScalar(F(0), F(-2, 5))
+        rows[i][j] = rows[i][j] + bump
+        bad = GroupElement.from_rows(rows)
+        want = _first_identity_failure(bad)
+        with monkeypatch.context() as patched:
+            patched.setattr("toda.groups.all_minors", None)
+            report = check_minor_identity(g)
+            with pytest.raises(IdentityViolation) as err:
+                check_minor_identity(bad)
+        assert report == MinorIdentityReport(k, expected_tag(k), math.comb(2 * k, k), True)
+        assert (err.value.witness, err.value.lhs, err.value.rhs) == want
+        s, t = want[0]
+        assert str(err.value) == f"minor identity fails at S={s}, T={t}: {want[1]} != {want[2]}"
+        assert isinstance(err.value.lhs, ExactScalar) and isinstance(err.value.rhs, ExactScalar)
 
 
 @pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2)])

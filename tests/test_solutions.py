@@ -1,4 +1,5 @@
 import ast
+import cmath
 import dataclasses
 import importlib
 import inspect
@@ -8,15 +9,15 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import toda
 import toda.solutions
 from conftest import random_gamma, random_params
 from toda import Algebra, make_config
-from toda.basis import column_minor, nu_vector, wronskian
-from toda.exact import ExactScalar, ZExpr
+from toda.basis import StructureError, column_minor, nu_vector, wronskian
+from toda.exact import BranchCutError, CheckFailed, ExactScalar, OriginError, ZExpr
 from toda.groups import (
     GroupElement,
     UnipotentCoords,
@@ -30,6 +31,7 @@ from toda.linalg import det as generic_det
 from toda.linalg import transpose
 from toda.solutions import (
     MonodromyViolation,
+    NonPositiveUnknown,
     ProductConditionViolation,
     ResidualExceeded,
     SolutionParams,
@@ -175,14 +177,15 @@ def test_assemble_matches_direct_determinant(family, rank, seed):
 def _h_minor_unknown(table, w, m):
     # The double Cauchy-Binet sum over the all-minors table of H: the
     # leading m x m minor of W^dag H W without going through C W.
+    # Like terms are merged once, by ZExpr.from_terms, at the end.
     k = w.k
-    acc = Z0
+    terms = []
     for s in combinations(range(k), m):
         for t in combinations(range(k), m):
-            acc = acc + column_minor(w, s).conjugate() * table[
+            terms += (column_minor(w, s).conjugate() * table[
                 (tuple(x + 1 for x in s), tuple(x + 1 for x in t))
-            ] * column_minor(w, t)
-    return acc
+            ] * column_minor(w, t)).terms
+    return ZExpr.from_terms(terms)
 
 
 @pytest.mark.parametrize(
@@ -240,6 +243,71 @@ def test_assemble_skip_matches_h_minor_route_property(data):
     b = assemble(cfg, SolutionParams.of(lams, coords))
     table = all_minors(b.H)
     assert list(b.F) == [_h_minor_unknown(table, b.wronskian, m) for m in range(1, cfg.k)]
+
+
+def _proper_fractions(max_den):
+    # (n q + r) / q with 2 <= q <= max_den and 0 < r < q: never an integer.
+    return st.integers(2, max_den).flatmap(
+        lambda q: st.tuples(st.integers(0, 2), st.integers(1, q - 1)).map(
+            lambda nr: F(nr[0] * q + nr[1], q)
+        )
+    )
+
+
+@pytest.mark.parametrize("family", "ACB")
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_integer_kernel_matches_h_minor_route_property(family, rank, data):
+    # Dense coordinates with mixed denominators (d > 1), weights p/q with
+    # q <= 7 (Lambda > 1) and fractional gamma (some L_m > 1): every scale
+    # of the integer kernel is non-trivial.
+    gamma = [data.draw(_proper_fractions(4)) - 1] + data.draw(
+        st.lists(st.fractions(min_value=F(-3, 4), max_value=2, max_denominator=4),
+                 min_size=rank - 1, max_size=rank - 1)
+    )
+    cfg = make_config(family, rank, gamma)
+    size = len(default_lambdas(cfg))
+    lams = data.draw(st.lists(_proper_fractions(7), min_size=size, max_size=size))
+    sign = st.sampled_from((1, -1))
+    values = {
+        (s.row, s.col): ExactScalar(
+            data.draw(sign) * data.draw(_proper_fractions(7)),
+            data.draw(sign) * data.draw(_proper_fractions(5)),
+        )
+        for s in coordinate_map(cfg.algebra)
+    }
+    b = assemble(cfg, SolutionParams.of(lams, UnipotentCoords(cfg.algebra, values)))
+    w = b.wronskian
+    assert b.C._integer_form[0] > 1
+    assert math.lcm(*((x * x).denominator for x in b.lambdas)) > 1
+    assume(any(
+        math.lcm(*(column_minor(w, s).single_monomial().coeff.re.denominator
+                   for s in combinations(range(cfg.k), m))) > 1
+        for m in range(1, cfg.k)
+    ))
+    table = all_minors(b.H)
+    assert list(b.F) == [_h_minor_unknown(table, w, m) for m in range(1, cfg.k)]
+
+
+@pytest.mark.parametrize("part,i,j", [("re", 0, -1), ("im", 0, -1), ("im", 1, 1)])
+def test_asymmetric_accumulator_raises_structure_error(monkeypatch, part, i, j):
+    # The integer matrix of each F_m is Hermitian.  Break one entry of the
+    # F_2 accumulator (off the diagonal, or an imaginary diagonal entry) and
+    # assembly must refuse it, naming F_2.
+    cfg = make_config("C", 2, [0, 0])
+    params = random_params(cfg, random.Random(5))
+    real = toda.solutions._unknown_matrix
+
+    def skewed(w, m, *args):
+        exps, re, im, w_den = real(w, m, *args)
+        if m == 2:
+            {"re": re, "im": im}[part][i][j] += 1
+        return exps, re, im, w_den
+
+    monkeypatch.setattr(toda.solutions, "_unknown_matrix", skewed)
+    with pytest.raises(StructureError, match="unknown F_2 is not conjugation-invariant"):
+        assemble(cfg, params)
 
 
 @pytest.mark.parametrize(
@@ -369,6 +437,15 @@ def test_reduced_value_b2():
     z = 1 + 1j
     f1 = b.F[0].evaluate(z).real
     assert b.reduced[0].value_from(b.F[0].evaluate(z)) == pytest.approx(2 * f1)
+
+
+@pytest.mark.parametrize("value", [0j, -1.5 + 2j])
+def test_reduced_value_rejects_non_positive(value):
+    red = reduced_unknowns(make_config("B", 2, [0, 0]))[1]
+    with pytest.raises(NonPositiveUnknown) as err:
+        red.value_from(value)
+    assert isinstance(err.value, CheckFailed) and isinstance(err.value, ValueError)
+    assert str(err.value) == f"non-positive value {4 * value.real} for unknown 2"
 
 
 # -- monodromy -------------------------------------------------------------------
@@ -541,22 +618,125 @@ def test_pde_strict_raises_on_absurd_tolerance():
 
 
 def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
-    # One table row per point: F_m and its three derivatives, for every m,
-    # shared by the A-side and the reduced system.
+    # One float plan per F_m per call (F_m and its three derivatives) and one
+    # power table per point, shared by every plan, the A-side and the
+    # reduced system.  No ZExpr is evaluated or differentiated.
     rng = random.Random(96)
     cfg = make_config("C", 2, [0, 0])
     b = assemble(cfg, random_params(cfg, rng))
-    calls = []
-    original = ZExpr.evaluate
+    plans, tables, symbolic = [], [], []
+    real_plan, real_table = toda.solutions._pde_plan, toda.solutions._power_table
 
-    def counting(self, point):
-        calls.append(point)
-        return original(self, point)
+    def counting_plan(f, index):
+        plans.append(f)
+        return real_plan(f, index)
 
-    monkeypatch.setattr(ZExpr, "evaluate", counting)
+    def counting_table(z, exponents):
+        tables.append(z)
+        return real_table(z, exponents)
+
+    def refuse(name):
+        def call(self, *args):
+            symbolic.append(name)
+            raise AssertionError(f"ZExpr.{name} called")
+
+        return call
+
+    monkeypatch.setattr(toda.solutions, "_pde_plan", counting_plan)
+    monkeypatch.setattr(toda.solutions, "_power_table", counting_table)
+    for name in ("evaluate", "diff_z", "diff_zbar"):
+        monkeypatch.setattr(ZExpr, name, refuse(name))
     rep = verify_pde(b, count=5)
     assert rep.passed and rep.reduced_checked
-    assert len(calls) == 4 * (cfg.k - 1) * 5
+    assert plans == list(b.F) and len(plans) == 3
+    assert tables == list(annulus_points(5)) and len(tables) == 5
+    assert symbolic == []
+
+
+def _evaluate_oracle(expr, point):
+    # Term by term, as ZExpr.evaluate computed it before the shared float
+    # routine: the reference for bit identity.
+    z = complex(point)
+    fractional = any(
+        t.exp_z.denominator != 1 or t.exp_zbar.denominator != 1 for t in expr.terms
+    )
+    if z == 0:
+        if any(t.exp_z < 0 or t.exp_zbar < 0 for t in expr.terms):
+            raise OriginError("negative exponent at the origin")
+        total = 0j
+        for t in expr.terms:
+            if t.exp_z == 0 and t.exp_zbar == 0:
+                total += complex(t.coeff)
+        return total
+    if z.imag == 0 and z.real < 0 and fractional:
+        raise BranchCutError(f"{z} lies on the branch cut")
+    powers = {}
+
+    def zpow(a):
+        val = powers.get(a)
+        if val is None:
+            if a.denominator == 1:
+                val = z ** a.numerator
+            else:
+                val = cmath.exp(float(a) * cmath.log(z))
+            powers[a] = val
+        return val
+
+    total = 0j
+    for t in expr.terms:
+        total += complex(t.coeff) * zpow(t.exp_z) * zpow(t.exp_zbar).conjugate()
+    return total
+
+
+def _outcome(fn, *args):
+    # repr keeps the sign of a zero part, so equal outcomes are bit-identical.
+    try:
+        return repr(fn(*args))
+    except (OriginError, BranchCutError) as err:
+        return type(err).__name__, str(err)
+
+
+big_fractions = st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_fractions, big_fractions, big_fractions)
+def test_plan_coefficient_is_the_rounded_exact_product(re, im, q):
+    c = ExactScalar(re, im)
+    assert repr(toda.solutions._times(c, q)) == repr(complex(c * q))
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma",
+    [
+        ("C", 2, (0, 0)),
+        ("B", 2, (F(-1, 2), F(1, 4))),
+        ("A", 3, (F(1, 3), F(1, 2), F(1, 3))),
+    ],
+)
+def test_float_routine_is_bit_identical_to_term_oracle(family, rank, gamma):
+    # ZExpr.evaluate and the verify_pde plans share one routine; both must
+    # reproduce the term-by-term oracle on F_m and its symbolic derivatives,
+    # at off-cut points, at the origin and on the cut.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
+    points = annulus_points(6, seed=3) + (0j, complex(-1.5, 0.0), complex(-0.5, -0.0), 2 + 0j)
+    index = {}
+    plans = [toda.solutions._pde_plan(f, index) for f in b.F]
+    tables = {z: toda.solutions._power_table(z, tuple(index)) for z in points}
+    seen = set()
+    for f, plan in zip(b.F, plans):
+        fz = f.diff_z()
+        for expr, compiled in zip((f, fz, f.diff_zbar(), fz.diff_zbar()), plan):
+            for z in points:
+                want = _outcome(_evaluate_oracle, expr, z)
+                assert _outcome(expr.evaluate, z) == want
+                assert _outcome(compiled.value, z, tables[z]) == want
+                seen.add(want[0] if isinstance(want, tuple) else ("origin" if z == 0 else "value"))
+    expected = {"value", "origin"} if all(x == 0 for x in gamma) else {"value", "BranchCutError"}
+    assert expected <= seen
+    if family == "B":
+        assert "OriginError" in seen
 
 
 @pytest.mark.parametrize("family,slot", [("B", 1), ("C", 0)])
