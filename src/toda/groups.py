@@ -10,9 +10,9 @@ element: the pair (d, d*A), with d the lcm of the entry denominators and
 Gaussian-integer entries.  Each minor comes from one memoized minor table over
 d*A (_integer_minors, the single minor getter) and is converted to
 ExactScalar only when returned (divided by d^m for size m); assembly and the
-exhaustive minor-identity check read the integer minors directly.  The
-membership test checks (dA)^t J (dA) = d^2 J and det(dA) = d^k, once per
-element.
+minor-identity check, exhaustive or sampled, read the integer minors of one
+table directly.  The membership test checks (dA)^t J (dA) = d^2 J and
+det(dA) = d^k, once per element.
 
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
@@ -282,53 +282,57 @@ class MinorIdentityReport:
     exhaustive: bool
 
 
+def _identity_pairs(k: int, exhaustive: bool):
+    """0-based (S, T) pairs checked by check_minor_identity, in order.
+
+    Exhaustive: every pair, by size, then S, then T.  Otherwise 2000 pairs
+    drawn from random.Random(0): a size in 1..k-1, then S, then T.
+    """
+    if exhaustive:
+        for m in range(k + 1):
+            for s in combinations(range(k), m):
+                for t in combinations(range(k), m):
+                    yield s, t
+        return
+    rng = random.Random(0)
+    for _ in range(2000):
+        m = rng.randint(1, k - 1)
+        yield tuple(sorted(rng.sample(range(k), m))), tuple(sorted(rng.sample(range(k), m)))
+
+
 def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     """Verify A[S,T] == A[iota(comp S), iota(comp T)] for same-size S, T.
 
-    Exhaustive for dim <= 7 (by size, then S, then T), on the integer minors
-    of one table; beyond, 2000 pairs drawn from random.Random(0) (a size in
-    1..dim-1, then S, then T), through minor().  The input must be exactly in
-    its group; the first failing pair raises IdentityViolation with it as
-    witness and both minors as ExactScalars.
+    Exhaustive for dim <= 7, sampled beyond (see _identity_pairs).  Both read
+    the integer minors of one table, v1 = d^m A[S,T] and v2 = d^(k-m)
+    A[S',T'] for |S| = m, and compare v1 * d^(k-m) == v2 * d^m.  The input
+    must be exactly in its group; the first failing pair raises
+    IdentityViolation with it as witness and both minors as ExactScalars,
+    the only minors converted.
     """
     if not is_in_group(a):
         raise ValueError("input is not exactly symplectic/orthogonal")
     k = a.dim
     exhaustive = k <= 7
-    if exhaustive:
-        # Integer minors of dA from one table: for |S| = m, v1 = d^m A[S,T]
-        # and v2 = d^(k-m) A[S',T'], so the identity reads
-        # v1 * d^(k-m) == v2 * d^m.  Only a failing pair is converted.
-        d, table = _integer_minors(a)
-        checked = 0
-        for m in range(k + 1):
-            low, high = d ** m, d ** (k - m)
-            for s in combinations(range(k), m):
-                s2 = [k - 1 - i for i in range(k) if i not in s]
-                for t in combinations(range(k), m):
-                    v1 = table(s, t)
-                    v2 = table(s2, [k - 1 - j for j in range(k) if j not in t])
-                    if v1.re * high != v2.re * low or v1.im * high != v2.im * low:
-                        raise IdentityViolation(
-                            tuple(i + 1 for i in s),
-                            tuple(j + 1 for j in t),
-                            scalar_over(v1, low),
-                            scalar_over(v2, high),
-                        )
-                    checked += 1
-        return MinorIdentityReport(k, expected_tag(k), checked, exhaustive)
-    # One table per minor: a table shared by all pairs grows towards all
-    # C(2k,k) minors and raised the peak RSS of `toda minors` by 5-9 %.
-    rng = random.Random(0)
-    for _ in range(2000):
-        m = rng.randint(1, k - 1)
-        s = tuple(sorted(rng.sample(range(1, k + 1), m)))
-        t = tuple(sorted(rng.sample(range(1, k + 1), m)))
-        lhs = minor(a, s, t)
-        rhs = minor(a, iota(complement(s, k), k), iota(complement(t, k), k))
-        if lhs != rhs:
-            raise IdentityViolation(s, t, lhs, rhs)
-    return MinorIdentityReport(k, expected_tag(k), 2000, exhaustive)
+    d, table = _integer_minors(a)
+    powers = [d ** j for j in range(k + 1)]
+    checked = 0
+    for s, t in _identity_pairs(k, exhaustive):
+        low, high = powers[len(s)], powers[k - len(s)]
+        v1 = table(s, t)
+        v2 = table(
+            [k - 1 - i for i in range(k) if i not in s],
+            [k - 1 - j for j in range(k) if j not in t],
+        )
+        if v1.re * high != v2.re * low or v1.im * high != v2.im * low:
+            raise IdentityViolation(
+                tuple(i + 1 for i in s),
+                tuple(j + 1 for j in t),
+                scalar_over(v1, low),
+                scalar_over(v2, high),
+            )
+        checked += 1
+    return MinorIdentityReport(k, expected_tag(k), checked, exhaustive)
 
 
 def classify_by_minors(a: GroupElement) -> str | None:

@@ -21,6 +21,7 @@ def transpose(m: Matrix) -> tuple[tuple, ...]:
 
 
 def mat_mul(a: Matrix, b: Matrix, zero: T) -> tuple[tuple, ...]:
+    """Exact product a @ b; a product with an `is_zero` factor is skipped."""
     bt = transpose(b)
     out = []
     for row in a:
@@ -28,7 +29,8 @@ def mat_mul(a: Matrix, b: Matrix, zero: T) -> tuple[tuple, ...]:
         for col in bt:
             acc = zero
             for x, y in zip(row, col):
-                acc = acc + x * y
+                if not (x.is_zero or y.is_zero):
+                    acc = acc + x * y
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
@@ -43,25 +45,33 @@ def minor_table(m: Matrix, zero: T, one: T) -> Callable[[Iterable[int], Iterable
     entries with `is_zero` are skipped.
     A full determinant costs O(2^k * k) ring multiplications, every minor
     O(sum_j j * C(k,j)^2).  The empty minor is `one`.
+
+    The memo is keyed by one int, rmask << w | cmask, with w the column
+    count and bit i of rmask (cmask) set for row (column) i: one small int
+    per entry instead of a tuple of two, for tables shared by thousands of
+    lookups.
     """
-    memo = {(0, 0): one}
+    width = len(m[0]) if m else 0
+    memo = {0: one}
 
     def lookup(rows: Iterable[int], cols: Iterable[int]) -> T:
         rmask = sum(1 << r for r in rows)
         cmask = sum(1 << c for c in cols)
         if rmask.bit_count() != cmask.bit_count():
             raise ValueError("row and column index sets differ in size")
-        return _minor(m, memo, zero, rmask, cmask)
+        return _minor(m, memo, zero, width, rmask, cmask)
 
     return lookup
 
 
-def _minor(m: Matrix, memo: dict, zero: T, rmask: int, cmask: int) -> T:
+def _minor(m: Matrix, memo: dict, zero: T, width: int, rmask: int, cmask: int) -> T:
     # Module-level recursion: a recursive closure would make each table a
     # reference cycle, freed only by the cyclic garbage collector.
-    val = memo.get((rmask, cmask))
+    key = rmask << width | cmask
+    val = memo.get(key)
     if val is None:
         col = cmask.bit_length() - 1
+        sub = cmask ^ (1 << col)
         negate = rmask.bit_count() % 2 == 0  # sign (-1)^(pos + size - 1)
         val, rest = zero, rmask
         while rest:
@@ -69,10 +79,10 @@ def _minor(m: Matrix, memo: dict, zero: T, rmask: int, cmask: int) -> T:
             rest ^= bit
             entry = m[bit.bit_length() - 1][col]
             if not entry.is_zero:
-                term = entry * _minor(m, memo, zero, rmask ^ bit, cmask ^ (1 << col))
+                term = entry * _minor(m, memo, zero, width, rmask ^ bit, sub)
                 val = val - term if negate else val + term
             negate = not negate
-        memo[rmask, cmask] = val
+        memo[key] = val
     return val
 
 

@@ -222,6 +222,19 @@ def test_verify_assembles_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("C", 5)])
+def test_minors_sampled_high_rank_passes(capsys, family, rank):
+    # k = 9 and k = 10: the sampled identity check, 2000 drawn pairs.
+    code, out, _ = run(capsys, "minors", "--family", family, "--rank", str(rank), "--count", "1", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    (sample,) = report["samples"]
+    assert sample["pairs_checked"] == 2000
+    assert sample["exhaustive"] is False
+    assert sample["classified_as"] == ("Sp" if family == "C" else "SO")
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 5)])
 def test_verify_dense_high_rank_passes(capsys, family, rank):
     # gamma = 0 makes every root integral, so every coordinate is nonzero:
     # the densest C, at k = 9 and k = 10.

@@ -6,8 +6,20 @@ from fractions import Fraction as F
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toda.exact import ExactScalar, NotASquareError, SCALAR_ONE, SCALAR_ZERO, ZExpr, scale_to_gaussian
+from toda.exact import (
+    GAUSS_ONE,
+    GAUSS_ZERO,
+    ExactScalar,
+    GaussInt,
+    NotASquareError,
+    SCALAR_ONE,
+    SCALAR_ZERO,
+    ZExpr,
+    scale_to_gaussian,
+)
 from toda.groups import (
     CardinalityError,
     GroupElement,
@@ -327,6 +339,53 @@ def test_minor_table_is_freed_by_reference_counting():
         gc.enable()
 
 
+@st.composite
+def _gauss_matrix_and_lookups(draw):
+    # Small entries, zeros included, so that the is_zero skip is exercised;
+    # up to 11 rows and columns, so that keys pass 2^16.
+    n_rows = draw(st.integers(1, 11))
+    width = draw(st.integers(1, 11))
+    entry = st.builds(GaussInt, st.integers(-2, 2), st.integers(-2, 2))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=n_rows, max_size=n_rows))
+    lookups = []
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.integers(0, min(n_rows, width)))
+        r = draw(st.lists(st.integers(0, n_rows - 1), min_size=size, max_size=size, unique=True))
+        c = draw(st.lists(st.integers(0, width - 1), min_size=size, max_size=size, unique=True))
+        lookups.append((r, c))
+    return tuple(tuple(row) for row in rows), lookups
+
+
+@given(_gauss_matrix_and_lookups())
+@settings(max_examples=60, deadline=None)
+def test_minor_table_matches_fresh_submatrix_determinants(case):
+    # Lookups in random order on one shared table, against the determinant
+    # of the explicit submatrix built afresh.
+    m, lookups = case
+    table = minor_table(m, GAUSS_ZERO, GAUSS_ONE)
+    for r, c in lookups:
+        sub = tuple(tuple(m[i][j] for j in sorted(c)) for i in sorted(r))
+        assert table(r, c) == det(sub, GAUSS_ZERO, GAUSS_ONE)
+        # Sets of different sizes raise, whichever side is larger.
+        if r:
+            with pytest.raises(ValueError):
+                table(r[1:], c)
+        spare = [j for j in range(len(m[0])) if j not in c]
+        if spare:
+            with pytest.raises(ValueError):
+                table(r, c + spare[:1])
+
+
+def test_minor_table_rejects_columns_out_of_range():
+    # The bits of a column past the last one spill into the row bits of the
+    # int memo key; the lookup must still raise, not read a stored minor.
+    one, zero = GAUSS_ONE, GAUSS_ZERO
+    table = minor_table(((one, zero), (zero, one), (one, one), (zero, zero)), zero, one)
+    assert table((2,), (0,)) == one
+    with pytest.raises(IndexError):
+        table((0, 1), (0, 2))
+
+
 def test_iota_and_complement():
     assert iota((1, 3), 5) == (3, 5)
     assert complement((1, 3), 5) == (2, 4, 5)
@@ -396,6 +455,69 @@ def test_exhaustive_identity_witness_matches_all_minors(monkeypatch, family, ran
         s, t = want[0]
         assert str(err.value) == f"minor identity fails at S={s}, T={t}: {want[1]} != {want[2]}"
         assert isinstance(err.value.lhs, ExactScalar) and isinstance(err.value.rhs, ExactScalar)
+
+
+def test_check_minor_identity_builds_one_minor_table(monkeypatch):
+    import toda.groups
+    import toda.linalg
+
+    builds = []
+    real = toda.linalg.minor_table
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    g = sample_group_element(Algebra("C", 4), seed=0, bound=3)
+    monkeypatch.setattr(toda.linalg, "minor_table", counting)
+    monkeypatch.setattr(toda.groups, "minor_table", counting)
+    rep = check_minor_identity(g)
+    assert rep == MinorIdentityReport(8, "Sp", 2000, False)
+    # The sampler has already cached the membership verdict, so the one
+    # table is the shared integer table of the identity check.
+    assert len(builds) == 1
+
+
+def _first_sampled_identity_failure(a):
+    # The sampled check through the public minor(): 2000 draws from
+    # random.Random(0) (a size in 1..k-1, then S, then T, all 1-based); the
+    # first failing pair with both minors.
+    k = a.dim
+    rng = random.Random(0)
+    for _ in range(2000):
+        m = rng.randint(1, k - 1)
+        s = tuple(sorted(rng.sample(range(1, k + 1), m)))
+        t = tuple(sorted(rng.sample(range(1, k + 1), m)))
+        lhs = minor(a, s, t)
+        rhs = minor(a, iota(complement(s, k), k), iota(complement(t, k), k))
+        if lhs != rhs:
+            return (s, t), lhs, rhs
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_sampled_identity_witness_matches_minor(monkeypatch, seed, part):
+    # Integer comparison on one table, same report as the minor() route:
+    # the witness, lhs, rhs and message of the first failing drawn pair.
+    monkeypatch.setattr("toda.groups.is_in_group", lambda a: True)
+    g = sample_group_element(Algebra("C", 4), seed=seed, bound=2)
+    k = g.dim
+    rows = [list(r) for r in g.entries]
+    i, j = random.Random(seed).sample(range(k), 2)
+    bump = ExactScalar(F(1, 3), F(0)) if part == "re" else ExactScalar(F(0), F(-2, 5))
+    rows[i][j] = rows[i][j] + bump
+    bad = GroupElement.from_rows(rows)
+    want = _first_sampled_identity_failure(bad)
+    assert want is not None
+    assert _first_sampled_identity_failure(g) is None
+    assert check_minor_identity(g) == MinorIdentityReport(k, "Sp", 2000, False)
+    with pytest.raises(IdentityViolation) as err:
+        check_minor_identity(bad)
+    assert (err.value.witness, err.value.lhs, err.value.rhs) == want
+    s, t = want[0]
+    assert str(err.value) == f"minor identity fails at S={s}, T={t}: {want[1]} != {want[2]}"
+    assert isinstance(err.value.lhs, ExactScalar) and isinstance(err.value.rhs, ExactScalar)
 
 
 @pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2)])
