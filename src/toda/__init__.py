@@ -49,6 +49,7 @@ from .basis import (
 from .solutions import (
     SolutionBundle,
     SolutionParams,
+    UnknownForm,
     a_case_form,
     assemble,
     annulus_points,

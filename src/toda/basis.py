@@ -8,10 +8,12 @@ of the power integrands are single monomials
 
 and the basis entries nu_i = sigma_i / z^(xi_exponent) are monomials
 chi_i * z^(beta_i) with strictly increasing exponents beta.  The k x k
-Wronskian matrix of nu has determinant exactly 1, its column minors are
-single monomials with a Vandermonde coefficient, and for palindromic mu the
-pairing W^t J W has an exact zero/sign pattern that a Gram-Schmidt pass
-turns into J itself.
+Wronskian matrix of nu has determinant exactly 1 (checked as the rational
+determinant of its entry coefficients times one power of z), its column
+minors are single monomials with a Vandermonde coefficient (one integer
+closed form serves column_minor and column_minor_level), and for
+palindromic mu the pairing W^t J W has an exact zero/sign pattern that a
+Gram-Schmidt pass turns into J itself.
 """
 
 from __future__ import annotations
@@ -19,10 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 from .config import TodaConfig
-from .exact import SCALAR_ONE, ZExpr, as_fraction
+from .exact import (
+    GAUSS_ONE,
+    GAUSS_ZERO,
+    SCALAR_ONE,
+    SCALAR_ZERO,
+    ZExpr,
+    as_fraction,
+    format_fraction,
+    scalar_over,
+    scale_to_gaussian,
+)
 from .groups import GroupElement
 from .linalg import det as generic_det
 from .linalg import mat_mul, transpose
@@ -102,38 +115,88 @@ class WronskianMatrix:
 
 
 def wronskian(nu: NuVector) -> WronskianMatrix:
+    """The Wronskian matrix of nu, with det W = 1 checked exactly.
+
+    Entry (i, j) is the monomial chi_i (beta_i)_j z^(beta_i - j) (falling
+    factorial), so det W = det[chi_i (beta_i)_j] z^(sum beta - k(k-1)/2):
+    each entry's exponent is checked, and the determinant of the rational
+    coefficient matrix is taken once, on its Gaussian-integer form (d, d*M).
+    """
     k = nu.k
     cols: list[tuple[ZExpr, ...]] = [nu.nu]
     for _ in range(k - 1):
         cols.append(tuple(e.diff_z() for e in cols[-1]))
     entries = transpose(cols)
-    w = WronskianMatrix(entries, nu)
-    d = generic_det(entries, Z_ZERO, Z_ONE)
-    if d != Z_ONE:
-        raise StructureError(f"Wronskian determinant is {d}, expected 1")
-    return w
+    coeffs = []
+    for i, row in enumerate(entries):
+        coeff_row = []
+        for j, entry in enumerate(row):
+            if entry.is_zero:
+                coeff_row.append(SCALAR_ZERO)
+                continue
+            term = entry.single_monomial()
+            if term.exp_z != nu.beta[i] - j or term.exp_zbar != 0:
+                raise StructureError(
+                    f"Wronskian entry ({i},{j}) is {entry}, expected a multiple of "
+                    f"z^({format_fraction(nu.beta[i] - j)})"
+                )
+            coeff_row.append(term.coeff)
+        coeffs.append(coeff_row)
+    exponent = sum(nu.beta, Fraction(0)) - Fraction(k * (k - 1), 2)
+    scale, scaled = scale_to_gaussian(coeffs)
+    d = scalar_over(generic_det(scaled, GAUSS_ZERO, GAUSS_ONE), scale**k)
+    if d != SCALAR_ONE or exponent != 0:
+        raise StructureError(f"Wronskian determinant is {ZExpr.monomial(d, exponent)}, expected 1")
+    return WronskianMatrix(entries, nu)
+
+
+def _closed_form(nu: NuVector, beta_den: int, beta_num: Sequence[int], rows: Sequence[int]):
+    """(num, den, e): the minor of W on `rows` and the first m columns is
+    (num / den) z^(e / beta_den), from beta_i = beta_num[i] / beta_den.
+
+    Each basis entry is a monomial, so the minor collapses to the product of
+    the chi_r, a Vandermonde factor in the exponents, and one power of z.
+    """
+    m = len(rows)
+    pairs = m * (m - 1) // 2
+    num, den = 1, beta_den**pairs
+    for r in rows:
+        num *= nu.chi[r].numerator
+        den *= nu.chi[r].denominator
+    for a, b in combinations(rows, 2):
+        num *= beta_num[b] - beta_num[a]
+    return num, den, sum(beta_num[r] for r in rows) - beta_den * pairs
+
+
+def _beta_integers(nu: NuVector) -> tuple[int, list[int]]:
+    """(B, [B beta_i]) with B the lcm of the denominators of beta."""
+    beta_den = lcm(*(b.denominator for b in nu.beta))
+    return beta_den, [b.numerator * (beta_den // b.denominator) for b in nu.beta]
 
 
 def column_minor(w: WronskianMatrix, rows: Sequence[int]) -> ZExpr:
-    """Minor over 0-based `rows` and the first len(rows) columns, closed form.
+    """Minor over 0-based `rows` and the first len(rows) columns, closed form."""
+    beta_den, beta_num = _beta_integers(w.nu)
+    num, den, e = _closed_form(w.nu, beta_den, beta_num, tuple(rows))
+    return ZExpr.monomial(Fraction(num, den), Fraction(e, beta_den))
 
-    Each basis entry is a monomial, so the minor collapses to a product of
-    the coefficients, a Vandermonde factor in the exponents, and one power
-    of z.
+
+def column_minor_level(w: WronskianMatrix, m: int):
+    """The column minors of size m over one denominator: (L_m, B, minors).
+
+    ``minors`` lists (S, w_S, e_S) for every row set S in
+    combinations(range(k), m), with column_minor(w, S) = (w_S / L_m) z^(e_S / B).
+    Each coefficient is reduced by one gcd; L_m is the lcm of the reduced
+    denominators.
     """
-    s = tuple(rows)
-    m = len(s)
-    if m == 0:
-        return Z_ONE
-    beta = w.nu.beta
-    chi = w.nu.chi
-    coeff = Fraction(1)
-    for r in s:
-        coeff *= chi[r]
-    for a, b in combinations(s, 2):
-        coeff *= beta[b] - beta[a]
-    exponent = sum((beta[r] for r in s), Fraction(0)) - Fraction(m * (m - 1), 2)
-    return ZExpr.monomial(coeff, exponent)
+    beta_den, beta_num = _beta_integers(w.nu)
+    parts = []
+    for s in combinations(range(w.k), m):
+        num, den, e = _closed_form(w.nu, beta_den, beta_num, s)
+        g = gcd(num, den)
+        parts.append((s, num // g, den // g, e))
+    w_den = lcm(*(den for _, _, den, _ in parts))
+    return w_den, beta_den, [(s, num * (w_den // den), e) for s, num, den, e in parts]
 
 
 def pairing_matrix(w: WronskianMatrix, j: GroupElement) -> tuple[tuple[ZExpr, ...], ...]:

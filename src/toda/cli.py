@@ -118,8 +118,8 @@ def cmd_solve(args) -> int:
         "coords": coords_to_json(params.coords),
         "beta": fractions_to_json(bundle.nu.beta),
         "chi": fractions_to_json(bundle.nu.chi),
-        "F1": zexpr_to_json(bundle.F[0]),
-        "term_counts": [len(f.terms) for f in bundle.F],
+        "F1": zexpr_to_json(bundle.forms[0].expr),
+        "term_counts": [len(form.entries) for form in bundle.forms],
     }
     if bundle.reduced is not None:
         report["reduced"] = [
@@ -134,7 +134,7 @@ def cmd_solve(args) -> int:
     lines = [
         f"solution for {cfg.family}{cfg.rank}, gamma = {args.gamma}",
         f"  exponents beta: {', '.join(fractions_to_json(bundle.nu.beta))}",
-        f"  F_1 has {len(bundle.F[0].terms)} terms",
+        f"  F_1 has {len(bundle.forms[0].entries)} terms",
     ]
     _emit(report, args, lines)
     return 0
@@ -143,6 +143,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if args.points <= 0:
         raise ValueError(f"--points must be positive, got {args.points}")
+    if not 0 < args.tol < float("inf"):  # false for nan as well
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     algebra, cfg = _config_from_args(args)
     params = _params_from_args(algebra, cfg, args)
     t0 = time.monotonic()
@@ -219,7 +221,7 @@ def cmd_verify(args) -> int:
             "algebraic": [list(x) for x in mono.algebraic_offenders],
             "analytic": list(mono.analytic_offenders),
         },
-        "F1": zexpr_to_json(bundle.F[0]),
+        "F1": zexpr_to_json(bundle.forms[0].expr),
         "passed": passed,
     }
     lines = [f"verification for {cfg.family}{cfg.rank}:"]

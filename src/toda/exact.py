@@ -6,11 +6,13 @@ and the exponents ``a``, ``b`` are rationals (``zb`` stands for the complex
 conjugate of ``z``).  All ring operations, differentiation and conjugation
 are exact; equality is structural.  The only floating-point path is one
 private routine: an expression is converted once into complex coefficients
-with indices into an exponent table (``_float_terms``), each point gets one
-table of principal-branch powers ``z**a`` on the cut plane
-``C \\ (-inf, 0]`` (``_power_table``), and ``_FloatTerms.value`` sums the
-terms.  :meth:`ZExpr.evaluate` runs it on a single expression; the PDE check
-runs it on F_m and its derivatives with one power table per point.
+with indices into an exponent table (``_float_terms``, over exponents
+interned by ``_exponent_slot``), each point gets one table of
+principal-branch powers ``z**a`` on the cut plane ``C \\ (-inf, 0]``
+(``_power_table``), and ``_FloatTerms.value`` sums the terms.
+:meth:`ZExpr.evaluate` runs it on a single expression; the PDE check runs it
+on the integer forms of F_m and its derivatives with one power table per
+point.
 
 Terms are keyed by the exponent pair ``(a, b)``.  Normalization merges like
 terms, drops zero coefficients and sorts terms by exponent pair, so two
@@ -476,7 +478,8 @@ class ZExpr:
         z = complex(point)
         index: dict[Fraction, int] = {}
         compiled = _float_terms(
-            ((complex(t.coeff), t.exp_z, t.exp_zbar) for t in self.terms), index
+            (complex(t.coeff), _exponent_slot(t.exp_z, index), _exponent_slot(t.exp_zbar, index))
+            for t in self.terms
         )
         return compiled.value(z, _power_table(z, index))
 
@@ -552,24 +555,30 @@ class _FloatTerms:
         return total
 
 
-def _float_terms(
-    terms: Iterable[tuple[complex, Fraction, Fraction]], index: dict[Fraction, int]
-) -> _FloatTerms:
-    """Collect terms (complex c, a, b) whose exact coefficients are nonzero.
+def _exponent_slot(e: Fraction, index: dict[Fraction, int]) -> tuple[int, bool, bool, bool]:
+    """(position of e in ``index``, e == 0, e not an integer, e < 0).
 
-    Each exponent is interned in ``index`` (exponent -> position), which
-    several expressions may share, so that one power table per point serves
-    all of them.
+    Interns e in ``index`` (exponent -> position), which several expressions
+    may share, so that one power table per point serves all of them.
+    """
+    return index.setdefault(e, len(index)), e == 0, e.denominator != 1, e < 0
+
+
+def _float_terms(terms: Iterable[tuple[complex, tuple, tuple]]) -> _FloatTerms:
+    """Collect terms (complex c, slot of a, slot of b) whose exact coefficients are nonzero.
+
+    Each slot comes from ``_exponent_slot``; its flags give the constant
+    terms and the ``fractional`` and ``negative`` marks.
     """
     out = []
     constant = []
     fractional = negative = False
-    for fc, a, b in terms:
-        out.append((fc, index.setdefault(a, len(index)), index.setdefault(b, len(index))))
-        if a == 0 and b == 0:
+    for fc, (ia, zero_a, frac_a, neg_a), (ib, zero_b, frac_b, neg_b) in terms:
+        out.append((fc, ia, ib))
+        if zero_a and zero_b:
             constant.append(fc)
-        fractional = fractional or a.denominator != 1 or b.denominator != 1
-        negative = negative or a < 0 or b < 0
+        fractional = fractional or frac_a or frac_b
+        negative = negative or neg_a or neg_b
     return _FloatTerms(tuple(out), tuple(constant), fractional, negative)
 
 

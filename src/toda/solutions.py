@@ -11,16 +11,22 @@ where W is the Wronskian matrix of the holomorphic basis.  By Cauchy-Binet
 F_m = sum_R lambda_R^2 |g_R|^2, where g_R is the holomorphic m-minor of C W
 on the row set R, and again by Cauchy-Binet g_R = sum_{S <= R} C[R,S] W[S],
 with C[R,S] read from the minor table of C (groups) and W[S], the minor on
-rows S and the first m columns, a closed-form monomial (basis.column_minor).
+rows S and the first m columns, a closed-form monomial (basis.column_minor_level).
 Every F_m is a conjugation-invariant sum of monomials in z and conj(z).
 
 Both sums run on integers: the minors of d*C are Gaussian integers, the
 W[S] coefficients of one level share a denominator L_m, and the squared
 weights one denominator Lambda.  F_m is accumulated as a Hermitian integer
 matrix over pairs of interned exponents, with the single denominator
-d^(2m) L_m^2 Lambda^m, and becomes a ZExpr once per term.  The PDE check
-compiles each F_m once into complex terms of F_m and its derivatives and
-evaluates them with one power table per point (the float routine of exact).
+d^(2m) L_m^2 Lambda^m, and kept on the bundle in that integer form
+(UnknownForm): the sorted exponents, the nonzero entries and the
+denominator.  Every check reads that one form.  The PDE check compiles it
+once into complex terms of F_m and its derivatives, each coefficient
+rounded once, and evaluates them with one power table per point (the float
+routine of exact).  The symmetry check cross-multiplies the denominators of
+F_m and F_{k-m}; the analytic monodromy test and the integrability degrees
+read the exponents of the nonzero entries.  A ZExpr of F_m is built only on
+access (UnknownForm.expr, SolutionBundle.F): toda verify builds F_1 alone.
 
 For the C and B families the first n unknowns carry the reduction back to
 the family's own system, with the exact power-of-two normalization for B.
@@ -36,7 +42,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from math import lcm, prod
 from typing import Sequence
 
@@ -44,7 +50,7 @@ from .basis import (
     NuVector,
     StructureError,
     WronskianMatrix,
-    column_minor,
+    column_minor_level,
     nu_vector,
     wronskian,
 )
@@ -56,6 +62,7 @@ from .exact import (
     Monomial,
     OrdinaryOp,
     ZExpr,
+    _exponent_slot,
     _FloatTerms,
     _float_terms,
     _power_table,
@@ -75,6 +82,7 @@ from .lie import Algebra, cartan, monodromy_element, slot_name
 __all__ = [
     "SolutionParams",
     "SolutionBundle",
+    "UnknownForm",
     "ReducedUnknown",
     "CharacteristicData",
     "MonodromyViolation",
@@ -185,12 +193,35 @@ class ReducedUnknown:
 
 
 @dataclass(frozen=True)
+class UnknownForm:
+    """One unknown F_m in integer form.
+
+    ``exponents`` are sorted and distinct; each entry (i, j, re, im) of
+    ``entries`` is the nonzero term ((re + i*im) / den) z^(e_i) zb^(e_j), in
+    (e_i, e_j) order, which is the term order of the ZExpr.
+    """
+
+    exponents: tuple[Fraction, ...]
+    entries: tuple[tuple[int, int, int, int], ...]
+    den: int
+
+    @cached_property
+    def expr(self) -> ZExpr:
+        """F_m as a ZExpr, built on first access."""
+        e, den = self.exponents, self.den
+        return ZExpr.from_terms(
+            Monomial(ExactScalar(Fraction(re, den), Fraction(im, den)), e[i], e[j])
+            for i, j, re, im in self.entries
+        )
+
+
+@dataclass(frozen=True)
 class SolutionBundle:
     config: TodaConfig
     params: SolutionParams
     nu: NuVector
     wronskian: WronskianMatrix
-    F: tuple[ZExpr, ...]
+    forms: tuple[UnknownForm, ...]
     reduced: tuple[ReducedUnknown, ...] | None
     H: GroupElement
     C: GroupElement
@@ -199,6 +230,11 @@ class SolutionBundle:
     @property
     def k(self) -> int:
         return self.config.k
+
+    @cached_property
+    def F(self) -> tuple[ZExpr, ...]:
+        """The unknowns F_1..F_{k-1} as ZExprs, built on first access."""
+        return tuple(form.expr for form in self.forms)
 
 
 def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
@@ -216,9 +252,10 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     coefficients are scaled by their lcm denominator L_m, and
     lambda_r^2 = l_r / Lambda.  F_m is accumulated as a Hermitian integer
     matrix over pairs of interned exponents with the single denominator
-    d^(2m) L_m^2 Lambda^m, checked conjugation-invariant there, and turned
-    into a ZExpr once per term.  F_1 is cross-checked against nu^dag H nu,
-    which reads H directly.
+    d^(2m) L_m^2 Lambda^m, checked conjugation-invariant there, and kept as
+    an UnknownForm.  Only F_1 becomes a ZExpr here: it is cross-checked
+    against nu^dag H nu, which reads H directly.  The other ZExprs are built
+    when bundle.F is read.
     """
     nu = nu_vector(config)
     w = wronskian(nu)
@@ -230,45 +267,40 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     squares = [x * x for x in lams]
     lam_den = lcm(*(q.denominator for q in squares))
     lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
-    fs = []
+    forms = []
     for m in range(1, config.k):
         exps, re, im, w_den = _unknown_matrix(w, m, c_minors, lam_num)
-        fs.append(_unknown_from_matrix(m, exps, re, im, d ** (2 * m) * w_den**2 * lam_den**m))
-    _check_first_unknown(fs[0], nu, h)
+        forms.append(_unknown_from_matrix(m, exps, re, im, d ** (2 * m) * w_den**2 * lam_den**m))
+    _check_first_unknown(forms[0].expr, nu, h)
     reduced = reduced_unknowns(config)
-    return SolutionBundle(config, params, nu, w, tuple(fs), reduced, h, c, lams)
+    return SolutionBundle(config, params, nu, w, tuple(forms), reduced, h, c, lams)
 
 
 def _unknown_matrix(w: WronskianMatrix, m: int, c_minors, lam_num: Sequence[int]):
-    """The integer form of F_m: (exponents, re, im, L_m).
+    """The integer matrix of F_m: (exponents, re, im, L_m).
 
-    column_minor(W, S) = (w_S / L_m) z^(e_S), with e_S = sum beta_S - m(m-1)/2
+    column_minor(W, S) = (w_S / L_m) z^(e_S / B), with
+    e_S / B = sum beta_S - m(m-1)/2, from basis.column_minor_level; e_S is
     interned as an index into the sorted distinct exponents.  Each
     G_R = d^m L_m g_R is a Gaussian-integer vector over those indices, and
-    entry (i, j) of the matrix re + i*im is sum_R (prod_{r in R} l_r)
-    G_R[i] conj(G_R[j]), the coefficient of z^(e_i) zb^(e_j) times
-    d^(2m) L_m^2 Lambda^m.
+    entry (i, j) of the matrix re + i*im is
+    sum_R (prod_{r in R} l_r) G_R[i] conj(G_R[j]), the coefficient of
+    z^(e_i) zb^(e_j) times d^(2m) L_m^2 Lambda^m.
     """
-    k = w.k
-    subsets = list(combinations(range(k), m))
-    minors = [column_minor(w, s).single_monomial() for s in subsets]
-    w_den = lcm(*(t.coeff.re.denominator for t in minors))
-    w_num = [t.coeff.re.numerator * (w_den // t.coeff.re.denominator) for t in minors]
-    exps = sorted({t.exp_z for t in minors})
+    w_den, beta_den, minors = column_minor_level(w, m)
+    exps = sorted({e for _, _, e in minors})
     index = {e: i for i, e in enumerate(exps)}
-    slots = [index[t.exp_z] for t in minors]
+    columns = {s: (wn, index[e]) for s, wn, e in minors}
     n = len(exps)
     re = [[0] * n for _ in range(n)]
     im = [[0] * n for _ in range(n)]
-    for rows in subsets:
+    for rows, _, _ in minors:
         g: dict[int, list[int]] = {}
-        for cols, wn, i in zip(subsets, w_num, slots):
-            # C is lower unipotent: C[R, S] vanishes unless S <= R entrywise.
-            if any(j > r for r, j in zip(rows, cols)):
-                continue
+        for cols in _dominated(rows):
             v = c_minors(rows, cols)
             if v.is_zero:
                 continue
+            wn, i = columns[cols]
             cur = g.get(i)
             if cur is None:
                 g[i] = [v.re * wn, v.im * wn]
@@ -284,25 +316,36 @@ def _unknown_matrix(w: WronskianMatrix, m: int, c_minors, lam_num: Sequence[int]
                 # (ar + i ai) * conj(br + i bi)
                 re_i[j] += ar * br + ai * bi
                 im_i[j] += ai * br - ar * bi
-    return exps, re, im, w_den
+    return [Fraction(e, beta_den) for e in exps], re, im, w_den
 
 
-def _unknown_from_matrix(m: int, exps, re, im, den: int) -> ZExpr:
-    """F_m from its integer matrix: entry (i, j) / den is the z^(e_i) zb^(e_j) coefficient.
+def _dominated(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The row sets S <= R entrywise, in lexicographic order.
+
+    C is lower unipotent, so the minor C[R, S] vanishes for every other S.
+    """
+    out: list[tuple[int, ...]] = [()]
+    for r in rows:
+        out = [s + (j,) for s in out for j in range(s[-1] + 1 if s else 0, r + 1)]
+    return out
+
+
+def _unknown_from_matrix(m: int, exps, re, im, den: int) -> UnknownForm:
+    """The UnknownForm of F_m: entry (i, j) / den is the z^(e_i) zb^(e_j) coefficient.
 
     The matrix must be Hermitian, which is F_m's conjugation invariance.
     """
     n = len(exps)
+    entries = []
     for i in range(n):
-        for j in range(i, n):
-            if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
+        re_i, im_i = re[i], im[i]
+        for j in range(n):
+            a, b = re_i[j], im_i[j]
+            if a != re[j][i] or b != -im[j][i]:
                 raise StructureError(f"unknown F_{m} is not conjugation-invariant")
-    return ZExpr.from_terms(
-        Monomial(ExactScalar(Fraction(re[i][j], den), Fraction(im[i][j], den)), exps[i], exps[j])
-        for i in range(n)
-        for j in range(n)
-        if re[i][j] or im[i][j]
-    )
+            if a or b:
+                entries.append((i, j, a, b))
+    return UnknownForm(tuple(exps), tuple(entries), den)
 
 
 def _check_first_unknown(f1: ZExpr, nu: NuVector, h: GroupElement) -> None:
@@ -343,13 +386,28 @@ class SymmetryReport:
 
 
 def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
-    """Exact check that F_m = F_{k-m} for every m."""
+    """Exact check that F_m = F_{k-m} for every m, on the integer forms.
+
+    Both entry lists are in (e_i, e_j) order without zeros, so the two
+    unknowns are equal iff their entries pair up on the same exponents with
+    re/den and im/den equal, compared by cross-multiplying the denominators.
+    """
     k = bundle.k
-    failures = []
-    for m in range(1, k):
-        if bundle.F[m - 1] != bundle.F[k - m - 1]:
-            failures.append(m)
-    return SymmetryReport(not failures, tuple(failures))
+    forms = bundle.forms
+    failures = tuple(m for m in range(1, k) if not _same_unknown(forms[m - 1], forms[k - m - 1]))
+    return SymmetryReport(not failures, failures)
+
+
+def _same_unknown(f: UnknownForm, g: UnknownForm) -> bool:
+    if len(f.entries) != len(g.entries):
+        return False
+    ef, eg = f.exponents, g.exponents
+    for (i, j, re, im), (p, q, re2, im2) in zip(f.entries, g.entries):
+        if re * g.den != re2 * f.den or im * g.den != im2 * f.den:
+            return False
+        if ef[i] != eg[p] or ef[j] != eg[q]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -367,8 +425,9 @@ def verify_monodromy(bundle: SolutionBundle, *, strict: bool = False) -> Monodro
 
     Algebraic: every nonzero entry of the bundle's C sits on a slot fixed by
     conjugation with the monodromy element (integer exponent difference).
-    Analytic: every term of the bundle's F_1 has an integer difference of
-    z and conj(z) exponents, hence is single-valued off the origin.
+    Analytic: every term of the bundle's F_1 (a nonzero entry of its
+    integer form) has an integer difference of z and conj(z) exponents,
+    hence is single-valued off the origin.
     """
     config = bundle.config
     mono = monodromy_element(config.algebra, config.gamma)
@@ -380,10 +439,10 @@ def verify_monodromy(bundle: SolutionBundle, *, strict: bool = False) -> Monodro
         for j in range(i)
         if not c.entries[i][j].is_zero and not mono.fixes_slot(i, j)
     )
+    f1 = bundle.forms[0]
+    e = f1.exponents
     ana_offenders = tuple(
-        f"z^{t.exp_z} zb^{t.exp_zbar}"
-        for t in bundle.F[0].terms
-        if (t.exp_z - t.exp_zbar).denominator != 1
+        f"z^{e[i]} zb^{e[j]}" for i, j, _, _ in f1.entries if (e[i] - e[j]).denominator != 1
     )
     a_ok = not alg_offenders
     b_ok = not ana_offenders
@@ -456,32 +515,47 @@ def annulus_points(
     return tuple(pts)
 
 
-def _pde_plan(f: ZExpr, index: dict[Fraction, int]) -> tuple[_FloatTerms, ...]:
-    """Float terms of F, d_z F, d_zbar F and d_z d_zbar F from F's exact terms.
+def _pde_plan(form: UnknownForm, index: dict[Fraction, int]) -> tuple[_FloatTerms, ...]:
+    """Float terms of F, d_z F, d_zbar F and d_z d_zbar F from F's integer form.
 
-    A term c z^a zb^b gives c*a z^(a-1) zb^b, c*b z^a zb^(b-1) and
-    c*a*b z^(a-1) zb^(b-1), in F's term order; vanishing terms are skipped.
-    Exponents are interned in the shared ``index``.
+    An entry (i, j, r, s) is the term c z^a zb^b with c = (r + i s)/den,
+    a = e_i and b = e_j.  It gives c*a z^(a-1) zb^b, c*b z^a zb^(b-1) and
+    c*a*b z^(a-1) zb^(b-1), in entry order; vanishing terms are skipped.
+    Each exponent and exponent - 1 is interned in the shared ``index`` once,
+    and each coefficient is rounded once (_ratio), bit for bit the float of
+    the exact coefficient.
     """
-    terms = [(t.coeff, t.exp_z, t.exp_zbar) for t in f.terms]
+    den = form.den
+    # (numerator, denominator, slot of e, slot of e - 1) per exponent e.
+    exps = [
+        (
+            e.numerator,
+            e.denominator,
+            _exponent_slot(e, index),
+            _exponent_slot(e - 1, index) if e else None,
+        )
+        for e in form.exponents
+    ]
+    terms = [(r, s, exps[i], exps[j]) for i, j, r, s in form.entries]
     return (
-        _float_terms(((complex(c), a, b) for c, a, b in terms), index),
-        _float_terms(((_times(c, a), a - 1, b) for c, a, b in terms if a), index),
-        _float_terms(((_times(c, b), a, b - 1) for c, a, b in terms if b), index),
-        _float_terms(((_times(c, a * b), a - 1, b - 1) for c, a, b in terms if a and b), index),
+        _float_terms((_ratio(r, s, 1, den), a[2], b[2]) for r, s, a, b in terms),
+        _float_terms((_ratio(r, s, a[0], den * a[1]), a[3], b[2]) for r, s, a, b in terms if a[0]),
+        _float_terms((_ratio(r, s, b[0], den * b[1]), a[2], b[3]) for r, s, a, b in terms if b[0]),
+        _float_terms(
+            (_ratio(r, s, a[0] * b[0], den * a[1] * b[1]), a[3], b[3])
+            for r, s, a, b in terms
+            if a[0] and b[0]
+        ),
     )
 
 
-def _times(c: ExactScalar, q: Fraction) -> complex:
-    """complex(c * q) for rational q, without forming the exact product.
+def _ratio(re: int, im: int, num: int, den: int) -> complex:
+    """complex((re + i*im) * num / den) for ints and den > 0.
 
     Each part is one int / int division, which is correctly rounded, as is
     float() of the reduced Fraction: the result is the same bit for bit.
     """
-    n, d = q.numerator, q.denominator
-    return complex(
-        c.re.numerator * n / (c.re.denominator * d), c.im.numerator * n / (c.im.denominator * d)
-    )
+    return complex(re * num / den, im * num / den)
 
 
 @dataclass(frozen=True)
@@ -505,20 +579,23 @@ def verify_pde(
     """Numeric residual of the coupled log-Laplacian equations at off-cut points.
 
     Each F_m is compiled once per call into a float plan (_pde_plan): the
-    terms of F_m, d_z F_m, d_zbar F_m and d_z d_zbar F_m, read off F_m's
-    exact terms.  Each point gets one power table shared by all plans and
+    terms of F_m, d_z F_m, d_zbar F_m and d_z d_zbar F_m, read off the
+    integer form of F_m; no ZExpr is built.  Each point gets one power table
+    shared by all plans and
     one table row: the values F_m and the log-Laplacians
     d_z d_zbar log F_m.  One residual routine compares a log-Laplacian with
     its Cartan product in relative terms.  The A-side system
     d_z d_zbar log F_m = prod_j F_j^(-a_mj) is checked at every point as its
     row is built.  For C/B bundles the family system for m <= n is then
     checked on the same rows, each reduced unknown U_i scaled from the value
-    of F_i already in the row.
+    of F_i already in the row.  A residual that is not finite (NaN or an
+    overflow) fails the check: it becomes the worst one unless an earlier
+    one already is not finite.
     """
     config = bundle.config
     pts = tuple(points) if points is not None else annulus_points(count, seed)
     index: dict[Fraction, int] = {}
-    plans = [_pde_plan(f, index) for f in bundle.F]
+    plans = [_pde_plan(form, index) for form in bundle.forms]
     exponents = tuple(index)
     max_res = 0.0
     worst = None
@@ -532,9 +609,9 @@ def verify_pde(
             if a != 0:
                 rhs *= v ** (-a)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        if rel > max_res:
+        if rel > max_res or (cmath.isnan(rel) and not cmath.isnan(max_res)):
             max_res, worst = rel, (m, z)
-        if strict and rel > tol:
+        if strict and not rel <= tol:
             raise ResidualExceeded(m, z, rel)
 
     amat = cartan(Algebra("A", config.k - 1)).matrix
@@ -581,13 +658,12 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
 
     The density for unknown m scales like |z|^(2 gamma_tilde_m) at the
     origin; integrability needs the exponent at 0 above -2 and at infinity
-    below -2.
+    below -2.  The degrees of each F_m are read off its integer form.
     """
     config = bundle.config
     k = config.k
     amat = cartan(Algebra("A", k - 1)).matrix
-    mins = [f.min_total_degree() for f in bundle.F]
-    maxs = [f.max_total_degree() for f in bundle.F]
+    mins, maxs = zip(*(_degree_range(form) for form in bundle.forms))
     rows = []
     ok = True
     for m in range(1, k):
@@ -598,6 +674,21 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
         ok = ok and integrable and matches
         rows.append(IntegrabilityRow(m, at0, atinf, integrable, matches))
     return IntegrabilityReport(ok, tuple(rows))
+
+
+def _degree_range(form: UnknownForm) -> tuple[Fraction, Fraction]:
+    """Least and greatest total degree e_i + e_j over the nonzero entries.
+
+    The exponents are sorted, so within row i the first entry has the least
+    degree and the last the greatest.
+    """
+    e = form.exponents
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, j, _, _ in form.entries:
+        first.setdefault(i, j)
+        last[i] = j
+    return min(e[i] + e[j] for i, j in first.items()), max(e[i] + e[j] for i, j in last.items())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_gamma, random_palindromic_gamma
 from toda import make_config
 from toda.basis import (
+    NuVector,
     StructureError,
     column_minor,
     gram_schmidt_normalizer,
@@ -110,6 +111,43 @@ def test_wronskian_determinant_one(family, rank):
     for _ in range(5):
         cfg = make_config(family, rank, random_gamma(rng, rank))
         wronskian(nu_vector(cfg))  # raises if det != 1
+
+
+@pytest.mark.parametrize("family,rank,gamma", [("C", 2, (F(-1, 2), F(1, 4))), ("A", 3, (0, 0, 0))])
+@pytest.mark.parametrize("part", ["chi", "beta", "shift"])
+def test_wronskian_rejects_perturbed_basis(family, rank, gamma, part):
+    # Doubling one chi_i doubles det W; moving one beta_i changes both the
+    # Vandermonde coefficient and the power of z; moving every beta_i by the
+    # same amount keeps the coefficient 1 and changes only the power of z.
+    # Each time det W != 1, and the reported determinant is the one of the
+    # Laplace expansion over ZExpr.
+    nu = nu_vector(make_config(family, rank, gamma))
+    chi, beta = list(nu.chi), list(nu.beta)
+    if part == "chi":
+        chi[1] *= 2
+    elif part == "beta":
+        beta[1] += F(1, 7)
+    else:
+        beta = [b + F(1, 7) for b in beta]
+    bad = NuVector(
+        tuple(ZExpr.monomial(c, b) for c, b in zip(chi, beta)), tuple(chi), tuple(beta), nu.xi_exponent
+    )
+    cols = [bad.nu]
+    for _ in range(bad.k - 1):
+        cols.append(tuple(e.diff_z() for e in cols[-1]))
+    laplace = generic_det(tuple(zip(*cols)), Z0, Z1)
+    assert laplace != Z1
+    with pytest.raises(StructureError) as err:
+        wronskian(bad)
+    assert str(err.value) == f"Wronskian determinant is {laplace}, expected 1"
+
+
+def test_wronskian_rejects_entries_off_the_recorded_exponents():
+    # The recorded beta must be the exponents of the basis entries.
+    nu = nu_vector(make_config("B", 2, [F(-1, 2), F(1, 4)]))
+    shifted = NuVector(nu.nu, nu.chi, (nu.beta[0] + 1,) + nu.beta[1:], nu.xi_exponent)
+    with pytest.raises(StructureError, match=r"Wronskian entry \(0,0\)"):
+        wronskian(shifted)
 
 
 def test_wronskian_first_column_is_basis():

@@ -194,6 +194,18 @@ def test_verify_nonpositive_points_exit_2(capsys, points):
     assert "pde-residual" not in out
 
 
+@pytest.mark.parametrize("tol,shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")])
+def test_verify_tol_must_be_positive_finite_exit_2(capsys, tol, shown):
+    # inf would make pde-residual pass whatever the residual; nan, 0 and
+    # negative values are usage errors, not failed checks.
+    code, out, err = run(
+        capsys, "verify", "--family", "C", "--rank", "2", "--gamma", "0,0", f"--tol={tol}"
+    )
+    assert code == 2
+    assert err == f"error: --tol must be a positive finite number, got {shown}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_minors_nonpositive_count_exit_2(capsys, count):
     code, out, err = run(capsys, "minors", "--family", "C", "--rank", "2", f"--count={count}")
@@ -234,10 +246,10 @@ def test_minors_sampled_high_rank_passes(capsys, family, rank):
     assert sample["classified_as"] == ("Sp" if family == "C" else "SO")
 
 
-@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 5)])
+@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 5), ("B", 5)])
 def test_verify_dense_high_rank_passes(capsys, family, rank):
     # gamma = 0 makes every root integral, so every coordinate is nonzero:
-    # the densest C, at k = 9 and k = 10.
+    # the densest C, at k = 9, 10 and 11.
     alg = Algebra(family, rank)
     coords = random_coords(alg, random.Random(rank), 3)
     assert len(coords.values) == len(coordinate_map(alg))

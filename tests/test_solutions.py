@@ -13,11 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import toda
+import toda.lie
 import toda.solutions
 from conftest import random_gamma, random_params
 from toda import Algebra, make_config
 from toda.basis import StructureError, column_minor, nu_vector, wronskian
-from toda.exact import BranchCutError, CheckFailed, ExactScalar, OriginError, ZExpr
+from toda.exact import BranchCutError, CheckFailed, ExactScalar, Monomial, OriginError, ZExpr
 from toda.groups import (
     GroupElement,
     UnipotentCoords,
@@ -35,6 +36,7 @@ from toda.solutions import (
     ProductConditionViolation,
     ResidualExceeded,
     SolutionParams,
+    UnknownForm,
     a_case_form,
     annulus_points,
     assemble,
@@ -347,6 +349,35 @@ def test_assemble_matches_sympy_oracle(family, rank, gamma):
         assert sympy.expand(got - expected) == 0, m
 
 
+@pytest.mark.parametrize(
+    "family,rank,gamma", [("C", 2, (0, 0)), ("B", 2, (F(-1, 2), F(1, 4))), ("A", 3, (F(1, 3), 0, F(1, 2)))]
+)
+def test_lazy_unknowns_equal_from_terms_of_the_matrix(family, rank, gamma):
+    # bundle.F is built on first access, once, from the integer forms; each
+    # F_m equals ZExpr.from_terms of its whole integer matrix (zeros included)
+    # over its denominator.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
+    assert "F" not in vars(b)
+    assert ["expr" in vars(f) for f in b.forms] == [True] + [False] * (cfg.k - 2)
+    d, c_minors = toda.solutions._integer_minors(b.C)
+    squares = [x * x for x in b.lambdas]
+    lam_den = math.lcm(*(q.denominator for q in squares))
+    lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
+    for m, (f, form) in enumerate(zip(b.F, b.forms), start=1):
+        exps, re, im, w_den = toda.solutions._unknown_matrix(b.wronskian, m, c_minors, lam_num)
+        den = d ** (2 * m) * w_den**2 * lam_den**m
+        assert form.den == den and form.exponents == tuple(exps)
+        n = len(exps)
+        assert f == ZExpr.from_terms(
+            Monomial(ExactScalar(F(re[i][j], den), F(im[i][j], den)), exps[i], exps[j])
+            for i in range(n)
+            for j in range(n)
+        )
+        assert len(form.entries) == len(f.terms)
+    assert b.F is b.F
+
+
 def test_assemble_first_unknown_weighted_rows():
     # F_1 must match sum lambda_i^2 |nu_i + sum_j c_ij nu_j|^2; recompute here.
     rng = random.Random(77)
@@ -388,6 +419,43 @@ def test_symmetry_negative_control():
     assert not is_in_group(h)
     table = all_minors(h)
     assert _h_minor_unknown(table, w, 1) != _h_minor_unknown(table, w, 3)
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma", [("C", 2, (0, 0)), ("C", 3, (F(1, 2), F(1, 3), F(-1, 4))), ("B", 3, (0, 0, 0))]
+)
+def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
+    # The cross-multiplied comparison of two integer forms is ZExpr equality,
+    # on every pair of unknowns, mirror pairs (equal) and others (not).
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
+    k = cfg.k
+    for a in range(k - 1):
+        for c in range(k - 1):
+            assert toda.solutions._same_unknown(b.forms[a], b.forms[c]) == (b.F[a] == b.F[c])
+    assert verify_symmetry(b).passed
+    # The same unknown over a doubled denominator is still equal.
+    last = b.forms[-1]
+    doubled = UnknownForm(
+        last.exponents, tuple((i, j, 2 * re, 2 * im) for i, j, re, im in last.entries), 2 * last.den
+    )
+    assert verify_symmetry(dataclasses.replace(b, forms=b.forms[:-1] + (doubled,))).passed
+    # The same entries on shifted exponents are a different unknown.
+    shifted = UnknownForm(tuple(e + 1 for e in last.exponents), last.entries, last.den)
+    assert not toda.solutions._same_unknown(last, shifted)
+    # Bumping one entry of F_{k-m}, m < k-m, breaks the pair (m, k-m) and
+    # nothing else.
+    for m in range(1, (k + 1) // 2):
+        forms = list(b.forms)
+        mirror = forms[k - m - 1]
+        i, j, re, im = mirror.entries[-1]
+        bumped_entries = mirror.entries[:-1] + ((i, j, re + 1, im),)
+        forms[k - m - 1] = UnknownForm(mirror.exponents, bumped_entries, mirror.den)
+        bumped = dataclasses.replace(b, forms=tuple(forms))
+        assert bumped.F[k - m - 1] != b.F[m - 1]
+        rep = verify_symmetry(bumped)
+        assert not rep.passed
+        assert rep.failures == (m, k - m)
 
 
 def test_symmetry_vacuous_for_k2():
@@ -485,6 +553,40 @@ def test_monodromy_checks_agree(family, rank):
         cfg = make_config(family, rank, random_gamma(rng, rank))
         rep = verify_monodromy(assemble(cfg, random_params(cfg, rng, restrict=restrict)))
         assert rep.agree
+
+
+def _zexpr_offenders(f1):
+    # The analytic monodromy test on the terms of the ZExpr F_1.
+    return tuple(
+        f"z^{t.exp_z} zb^{t.exp_zbar}" for t in f1.terms if (t.exp_z - t.exp_zbar).denominator != 1
+    )
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma",
+    [
+        ("A", 4, (F(1, 2), F(-1, 3), F(1, 4), F(2, 3))),
+        ("C", 3, (F(1, 2), F(1, 3), F(-1, 4))),
+        ("B", 3, (F(1, 2), F(-1, 3), F(1, 4))),
+    ],
+)
+@pytest.mark.parametrize("restrict", [True, False])
+def test_integer_form_checks_equal_zexpr_route(family, rank, gamma, restrict):
+    # The analytic offenders and the integrability rows read the integer
+    # forms; they must equal what the terms of the ZExprs give.  Unrestricted
+    # coordinates put non-integral slots in C, hence offenders in F_1.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
+    offenders = verify_monodromy(b).analytic_offenders
+    assert offenders == _zexpr_offenders(b.F[0])
+    assert bool(offenders) == (not restrict)
+    amat = toda.lie.cartan(Algebra("A", cfg.k - 1)).matrix
+    mins = [f.min_total_degree() for f in b.F]
+    maxs = [f.max_total_degree() for f in b.F]
+    for row in verify_integrability(b).rows:
+        a = amat[row.index - 1]
+        assert row.exponent_at_zero == -sum(x * y for x, y in zip(a, mins))
+        assert row.exponent_at_infinity == -sum(x * y for x, y in zip(a, maxs))
 
 
 # -- characteristic data -----------------------------------------------------------
@@ -617,19 +719,52 @@ def test_pde_strict_raises_on_absurd_tolerance():
         verify_pde(b, count=5, tol=0.0, strict=True)
 
 
+def test_pde_non_finite_residual_fails():
+    # At 1e200(1+i) the powers overflow and the residual is NaN: it must fail
+    # the check and be the worst one, and strict mode must raise on it.
+    cfg = make_config("C", 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(5)))
+    far = 1e200 + 1e200j
+    rep = verify_pde(b, [far])
+    assert rep.passed is False
+    assert not math.isfinite(rep.max_residual)
+    assert rep.worst == (1, far)
+    with pytest.raises(ResidualExceeded) as err:
+        verify_pde(b, [far], strict=True)
+    assert (err.value.index, err.value.point) == (1, far)
+    assert not math.isfinite(err.value.value)
+
+
+def test_pde_non_finite_residual_after_finite_point():
+    # A finite point first sets a finite maximum; the non-finite residual
+    # that follows must still take its place.
+    cfg = make_config("C", 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(5)))
+    near, far = 1 + 1j, 1e200 + 1e200j
+    assert verify_pde(b, [near]).passed
+    rep = verify_pde(b, [near, far, near])
+    assert rep.passed is False
+    assert not math.isfinite(rep.max_residual)
+    assert rep.worst == (1, far)
+    with pytest.raises(ResidualExceeded) as err:
+        verify_pde(b, [near, far], strict=True)
+    assert err.value.point == far
+
+
 def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
-    # One float plan per F_m per call (F_m and its three derivatives) and one
-    # power table per point, shared by every plan, the A-side and the
-    # reduced system.  No ZExpr is evaluated or differentiated.
+    # One float plan per F_m per call (F_m and its three derivatives), built
+    # from the integer form of F_m, and one power table per point, shared by
+    # every plan, the A-side and the reduced system.  No ZExpr is built,
+    # evaluated or differentiated: F_2 and F_3 never become ZExprs.
     rng = random.Random(96)
     cfg = make_config("C", 2, [0, 0])
     b = assemble(cfg, random_params(cfg, rng))
     plans, tables, symbolic = [], [], []
     real_plan, real_table = toda.solutions._pde_plan, toda.solutions._power_table
 
-    def counting_plan(f, index):
-        plans.append(f)
-        return real_plan(f, index)
+    def counting_plan(form, index):
+        plans.append(form)
+        return real_plan(form, index)
 
     def counting_table(z, exponents):
         tables.append(z)
@@ -646,11 +781,15 @@ def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
     monkeypatch.setattr(toda.solutions, "_power_table", counting_table)
     for name in ("evaluate", "diff_z", "diff_zbar"):
         monkeypatch.setattr(ZExpr, name, refuse(name))
+    monkeypatch.setattr(ZExpr, "from_terms", staticmethod(refuse("from_terms")))
+    monkeypatch.setattr(UnknownForm, "expr", property(refuse("expr")))
     rep = verify_pde(b, count=5)
     assert rep.passed and rep.reduced_checked
-    assert plans == list(b.F) and len(plans) == 3
+    assert len(plans) == 3 and all(p is f for p, f in zip(plans, b.forms))
     assert tables == list(annulus_points(5)) and len(tables) == 5
     assert symbolic == []
+    assert "F" not in vars(b)
+    assert ["expr" in vars(f) for f in b.forms] == [True, False, False]
 
 
 def _evaluate_oracle(expr, point):
@@ -696,14 +835,17 @@ def _outcome(fn, *args):
         return type(err).__name__, str(err)
 
 
-big_fractions = st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**40)
+big_ints = st.integers(min_value=-(10**40), max_value=10**40)
+big_dens = st.integers(min_value=1, max_value=10**40)
 
 
 @settings(max_examples=150, deadline=None)
-@given(big_fractions, big_fractions, big_fractions)
-def test_plan_coefficient_is_the_rounded_exact_product(re, im, q):
-    c = ExactScalar(re, im)
-    assert repr(toda.solutions._times(c, q)) == repr(complex(c * q))
+@given(big_ints, big_ints, big_dens, big_ints, big_dens)
+def test_plan_coefficient_is_the_rounded_exact_product(re, im, den, num, q):
+    # The plan rounds (re + i im)/den * num/q once from the integers; it must
+    # equal the float of the exact product, bit for bit.
+    exact = ExactScalar(F(re, den), F(im, den)) * F(num, q)
+    assert repr(toda.solutions._ratio(re, im, num, den * q)) == repr(complex(exact))
 
 
 @pytest.mark.parametrize(
@@ -717,12 +859,13 @@ def test_plan_coefficient_is_the_rounded_exact_product(re, im, q):
 def test_float_routine_is_bit_identical_to_term_oracle(family, rank, gamma):
     # ZExpr.evaluate and the verify_pde plans share one routine; both must
     # reproduce the term-by-term oracle on F_m and its symbolic derivatives,
-    # at off-cut points, at the origin and on the cut.
+    # at off-cut points, at the origin and on the cut.  The plans are built
+    # from the integer forms, the oracle reads the ZExprs.
     cfg = make_config(family, rank, gamma)
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
     points = annulus_points(6, seed=3) + (0j, complex(-1.5, 0.0), complex(-0.5, -0.0), 2 + 0j)
     index = {}
-    plans = [toda.solutions._pde_plan(f, index) for f in b.F]
+    plans = [toda.solutions._pde_plan(form, index) for form in b.forms]
     tables = {z: toda.solutions._power_table(z, tuple(index)) for z in points}
     seen = set()
     for f, plan in zip(b.F, plans):
