@@ -19,37 +19,45 @@ from .lie import Algebra, slot_name
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(str(text).strip())
+    """Parse "p", "p/q" (or a decimal); a zero denominator is a ValueError."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
-_IMAG_PART = re.compile(r"^([+-]?)(\d*)i(?:/(\d+))?$")
+# A real part, an imaginary part, or both; the imaginary part needs its sign
+# when a real part precedes it.
+_SCALAR = re.compile(
+    r"(?P<re>[+-]?(?:\d+(?:/\d+)?|\d*\.\d+))?"
+    r"(?:\s*(?P<sign>(?(re)[+-]|[+-]?))\s*(?P<num>\d*)i(?:/(?P<den>\d+))?)?"
+)
 
 
 def parse_scalar(text) -> ExactScalar:
-    """Parse "1/2+3i/4", "-i", "2", "i/3" or an {"re","im"} object."""
+    """Parse "1/2+3i/4", "-i", "2", "i/3" or an {"re","im"} object.
+
+    Any other string, such as "1+" or "1 2", is a ValueError.
+    """
     if isinstance(text, Mapping):
         return ExactScalar(parse_fraction(text.get("re", "0")), parse_fraction(text.get("im", "0")))
     if isinstance(text, ExactScalar):
         return text
     if isinstance(text, (int, Fraction)):
         return ExactScalar.of(text)
-    s = str(text).replace(" ", "")
+    s = str(text).strip()
     if not s:
         raise ValueError("empty scalar")
-    # Split into signed chunks.
-    chunks = re.findall(r"[+-]?[^+-]+", s)
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    for chunk in chunks:
-        m = _IMAG_PART.match(chunk)
-        if m:
-            sign = -1 if m.group(1) == "-" else 1
-            num = int(m.group(2)) if m.group(2) else 1
-            den = int(m.group(3)) if m.group(3) else 1
-            im_part += Fraction(sign * num, den)
-        else:
-            re_part += Fraction(chunk)
-    return ExactScalar(re_part, im_part)
+    m = _SCALAR.fullmatch(s)
+    if not m:
+        raise ValueError(f"malformed scalar {text!r}")
+    re_part = parse_fraction(m["re"]) if m["re"] else Fraction(0)
+    if m["num"] is None:
+        return ExactScalar(re_part, Fraction(0))
+    num, den = int(m["sign"] + (m["num"] or "1")), int(m["den"] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return ExactScalar(re_part, Fraction(num, den))
 
 
 def scalar_to_json(s: ExactScalar) -> str:
@@ -90,24 +98,23 @@ def fractions_to_json(xs: Sequence[Fraction]) -> list[str]:
     return [format_fraction(x) for x in xs]
 
 
-_COORD_KEY = re.compile(r"^c(\d+?)(\d)$")
+_COORD_KEY = re.compile(r"c(?:(\d+)_(\d+)|(\d+?)(\d))")
 
 
 def parse_coords(algebra: Algebra, obj: Mapping[str, object]) -> UnipotentCoords:
     """Parse {"c30": "1+i", ...}; multi-digit rows use an optional underscore
     separator ("c12_3" is row 12, column 3)."""
     values = {}
+    keys = {}
     for key, raw in obj.items():
         name = str(key)
-        if "_" in name:
-            body = name[1:]
-            i_str, j_str = body.split("_", 1)
-            i, j = int(i_str), int(j_str)
-        else:
-            m = _COORD_KEY.match(name)
-            if not m:
-                raise ValueError(f"bad coordinate name {name!r}")
-            i, j = int(m.group(1)), int(m.group(2))
+        m = _COORD_KEY.fullmatch(name)
+        if not m:
+            raise ValueError(f"bad coordinate name {name!r}")
+        i, j = (int(m[1]), int(m[2])) if m[1] else (int(m[3]), int(m[4]))
+        if (i, j) in keys:
+            raise ValueError(f"coordinate names {keys[i, j]!r} and {name!r} both set slot ({i}, {j})")
+        keys[i, j] = name
         values[(i, j)] = parse_scalar(raw)
     return UnipotentCoords(algebra, values)
 

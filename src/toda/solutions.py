@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import lcm, nan, prod
 from typing import Sequence
 
 from .basis import (
@@ -56,7 +56,6 @@ from .basis import (
 )
 from .config import TodaConfig
 from .exact import (
-    CheckFailed,
     ExactScalar,
     FirstOrderOp,
     Monomial,
@@ -85,10 +84,6 @@ __all__ = [
     "UnknownForm",
     "ReducedUnknown",
     "CharacteristicData",
-    "MonodromyViolation",
-    "ResidualExceeded",
-    "ProductConditionViolation",
-    "NonPositiveUnknown",
     "default_lambdas",
     "full_lambda",
     "reduced_unknowns",
@@ -101,32 +96,6 @@ __all__ = [
     "a_case_form",
     "annulus_points",
 ]
-
-
-class MonodromyViolation(CheckFailed):
-    """The element C has a nonzero coordinate outside the integral subgroup."""
-
-    def __init__(self, offenders):
-        super().__init__(f"monodromy violated at entries {offenders}")
-        self.offenders = offenders
-
-
-class ResidualExceeded(AssertionError):
-    """A PDE residual exceeded the tolerance; carries (index, point, value)."""
-
-    def __init__(self, index, point, value):
-        super().__init__(f"residual {value:.3e} at unknown {index}, point {point}")
-        self.index = index
-        self.point = point
-        self.value = value
-
-
-class ProductConditionViolation(CheckFailed):
-    """The product of the diagonal weights violates the determinant-1 condition."""
-
-
-class NonPositiveUnknown(CheckFailed):
-    """A reduced unknown's scaled F value is not positive, so e^(-U) has no real power."""
 
 
 @dataclass(frozen=True)
@@ -176,8 +145,9 @@ class ReducedUnknown:
     """Family unknown U_index through e^(-U) = (multiplier * F_index)^power.
 
     ``value_from`` turns an already evaluated value of F_index into e^(-U):
-    it scales the real part by the multiplier, rejects a non-positive result
-    (NonPositiveUnknown) and raises it to the power.
+    it scales the real part by the multiplier and raises it to the power.
+    A non-positive scaled value has no real power and gives NaN, which fails
+    the PDE check that reads it.
     """
 
     index: int
@@ -188,7 +158,7 @@ class ReducedUnknown:
     def value_from(self, f_value: complex) -> float:
         scaled = float(self.multiplier) * f_value.real
         if scaled <= 0:
-            raise NonPositiveUnknown(f"non-positive value {scaled} for unknown {self.index}")
+            return nan
         return scaled ** float(self.power)
 
 
@@ -420,14 +390,15 @@ class MonodromyReport:
     analytic_offenders: tuple[str, ...]
 
 
-def verify_monodromy(bundle: SolutionBundle, *, strict: bool = False) -> MonodromyReport:
+def verify_monodromy(bundle: SolutionBundle) -> MonodromyReport:
     """Two independent single-valuedness checks on an assembled bundle that must agree.
 
     Algebraic: every nonzero entry of the bundle's C sits on a slot fixed by
     conjugation with the monodromy element (integer exponent difference).
     Analytic: every term of the bundle's F_1 (a nonzero entry of its
     integer form) has an integer difference of z and conj(z) exponents,
-    hence is single-valued off the origin.
+    hence is single-valued off the origin.  A failure is reported, never
+    raised: the offending slots and terms are the report's witnesses.
     """
     config = bundle.config
     mono = monodromy_element(config.algebra, config.gamma)
@@ -446,8 +417,6 @@ def verify_monodromy(bundle: SolutionBundle, *, strict: bool = False) -> Monodro
     )
     a_ok = not alg_offenders
     b_ok = not ana_offenders
-    if strict and not (a_ok and b_ok):
-        raise MonodromyViolation(alg_offenders or ana_offenders)
     return MonodromyReport(a_ok and b_ok, a_ok, b_ok, a_ok == b_ok, alg_offenders, ana_offenders)
 
 
@@ -574,7 +543,6 @@ def verify_pde(
     count: int = 20,
     tol: float = 1e-9,
     seed: int = 7,
-    strict: bool = False,
 ) -> PdeReport:
     """Numeric residual of the coupled log-Laplacian equations at off-cut points.
 
@@ -589,11 +557,15 @@ def verify_pde(
     row is built.  For C/B bundles the family system for m <= n is then
     checked on the same rows, each reduced unknown U_i scaled from the value
     of F_i already in the row.  A residual that is not finite (NaN or an
-    overflow) fails the check: it becomes the worst one unless an earlier
-    one already is not finite.
+    overflow, or a reduced unknown with no real value) fails the check: it
+    becomes the worst one unless an earlier one already is not finite.  A
+    failure is reported, never raised: ``worst`` is its witness (m, z).  An
+    empty point list raises ValueError, since it would pass vacuously.
     """
     config = bundle.config
     pts = tuple(points) if points is not None else annulus_points(count, seed)
+    if not pts:
+        raise ValueError("verify_pde needs at least one point")
     index: dict[Fraction, int] = {}
     plans = [_pde_plan(form, index) for form in bundle.forms]
     exponents = tuple(index)
@@ -611,8 +583,6 @@ def verify_pde(
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         if rel > max_res or (cmath.isnan(rel) and not cmath.isnan(max_res)):
             max_res, worst = rel, (m, z)
-        if strict and not rel <= tol:
-            raise ResidualExceeded(m, z, rel)
 
     amat = cartan(Algebra("A", config.k - 1)).matrix
     rows = []
@@ -709,9 +679,10 @@ def a_case_form(config: TodaConfig, params: SolutionParams) -> ACaseReport:
     """Re-express F_1 of an A-family solution in monic-polynomial form.
 
     Writes F_1 = |z|^(-2 alpha_1) (lhat_0 + sum lhat_i |P_i|^2) with monic
-    P_i, checks the exact product condition on the lhat against the product
-    of inverse squared exponent sums (equivalent to det H = 1), and lists the
-    coordinates whose exponent sums are non-integral (these must vanish).
+    P_i, records the product of the lhat beside the product of inverse
+    squared exponent sums (equal iff det H = 1), and lists the coordinates
+    whose exponent sums are non-integral (these must vanish).  The report is
+    always returned; ``passed`` tests both conditions.
     """
     if config.family != "A":
         raise ValueError("monic form applies to the A family")
@@ -728,10 +699,6 @@ def a_case_form(config: TodaConfig, params: SolutionParams) -> ACaseReport:
     for i in range(1, k):
         for j in range(i, k):
             expected /= sum(mu[i - 1:j], Fraction(0)) ** 2
-    if product != expected:
-        raise ProductConditionViolation(
-            f"product of normalized weights is {product}, expected {expected}"
-        )
     coeffs = []
     for i in range(1, k):
         row = {}

@@ -1,6 +1,8 @@
 import json
 import pathlib
 import random
+import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -14,7 +16,7 @@ from toda.groups import (
 )
 from toda.jsonio import coords_to_json
 from toda.lie import Algebra, coordinate_map
-from toda.solutions import MonodromyViolation, NonPositiveUnknown, ProductConditionViolation
+from toda.solutions import IntegrabilityReport, IntegrabilityRow
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -178,6 +180,87 @@ def test_check_failure_exit_1(capsys):
     assert "FAIL" in out
 
 
+def test_verify_failed_checks_report_their_witnesses(capsys):
+    # det H = 16: the monic-form product and the PDE both fail, as report
+    # rows with their witnesses, and the run exits 1.
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--rank", "1", "--gamma", "0", "--lambda", "2,2", "--json"
+    )
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["passed"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["monic-form"] == {
+        "name": "monic-form",
+        "passed": False,
+        "detail": "product of normalized weights is 16, expected 1",
+    }
+    pde = checks["pde-residual"]
+    assert pde["passed"] is False
+    assert re.fullmatch(r"max=\S+ points=20 m=1 z=\(\S+j\)", pde["detail"])
+    assert checks["integrability"]["detail"] == "exponents at 0 match the doubled weights"
+
+
+def test_verify_integrability_failure_names_its_indices(monkeypatch, capsys):
+    # The extreme degrees of each F_m depend only on gamma, and every valid
+    # gamma passes, so the failing report is substituted.
+    import toda.cli
+
+    def failing(bundle):
+        rows = (
+            IntegrabilityRow(1, F(0), F(-4), True, True),
+            IntegrabilityRow(2, F(-3), F(-4), False, False),
+            IntegrabilityRow(3, F(1), F(-4), True, False),
+        )
+        return IntegrabilityReport(False, rows)
+
+    monkeypatch.setattr(toda.cli, "verify_integrability", failing)
+    code, out, _ = run(capsys, "verify", "--family", "C", "--rank", "2", "--gamma", "0,0")
+    assert code == 1
+    assert "  integrability  FAIL   failures=[2, 3]\n" in out
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--gamma", "1/0,0"), ("--lambda", "1/0"), ("--coords", '{"c10":"3i/0"}')],
+    ids=["gamma", "lambda", "coords"],
+)
+def test_zero_denominator_exit_2(capsys, flag, value):
+    code, out, err = run(capsys, "solve", "--family", "C", "--rank", "2", "--gamma", "0,0", flag, value)
+    assert code == 2
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert out == ""
+
+
+def test_duplicate_coordinate_slot_exit_2(capsys):
+    code, _, err = run(
+        capsys, "solve", "--family", "C", "--rank", "2", "--gamma", "0,0",
+        "--coords", '{"c10":"1","c1_0":"2"}',
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "(1, 0)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--gamma", "0,0"],
+        ["roots"],
+        ["ngamma", "--gamma", "0,0"],
+        ["wsym", "--gamma", "0,0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_only_where_read_exit_2(capsys, argv):
+    # Only verify and minors read --seed; elsewhere it is an unknown option.
+    assert main(argv + ["--family", "C", "--rank", "2"]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--family", "C", "--rank", "2", "--seed", "3"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_unknown_command_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -268,9 +351,6 @@ def test_verify_dense_high_rank_passes(capsys, family, rank):
 @pytest.mark.parametrize(
     "error",
     [
-        MonodromyViolation(((2, 0),)),
-        ProductConditionViolation("product of normalized weights is 2, expected 1"),
-        NonPositiveUnknown("non-positive value -1.0 for unknown 1"),
         NotPositiveDefinite(2, "-1"),
         SingularDiagonal("zero diagonal entry at 0"),
         NonzeroForbiddenCoordinate("c10", "1"),

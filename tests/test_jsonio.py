@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -29,10 +30,38 @@ from toda.lie import Algebra, coordinate_map
         ("i/3", ExactScalar(F(0), F(1, 3))),
         ("-5/7-2i/9", ExactScalar(F(-5, 7), F(-2, 9))),
         ("0", ExactScalar(F(0), F(0))),
+        ("3i/4", ExactScalar(F(0), F(3, 4))),
+        ("-12i", ExactScalar(F(0), F(-12))),
+        (" 1 + i ", ExactScalar(F(1), F(1))),
+        ("1.5-i/2", ExactScalar(F(3, 2), F(-1, 2))),
     ],
 )
 def test_parse_scalar(text, expected):
     assert parse_scalar(text) == expected
+
+
+@pytest.mark.parametrize("text", ["1+", "+", "1+-2", "1++2", "--1", "1 2", "i+1", "1i2"])
+def test_parse_scalar_rejects_malformed(text):
+    with pytest.raises(ValueError, match=f"malformed scalar '{re.escape(text)}'"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "3i/0", "1-i/0", {"re": "1/0"}, {"im": "-2/0"}])
+def test_parse_scalar_rejects_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text)
+
+
+def test_parse_coords_rejects_duplicate_slot():
+    alg = Algebra("C", 2)
+    with pytest.raises(ValueError, match=r"'c10' and 'c1_0' both set slot \(1, 0\)"):
+        parse_coords(alg, {"c10": "1", "c1_0": "2"})
+
+
+@pytest.mark.parametrize("name", ["z1_0", "c1_0_0", "c10_", "c_10", "c9", "c1a"])
+def test_parse_coords_rejects_bad_name(name):
+    with pytest.raises(ValueError, match=f"bad coordinate name '{name}'"):
+        parse_coords(Algebra("C", 2), {name: "1"})
 
 
 def test_scalar_round_trip():
@@ -51,6 +80,8 @@ def test_scalar_round_trip():
 def test_parse_fraction():
     assert parse_fraction("-1/2") == F(-1, 2)
     assert parse_fraction("3") == F(3)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_fraction("1/0")
 
 
 def test_zexpr_round_trip():
