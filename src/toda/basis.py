@@ -10,8 +10,8 @@ and the basis entries nu_i = sigma_i / z^(xi_exponent) are monomials
 chi_i * z^(beta_i) with strictly increasing exponents beta.  The k x k
 Wronskian matrix of nu has determinant exactly 1 (checked as the rational
 determinant of its entry coefficients times one power of z), its column
-minors are single monomials with a Vandermonde coefficient (one integer
-closed form serves column_minor and column_minor_level), and for
+minors are single monomials with a Vandermonde coefficient (column_minor,
+the independent check of the prefix minors that assembly reads), and for
 palindromic mu the pairing W^t J W has an exact zero/sign pattern that a
 Gram-Schmidt pass turns into J itself.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import prod
 from typing import Sequence
 
 from .config import TodaConfig
@@ -150,53 +150,19 @@ def wronskian(nu: NuVector) -> WronskianMatrix:
     return WronskianMatrix(entries, nu)
 
 
-def _closed_form(nu: NuVector, beta_den: int, beta_num: Sequence[int], rows: Sequence[int]):
-    """(num, den, e): the minor of W on `rows` and the first m columns is
-    (num / den) z^(e / beta_den), from beta_i = beta_num[i] / beta_den.
-
-    Each basis entry is a monomial, so the minor collapses to the product of
-    the chi_r, a Vandermonde factor in the exponents, and one power of z.
-    """
-    m = len(rows)
-    pairs = m * (m - 1) // 2
-    num, den = 1, beta_den**pairs
-    for r in rows:
-        num *= nu.chi[r].numerator
-        den *= nu.chi[r].denominator
-    for a, b in combinations(rows, 2):
-        num *= beta_num[b] - beta_num[a]
-    return num, den, sum(beta_num[r] for r in rows) - beta_den * pairs
-
-
-def _beta_integers(nu: NuVector) -> tuple[int, list[int]]:
-    """(B, [B beta_i]) with B the lcm of the denominators of beta."""
-    beta_den = lcm(*(b.denominator for b in nu.beta))
-    return beta_den, [b.numerator * (beta_den // b.denominator) for b in nu.beta]
-
-
 def column_minor(w: WronskianMatrix, rows: Sequence[int]) -> ZExpr:
-    """Minor over 0-based `rows` and the first len(rows) columns, closed form."""
-    beta_den, beta_num = _beta_integers(w.nu)
-    num, den, e = _closed_form(w.nu, beta_den, beta_num, tuple(rows))
-    return ZExpr.monomial(Fraction(num, den), Fraction(e, beta_den))
+    """Minor over 0-based `rows` and the first len(rows) columns, closed form.
 
-
-def column_minor_level(w: WronskianMatrix, m: int):
-    """The column minors of size m over one denominator: (L_m, B, minors).
-
-    ``minors`` lists (S, w_S, e_S) for every row set S in
-    combinations(range(k), m), with column_minor(w, S) = (w_S / L_m) z^(e_S / B).
-    Each coefficient is reduced by one gcd; L_m is the lcm of the reduced
-    denominators.
+    Each basis entry is a monomial chi_r (beta_r)_j z^(beta_r - j), so the
+    minor collapses to the product of the chi_r, the Vandermonde product of
+    the beta_r and one power of z.
     """
-    beta_den, beta_num = _beta_integers(w.nu)
-    parts = []
-    for s in combinations(range(w.k), m):
-        num, den, e = _closed_form(w.nu, beta_den, beta_num, s)
-        g = gcd(num, den)
-        parts.append((s, num // g, den // g, e))
-    w_den = lcm(*(den for _, _, den, _ in parts))
-    return w_den, beta_den, [(s, num * (w_den // den), e) for s, num, den, e in parts]
+    nu, rows = w.nu, tuple(rows)
+    coeff = prod((nu.chi[r] for r in rows), start=Fraction(1))
+    for a, b in combinations(rows, 2):
+        coeff *= nu.beta[b] - nu.beta[a]
+    m = len(rows)
+    return ZExpr.monomial(coeff, sum((nu.beta[r] for r in rows), Fraction(-m * (m - 1), 2)))
 
 
 def pairing_matrix(w: WronskianMatrix, j: GroupElement) -> tuple[tuple[ZExpr, ...], ...]:

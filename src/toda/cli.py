@@ -37,7 +37,7 @@ from .jsonio import (
     parse_fraction,
     zexpr_to_json,
 )
-from .lie import Algebra, coordinate_map, format_root_table, positive_roots
+from .lie import Algebra, coordinate_map, format_root_table, positive_roots, slot_name
 from .solutions import (
     SolutionParams,
     a_case_form,
@@ -97,11 +97,14 @@ def _emit(report: dict, args, human_lines) -> None:
             print(line)
 
 
-def _check_lines(checks: list[dict]) -> list[str]:
+def _check_lines(checks: list[dict], witnesses: dict[str, str]) -> list[str]:
+    """Human lines; a failed check named in ``witnesses`` shows that text after its detail."""
     out = []
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         detail = c.get("detail", "")
+        if not c["passed"] and c["name"] in witnesses:
+            detail += " " + witnesses[c["name"]]
         out.append(f"  {c['name']:<14} {status}   {detail}".rstrip())
     return out
 
@@ -219,7 +222,9 @@ def cmd_verify(args) -> int:
         "passed": passed,
     }
     lines = [f"verification for {cfg.family}{cfg.rank}:"]
-    lines += _check_lines(checks)
+    slots = ", ".join(slot_name(i, j) for i, j in mono.algebraic_offenders)
+    terms = ", ".join(mono.analytic_offenders)
+    lines += _check_lines(checks, {"monodromy": f"slots=[{slots}] F1_terms=[{terms}]"})
     lines.append(f"  overall: {'PASS' if passed else 'FAIL'} ({elapsed:.2f}s)")
     _emit(report, args, lines)
     return 0 if passed else 1

@@ -9,8 +9,8 @@ Membership, determinants and minors run on a cached integer form of each
 element: the pair (d, d*A), with d the lcm of the entry denominators and
 Gaussian-integer entries.  Each minor comes from one memoized minor table over
 d*A (_integer_minors, the single minor getter) and is converted to
-ExactScalar only when returned (divided by d^m for size m); assembly and the
-minor-identity check, exhaustive or sampled, read the integer minors of one
+ExactScalar only when returned (divided by d^m for size m); the
+minor-identity check, exhaustive or sampled, reads the integer minors of one
 table directly.  The membership test checks (dA)^t J (dA) = d^2 J and
 det(dA) = d^k, once per element.
 

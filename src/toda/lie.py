@@ -268,12 +268,6 @@ class MonodromyElement:
     def fixes_slot(self, i: int, j: int) -> bool:
         return (self.exponents[i] - self.exponents[j]).denominator == 1
 
-    @property
-    def acts_trivially(self) -> bool:
-        """True iff conjugation by the element fixes every matrix slot."""
-        d0 = self.exponents[0]
-        return all((d - d0).denominator == 1 for d in self.exponents)
-
 
 def monodromy_element(algebra: Algebra, gamma: Sequence) -> MonodromyElement:
     """Exponent vector (at1, at2-at1, ..., -at_{k-1}) over the A-side alphas."""

@@ -1,8 +1,9 @@
 """Small generic matrix helpers over exact coefficient rings.
 
 Matrices are sequences of row sequences whose entries support +, -, * (and,
-for inversion, /).  Everything here works for ExactScalar, ZExpr and GaussInt
-entries (GaussInt: the Gaussian-integer form of a group element); nothing is
+for inversion, /).  Everything here works for ExactScalar, ZExpr, GaussInt
+and GaussPoly entries (GaussInt: the Gaussian-integer form of a group
+element; GaussPoly: the integer form of G = C W in assembly); nothing is
 numeric.
 """
 
@@ -39,10 +40,12 @@ def mat_mul(a: Matrix, b: Matrix, zero: T) -> tuple[tuple, ...]:
 def minor_table(m: Matrix, zero: T, one: T) -> Callable[[Iterable[int], Iterable[int]], T]:
     """Memoized minors of `m`, looked up by same-size 0-based row and column sets.
 
-    Entries may be ExactScalar, ZExpr or GaussInt (Gaussian integers, whose
-    ring operations cost no gcd).  Each minor is the Laplace expansion along
-    its last column over minors one size smaller, computed once per table;
-    entries with `is_zero` are skipped.
+    Entries may be ExactScalar, ZExpr, GaussInt (Gaussian integers, whose
+    ring operations cost no gcd) or GaussPoly (polynomials over them).  Each
+    minor is the Laplace expansion along its last column over minors one
+    size smaller, computed once per table; entries with `is_zero` are
+    skipped.  On the prefix column sets 0..m-1 this is the recursion from
+    level m-1 to level m.
     A full determinant costs O(2^k * k) ring multiplications, every minor
     O(sum_j j * C(k,j)^2).  The empty minor is `one`.
 

@@ -8,17 +8,21 @@ system are
     F_m = leading m x m principal minor of  W^dag H W,   1 <= m <= k-1,
 
 where W is the Wronskian matrix of the holomorphic basis.  By Cauchy-Binet
-F_m = sum_R lambda_R^2 |g_R|^2, where g_R is the holomorphic m-minor of C W
-on the row set R, and again by Cauchy-Binet g_R = sum_{S <= R} C[R,S] W[S],
-with C[R,S] read from the minor table of C (groups) and W[S], the minor on
-rows S and the first m columns, a closed-form monomial (basis.column_minor_level).
-Every F_m is a conjugation-invariant sum of monomials in z and conj(z).
+F_m = sum_R lambda_R^2 |g_R|^2, where g_R is the holomorphic minor of
+G = C W on the row set R and the first m columns.  Every F_m is a
+conjugation-invariant sum of monomials in z and conj(z).
 
-Both sums run on integers: the minors of d*C are Gaussian integers, the
-W[S] coefficients of one level share a denominator L_m, and the squared
-weights one denominator Lambda.  F_m is accumulated as a Hermitian integer
-matrix over pairs of interned exponents, with the single denominator
-d^(2m) L_m^2 Lambda^m, and kept on the bundle in that integer form
+The sum runs on integers.  G is built once with exact.GaussPoly entries:
+entry (r, j) is sum_{s <= r} (dC)[r,s] D_j chi_s (beta_s)_j z^(B beta_s),
+with d the lcm of the denominators of C, B that of the beta, one integer
+denominator D_j per column, and the common factor z^(-m(m-1)/2) of the
+level-m minors applied once per level.  Every g_R is read from the one
+minor table of G (linalg.minor_table): on the prefix column sets its
+Laplace expansion along column m-1 is the recursion from level m-1.  The
+squared weights share one denominator Lambda.  F_m is
+accumulated as a Hermitian integer matrix over pairs of interned exponents,
+the pairs i <= j only, with the single denominator s_m^2 Lambda^m
+(s_m = d^m D_0 ... D_{m-1}), and kept on the bundle in that integer form
 (UnknownForm): the sorted exponents, the nonzero entries and the
 denominator.  Every check reads that one form.  The PDE check compiles it
 once into complex terms of F_m and its derivatives, each coefficient
@@ -43,21 +47,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm, nan, prod
 from typing import Sequence
 
-from .basis import (
-    NuVector,
-    StructureError,
-    WronskianMatrix,
-    column_minor_level,
-    nu_vector,
-    wronskian,
-)
+from .basis import NuVector, StructureError, WronskianMatrix, nu_vector, wronskian
 from .config import TodaConfig
 from .exact import (
     ExactScalar,
     FirstOrderOp,
+    GaussPoly,
     Monomial,
     OrdinaryOp,
     ZExpr,
@@ -71,12 +70,12 @@ from .exact import (
 from .groups import (
     GroupElement,
     UnipotentCoords,
-    _integer_minors,
     diagonal_element,
     paired_diagonal,
     unipotent_from_coords,
 )
 from .lie import Algebra, cartan, monodromy_element, slot_name
+from .linalg import mat_mul, minor_table
 
 __all__ = [
     "SolutionParams",
@@ -213,19 +212,16 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     Each F_m is the leading principal minor of W^dag H W.  With H = B^dag B
     and B = Lambda C, Cauchy-Binet turns it into sum_R lambda_R^2 |g_R|^2,
     where g_R is the holomorphic minor of G = C W on the m rows R and the
-    first m columns.  A second Cauchy-Binet sum gives
-    g_R = sum_S C[R,S] column_minor(W, S); C is lower unipotent, so only
-    row sets S <= R (entrywise) contribute.
+    first m columns.
 
-    The sums run on integers (see _unknown_matrix): C[R,S] is read as the
-    Gaussian-integer minor of d*C from its one minor table, the column minor
-    coefficients are scaled by their lcm denominator L_m, and
+    The sums run on integers: G is built once with GaussPoly entries
+    (_prefix_minors), every g_R is read from its one minor table, and
     lambda_r^2 = l_r / Lambda.  F_m is accumulated as a Hermitian integer
-    matrix over pairs of interned exponents with the single denominator
-    d^(2m) L_m^2 Lambda^m, checked conjugation-invariant there, and kept as
-    an UnknownForm.  Only F_1 becomes a ZExpr here: it is cross-checked
-    against nu^dag H nu, which reads H directly.  The other ZExprs are built
-    when bundle.F is read.
+    matrix over pairs of interned exponents (_unknown_matrix) with the
+    single denominator s_m^2 Lambda^m, s_m the scale of the level-m minors
+    of G, and kept as an UnknownForm.  Only F_1 becomes a ZExpr here: it is
+    cross-checked against nu^dag H nu, which reads H directly.  The other
+    ZExprs are built when bundle.F is read.
     """
     nu = nu_vector(config)
     w = wronskian(nu)
@@ -233,89 +229,89 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     lams = full_lambda(config, params)
     b = diagonal_element(lams) @ c
     h = GroupElement((b.conj_transpose() @ b).entries)
-    d, c_minors = _integer_minors(c)
+    g_minor, scales, beta_den = _prefix_minors(w, c)
     squares = [x * x for x in lams]
     lam_den = lcm(*(q.denominator for q in squares))
     lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
     forms = []
     for m in range(1, config.k):
-        exps, re, im, w_den = _unknown_matrix(w, m, c_minors, lam_num)
-        forms.append(_unknown_from_matrix(m, exps, re, im, d ** (2 * m) * w_den**2 * lam_den**m))
+        exps, re, im = _unknown_matrix(g_minor, config.k, m, lam_num)
+        n, shift = len(exps), beta_den * m * (m - 1) // 2
+        exponents = tuple(Fraction(e - shift, beta_den) for e in exps)
+        entries = tuple(
+            (i, j, re[i][j], im[i][j]) for i in range(n) for j in range(n) if re[i][j] or im[i][j]
+        )
+        forms.append(UnknownForm(exponents, entries, scales[m] ** 2 * lam_den**m))
     _check_first_unknown(forms[0].expr, nu, h)
     reduced = reduced_unknowns(config)
     return SolutionBundle(config, params, nu, w, tuple(forms), reduced, h, c, lams)
 
 
-def _unknown_matrix(w: WronskianMatrix, m: int, c_minors, lam_num: Sequence[int]):
-    """The integer matrix of F_m: (exponents, re, im, L_m).
+def _prefix_minors(w: WronskianMatrix, c: GroupElement):
+    """(table, scales, B): the minor table of G = C W in integer form.
 
-    column_minor(W, S) = (w_S / L_m) z^(e_S / B), with
-    e_S / B = sum beta_S - m(m-1)/2, from basis.column_minor_level; e_S is
-    interned as an index into the sorted distinct exponents.  Each
-    G_R = d^m L_m g_R is a Gaussian-integer vector over those indices, and
-    entry (i, j) of the matrix re + i*im is
-    sum_R (prod_{r in R} l_r) G_R[i] conj(G_R[j]), the coefficient of
-    z^(e_i) zb^(e_j) times d^(2m) L_m^2 Lambda^m.
+    With beta_s = b_s / B over one denominator B, entry (s, j) of W is
+    a_sj z^(beta_s - j), a_sj = chi_s (beta_s)_j (read from W), and D_j is the
+    lcm of the denominators of column j.  G is the GaussPoly product of dC
+    and the k x (k-1) matrix of D_j a_sj z^(b_s): entry (r, j) is
+    sum_{s <= r} (dC)[r, s] D_j a_sj z^(b_s), and for |R| = m the minor
+    table(R, range(m)) is scales[m] g_R, with scales[m] = d^m D_0 ... D_{m-1},
+    and every exponent raised by B m(m-1)/2.
     """
-    w_den, beta_den, minors = column_minor_level(w, m)
-    exps = sorted({e for _, _, e in minors})
+    k = w.k
+    beta_den = lcm(*(x.denominator for x in w.nu.beta))
+    beta_num = [x.numerator * (beta_den // x.denominator) for x in w.nu.beta]
+    coeffs = [
+        [Fraction(0) if e.is_zero else e.single_monomial().coeff.re for e in row[: k - 1]]
+        for row in w.entries
+    ]
+    col_dens = [lcm(*(row[j].denominator for row in coeffs)) for j in range(k - 1)]
+    w_int = [
+        [
+            GaussPoly({b: (x.numerator * (dj // x.denominator), 0)} if x else {})
+            for x, dj in zip(row, col_dens)
+        ]
+        for b, row in zip(beta_num, coeffs)
+    ]
+    d, dc = c._integer_form
+    c_int = [[GaussPoly({} if x.is_zero else {0: (x.re, x.im)}) for x in row] for row in dc]
+    zero = GaussPoly()
+    g = mat_mul(c_int, w_int, zero)
+    scales = [d**m * prod(col_dens[:m]) for m in range(k)]
+    return minor_table(g, zero, GaussPoly({0: (1, 0)})), scales, beta_den
+
+
+def _unknown_matrix(g_minor, k: int, m: int, lam_num: Sequence[int]):
+    """The integer matrix of F_m: (exponents, re, im).
+
+    Each G_R = g_minor(R, range(m)) is a GaussPoly (see _prefix_minors); the
+    int exponents of all of them are interned as indices into the sorted
+    distinct ``exponents``.  Entry (i, j) of the matrix re + i*im is
+    sum_R (prod_{r in R} l_r) G_R[i] conj(G_R[j]): it is accumulated for
+    i <= j only and mirrored, since the matrix is Hermitian by construction.
+    """
+    level = [
+        (prod(lam_num[r] for r in rows), g_minor(rows, range(m)))
+        for rows in combinations(range(k), m)
+    ]
+    exps = sorted(set().union(*(g for _, g in level)))
     index = {e: i for i, e in enumerate(exps)}
-    columns = {s: (wn, index[e]) for s, wn, e in minors}
     n = len(exps)
     re = [[0] * n for _ in range(n)]
     im = [[0] * n for _ in range(n)]
-    for rows, _, _ in minors:
-        g: dict[int, list[int]] = {}
-        for cols in _dominated(rows):
-            v = c_minors(rows, cols)
-            if v.is_zero:
-                continue
-            wn, i = columns[cols]
-            cur = g.get(i)
-            if cur is None:
-                g[i] = [v.re * wn, v.im * wn]
-            else:
-                cur[0] += v.re * wn
-                cur[1] += v.im * wn
-        weight = prod(lam_num[r] for r in rows)
-        entries = [(i, a, b) for i, (a, b) in g.items() if a or b]
-        for i, ar, ai in entries:
+    for weight, g in level:
+        entries = [(index[e], *g[e]) for e in sorted(g)]
+        for p, (i, ar, ai) in enumerate(entries):
             ar, ai = ar * weight, ai * weight
             re_i, im_i = re[i], im[i]
-            for j, br, bi in entries:
+            for j, br, bi in entries[p:]:
                 # (ar + i ai) * conj(br + i bi)
                 re_i[j] += ar * br + ai * bi
                 im_i[j] += ai * br - ar * bi
-    return [Fraction(e, beta_den) for e in exps], re, im, w_den
-
-
-def _dominated(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The row sets S <= R entrywise, in lexicographic order.
-
-    C is lower unipotent, so the minor C[R, S] vanishes for every other S.
-    """
-    out: list[tuple[int, ...]] = [()]
-    for r in rows:
-        out = [s + (j,) for s in out for j in range(s[-1] + 1 if s else 0, r + 1)]
-    return out
-
-
-def _unknown_from_matrix(m: int, exps, re, im, den: int) -> UnknownForm:
-    """The UnknownForm of F_m: entry (i, j) / den is the z^(e_i) zb^(e_j) coefficient.
-
-    The matrix must be Hermitian, which is F_m's conjugation invariance.
-    """
-    n = len(exps)
-    entries = []
     for i in range(n):
-        re_i, im_i = re[i], im[i]
-        for j in range(n):
-            a, b = re_i[j], im_i[j]
-            if a != re[j][i] or b != -im[j][i]:
-                raise StructureError(f"unknown F_{m} is not conjugation-invariant")
-            if a or b:
-                entries.append((i, j, a, b))
-    return UnknownForm(tuple(exps), tuple(entries), den)
+        for j in range(i):
+            re[i][j], im[i][j] = re[j][i], -im[j][i]
+    return exps, re, im
 
 
 def _check_first_unknown(f1: ZExpr, nu: NuVector, h: GroupElement) -> None:

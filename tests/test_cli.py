@@ -31,6 +31,7 @@ def test_verify_radial_b2(capsys):
     code, out, _ = run(capsys, "verify", "--family", "B", "--rank", "2", "--gamma", "0,0", "--points", "20")
     assert code == 0
     assert "overall: PASS" in out
+    assert "  monodromy      PASS   algebraic=True analytic=True" in out.splitlines()
 
 
 def test_verify_json_schema(capsys):
@@ -178,6 +179,22 @@ def test_check_failure_exit_1(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+    # The human FAIL row names its witnesses: the slot c10 and its mirror
+    # c43, and the terms of F_1 with a fractional exponent difference.
+    assert (
+        "  monodromy      FAIL   algebraic=False analytic=False slots=[c10, c43] "
+        "F1_terms=[z^1/4 zb^3/4, z^3/4 zb^1/4, z^13/4 zb^15/4, z^15/4 zb^13/4]"
+    ) in out.splitlines()
+    assert "  symmetry       PASS   failures=[]" in out.splitlines()
+    _, out, _ = run(
+        capsys,
+        "verify", "--family", "B", "--rank", "2", "--gamma", "-1/2,1/4",
+        "--coords", '{"c10":"1"}', "--json",
+    )
+    report = json.loads(out)
+    mono = next(c for c in report["checks"] if c["name"] == "monodromy")
+    assert mono["detail"] == "algebraic=False analytic=False"
+    assert report["monodromy_witnesses"]["algebraic"] == [[1, 0], [4, 3]]
 
 
 def test_verify_failed_checks_report_their_witnesses(capsys):
@@ -329,17 +346,17 @@ def test_minors_sampled_high_rank_passes(capsys, family, rank):
     assert sample["classified_as"] == ("Sp" if family == "C" else "SO")
 
 
-@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 5), ("B", 5)])
+@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 5), ("B", 5), ("C", 6)])
 def test_verify_dense_high_rank_passes(capsys, family, rank):
     # gamma = 0 makes every root integral, so every coordinate is nonzero:
-    # the densest C, at k = 9, 10 and 11.
+    # the densest C, at k = 9, 10, 11 and 12.
     alg = Algebra(family, rank)
     coords = random_coords(alg, random.Random(rank), 3)
     assert len(coords.values) == len(coordinate_map(alg))
     code, out, _ = run(
         capsys,
         "verify", "--family", family, "--rank", str(rank), "--gamma", ",".join("0" * rank),
-        "--lambda", ",".join(["3/2", "1/2", "2/3", "5/2", "1/3"][: alg.k // 2]),
+        "--lambda", ",".join(["3/2", "1/2", "2/3", "5/2", "1/3", "3"][: alg.k // 2]),
         "--coords", json.dumps(coords_to_json(coords)), "--json",
     )
     assert code == 0

@@ -220,13 +220,6 @@ def test_monodromy_c3_alpha_form():
     assert m.exponents == (a1, a2 - a1, a3 - a2, a2 - a3, a1 - a2, -a1)
 
 
-def test_monodromy_integral_weights_trivial():
-    m = monodromy_element(Algebra("C", 3), [1, 0, 2])
-    assert m.acts_trivially
-    m2 = monodromy_element(Algebra("B", 2), [F(1, 2), F(1, 4)])
-    assert not m2.acts_trivially
-
-
 def test_monodromy_fixes_slot_matches_root_values():
     alg = Algebra("B", 2)
     g = (F(-1, 2), F(1, 4))

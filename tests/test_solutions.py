@@ -288,24 +288,83 @@ def test_integer_kernel_matches_h_minor_route_property(family, rank, data):
     assert list(b.F) == [_h_minor_unknown(table, w, m) for m in range(1, cfg.k)]
 
 
-@pytest.mark.parametrize("part,i,j", [("re", 0, -1), ("im", 0, -1), ("im", 1, 1)])
-def test_asymmetric_accumulator_raises_structure_error(monkeypatch, part, i, j):
-    # The integer matrix of each F_m is Hermitian.  Break one entry of the
-    # F_2 accumulator (off the diagonal, or an imaginary diagonal entry) and
-    # assembly must refuse it, naming F_2.
-    cfg = make_config("C", 2, [0, 0])
-    params = random_params(cfg, random.Random(5))
-    real = toda.solutions._unknown_matrix
+# C2-C4, B2-B4, A3 and A5 at gamma = 0 and six configurations at fractional
+# gamma, each with restricted and unrestricted coordinates: 28 bundles.
+STANDALONE_BUNDLES = [
+    (family, rank, gamma, restrict)
+    for family, rank, gamma in [
+        *((f, r, (0,) * r) for f, r in [("C", 2), ("C", 3), ("C", 4), ("B", 2), ("B", 3),
+                                         ("B", 4), ("A", 3), ("A", 5)]),
+        ("C", 3, (F(-1, 2), F(1, 4), 1)),
+        ("B", 3, (F(1, 2), F(1, 3), F(1, 2))),
+        ("A", 4, (F(1, 3), 0, 0, F(1, 3))),
+        ("B", 2, (F(-1, 2), F(1, 4))),
+        ("A", 3, (F(1, 2), F(-1, 3), F(1, 2))),
+        ("C", 4, (F(1, 2), F(1, 3), F(-1, 4), 1)),
+    ]
+    for restrict in (True, False)
+]
 
-    def skewed(w, m, *args):
-        exps, re, im, w_den = real(w, m, *args)
-        if m == 2:
-            {"re": re, "im": im}[part][i][j] += 1
-        return exps, re, im, w_den
 
-    monkeypatch.setattr(toda.solutions, "_unknown_matrix", skewed)
-    with pytest.raises(StructureError, match="unknown F_2 is not conjugation-invariant"):
-        assemble(cfg, params)
+def _lambda_integers(lambdas):
+    # (Lambda, [l_r]) with lambda_r^2 = l_r / Lambda, as assemble scales them.
+    squares = [x * x for x in lambdas]
+    lam_den = math.lcm(*(q.denominator for q in squares))
+    return lam_den, [q.numerator * (lam_den // q.denominator) for q in squares]
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma,restrict",
+    STANDALONE_BUNDLES,
+    ids=[f"{f}{r}-{'frac' if any(g) else 'zero'}-{'restricted' if x else 'free'}"
+         for f, r, g, x in STANDALONE_BUNDLES],
+)
+def test_mirrored_matrix_equals_full_sum(family, rank, gamma, restrict):
+    # _unknown_matrix accumulates the pairs i <= j and mirrors the rest; the
+    # mirrored matrix must equal the full sum over every pair of terms of
+    # every G_R, sum_R l_R G_R[e] conj(G_R[f]).
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
+    g_minor, _, _ = toda.solutions._prefix_minors(b.wronskian, b.C)
+    _, lam_num = _lambda_integers(b.lambdas)
+    for m in range(1, cfg.k):
+        full: dict = {}
+        for rows in combinations(range(cfg.k), m):
+            weight = math.prod(lam_num[r] for r in rows)
+            g = g_minor(rows, range(m))
+            for e, (ar, ai) in g.items():
+                for f, (br, bi) in g.items():
+                    re, im = full.get((e, f), (0, 0))
+                    full[(e, f)] = (re + weight * (ar * br + ai * bi),
+                                    im + weight * (ai * br - ar * bi))
+        exps, re, im = toda.solutions._unknown_matrix(g_minor, cfg.k, m, lam_num)
+        assert {
+            (e, f): (re[i][j], im[i][j])
+            for i, e in enumerate(exps)
+            for j, f in enumerate(exps)
+            if re[i][j] or im[i][j]
+        } == {ef: v for ef, v in full.items() if v != (0, 0)}
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma",
+    [("C", 3, (F(-1, 2), F(1, 4), 1)), ("B", 3, (F(1, 2), F(1, 3), F(1, 2))),
+     ("A", 4, (F(1, 3), 0, 0, F(1, 3)))],
+)
+def test_prefix_minors_of_identity_are_column_minors(family, rank, gamma):
+    # With C = I, G = W: every prefix minor of G, over its scale and with
+    # its exponents lowered by B m(m-1)/2, is the closed-form column minor.
+    cfg = make_config(family, rank, gamma)
+    w = wronskian(nu_vector(cfg))
+    g_minor, scales, beta_den = toda.solutions._prefix_minors(w, GroupElement.identity(cfg.k))
+    for m in range(1, cfg.k):
+        shift = beta_den * m * (m - 1) // 2
+        for rows in combinations(range(cfg.k), m):
+            g = ZExpr.from_terms(
+                Monomial(ExactScalar(F(re, scales[m]), F(im, scales[m])), F(e - shift, beta_den))
+                for e, (re, im) in g_minor(rows, range(m)).items()
+            )
+            assert g == column_minor(w, rows), (m, rows)
 
 
 @pytest.mark.parametrize(
@@ -356,13 +415,12 @@ def test_lazy_unknowns_equal_from_terms_of_the_matrix(family, rank, gamma):
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
     assert "F" not in vars(b)
     assert ["expr" in vars(f) for f in b.forms] == [True] + [False] * (cfg.k - 2)
-    d, c_minors = toda.solutions._integer_minors(b.C)
-    squares = [x * x for x in b.lambdas]
-    lam_den = math.lcm(*(q.denominator for q in squares))
-    lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
+    g_minor, scales, beta_den = toda.solutions._prefix_minors(b.wronskian, b.C)
+    lam_den, lam_num = _lambda_integers(b.lambdas)
     for m, (f, form) in enumerate(zip(b.F, b.forms), start=1):
-        exps, re, im, w_den = toda.solutions._unknown_matrix(b.wronskian, m, c_minors, lam_num)
-        den = d ** (2 * m) * w_den**2 * lam_den**m
+        ints, re, im = toda.solutions._unknown_matrix(g_minor, cfg.k, m, lam_num)
+        exps = [F(e - beta_den * m * (m - 1) // 2, beta_den) for e in ints]
+        den = scales[m] ** 2 * lam_den**m
         assert form.den == den and form.exponents == tuple(exps)
         n = len(exps)
         assert f == ZExpr.from_terms(
@@ -591,8 +649,8 @@ def test_integer_form_checks_equal_zexpr_route(family, rank, gamma, restrict):
     assert offenders == _zexpr_offenders(b.F[0])
     assert bool(offenders) == (not restrict)
     amat = toda.lie.cartan(Algebra("A", cfg.k - 1)).matrix
-    mins = [f.min_total_degree() for f in b.F]
-    maxs = [f.max_total_degree() for f in b.F]
+    mins = [min(t.exp_z + t.exp_zbar for t in f.terms) for f in b.F]
+    maxs = [max(t.exp_z + t.exp_zbar for t in f.terms) for f in b.F]
     for row in verify_integrability(b).rows:
         a = amat[row.index - 1]
         assert row.exponent_at_zero == -sum(x * y for x, y in zip(a, mins))
