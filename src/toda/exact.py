@@ -385,10 +385,6 @@ class ZExpr:
     def z_pow(exp: RatLike) -> ZExpr:
         return ZExpr.monomial(1, exp, 0)
 
-    @staticmethod
-    def zbar_pow(exp: RatLike) -> ZExpr:
-        return ZExpr.monomial(1, 0, exp)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -456,13 +452,6 @@ class ZExpr:
             Monomial(t.coeff * t.exp_z, t.exp_z - 1, t.exp_zbar)
             for t in self.terms
             if t.exp_z != 0
-        )
-
-    def diff_zbar(self) -> ZExpr:
-        return ZExpr.from_terms(
-            Monomial(t.coeff * t.exp_zbar, t.exp_z, t.exp_zbar - 1)
-            for t in self.terms
-            if t.exp_zbar != 0
         )
 
     @property

@@ -5,14 +5,17 @@ it is skew for even k and symmetric for odd k, with J^-1 = (-1)^(k-1) J.
 A matrix A belongs to the group when A^t J A = J and det A = 1; the even
 case is the symplectic group, the odd case the special orthogonal group.
 
-Membership, determinants and minors run on a cached integer form of each
-element: the pair (d, d*A), with d the lcm of the entry denominators and
-Gaussian-integer entries.  Each minor comes from one memoized minor table over
-d*A (_integer_minors, the single minor getter) and is converted to
-ExactScalar only when returned (divided by d^m for size m); the
-minor-identity check, exhaustive or sampled, reads the integer minors of one
-table directly.  The membership test checks (dA)^t J (dA) = d^2 J and
-det(dA) = d^k, once per element.
+Products, membership, determinants and minors run on a cached integer form
+of each element: the pair (d, d*A), with d the lcm of the entry denominators
+and Gaussian-integer entries.  A product multiplies the two integer forms and
+divides once by d_a*d_b.  Each element caches one memoized minor table over
+d*A (_integer_minors, the single minor getter), built on first use and
+shared by the membership test, det, minor, all_minors, classify_by_minors,
+ul_cholesky and the minor-identity check.  A minor is converted to
+ExactScalar only when returned (divided by d^m for size m); the identity
+check and classify_by_minors compare integer minors, read by bit mask.  The
+membership test checks (dA)^t J (dA) = d^2 J and det(dA) = d^k, once per
+element.
 
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
@@ -48,7 +52,6 @@ from .exact import (
     sqrt_fraction,
 )
 from .lie import Algebra, Root, coordinate_map, slot_name
-from .linalg import det as generic_det
 from .linalg import identity_rows, mat_mul, minor_table, transpose
 
 
@@ -132,7 +135,12 @@ class GroupElement:
     def __matmul__(self, other: GroupElement) -> GroupElement:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GroupElement(mat_mul(self.entries, other.entries, SCALAR_ZERO))
+        da, a = self._integer_form
+        db, b = other._integer_form
+        den = da * db
+        return GroupElement(
+            tuple(tuple(scalar_over(x, den) for x in row) for row in mat_mul(a, b, GAUSS_ZERO))
+        )
 
     def transpose(self) -> GroupElement:
         return GroupElement(transpose(self.entries))
@@ -148,16 +156,18 @@ class GroupElement:
         return scale_to_gaussian(self.entries)
 
     @cached_property
+    def _minor_table(self):
+        """The one minor table of d*A, GaussInt minors; see _integer_minors."""
+        return minor_table(self._integer_form[1], GAUSS_ZERO, GAUSS_ONE)
+
+    @cached_property
     def _in_group(self) -> bool:
         """Verdict of is_in_group, computed once per element."""
-        d, scaled = self._integer_form
-        if not _preserves_form(d, scaled):
-            return False
-        return generic_det(scaled, GAUSS_ZERO, GAUSS_ONE) == GaussInt(d ** self.dim)
+        return _preserves_form(*self._integer_form) and self.det() == SCALAR_ONE
 
     def det(self) -> ExactScalar:
-        d, scaled = self._integer_form
-        return scalar_over(generic_det(scaled, GAUSS_ZERO, GAUSS_ONE), d ** self.dim)
+        full = (1 << self.dim) - 1
+        return scalar_over(self._minor_table.mask(full, full), self._integer_form[0] ** self.dim)
 
     def is_hermitian(self) -> bool:
         k = self.dim
@@ -224,14 +234,15 @@ def iota(s: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def _integer_minors(a: GroupElement):
-    """(d, table): the minor table of the cached integer form (d, dA).
+    """(d, table): the element's cached minor table over its integer form (d, dA).
 
     table(rows, cols), over same-size 0-based sets that are not validated,
-    is the GaussInt minor(dA; rows, cols) = d^|rows| * minor(A; rows, cols).
-    Every minor of a group element is read through this one getter.
+    or table.mask(rmask, cmask) over their bit masks, is the GaussInt
+    minor(dA; rows, cols) = d^|rows| * minor(A; rows, cols).  Every minor of
+    a group element is read through this one getter, from one table built
+    on first use and kept with the element.
     """
-    d, scaled = a._integer_form
-    return d, minor_table(scaled, GAUSS_ZERO, GAUSS_ONE)
+    return a._integer_form[0], a._minor_table
 
 
 def _minor_lookup(a: GroupElement):
@@ -282,57 +293,80 @@ class MinorIdentityReport:
     exhaustive: bool
 
 
-def _identity_pairs(k: int, exhaustive: bool):
-    """0-based (S, T) pairs checked by check_minor_identity, in order.
+_SAMPLED_PAIRS = 2000  # pairs drawn by check_minor_identity beyond dim 7
 
-    Exhaustive: every pair, by size, then S, then T.  Otherwise 2000 pairs
-    drawn from random.Random(0): a size in 1..k-1, then S, then T.
+
+def _mask_pair(indices: Iterable[int], k: int) -> tuple[int, int]:
+    """Bit masks of a 0-based index set S and of its mirror iota(comp S) (i -> k-1-i)."""
+    mask = reflected = 0
+    for i in indices:
+        mask |= 1 << i
+        reflected |= 1 << (k - 1 - i)
+    return mask, reflected ^ ((1 << k) - 1)
+
+
+def _identity_pairs(k: int, exhaustive: bool):
+    """Pairs (m, (S, S'), (T, T')) walked by check_minor_identity, in order.
+
+    |S| = |T| = m; S, T and their mirrors S', T' are bit masks, each built
+    once per index set.  Exhaustive: every pair of size m <= k // 2, by size,
+    then S, then T, each in the order of itertools.combinations.  The mirror
+    pair, of size k - m, is the same identity, so the walk covers all
+    C(2k, k) pairs.  Otherwise _SAMPLED_PAIRS pairs drawn from
+    random.Random(0): a size in 1..k-1, then S, then T.
     """
     if exhaustive:
-        for m in range(k + 1):
-            for s in combinations(range(k), m):
-                for t in combinations(range(k), m):
-                    yield s, t
+        for m in range(k // 2 + 1):
+            masks = [_mask_pair(c, k) for c in combinations(range(k), m)]
+            for s in masks:
+                for t in masks:
+                    yield m, s, t
         return
     rng = random.Random(0)
-    for _ in range(2000):
+    for _ in range(_SAMPLED_PAIRS):
         m = rng.randint(1, k - 1)
-        yield tuple(sorted(rng.sample(range(k), m))), tuple(sorted(rng.sample(range(k), m)))
+        yield m, _mask_pair(rng.sample(range(k), m), k), _mask_pair(rng.sample(range(k), m), k)
+
+
+def _mask_indices(x: int, k: int) -> tuple[int, ...]:
+    """The 1-based sorted index set of a bit mask."""
+    return tuple(i + 1 for i in range(k) if x >> i & 1)
 
 
 def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     """Verify A[S,T] == A[iota(comp S), iota(comp T)] for same-size S, T.
 
-    Exhaustive for dim <= 7, sampled beyond (see _identity_pairs).  Both read
-    the integer minors of one table, v1 = d^m A[S,T] and v2 = d^(k-m)
-    A[S',T'] for |S| = m, and compare v1 * d^(k-m) == v2 * d^m.  The input
-    must be exactly in its group; the first failing pair raises
-    IdentityViolation with it as witness and both minors as ExactScalars,
-    the only minors converted.
+    Exhaustive for dim <= 7, sampled beyond (see _identity_pairs).  Both
+    walk bit masks over the element's cached integer minor table: with S',
+    T' the mirror masks, v1 = d^m A[S,T] and v2 = d^(k-m) A[S',T'] for
+    |S| = m, compared as v1 * d^(k-m) == v2 * d^m.  The identity is
+    symmetric under the involution S -> S', which maps size m to size
+    k - m, so the exhaustive walk stops at size k // 2: the first failing
+    pair by size, then S, then T, always has size <= k / 2, and the report
+    still counts all C(2k, k) pairs.  The input must be exactly in its
+    group; the first failing pair raises IdentityViolation with it as
+    witness and both minors as ExactScalars, the only minors converted.
     """
     if not is_in_group(a):
         raise ValueError("input is not exactly symplectic/orthogonal")
     k = a.dim
     exhaustive = k <= 7
     d, table = _integer_minors(a)
+    read = table.mask
     powers = [d ** j for j in range(k + 1)]
-    checked = 0
-    for s, t in _identity_pairs(k, exhaustive):
-        low, high = powers[len(s)], powers[k - len(s)]
-        v1 = table(s, t)
-        v2 = table(
-            [k - 1 - i for i in range(k) if i not in s],
-            [k - 1 - j for j in range(k) if j not in t],
-        )
+    for m, (s, s_mirror), (t, t_mirror) in _identity_pairs(k, exhaustive):
+        low, high = powers[m], powers[k - m]
+        v1 = read(s, t)
+        v2 = read(s_mirror, t_mirror)
         if v1.re * high != v2.re * low or v1.im * high != v2.im * low:
             raise IdentityViolation(
-                tuple(i + 1 for i in s),
-                tuple(j + 1 for j in t),
+                _mask_indices(s, k),
+                _mask_indices(t, k),
                 scalar_over(v1, low),
                 scalar_over(v2, high),
             )
-        checked += 1
-    return MinorIdentityReport(k, expected_tag(k), checked, exhaustive)
+    pairs = comb(2 * k, k) if exhaustive else _SAMPLED_PAIRS
+    return MinorIdentityReport(k, expected_tag(k), pairs, exhaustive)
 
 
 def classify_by_minors(a: GroupElement) -> str | None:
@@ -340,18 +374,23 @@ def classify_by_minors(a: GroupElement) -> str | None:
 
     Tests a[s][t] == minor over (complement of iota(s), complement of iota(t))
     for all 1 <= s, t <= k, reading the determinant and every such minor from
-    one minor table.  Returns "Sp"/"SO" by parity when all hold (and the full
-    group relation is then asserted), else None.
+    the element's cached integer minor table: with (d, dA) its integer form,
+    d^(k-1) (dA)[s][t] == d * minor(dA).  Returns "Sp"/"SO" by parity when
+    all hold (and the full group relation is then asserted), else None.
     """
     k = a.dim
-    lookup = _minor_lookup(a)
-    if lookup(range(k), range(k)) != SCALAR_ONE:
+    if a.det() != SCALAR_ONE:
         raise ValueError("classification requires det A = 1")
+    d, table = _integer_minors(a)
+    scaled = a._integer_form[1]
+    full = (1 << k) - 1
+    scale = d ** (k - 1)
     # 0-based, the complement of iota(s + 1) is every index but k - 1 - s.
-    drop = [[i for i in range(k) if i != k - 1 - s] for s in range(k)]
+    drop = [full ^ 1 << (k - 1 - s) for s in range(k)]
     for s in range(k):
         for t in range(k):
-            if a.entries[s][t] != lookup(drop[s], drop[t]):
+            x, v = scaled[s][t], table.mask(drop[s], drop[t])
+            if x.re * scale != v.re * d or x.im * scale != v.im * d:
                 return None
     tag = expected_tag(k)
     if not is_in_group(a):
@@ -599,14 +638,3 @@ def sample_group_element(algebra: Algebra, seed: int, bound: int = 3) -> GroupEl
         raise ArithmeticError("sampler produced a non-group element")
     return g
 
-
-def sample_positive_hermitian(algebra: Algebra, seed: int, bound: int = 3) -> GroupElement:
-    """Seeded Hermitian positive-definite group element H = B^dag B, B = diag * unip."""
-    rng = random.Random(seed)
-    c = unipotent_from_coords(algebra, random_coords(algebra, rng, bound))
-    lam = diagonal_element(random_paired_diagonal(algebra.k, rng, bound))
-    b = lam @ c
-    h = b.conj_transpose() @ b
-    if not is_in_group(h):
-        raise ArithmeticError("Hermitian sample left the group")
-    return h

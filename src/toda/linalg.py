@@ -10,7 +10,7 @@ numeric.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -37,7 +37,7 @@ def mat_mul(a: Matrix, b: Matrix, zero: T) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def minor_table(m: Matrix, zero: T, one: T) -> Callable[[Iterable[int], Iterable[int]], T]:
+def minor_table(m: Matrix, zero: T, one: T) -> MinorTable:
     """Memoized minors of `m`, looked up by same-size 0-based row and column sets.
 
     Entries may be ExactScalar, ZExpr, GaussInt (Gaussian integers, whose
@@ -49,27 +49,45 @@ def minor_table(m: Matrix, zero: T, one: T) -> Callable[[Iterable[int], Iterable
     A full determinant costs O(2^k * k) ring multiplications, every minor
     O(sum_j j * C(k,j)^2).  The empty minor is `one`.
 
-    The memo is keyed by one int, rmask << w | cmask, with w the column
-    count and bit i of rmask (cmask) set for row (column) i: one small int
+    The table has two entry points: a call table(rows, cols) takes index
+    sets and checks that their sizes agree; table.mask(rmask, cmask) takes
+    the sets as bit masks (bit i set for row or column i) and checks
+    nothing, for loops that already walk masks.  Both read one memo keyed
+    by one int, rmask << w | cmask with w the column count: one small int
     per entry instead of a tuple of two, for tables shared by thousands of
     lookups.
     """
-    width = len(m[0]) if m else 0
-    memo = {0: one}
+    return MinorTable(m, zero, one)
 
-    def lookup(rows: Iterable[int], cols: Iterable[int]) -> T:
+
+class MinorTable:
+    """The memo of minor_table and its two entry points; see there."""
+
+    def __init__(self, m: Matrix, zero: T, one: T):
+        self._m = m
+        self._zero = zero
+        self._width = len(m[0]) if m else 0
+        self._memo = {0: one}
+
+    def __call__(self, rows: Iterable[int], cols: Iterable[int]) -> T:
         rmask = sum(1 << r for r in rows)
         cmask = sum(1 << c for c in cols)
         if rmask.bit_count() != cmask.bit_count():
             raise ValueError("row and column index sets differ in size")
-        return _minor(m, memo, zero, width, rmask, cmask)
+        return _minor(self._m, self._memo, self._zero, self._width, rmask, cmask)
 
-    return lookup
+    def mask(self, rmask: int, cmask: int) -> T:
+        """The minor on the rows of rmask and the columns of cmask (same bit count)."""
+        val = self._memo.get(rmask << self._width | cmask)
+        if val is None:
+            val = _minor(self._m, self._memo, self._zero, self._width, rmask, cmask)
+        return val
 
 
 def _minor(m: Matrix, memo: dict, zero: T, width: int, rmask: int, cmask: int) -> T:
     # Module-level recursion: a recursive closure would make each table a
-    # reference cycle, freed only by the cyclic garbage collector.
+    # reference cycle, freed only by the cyclic garbage collector.  Memo hits
+    # of the smaller minors are read inline, before any recursive call.
     key = rmask << width | cmask
     val = memo.get(key)
     if val is None:
@@ -82,7 +100,11 @@ def _minor(m: Matrix, memo: dict, zero: T, width: int, rmask: int, cmask: int) -
             rest ^= bit
             entry = m[bit.bit_length() - 1][col]
             if not entry.is_zero:
-                term = entry * _minor(m, memo, zero, width, rmask ^ bit, sub)
+                rows = rmask ^ bit
+                below = memo.get(rows << width | sub)
+                if below is None:
+                    below = _minor(m, memo, zero, width, rows, sub)
+                term = entry * below
                 val = val - term if negate else val + term
             negate = not negate
         memo[key] = val

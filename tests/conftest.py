@@ -2,8 +2,41 @@ import random
 from fractions import Fraction
 
 from toda import SolutionParams
-from toda.groups import random_coords, restrict_to_ngamma
-from toda.lie import delta_gamma
+from toda.exact import Monomial, ZExpr
+from toda.groups import (
+    GroupElement,
+    diagonal_element,
+    is_in_group,
+    random_coords,
+    random_paired_diagonal,
+    restrict_to_ngamma,
+    unipotent_from_coords,
+)
+from toda.lie import Algebra, delta_gamma
+
+
+def zbar_pow(exp) -> ZExpr:
+    """The monomial conj(z)^exp."""
+    return ZExpr.monomial(1, 0, exp)
+
+
+def diff_zbar(f: ZExpr) -> ZExpr:
+    """The derivative of f in conj(z), term by term."""
+    return ZExpr.from_terms(
+        Monomial(t.coeff * t.exp_zbar, t.exp_z, t.exp_zbar - 1) for t in f.terms if t.exp_zbar != 0
+    )
+
+
+def sample_positive_hermitian(algebra: Algebra, seed: int, bound: int = 3) -> GroupElement:
+    """Seeded Hermitian positive-definite group element H = B^dag B, B = diag * unip."""
+    rng = random.Random(seed)
+    c = unipotent_from_coords(algebra, random_coords(algebra, rng, bound))
+    lam = diagonal_element(random_paired_diagonal(algebra.k, rng, bound))
+    b = lam @ c
+    h = b.conj_transpose() @ b
+    if not is_in_group(h):
+        raise ArithmeticError("Hermitian sample left the group")
+    return h
 
 
 def random_gamma(rng: random.Random, rank: int, max_den: int = 4) -> tuple[Fraction, ...]:

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 
-from conftest import random_gamma, random_palindromic_gamma, random_params
+from conftest import random_gamma, random_palindromic_gamma, random_params, sample_positive_hermitian
 from toda import Algebra, make_config
 from toda.basis import gram_schmidt_normalizer, nu_vector, pairing_matrix, wronskian
 from toda.demos import B2_GAMMA, C3_GAMMA, check_dependent_formulas
@@ -29,7 +29,6 @@ from toda.groups import (
     is_in_group,
     random_coords,
     sample_group_element,
-    sample_positive_hermitian,
     split_diagonal_unipotent,
     ul_cholesky,
 )

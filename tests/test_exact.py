@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import diff_zbar, zbar_pow
 from toda.exact import (
     BranchCutError,
     ExactScalar,
@@ -24,7 +25,7 @@ def z(e=1):
 
 
 def zb(e=1):
-    return ZExpr.zbar_pow(F(e))
+    return zbar_pow(F(e))
 
 
 # -- scalars ------------------------------------------------------------
@@ -90,7 +91,7 @@ def test_mul_distributes():
 
 def test_mul_conjugate_pair():
     mu = F(3, 5)
-    prod = ZExpr.z_pow(mu) * ZExpr.zbar_pow(mu)
+    prod = ZExpr.z_pow(mu) * zbar_pow(mu)
     t = prod.single_monomial()
     assert t.exp_z == mu and t.exp_zbar == mu
 
@@ -104,8 +105,8 @@ def test_conjugate_examples():
 
 def test_diff_examples():
     assert ZExpr.z_pow(F(3, 2)).diff_z() == ZExpr.monomial(F(3, 2), F(1, 2))
-    assert z(2).diff_zbar().is_zero
-    assert (z() * zb()).diff_zbar().diff_z() == ZExpr.one()
+    assert diff_zbar(z(2)).is_zero
+    assert diff_zbar(z() * zb()).diff_z() == ZExpr.one()
 
 
 def test_eval_basic():
@@ -129,7 +130,7 @@ def test_eval_origin():
 
 def test_eval_conj_branch():
     p = 0.7 + 1.3j
-    e = ZExpr.zbar_pow(F(1, 3))
+    e = zbar_pow(F(1, 3))
     assert e.evaluate(p) == pytest.approx(p.conjugate() ** (1 / 3))
 
 
@@ -202,7 +203,7 @@ def test_conjugation_involution(a):
 @given(exprs)
 @settings(max_examples=60, deadline=None)
 def test_mixed_partials_commute(a):
-    assert a.diff_z().diff_zbar() == a.diff_zbar().diff_z()
+    assert diff_zbar(a.diff_z()) == diff_zbar(a).diff_z()
 
 
 @given(exprs, exprs)

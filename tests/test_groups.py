@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sample_positive_hermitian
 from toda.exact import (
     GAUSS_ONE,
     GAUSS_ZERO,
@@ -44,13 +45,12 @@ from toda.groups import (
     random_paired_diagonal,
     restrict_to_ngamma,
     sample_group_element,
-    sample_positive_hermitian,
     split_diagonal_unipotent,
     ul_cholesky,
     unipotent_from_coords,
 )
 from toda.lie import Algebra, delta_gamma
-from toda.linalg import det, minor_table
+from toda.linalg import det, mat_mul, minor_table
 
 
 def S(x):
@@ -457,6 +457,90 @@ def test_exhaustive_identity_witness_matches_all_minors(monkeypatch, family, ran
         assert isinstance(err.value.lhs, ExactScalar) and isinstance(err.value.rhs, ExactScalar)
 
 
+@st.composite
+def _broken_elements(draw):
+    # A sampled C2, B2, C3 or B3 element (k = 4..7, both parities), broken
+    # either in one real or imaginary entry (the determinant changes, so
+    # the empty pair fails first) or by a shear I + x E_ij (determinant 1,
+    # so a pair of size 1 fails first).
+    family, rank = draw(st.sampled_from([("C", 2), ("B", 2), ("C", 3), ("B", 3)]))
+    g = sample_group_element(Algebra(family, rank), seed=draw(st.integers(0, 50)), bound=2)
+    k = g.dim
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    x = F(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+    bump = ExactScalar(x, F(0)) if draw(st.booleans()) else ExactScalar(F(0), x)
+    if draw(st.booleans()):
+        rows = [list(r) for r in g.entries]
+        rows[i][j] = rows[i][j] + bump
+        return GroupElement.from_rows(rows)
+    shear = [[SCALAR_ONE if r == c else SCALAR_ZERO for c in range(k)] for r in range(k)]
+    shear[i][j if j != i else (i + 1) % k] = bump
+    return g @ GroupElement.from_rows(shear)
+
+
+@given(_broken_elements())
+@settings(max_examples=40, deadline=None)
+def test_mirror_half_walk_reports_the_first_failure_of_the_full_walk(bad):
+    # The walk over sizes 0..k//2 by mask reports what the full ordered walk
+    # over all_minors finds first: witness, lhs, rhs and message.
+    want = _first_identity_failure(bad)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr("toda.groups.is_in_group", lambda a: True)
+        if want is None:
+            assert check_minor_identity(bad).pairs_checked == math.comb(2 * bad.dim, bad.dim)
+            return
+        with pytest.raises(IdentityViolation) as err:
+            check_minor_identity(bad)
+    assert (err.value.witness, err.value.lhs, err.value.rhs) == want
+    (s, t), lhs, rhs = want
+    assert str(err.value) == f"minor identity fails at S={s}, T={t}: {lhs} != {rhs}"
+
+
+class _RecordingTable:
+    """Stands in for an element's minor table and records every mask read."""
+
+    def __init__(self, table):
+        self.table = table
+        self.reads = []
+
+    def mask(self, rmask, cmask):
+        self.reads.append((rmask, cmask))
+        return self.table.mask(rmask, cmask)
+
+
+@pytest.mark.parametrize("family,rank", [("C", 1), ("B", 1), ("C", 2), ("B", 2), ("C", 3), ("B", 3)])
+def test_mirror_half_walk_reads_each_identity_once(family, rank):
+    # Read in pairs: every same-size (S, T) up to the middle size, each with
+    # (iota(comp S), iota(comp T)) built from index tuples, so that together
+    # with the mirrors every one of the C(2k, k) pairs is covered once, and
+    # every pair of the middle size (k even) is read as the first of a pair.
+    g = sample_group_element(Algebra(family, rank), seed=3, bound=2)
+    k = g.dim
+    recorder = _RecordingTable(g._minor_table)
+    g.__dict__["_minor_table"] = recorder
+    assert check_minor_identity(g).pairs_checked == math.comb(2 * k, k)
+
+    def mask(idx):
+        return sum(1 << (i - 1) for i in idx)
+
+    firsts = recorder.reads[0::2]
+    assert len(firsts) == len(set(firsts)) == len(recorder.reads) // 2
+    covered = set()
+    for (s, t), mirrored in zip(firsts, recorder.reads[1::2]):
+        rows = tuple(i + 1 for i in range(k) if s >> i & 1)
+        cols = tuple(j + 1 for j in range(k) if t >> j & 1)
+        assert len(rows) <= k // 2
+        assert mirrored == (mask(iota(complement(rows, k), k)), mask(iota(complement(cols, k), k)))
+        covered |= {(s, t), mirrored}
+    assert len(covered) == math.comb(2 * k, k)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_pairs_checked_on_the_identity(k):
+    expected = math.comb(2 * k, k) if k <= 7 else 2000
+    assert check_minor_identity(GroupElement.identity(k)) == MinorIdentityReport(k, expected_tag(k), expected, k <= 7)
+
+
 def test_check_minor_identity_builds_one_minor_table(monkeypatch):
     import toda.groups
     import toda.linalg
@@ -468,14 +552,18 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
         builds.append(args)
         return real(*args)
 
-    g = sample_group_element(Algebra("C", 4), seed=0, bound=3)
+    # Patched before sampling: the sampler's membership determinant, the
+    # identity check, the classification and det() all read one table, the
+    # one cached on the element over its integer form.
     monkeypatch.setattr(toda.linalg, "minor_table", counting)
     monkeypatch.setattr(toda.groups, "minor_table", counting)
-    rep = check_minor_identity(g)
-    assert rep == MinorIdentityReport(8, "Sp", 2000, False)
-    # The sampler has already cached the membership verdict, so the one
-    # table is the shared integer table of the identity check.
+    g = sample_group_element(Algebra("C", 4), seed=0, bound=3)
     assert len(builds) == 1
+    assert check_minor_identity(g) == MinorIdentityReport(8, "Sp", 2000, False)
+    assert classify_by_minors(g) == "Sp"
+    assert g.det() == SCALAR_ONE
+    assert len(builds) == 1
+    assert builds[0][0] is g._integer_form[1]
 
 
 def _first_sampled_identity_failure(a):
@@ -728,6 +816,36 @@ def test_free_coordinate_round_trip():
 def test_matmul_dimension_guard():
     with pytest.raises(ValueError):
         GroupElement.identity(2) @ GroupElement.identity(3)
+
+
+_ratio = st.builds(F, st.integers(-20, 20), st.integers(1, 15))
+# Zeros, purely real, purely imaginary and full entries.
+_entry = st.one_of(
+    st.just(SCALAR_ZERO),
+    st.builds(ExactScalar, _ratio),
+    st.builds(lambda im: ExactScalar(F(0), im), _ratio),
+    st.builds(ExactScalar, _ratio, _ratio),
+)
+
+
+@st.composite
+def _square_pair(draw):
+    k = draw(st.integers(1, 5))
+    square = st.lists(st.lists(_entry, min_size=k, max_size=k), min_size=k, max_size=k)
+    return GroupElement.from_rows(draw(square)), GroupElement.from_rows(draw(square))
+
+
+@given(_square_pair())
+@settings(max_examples=80, deadline=None)
+def test_integer_form_product_matches_the_scalar_product(pair):
+    # a @ b multiplies the integer forms and divides once by d_a * d_b; the
+    # oracle is the product of the ExactScalar entries.
+    a, b = pair
+    want = mat_mul(a.entries, b.entries, SCALAR_ZERO)
+    got = (a @ b).entries
+    assert got == want
+    assert repr(got) == repr(want)
+    assert all(isinstance(x, ExactScalar) for row in got for x in row)
 
 
 def test_coords_reject_non_free_slot():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import toda
 import toda.lie
 import toda.solutions
-from conftest import random_gamma, random_params
+from conftest import diff_zbar, random_gamma, random_params
 from toda import Algebra, make_config
 from toda.basis import StructureError, column_minor, nu_vector, wronskian
 from toda.exact import BranchCutError, ExactScalar, Monomial, OriginError, ZExpr
@@ -707,8 +707,8 @@ def test_pde_liouville_closed_form():
     # d_z d_zbar log(1+|z|^2) = 1/(1+|z|^2)^2 at a sample point.
     z = 1 + 1j
     f = b.F[0]
-    fz, fzb = f.diff_z(), f.diff_zbar()
-    lhs = (f.evaluate(z) * fz.diff_zbar().evaluate(z) - fz.evaluate(z) * fzb.evaluate(z)) / f.evaluate(z) ** 2
+    fz, fzb = f.diff_z(), diff_zbar(f)
+    lhs = (f.evaluate(z) * diff_zbar(fz).evaluate(z) - fz.evaluate(z) * fzb.evaluate(z)) / f.evaluate(z) ** 2
     assert lhs == pytest.approx(1 / (1 + abs(z) ** 2) ** 2)
 
 
@@ -764,8 +764,8 @@ def test_log_laplacian_matches_finite_differences():
     cfg = make_config("B", 2, [F(-1, 2), F(1, 4)])
     b = assemble(cfg, random_params(cfg, rng, bound=2))
     f = b.F[0]
-    fz, fzb = f.diff_z(), f.diff_zbar()
-    fzzb = fz.diff_zbar()
+    fz, fzb = f.diff_z(), diff_zbar(f)
+    fzzb = diff_zbar(fz)
     h = 1e-4  # near the roundoff/truncation balance for second differences
 
     def logf(z):
@@ -855,7 +855,7 @@ def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
 
     monkeypatch.setattr(toda.solutions, "_pde_plan", counting_plan)
     monkeypatch.setattr(toda.solutions, "_power_table", counting_table)
-    for name in ("evaluate", "diff_z", "diff_zbar"):
+    for name in ("evaluate", "diff_z"):
         monkeypatch.setattr(ZExpr, name, refuse(name))
     monkeypatch.setattr(ZExpr, "from_terms", staticmethod(refuse("from_terms")))
     monkeypatch.setattr(UnknownForm, "expr", property(refuse("expr")))
@@ -946,7 +946,7 @@ def test_float_routine_is_bit_identical_to_term_oracle(family, rank, gamma):
     seen = set()
     for f, plan in zip(b.F, plans):
         fz = f.diff_z()
-        for expr, compiled in zip((f, fz, f.diff_zbar(), fz.diff_zbar()), plan):
+        for expr, compiled in zip((f, fz, diff_zbar(f), diff_zbar(fz)), plan):
             for z in points:
                 want = _outcome(_evaluate_oracle, expr, z)
                 assert _outcome(expr.evaluate, z) == want
