@@ -175,8 +175,9 @@ class GaussInt:
 
     The lean entry ring of integer kernels: a scaled matrix d*A of
     ExactScalars has GaussInt entries, and its ring operations cost no gcd.
-    Only +, -, * and equality are defined; results go back to ExactScalar at
-    the boundary.
+    Only +, -, *, equality and truthiness are defined; results go back to
+    ExactScalar at the boundary.  The minor tables of group elements go one
+    step further and hold each Gaussian integer as one packed int; see pack.
     """
 
     __slots__ = ("re", "im")
@@ -188,6 +189,9 @@ class GaussInt:
     @property
     def is_zero(self) -> bool:
         return not (self.re or self.im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
 
     def __add__(self, other: GaussInt) -> GaussInt:
         return GaussInt(self.re + other.re, self.im + other.im)
@@ -276,6 +280,51 @@ def scale_to_gaussian(rows: Sequence[Sequence[ExactScalar]]) -> tuple[int, Gauss
 def scalar_over(value: GaussInt, den: int) -> ExactScalar:
     """The ExactScalar value / den of a Gaussian integer and a positive int."""
     return ExactScalar(Fraction(value.re, den), Fraction(value.im, den))
+
+
+def pack(d: int, rows: GaussRows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(w, packed rows): each entry a + b*i of the integer form (d, rows) as one int.
+
+    The map a + b*i -> a + b*2^w is a ring homomorphism from the Gaussian
+    integers to Z/n, n = 2^(2w) + 1, since (2^w)^2 = -1 mod n; packed
+    entries are its residues in [0, n).  The width comes from Hadamard's
+    inequality: a size-m minor M of the k x k matrix rows has
+    |M| <= prod r_i over its m rows, where the length r_i of row i is below
+    isqrt(sum_j |rows[i][j]|^2) + 1.  So
+    H = prod_i max(d, isqrt(sum_j |rows[i][j]|^2) + 1) bounds |re| and |im|
+    of d^(k-m) * M, the factor d standing in for each row left out.  That
+    covers the determinant, every minor, both sides d^(k-m) * M and
+    d^m * M' of a minor identity, and both sides d^(k-1) * rows[s][t] and
+    d * (size k-1 minor) of the minor classification.  With
+    w = H.bit_length() + 2, a difference of two such values has parts
+    below 2^(w-1) in absolute value: it is 0 mod n only if it is 0, and
+    unpack recovers any of them from its residue.
+    """
+    h = 1
+    for row in rows:
+        h *= max(d, isqrt(sum(x.re * x.re + x.im * x.im for x in row)) + 1)
+    w = h.bit_length() + 2
+    n = packing_modulus(w)
+    return w, tuple(tuple((x.re + (x.im << w)) % n for x in row) for row in rows)
+
+
+def packing_modulus(w: int) -> int:
+    """n = 2^(2w) + 1, the modulus of the ints packed at width w; see pack."""
+    return (1 << 2 * w) + 1
+
+
+def unpack(v: int, w: int) -> GaussInt:
+    """The Gaussian integer a + b*i, |a|, |b| < 2^(w-1), whose packed residue is v.
+
+    Takes the balanced residue of v mod n = 2^(2w) + 1, in (-n/2, n/2], and
+    splits it as a + b*2^w with a in [-2^(w-1), 2^(w-1)); see pack.
+    """
+    n = packing_modulus(w)
+    v %= n
+    if v > n >> 1:
+        v -= n
+    im = (v + (1 << (w - 1))) >> w
+    return GaussInt(v - (im << w), im)
 
 
 def _coerce_scalar(x):
@@ -457,6 +506,9 @@ class ZExpr:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @property
     def is_real(self) -> bool:

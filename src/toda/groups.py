@@ -11,11 +11,17 @@ and Gaussian-integer entries.  A product multiplies the two integer forms and
 divides once by d_a*d_b.  Each element caches one memoized minor table over
 d*A (_integer_minors, the single minor getter), built on first use and
 shared by the membership test, det, minor, all_minors, classify_by_minors,
-ul_cholesky and the minor-identity check.  A minor is converted to
-ExactScalar only when returned (divided by d^m for size m); the identity
-check and classify_by_minors compare integer minors, read by bit mask.  The
-membership test checks (dA)^t J (dA) = d^2 J and det(dA) = d^k, once per
-element.
+ul_cholesky and the minor-identity check.  The table is over packed rows:
+each Gaussian integer a + b*i is the one int a + b*2^w mod n = 2^(2w) + 1,
+a ring homomorphism since (2^w)^2 = -1 mod n, with w from Hadamard's bound
+on the rows (exact.pack).  At that width every minor, and every difference
+the checks compare, has parts below 2^(w-1): a difference is 0 mod n only
+if it is 0, and exact.unpack recovers a minor from its residue.  A minor is
+unpacked and converted to ExactScalar only when returned (divided by d^m
+for size m); the identity check and classify_by_minors compare residues,
+read by bit mask, and unpack only a failing pair.  The membership test
+checks (dA)^t J (dA) = d^2 J on the Gaussian integers and det(dA) = d^k,
+once per element.
 
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
@@ -40,16 +46,18 @@ from typing import Iterable, Mapping, Sequence
 from .exact import (
     CheckFailed,
     ExactScalar,
-    GAUSS_ONE,
     GAUSS_ZERO,
     GaussInt,
     GaussRows,
     SCALAR_ONE,
     SCALAR_ZERO,
     as_fraction,
+    pack,
+    packing_modulus,
     scalar_over,
     scale_to_gaussian,
     sqrt_fraction,
+    unpack,
 )
 from .lie import Algebra, Root, coordinate_map, slot_name
 from .linalg import identity_rows, mat_mul, minor_table, transpose
@@ -156,9 +164,10 @@ class GroupElement:
         return scale_to_gaussian(self.entries)
 
     @cached_property
-    def _minor_table(self):
-        """The one minor table of d*A, GaussInt minors; see _integer_minors."""
-        return minor_table(self._integer_form[1], GAUSS_ZERO, GAUSS_ONE)
+    def _packed_minors(self):
+        """(w, table): the one minor table of d*A, packed at width w; see _integer_minors."""
+        w, rows = pack(*self._integer_form)
+        return w, minor_table(rows, 0, 1, packing_modulus(w))
 
     @cached_property
     def _in_group(self) -> bool:
@@ -166,8 +175,9 @@ class GroupElement:
         return _preserves_form(*self._integer_form) and self.det() == SCALAR_ONE
 
     def det(self) -> ExactScalar:
+        d, w, table = _integer_minors(self)
         full = (1 << self.dim) - 1
-        return scalar_over(self._minor_table.mask(full, full), self._integer_form[0] ** self.dim)
+        return scalar_over(unpack(table.mask(full, full), w), d ** self.dim)
 
     def is_hermitian(self) -> bool:
         k = self.dim
@@ -234,27 +244,31 @@ def iota(s: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def _integer_minors(a: GroupElement):
-    """(d, table): the element's cached minor table over its integer form (d, dA).
+    """(d, w, table): the element's cached minor table over its integer form (d, dA).
 
     table(rows, cols), over same-size 0-based sets that are not validated,
-    or table.mask(rmask, cmask) over their bit masks, is the GaussInt
-    minor(dA; rows, cols) = d^|rows| * minor(A; rows, cols).  Every minor of
-    a group element is read through this one getter, from one table built
-    on first use and kept with the element.
+    or table.mask(rmask, cmask) over their bit masks, is the packed residue
+    of the Gaussian integer minor(dA; rows, cols) = d^|rows| * minor(A; rows,
+    cols) mod n = 2^(2w) + 1; unpack(value, w) gives it back exactly.  By
+    Hadamard's bound (exact.pack), d^(k-m) times any size-m minor has parts
+    of at most H < 2^(w-2), so a difference of two such products is 0 iff
+    it is 0 mod n.  Every minor of a group element is read through this one
+    getter, from one table built on first use and kept with the element.
     """
-    return a._integer_form[0], a._minor_table
+    w, table = a._packed_minors
+    return a._integer_form[0], w, table
 
 
 def _minor_lookup(a: GroupElement):
     """Minors of A as ExactScalars, by same-size 0-based row and column sets.
 
-    Wraps _integer_minors: a lookup converts only the minor it returns, as
-    minor(A; S, T) = minor(dA; S, T) / d^|S|.
+    Wraps _integer_minors: a lookup unpacks and converts only the minor it
+    returns, as minor(A; S, T) = minor(dA; S, T) / d^|S|.
     """
-    d, table = _integer_minors(a)
+    d, w, table = _integer_minors(a)
 
     def lookup(rows: Sequence[int], cols: Sequence[int]) -> ExactScalar:
-        return scalar_over(table(rows, cols), d ** len(rows))
+        return scalar_over(unpack(table(rows, cols), w), d ** len(rows))
 
     return lookup
 
@@ -337,33 +351,37 @@ def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     """Verify A[S,T] == A[iota(comp S), iota(comp T)] for same-size S, T.
 
     Exhaustive for dim <= 7, sampled beyond (see _identity_pairs).  Both
-    walk bit masks over the element's cached integer minor table: with S',
-    T' the mirror masks, v1 = d^m A[S,T] and v2 = d^(k-m) A[S',T'] for
-    |S| = m, compared as v1 * d^(k-m) == v2 * d^m.  The identity is
+    walk bit masks over the element's cached packed minor table: with S',
+    T' the mirror masks, v1 and v2 the packed residues of d^m A[S,T] and
+    d^(k-m) A[S',T'] for |S| = m, the pair holds iff
+    (v1 * d^(k-m) - v2 * d^m) % n == 0, n = 2^(2w) + 1.  Both products
+    have parts of at most Hadamard's bound H < 2^(w-2) (exact.pack), so
+    their difference vanishes mod n only if it vanishes.  The identity is
     symmetric under the involution S -> S', which maps size m to size
     k - m, so the exhaustive walk stops at size k // 2: the first failing
     pair by size, then S, then T, always has size <= k / 2, and the report
     still counts all C(2k, k) pairs.  The input must be exactly in its
     group; the first failing pair raises IdentityViolation with it as
-    witness and both minors as ExactScalars, the only minors converted.
+    witness and both minors as ExactScalars, the only minors unpacked.
     """
     if not is_in_group(a):
         raise ValueError("input is not exactly symplectic/orthogonal")
     k = a.dim
     exhaustive = k <= 7
-    d, table = _integer_minors(a)
+    d, w, table = _integer_minors(a)
+    n = packing_modulus(w)
     read = table.mask
     powers = [d ** j for j in range(k + 1)]
     for m, (s, s_mirror), (t, t_mirror) in _identity_pairs(k, exhaustive):
         low, high = powers[m], powers[k - m]
         v1 = read(s, t)
         v2 = read(s_mirror, t_mirror)
-        if v1.re * high != v2.re * low or v1.im * high != v2.im * low:
+        if (v1 * high - v2 * low) % n:
             raise IdentityViolation(
                 _mask_indices(s, k),
                 _mask_indices(t, k),
-                scalar_over(v1, low),
-                scalar_over(v2, high),
+                scalar_over(unpack(v1, w), low),
+                scalar_over(unpack(v2, w), high),
             )
     pairs = comb(2 * k, k) if exhaustive else _SAMPLED_PAIRS
     return MinorIdentityReport(k, expected_tag(k), pairs, exhaustive)
@@ -374,23 +392,26 @@ def classify_by_minors(a: GroupElement) -> str | None:
 
     Tests a[s][t] == minor over (complement of iota(s), complement of iota(t))
     for all 1 <= s, t <= k, reading the determinant and every such minor from
-    the element's cached integer minor table: with (d, dA) its integer form,
-    d^(k-1) (dA)[s][t] == d * minor(dA).  Returns "Sp"/"SO" by parity when
-    all hold (and the full group relation is then asserted), else None.
+    the element's cached packed minor table: with (d, dA) its integer form,
+    (d^(k-1) (dA)[s][t] - d * minor(dA)) % n == 0, n = 2^(2w) + 1.  The
+    entry (dA)[s][t] is read as the table's 1x1 minor; both products are
+    within Hadamard's bound (exact.pack), so the test is exact.  Returns
+    "Sp"/"SO" by parity when all hold (and the full group relation is then
+    asserted), else None.
     """
     k = a.dim
     if a.det() != SCALAR_ONE:
         raise ValueError("classification requires det A = 1")
-    d, table = _integer_minors(a)
-    scaled = a._integer_form[1]
+    d, w, table = _integer_minors(a)
+    n = packing_modulus(w)
+    read = table.mask
     full = (1 << k) - 1
     scale = d ** (k - 1)
     # 0-based, the complement of iota(s + 1) is every index but k - 1 - s.
     drop = [full ^ 1 << (k - 1 - s) for s in range(k)]
     for s in range(k):
         for t in range(k):
-            x, v = scaled[s][t], table.mask(drop[s], drop[t])
-            if x.re * scale != v.re * d or x.im * scale != v.im * d:
+            if (read(1 << s, 1 << t) * scale - read(drop[s], drop[t]) * d) % n:
                 return None
     tag = expected_tag(k)
     if not is_in_group(a):

@@ -4,7 +4,10 @@ Matrices are sequences of row sequences whose entries support +, -, * (and,
 for inversion, /).  Everything here works for ExactScalar, ZExpr, GaussInt
 and GaussPoly entries (GaussInt: the Gaussian-integer form of a group
 element; GaussPoly: the integer form of G = C W in assembly); nothing is
-numeric.
+numeric.  minor_table also runs on plain ints reduced mod a modulus: a
+group element's table holds each Gaussian integer a + b*i as the one int
+a + b*2^w mod 2^(2w) + 1, with w wide enough by Hadamard's bound that every
+value it is read for is exact (exact.pack and exact.unpack).
 """
 
 from __future__ import annotations
@@ -37,15 +40,15 @@ def mat_mul(a: Matrix, b: Matrix, zero: T) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def minor_table(m: Matrix, zero: T, one: T) -> MinorTable:
+def minor_table(m: Matrix, zero: T, one: T, modulus: int = 0) -> MinorTable:
     """Memoized minors of `m`, looked up by same-size 0-based row and column sets.
 
     Entries may be ExactScalar, ZExpr, GaussInt (Gaussian integers, whose
-    ring operations cost no gcd) or GaussPoly (polynomials over them).  Each
-    minor is the Laplace expansion along its last column over minors one
-    size smaller, computed once per table; entries with `is_zero` are
-    skipped.  On the prefix column sets 0..m-1 this is the recursion from
-    level m-1 to level m.
+    ring operations cost no gcd), GaussPoly (polynomials over them) or, with
+    a nonzero `modulus`, plain ints.  Each minor is the Laplace expansion
+    along its last column over minors one size smaller, computed once per
+    table; falsy (zero) entries are skipped.  On the prefix column sets
+    0..m-1 this is the recursion from level m-1 to level m.
     A full determinant costs O(2^k * k) ring multiplications, every minor
     O(sum_j j * C(k,j)^2).  The empty minor is `one`.
 
@@ -53,19 +56,27 @@ def minor_table(m: Matrix, zero: T, one: T) -> MinorTable:
     sets and checks that their sizes agree; table.mask(rmask, cmask) takes
     the sets as bit masks (bit i set for row or column i) and checks
     nothing, for loops that already walk masks.  Both read one memo keyed
-    by one int, rmask << w | cmask with w the column count: one small int
+    by one int, rmask << c | cmask with c the column count: one small int
     per entry instead of a tuple of two, for tables shared by thousands of
     lookups.
+
+    `modulus` is internal to groups: its tables hold packed Gaussian
+    integers, ints mod n = 2^(2w) + 1 (exact.pack), and pass n.  Each
+    minor is then reduced once, when stored, to its residue in [0, n), so
+    stored minors do not grow with their size; the width w makes every
+    value read back exact (exact.unpack).  With the default 0 nothing is
+    reduced.
     """
-    return MinorTable(m, zero, one)
+    return MinorTable(m, zero, one, modulus)
 
 
 class MinorTable:
     """The memo of minor_table and its two entry points; see there."""
 
-    def __init__(self, m: Matrix, zero: T, one: T):
+    def __init__(self, m: Matrix, zero: T, one: T, modulus: int = 0):
         self._m = m
         self._zero = zero
+        self._modulus = modulus
         self._width = len(m[0]) if m else 0
         self._memo = {0: one}
 
@@ -74,17 +85,17 @@ class MinorTable:
         cmask = sum(1 << c for c in cols)
         if rmask.bit_count() != cmask.bit_count():
             raise ValueError("row and column index sets differ in size")
-        return _minor(self._m, self._memo, self._zero, self._width, rmask, cmask)
+        return _minor(self._m, self._memo, self._zero, self._modulus, self._width, rmask, cmask)
 
     def mask(self, rmask: int, cmask: int) -> T:
         """The minor on the rows of rmask and the columns of cmask (same bit count)."""
         val = self._memo.get(rmask << self._width | cmask)
         if val is None:
-            val = _minor(self._m, self._memo, self._zero, self._width, rmask, cmask)
+            val = _minor(self._m, self._memo, self._zero, self._modulus, self._width, rmask, cmask)
         return val
 
 
-def _minor(m: Matrix, memo: dict, zero: T, width: int, rmask: int, cmask: int) -> T:
+def _minor(m: Matrix, memo: dict, zero: T, modulus: int, width: int, rmask: int, cmask: int) -> T:
     # Module-level recursion: a recursive closure would make each table a
     # reference cycle, freed only by the cyclic garbage collector.  Memo hits
     # of the smaller minors are read inline, before any recursive call.
@@ -99,14 +110,16 @@ def _minor(m: Matrix, memo: dict, zero: T, width: int, rmask: int, cmask: int) -
             bit = rest & -rest
             rest ^= bit
             entry = m[bit.bit_length() - 1][col]
-            if not entry.is_zero:
+            if entry:
                 rows = rmask ^ bit
                 below = memo.get(rows << width | sub)
                 if below is None:
-                    below = _minor(m, memo, zero, width, rows, sub)
+                    below = _minor(m, memo, zero, modulus, width, rows, sub)
                 term = entry * below
                 val = val - term if negate else val + term
             negate = not negate
+        if modulus:
+            val %= modulus
         memo[key] = val
     return val
 

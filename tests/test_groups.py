@@ -19,7 +19,11 @@ from toda.exact import (
     SCALAR_ONE,
     SCALAR_ZERO,
     ZExpr,
+    pack,
+    packing_modulus,
+    scalar_over,
     scale_to_gaussian,
+    unpack,
 )
 from toda.groups import (
     CardinalityError,
@@ -268,6 +272,81 @@ def test_integer_kernel_matches_sympy():
         assert g.det() == minor(g, *pairs[0])
 
 
+def _assert_packed_minors_match_gauss_table(g):
+    # Oracle: the same minors over GaussInt entries, a ring with no modulus,
+    # divided by d^m for size m.
+    k = g.dim
+    d, scaled = scale_to_gaussian(g.entries)
+    oracle = minor_table(scaled, GAUSS_ZERO, GAUSS_ONE)
+    table = all_minors(g)
+    assert len(table) == math.comb(2 * k, k)
+    for (s, t), value in table.items():
+        rows, cols = [i - 1 for i in s], [j - 1 for j in t]
+        assert value == scalar_over(oracle(rows, cols), d ** len(s))
+    assert g.det() == table[tuple(range(1, k + 1)), tuple(range(1, k + 1))]
+
+
+_PACKING_NUMERATORS = st.one_of(st.just(0), st.integers(-10**6, 10**6), st.integers(-3, 3))
+
+
+@st.composite
+def _exact_matrices(draw):
+    # Up to 8x8; zeros, real, purely imaginary and complex entries, with
+    # numerators up to 10^6 in absolute value and denominators 1..15.
+    k = draw(st.integers(1, 8))
+    den = st.integers(1, 15)
+
+    def entry():
+        shape = draw(st.sampled_from(["zero", "real", "imag", "complex"]))
+        re = F(draw(_PACKING_NUMERATORS), draw(den)) if shape in ("real", "complex") else F(0)
+        im = F(draw(_PACKING_NUMERATORS), draw(den)) if shape in ("imag", "complex") else F(0)
+        return ExactScalar(re, im)
+
+    return GroupElement.from_rows([[entry() for _ in range(k)] for _ in range(k)])
+
+
+@given(_exact_matrices())
+@settings(max_examples=30, deadline=None)
+def test_packed_minors_match_the_gauss_int_table(g):
+    _assert_packed_minors_match_gauss_table(g)
+
+
+def _sylvester(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_packing_is_exact_on_hadamard_tight_matrices():
+    # Row lengths meet Hadamard's bound exactly: |det H8| = sqrt(8)^8 = 4096,
+    # |det (1+i) H8| = 2^8 * 4096 = 65536.
+    h8 = _sylvester(8)
+    one_plus_i = ExactScalar(F(1), F(1))
+    for rows, want, width in (
+        (h8, S(4096), 15),
+        ([[one_plus_i * x for x in row] for row in h8], S(65536), 21),
+    ):
+        g = GroupElement.from_rows(rows)
+        assert pack(*g._integer_form)[0] == width
+        assert g.det() == want
+        _assert_packed_minors_match_gauss_table(g)
+
+
+def test_packed_compare_is_exact_at_the_bound():
+    # The largest values the identity and classification tests compare
+    # differ by up to 2H, below 2^(w-1): unpack reads them back, and none is
+    # 0 mod n unless it is 0.
+    h = 6561  # Hadamard's H for H8: 3^8
+    w, _ = pack(1, tuple(tuple(GaussInt(x) for x in row) for row in _sylvester(8)))
+    n = packing_modulus(w)
+    for re in (-2 * h, -h, -1, 0, 1, h, 2 * h):
+        for im in (-2 * h, -1, 0, 1, 2 * h):
+            packed = (re + (im << w)) % n
+            assert unpack(packed, w) == GaussInt(re, im)
+            assert bool(packed) == bool(re or im)
+
+
 def test_membership_verdict_belongs_to_its_element():
     g = sample_group_element(Algebra("C", 2), seed=0, bound=3)
     rows = [list(r) for r in g.entries]
@@ -311,17 +390,31 @@ def test_all_minors_table_matches_minor():
                     assert table[(s, t)] == minor(g, s, t)
 
 
-@pytest.mark.parametrize("zero,one", [(SCALAR_ZERO, SCALAR_ONE), (ZExpr.zero(), ZExpr.one())])
-def test_det_and_minor_table_edge_cases(zero, one):
+@pytest.mark.parametrize(
+    "zero,one,modulus",
+    [
+        (SCALAR_ZERO, SCALAR_ONE, 0),
+        (ZExpr.zero(), ZExpr.one(), 0),
+        (GAUSS_ZERO, GAUSS_ONE, 0),
+        (0, 1, 0),
+        (0, 1, 17),
+    ],
+    ids=[f"zero{i}-one{i}" for i in range(5)],
+)
+def test_det_and_minor_table_edge_cases(zero, one, modulus):
     assert det((), zero, one) == one
     with pytest.raises(ValueError):
         det(((one, zero),), zero, one)
     with pytest.raises(ValueError):
         det(((one,), (zero, one)), zero, one)
-    table = minor_table(((one, zero), (zero, one)), zero, one)
+    table = minor_table(((one, zero), (zero, one)), zero, one, modulus)
     assert table((), ()) == one and table((1,), (0,)) == zero
     with pytest.raises(ValueError):
         table((0,), ())
+    # det = -1, stored as its residue when there is a modulus.
+    swap = minor_table(((zero, one), (one, zero)), zero, one, modulus)
+    assert swap((0, 1), (0, 1)) == (modulus - 1 if modulus else zero - one)
+    assert swap((0,), (0,)) == zero and swap((0,), (1,)) == one
 
 
 def test_minor_table_is_freed_by_reference_counting():
@@ -341,7 +434,7 @@ def test_minor_table_is_freed_by_reference_counting():
 
 @st.composite
 def _gauss_matrix_and_lookups(draw):
-    # Small entries, zeros included, so that the is_zero skip is exercised;
+    # Small entries, zeros included, so that the skip of falsy entries is exercised;
     # up to 11 rows and columns, so that keys pass 2^16.
     n_rows = draw(st.integers(1, 11))
     width = draw(st.integers(1, 11))
@@ -516,8 +609,9 @@ def test_mirror_half_walk_reads_each_identity_once(family, rank):
     # every pair of the middle size (k even) is read as the first of a pair.
     g = sample_group_element(Algebra(family, rank), seed=3, bound=2)
     k = g.dim
-    recorder = _RecordingTable(g._minor_table)
-    g.__dict__["_minor_table"] = recorder
+    w, table = g._packed_minors
+    recorder = _RecordingTable(table)
+    g.__dict__["_packed_minors"] = w, recorder
     assert check_minor_identity(g).pairs_checked == math.comb(2 * k, k)
 
     def mask(idx):
@@ -554,7 +648,8 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
 
     # Patched before sampling: the sampler's membership determinant, the
     # identity check, the classification and det() all read one table, the
-    # one cached on the element over its integer form.
+    # one cached on the element over its packed integer form, reduced mod
+    # 2^(2w) + 1 at the packing width w.
     monkeypatch.setattr(toda.linalg, "minor_table", counting)
     monkeypatch.setattr(toda.groups, "minor_table", counting)
     g = sample_group_element(Algebra("C", 4), seed=0, bound=3)
@@ -563,7 +658,9 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
     assert classify_by_minors(g) == "Sp"
     assert g.det() == SCALAR_ONE
     assert len(builds) == 1
-    assert builds[0][0] is g._integer_form[1]
+    w, rows = pack(*g._integer_form)
+    assert g._packed_minors[0] == w
+    assert builds[0] == (rows, 0, 1, packing_modulus(w))
 
 
 def _first_sampled_identity_failure(a):
