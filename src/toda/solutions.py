@@ -24,12 +24,12 @@ accumulated as a Hermitian integer matrix over pairs of interned exponents,
 the pairs i <= j only, with the single denominator s_m^2 Lambda^m
 (s_m = d^m D_0 ... D_{m-1}), and kept on the bundle in that integer form
 (UnknownForm): the sorted exponents, the nonzero entries and the
-denominator.  Every check reads that one form.  The PDE check compiles it
-once into complex terms of F_m and its derivatives, each coefficient
-rounded once, and evaluates them with one power table per point (the float
-routine of exact).  The symmetry check cross-multiplies the denominators of
-F_m and F_{k-m}; the analytic monodromy test and the integrability degrees
-read the exponents of the nonzero entries.  A ZExpr of F_m is built only on
+denominator, in lowest terms: equal unknowns have equal forms.  Every check
+reads that one form.  The PDE check compiles each distinct form once (the
+mirror pairs of C/B share one) into complex terms of F and its derivatives,
+each coefficient rounded once, evaluated with one power table per point.
+The symmetry check is equality of the forms of F_m and F_{k-m}; F_1 is
+checked against nu^dag H nu on integers.  A ZExpr of F_m is built only on
 access (UnknownForm.expr, SolutionBundle.F): toda verify builds F_1 alone.
 
 For the C and B families the first n unknowns carry the reduction back to
@@ -47,8 +47,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import lcm, nan, prod
+from itertools import combinations, product
+from math import gcd, lcm, nan, prod
 from typing import Sequence
 
 from .basis import NuVector, StructureError, WronskianMatrix, nu_vector, wronskian
@@ -163,16 +163,25 @@ class ReducedUnknown:
 
 @dataclass(frozen=True)
 class UnknownForm:
-    """One unknown F_m in integer form.
+    """One unknown F_m in integer form, in lowest terms.
 
-    ``exponents`` are sorted and distinct; each entry (i, j, re, im) of
-    ``entries`` is the nonzero term ((re + i*im) / den) z^(e_i) zb^(e_j), in
-    (e_i, e_j) order, which is the term order of the ZExpr.
+    ``exponents`` are sorted and distinct, each with a nonzero diagonal entry;
+    each entry (i, j, re, im) of ``entries`` is the nonzero term
+    ((re + i*im) / den) z^(e_i) zb^(e_j), in (e_i, e_j) order, which is the
+    term order of the ZExpr.  Construction divides den, re and im by their
+    gcd, so forms are equal (and hash the same) iff their unknowns are.
     """
 
     exponents: tuple[Fraction, ...]
     entries: tuple[tuple[int, int, int, int], ...]
     den: int
+
+    def __post_init__(self):
+        g = gcd(self.den, *(x for _, _, re, im in self.entries for x in (re, im)))
+        if g > 1:
+            entries = tuple((i, j, re // g, im // g) for i, j, re, im in self.entries)
+            object.__setattr__(self, "entries", entries)
+            object.__setattr__(self, "den", self.den // g)
 
     @cached_property
     def expr(self) -> ZExpr:
@@ -219,9 +228,9 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     lambda_r^2 = l_r / Lambda.  F_m is accumulated as a Hermitian integer
     matrix over pairs of interned exponents (_unknown_matrix) with the
     single denominator s_m^2 Lambda^m, s_m the scale of the level-m minors
-    of G, and kept as an UnknownForm.  Only F_1 becomes a ZExpr here: it is
-    cross-checked against nu^dag H nu, which reads H directly.  The other
-    ZExprs are built when bundle.F is read.
+    of G, and kept as an UnknownForm, in lowest terms.  F_1 is cross-checked
+    on integers against nu^dag H nu, which reads H directly.  No ZExpr is
+    built here: they are built when bundle.F is read.
     """
     nu = nu_vector(config)
     w = wronskian(nu)
@@ -242,7 +251,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
             (i, j, re[i][j], im[i][j]) for i in range(n) for j in range(n) if re[i][j] or im[i][j]
         )
         forms.append(UnknownForm(exponents, entries, scales[m] ** 2 * lam_den**m))
-    _check_first_unknown(forms[0].expr, nu, h)
+    _check_first_unknown(forms[0], nu, h)
     reduced = reduced_unknowns(config)
     return SolutionBundle(config, params, nu, w, tuple(forms), reduced, h, c, lams)
 
@@ -314,15 +323,18 @@ def _unknown_matrix(g_minor, k: int, m: int, lam_num: Sequence[int]):
     return exps, re, im
 
 
-def _check_first_unknown(f1: ZExpr, nu: NuVector, h: GroupElement) -> None:
-    # F_1 = nu^dag H nu: entry H_ab carries conj(nu_a) nu_b = chi_a chi_b zb^beta_a z^beta_b.
-    k = nu.k
-    direct = ZExpr.from_terms(
-        Monomial(h.entries[a][b] * (nu.chi[a] * nu.chi[b]), nu.beta[b], nu.beta[a])
-        for a in range(k)
-        for b in range(k)
-    )
-    if direct != f1:
+def _check_first_unknown(f1: UnknownForm, nu: NuVector, h: GroupElement) -> None:
+    # F_1 = nu^dag H nu: entry H_ab carries conj(nu_a) nu_b = chi_a chi_b zb^beta_a z^beta_b,
+    # so on exponents beta, entry (b, a) of F_1 is chi_a chi_b (dH)_ab / d.
+    d, dh = h._integer_form
+    terms = {(i, j): (re, im) for i, j, re, im in f1.entries}
+    same = f1.exponents == nu.beta
+    for a, b in product(range(nu.k), repeat=2):
+        c, x = nu.chi[a] * nu.chi[b], dh[a][b]
+        re, im = terms.get((b, a), (0, 0))
+        scale, num = d * c.denominator, f1.den * c.numerator
+        same = same and re * scale == num * x.re and im * scale == num * x.im
+    if not same:
         raise StructureError("principal-minor F_1 disagrees with nu^dag H nu")
 
 
@@ -354,26 +366,12 @@ class SymmetryReport:
 def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     """Exact check that F_m = F_{k-m} for every m, on the integer forms.
 
-    Both entry lists are in (e_i, e_j) order without zeros, so the two
-    unknowns are equal iff their entries pair up on the same exponents with
-    re/den and im/den equal, compared by cross-multiplying the denominators.
+    The forms are in lowest terms, so two unknowns are equal iff their
+    forms are equal.
     """
-    k = bundle.k
-    forms = bundle.forms
-    failures = tuple(m for m in range(1, k) if not _same_unknown(forms[m - 1], forms[k - m - 1]))
+    k, forms = bundle.k, bundle.forms
+    failures = tuple(m for m in range(1, k) if forms[m - 1] != forms[k - m - 1])
     return SymmetryReport(not failures, failures)
-
-
-def _same_unknown(f: UnknownForm, g: UnknownForm) -> bool:
-    if len(f.entries) != len(g.entries):
-        return False
-    ef, eg = f.exponents, g.exponents
-    for (i, j, re, im), (p, q, re2, im2) in zip(f.entries, g.entries):
-        if re * g.den != re2 * f.den or im * g.den != im2 * f.den:
-            return False
-        if ef[i] != eg[p] or ef[j] != eg[q]:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -542,13 +540,14 @@ def verify_pde(
 ) -> PdeReport:
     """Numeric residual of the coupled log-Laplacian equations at off-cut points.
 
-    Each F_m is compiled once per call into a float plan (_pde_plan): the
-    terms of F_m, d_z F_m, d_zbar F_m and d_z d_zbar F_m, read off the
-    integer form of F_m; no ZExpr is built.  Each point gets one power table
-    shared by all plans and
-    one table row: the values F_m and the log-Laplacians
-    d_z d_zbar log F_m.  One residual routine compares a log-Laplacian with
-    its Cartan product in relative terms.  The A-side system
+    Each distinct form (the forms are in lowest terms, so the mirror pairs
+    F_m = F_{k-m} of C/B are one) is compiled once per call into a float
+    plan (_pde_plan): the terms of F, d_z F, d_zbar F and d_z d_zbar F; no
+    ZExpr is built.  Each point gets one power table shared by all plans,
+    each plan is evaluated once, and each m reads F_m and the log-Laplacian
+    d_z d_zbar log F_m from its form's values into the point's table row.
+    One residual routine compares a log-Laplacian with its Cartan product
+    in relative terms.  The A-side system
     d_z d_zbar log F_m = prod_j F_j^(-a_mj) is checked at every point as its
     row is built.  For C/B bundles the family system for m <= n is then
     checked on the same rows, each reduced unknown U_i scaled from the value
@@ -563,10 +562,11 @@ def verify_pde(
     if not pts:
         raise ValueError("verify_pde needs at least one point")
     index: dict[Fraction, int] = {}
-    plans = [_pde_plan(form, index) for form in bundle.forms]
+    slots: dict[UnknownForm, int] = {}
+    order = [slots.setdefault(form, len(slots)) for form in bundle.forms]
+    plans = [_pde_plan(form, index) for form in slots]
     exponents = tuple(index)
-    max_res = 0.0
-    worst = None
+    max_res, worst = 0.0, None
 
     def residual(m: int, z: complex, lhs: complex, values: list, row: Sequence[int], unit) -> None:
         # The Cartan product starts from the unit of the values' type:
@@ -585,14 +585,14 @@ def verify_pde(
     for z in pts:
         zc = complex(z)
         powers = _power_table(zc, exponents)
-        values = [plan[0].value(zc, powers) for plan in plans]
-        laps = []
-        for m, (fv, (_, fz, fzb, fzzb)) in enumerate(zip(values, plans), start=1):
-            laps.append(
-                (fv * fzzb.value(zc, powers) - fz.value(zc, powers) * fzb.value(zc, powers))
-                / (fv * fv)
-            )
-            residual(m, z, laps[-1], values, amat[m - 1], 1.0 + 0.0j)
+        fs = [plan[0].value(zc, powers) for plan in plans]
+        laps = [
+            (fv * fzzb.value(zc, powers) - fz.value(zc, powers) * fzb.value(zc, powers)) / (fv * fv)
+            for fv, (_, fz, fzb, fzzb) in zip(fs, plans)
+        ]
+        values, laps = [fs[s] for s in order], [laps[s] for s in order]
+        for m, lap in enumerate(laps, start=1):
+            residual(m, z, lap, values, amat[m - 1], 1.0 + 0.0j)
         rows.append((z, values, laps))
 
     if bundle.reduced is not None:

@@ -59,6 +59,26 @@ def test_demo_matches_golden(capsys, target):
     assert out == golden
 
 
+GOLDEN_COORDS = json.dumps(
+    {
+        "c10": "1/2-i/3", "c21": "-3/2+2i/3", "c32": "3/2+i/3", "c20": "-1/2-2i/3", "c31": "1/2+2i/3",
+        "c30": "3/2-i/3", "c41": "-1/2+i/3", "c40": "1/2-2i/3", "c50": "-3/2-i/3",
+    }
+)
+
+
+@pytest.mark.parametrize("family", ["C", "B"])
+def test_verify_matches_golden(capsys, family):
+    # The whole --json report, pde-residual "max=" text included, byte for
+    # byte: dense coordinates at gamma = 0, default points and seed.
+    code, out, err = run(
+        capsys, "verify", "--family", family, "--rank", "3", "--gamma", "0,0,0",
+        "--lambda", "1/2,3/2,1/2", "--coords", GOLDEN_COORDS, "--json",
+    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"verify_{family.lower()}3.json").read_text()
+
+
 def test_demo_deterministic(capsys):
     _, first, _ = run(capsys, "demo", "c3", "--json")
     _, second, _ = run(capsys, "demo", "c3", "--json")

@@ -410,19 +410,28 @@ def test_assemble_matches_sympy_oracle(family, rank, gamma):
 def test_lazy_unknowns_equal_from_terms_of_the_matrix(family, rank, gamma):
     # bundle.F is built on first access, once, from the integer forms; each
     # F_m equals ZExpr.from_terms of its whole integer matrix (zeros included)
-    # over its denominator.
+    # over its denominator s_m^2 Lambda^m.  The form holds the nonzero
+    # entries of that matrix, in order, in lowest terms.
     cfg = make_config(family, rank, gamma)
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
     assert "F" not in vars(b)
-    assert ["expr" in vars(f) for f in b.forms] == [True] + [False] * (cfg.k - 2)
+    assert ["expr" in vars(f) for f in b.forms] == [False] * (cfg.k - 1)
     g_minor, scales, beta_den = toda.solutions._prefix_minors(b.wronskian, b.C)
     lam_den, lam_num = _lambda_integers(b.lambdas)
     for m, (f, form) in enumerate(zip(b.F, b.forms), start=1):
         ints, re, im = toda.solutions._unknown_matrix(g_minor, cfg.k, m, lam_num)
         exps = [F(e - beta_den * m * (m - 1) // 2, beta_den) for e in ints]
         den = scales[m] ** 2 * lam_den**m
-        assert form.den == den and form.exponents == tuple(exps)
+        assert form.exponents == tuple(exps)
         n = len(exps)
+        assert _values(form.entries, form.den) == [
+            (i, j, F(re[i][j], den), F(im[i][j], den))
+            for i in range(n)
+            for j in range(n)
+            if re[i][j] or im[i][j]
+        ]
+        assert math.gcd(form.den, *(x for _, _, r, s in form.entries for x in (r, s))) == 1
+        assert den % form.den == 0
         assert f == ZExpr.from_terms(
             Monomial(ExactScalar(F(re[i][j], den), F(im[i][j], den)), exps[i], exps[j])
             for i in range(n)
@@ -479,24 +488,25 @@ def test_symmetry_negative_control():
     "family,rank,gamma", [("C", 2, (0, 0)), ("C", 3, (F(1, 2), F(1, 3), F(-1, 4))), ("B", 3, (0, 0, 0))]
 )
 def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
-    # The cross-multiplied comparison of two integer forms is ZExpr equality,
-    # on every pair of unknowns, mirror pairs (equal) and others (not).
+    # Equality of two integer forms (in lowest terms) is ZExpr equality, on
+    # every pair of unknowns, mirror pairs (equal) and others (not).
     cfg = make_config(family, rank, gamma)
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
     k = cfg.k
     for a in range(k - 1):
         for c in range(k - 1):
-            assert toda.solutions._same_unknown(b.forms[a], b.forms[c]) == (b.F[a] == b.F[c])
+            assert (b.forms[a] == b.forms[c]) == (b.F[a] == b.F[c])
     assert verify_symmetry(b).passed
     # The same unknown over a doubled denominator is still equal.
     last = b.forms[-1]
     doubled = UnknownForm(
         last.exponents, tuple((i, j, 2 * re, 2 * im) for i, j, re, im in last.entries), 2 * last.den
     )
+    assert doubled == last and hash(doubled) == hash(last)
     assert verify_symmetry(dataclasses.replace(b, forms=b.forms[:-1] + (doubled,))).passed
     # The same entries on shifted exponents are a different unknown.
     shifted = UnknownForm(tuple(e + 1 for e in last.exponents), last.entries, last.den)
-    assert not toda.solutions._same_unknown(last, shifted)
+    assert last != shifted
     # Bumping one entry of F_{k-m}, m < k-m, breaks the pair (m, k-m) and
     # nothing else.
     for m in range(1, (k + 1) // 2):
@@ -510,6 +520,80 @@ def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
         rep = verify_symmetry(bumped)
         assert not rep.passed
         assert rep.failures == (m, k - m)
+
+
+@st.composite
+def raw_forms(draw, exponents=None):
+    # (exponents, entries, den): sorted distinct exponents, each with a
+    # nonzero diagonal entry, as assemble builds them; small parts, so that
+    # equal pairs are drawn too.
+    if exponents is None:
+        exps = draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=1, max_size=3, unique=True))
+        exponents = tuple(sorted(exps))
+    small = st.integers(-3, 3)
+    entries = []
+    for i in range(len(exponents)):
+        for j in range(len(exponents)):
+            re, im = draw(st.integers(1, 3) if i == j else small), draw(small)
+            if re or im:
+                entries.append((i, j, re, im))
+    return exponents, tuple(entries), draw(st.integers(1, 4))
+
+
+def unknown_forms(exponents=None):
+    return raw_forms(exponents).map(lambda raw: UnknownForm(*raw))
+
+
+def _scaled(form, t):
+    return UnknownForm(
+        form.exponents, tuple((i, j, t * re, t * im) for i, j, re, im in form.entries), t * form.den
+    )
+
+
+def _values(entries, den):
+    return [(i, j, F(re, den), F(im, den)) for i, j, re, im in entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), raw_forms(), st.integers(1, 10**30))
+def test_lowest_terms_form_equality_is_unknown_equality(data, raw, t):
+    # Lowest terms keep every value.  A form scaled by t > 0 is the same
+    # form: equal, same hash, same denominator.  On any pair, form equality
+    # is ZExpr equality.
+    f = UnknownForm(*raw)
+    assert _values(f.entries, f.den) == _values(*raw[1:])
+    assert math.gcd(f.den, *(x for _, _, re, im in f.entries for x in (re, im))) == 1
+    scaled = _scaled(f, t)
+    assert scaled == f and hash(scaled) == hash(f) and scaled.den == f.den
+    g = data.draw(st.one_of(unknown_forms(), unknown_forms(f.exponents)))
+    same = f.expr == g.expr
+    assert (f == g) == same
+    assert (f == _scaled(g, t)) == same
+    if same:
+        assert hash(f) == hash(g)
+
+
+def test_first_unknown_is_checked_on_integers():
+    # F_1 is compared entry by entry with chi_a chi_b H_ab, without building
+    # a ZExpr; bumping any one entry of H, real or imaginary part, fails.
+    cfg = make_config("B", 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(8)))
+    assert "expr" not in vars(b.forms[0])
+    check = toda.solutions._check_first_unknown
+    check(b.forms[0], b.nu, b.H)
+    k = cfg.k
+    for a in range(k):
+        for c in range(k):
+            for bump in (ExactScalar.of(F(1, 10**9)), ExactScalar.of(0, F(1, 10**9))):
+                rows = [list(row) for row in b.H.entries]
+                rows[a][c] = rows[a][c] + bump
+                with pytest.raises(StructureError):
+                    check(b.forms[0], b.nu, GroupElement(tuple(map(tuple, rows))))
+    # The same entries on other exponents are not nu^dag H nu either.
+    f1 = b.forms[0]
+    shifted = UnknownForm(tuple(e + 1 for e in f1.exponents), f1.entries, f1.den)
+    with pytest.raises(StructureError):
+        check(shifted, b.nu, b.H)
 
 
 def test_symmetry_vacuous_for_k2():
@@ -828,13 +912,16 @@ def test_pde_non_finite_residual_after_finite_point():
 
 
 def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
-    # One float plan per F_m per call (F_m and its three derivatives), built
-    # from the integer form of F_m, and one power table per point, shared by
-    # every plan, the A-side and the reduced system.  No ZExpr is built,
-    # evaluated or differentiated: F_2 and F_3 never become ZExprs.
+    # One float plan per distinct form per call (F and its three
+    # derivatives), built from the integer form, and one power table per
+    # point, shared by every plan, the A-side and the reduced system.  On C2
+    # F_1 = F_3 share one plan; on A3 every F_m has its own.  No ZExpr is
+    # built, evaluated or differentiated: no F_m ever becomes a ZExpr.
     rng = random.Random(96)
-    cfg = make_config("C", 2, [0, 0])
-    b = assemble(cfg, random_params(cfg, rng))
+    cases = []
+    for family, rank, distinct in (("C", 2, (0, 1)), ("A", 3, (0, 1, 2))):
+        cfg = make_config(family, rank, [0] * rank)
+        cases.append((assemble(cfg, random_params(cfg, rng)), distinct))
     plans, tables, symbolic = [], [], []
     real_plan, real_table = toda.solutions._pde_plan, toda.solutions._power_table
 
@@ -859,13 +946,104 @@ def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
         monkeypatch.setattr(ZExpr, name, refuse(name))
     monkeypatch.setattr(ZExpr, "from_terms", staticmethod(refuse("from_terms")))
     monkeypatch.setattr(UnknownForm, "expr", property(refuse("expr")))
-    rep = verify_pde(b, count=5)
-    assert rep.passed and rep.reduced_checked
-    assert len(plans) == 3 and all(p is f for p, f in zip(plans, b.forms))
-    assert tables == list(annulus_points(5)) and len(tables) == 5
-    assert symbolic == []
-    assert "F" not in vars(b)
-    assert ["expr" in vars(f) for f in b.forms] == [True, False, False]
+    for b, distinct in cases:
+        plans.clear()
+        tables.clear()
+        rep = verify_pde(b, count=5)
+        assert rep.passed and rep.reduced_checked == (b.config.family != "A")
+        assert len(plans) == len(distinct)
+        assert all(p is b.forms[m] for p, m in zip(plans, distinct))
+        assert tables == list(annulus_points(5)) and len(tables) == 5
+        assert symbolic == []
+        assert "F" not in vars(b)
+        assert ["expr" in vars(f) for f in b.forms] == [False] * (b.k - 1)
+
+
+def _per_form_pde_reference(bundle, points, tol=1e-9):
+    # verify_pde as it was with one plan per F_m, duplicates included: the
+    # reference for the shared plans of equal forms.
+    index = {}
+    plans = [toda.solutions._pde_plan(form, index) for form in bundle.forms]
+    exponents = tuple(index)
+    max_res, worst = 0.0, None
+
+    def residual(m, z, lhs, values, row, unit):
+        nonlocal max_res, worst
+        rhs = unit
+        for a, v in zip(row, values):
+            if a != 0:
+                rhs *= v ** (-a)
+        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        if rel > max_res or (cmath.isnan(rel) and not cmath.isnan(max_res)):
+            max_res, worst = rel, (m, z)
+
+    amat = toda.lie.cartan(Algebra("A", bundle.k - 1)).matrix
+    rows = []
+    for z in points:
+        powers = toda.solutions._power_table(z, exponents)
+        values = [plan[0].value(z, powers) for plan in plans]
+        laps = []
+        for m, (fv, (_, fz, fzb, fzzb)) in enumerate(zip(values, plans), start=1):
+            laps.append(
+                (fv * fzzb.value(z, powers) - fz.value(z, powers) * fzb.value(z, powers)) / (fv * fv)
+            )
+            residual(m, z, laps[-1], values, amat[m - 1], 1.0 + 0.0j)
+        rows.append((z, values, laps))
+    if bundle.reduced is not None:
+        fam = toda.lie.cartan(bundle.config.algebra).matrix
+        for z, values, laps in rows:
+            red = [r.value_from(v) for r, v in zip(bundle.reduced, values)]
+            for m, r in enumerate(bundle.reduced, start=1):
+                residual(m, z, float(r.power) * laps[m - 1], red, fam[m - 1], 1.0)
+    return toda.solutions.PdeReport(max_res <= tol, max_res, worst, len(points), bundle.reduced is not None)
+
+
+PDE_REFERENCE_CASES = [
+    (family, rank, gamma)
+    for family, rank in (("C", 2), ("C", 3), ("C", 4), ("B", 2), ("B", 3), ("A", 3))
+    for gamma in ((0,) * rank, tuple(F(1, j + 2) for j in range(rank)))
+]
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma",
+    PDE_REFERENCE_CASES,
+    ids=[f"{f}{r}-{'frac' if any(g) else 'zero'}" for f, r, g in PDE_REFERENCE_CASES],
+)
+def test_shared_plans_report_equals_per_form_reference(monkeypatch, family, rank, gamma):
+    # One plan per distinct form gives the report of one plan per F_m, bit
+    # for bit: k//2 plans on C/B, where F_m = F_{k-m}, and k-1 on A.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
+    points = annulus_points(20)
+    want = _per_form_pde_reference(b, points)
+    plans = []
+    real_plan = toda.solutions._pde_plan
+
+    def counting_plan(form, index):
+        plans.append(form)
+        return real_plan(form, index)
+
+    monkeypatch.setattr(toda.solutions, "_pde_plan", counting_plan)
+    got = verify_pde(b, points)
+    assert repr(got) == repr(want) and got.passed
+    assert len(plans) == (cfg.k - 1 if family == "A" else cfg.k // 2)
+    if family == "A":
+        return
+    # A bumped mirror F_{k-1} != F_1: both forms get a plan, and the report
+    # (a failure) is still the per-form reference.
+    forms = list(b.forms)
+    i, j, re, im = forms[-1].entries[-1]
+    assert i == j == len(forms[-1].exponents) - 1
+    bumped_entries = forms[-1].entries[:-1] + ((i, j, re + forms[-1].den, im),)
+    forms[-1] = UnknownForm(forms[-1].exponents, bumped_entries, forms[-1].den)
+    bumped = dataclasses.replace(b, forms=tuple(forms))
+    want = _per_form_pde_reference(bumped, points)
+    plans.clear()
+    got = verify_pde(bumped, points)
+    assert repr(got) == repr(want) and not got.passed
+    assert len(plans) == cfg.k // 2 + 1
+    assert any(p is bumped.forms[0] for p in plans) and any(p is bumped.forms[-1] for p in plans)
 
 
 def _evaluate_oracle(expr, point):
