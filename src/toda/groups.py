@@ -23,11 +23,18 @@ read by bit mask, and unpack only a failing pair.  The membership test
 checks (dA)^t J (dA) = d^2 J on the Gaussian integers and det(dA) = d^k,
 once per element.
 
+The minor-identity check walks mask pairs (S, iota(comp S)) listed once per
+call and per size: all of them up to size k // 2 for k <= 7, else 2000
+draws of a size, then S, then T by random.Random(0).choice.
+
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
 diagonal/unipotent split, the constraint solver filling a unipotent group
 element from its free coordinates, and a seeded sampler of exact group
-elements.
+elements.  The solver runs on Gaussian integers: with delta = d (A, C) or
+2d (B), d the lcm of the coordinate denominators, each entry scaled by
+delta^(i-j) is a Gaussian integer, each constraint is homogeneous in that
+grading, and each dependent entry is one exact division by +-1 or +-2.
 
 Index sets for the public minor API are 1-based sorted tuples, matching the
 inversion iota(j) = k+1-j.
@@ -40,12 +47,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     CheckFailed,
     ExactScalar,
+    GAUSS_ONE,
     GAUSS_ZERO,
     GaussInt,
     GaussRows,
@@ -203,17 +211,29 @@ def expected_tag(k: int) -> str:
 
 
 def _preserves_form(d: int, scaled: GaussRows) -> bool:
-    """(dA)^t J (dA) == d^2 J on the integer form (d, dA), i.e. A^t J A = J."""
+    """(dA)^t J (dA) == d^2 J on the integer form (d, dA), i.e. A^t J A = J.
+
+    Both sides are J-symmetric, M^t = (-1)^(k-1) M, since J^t = (-1)^(k-1) J;
+    so the entries p <= q decide.  Sums run on int parts, skipping the zero
+    entries of column p.
+    """
     k = len(scaled)
+    # Row r of J (dA) is (-1)^r times row k-1-r of dA.
+    flipped = [
+        [(x.re, x.im) if r % 2 == 0 else (-x.re, -x.im) for x in scaled[k - 1 - r]]
+        for r in range(k)
+    ]
     for p in range(k):
-        for q in range(k):
-            acc = GAUSS_ZERO
-            for r in range(k):
-                term = scaled[r][p] * scaled[k - 1 - r][q]
-                acc = acc - term if r % 2 else acc + term
+        column = [(r, x.re, x.im) for r in range(k) if (x := scaled[r][p])]
+        for q in range(p, k):
+            re = im = 0
+            for r, a, b in column:
+                c, e = flipped[r][q]
+                re += a * c - b * e
+                im += a * e + b * c
             # J[p][q] is (-1)^p on the secondary diagonal p + q = k-1, else 0.
             target = 0 if p + q != k - 1 else (d * d if p % 2 == 0 else -d * d)
-            if acc != GaussInt(target):
+            if im or re != target:
                 return False
     return True
 
@@ -322,24 +342,29 @@ def _mask_pair(indices: Iterable[int], k: int) -> tuple[int, int]:
 def _identity_pairs(k: int, exhaustive: bool):
     """Pairs (m, (S, S'), (T, T')) walked by check_minor_identity, in order.
 
-    |S| = |T| = m; S, T and their mirrors S', T' are bit masks, each built
-    once per index set.  Exhaustive: every pair of size m <= k // 2, by size,
-    then S, then T, each in the order of itertools.combinations.  The mirror
+    |S| = |T| = m; S, T and their mirrors S', T' are bit masks.  The mask
+    pairs of each size are listed once per call, in the order of
+    itertools.combinations, and both walks read these lists.  Exhaustive:
+    every pair of size m <= k // 2, by size, then S, then T.  The mirror
     pair, of size k - m, is the same identity, so the walk covers all
-    C(2k, k) pairs.  Otherwise _SAMPLED_PAIRS pairs drawn from
-    random.Random(0): a size in 1..k-1, then S, then T.
+    C(2k, k) pairs.  Otherwise _SAMPLED_PAIRS pairs drawn by
+    random.Random(0).choice: a size m uniform in 1..k-1, then S and T
+    uniform in the size-m list.
     """
+    top = k // 2 if exhaustive else k - 1
+    levels = [[_mask_pair(c, k) for c in combinations(range(k), m)] for m in range(top + 1)]
     if exhaustive:
-        for m in range(k // 2 + 1):
-            masks = [_mask_pair(c, k) for c in combinations(range(k), m)]
+        for m, masks in enumerate(levels):
             for s in masks:
                 for t in masks:
                     yield m, s, t
         return
-    rng = random.Random(0)
+    choice = random.Random(0).choice
+    sizes = range(1, k)
     for _ in range(_SAMPLED_PAIRS):
-        m = rng.randint(1, k - 1)
-        yield m, _mask_pair(rng.sample(range(k), m), k), _mask_pair(rng.sample(range(k), m), k)
+        m = choice(sizes)
+        masks = levels[m]
+        yield m, choice(masks), choice(masks)
 
 
 def _mask_indices(x: int, k: int) -> tuple[int, ...]:
@@ -350,10 +375,11 @@ def _mask_indices(x: int, k: int) -> tuple[int, ...]:
 def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     """Verify A[S,T] == A[iota(comp S), iota(comp T)] for same-size S, T.
 
-    Exhaustive for dim <= 7, sampled beyond (see _identity_pairs).  Both
-    walk bit masks over the element's cached packed minor table: with S',
-    T' the mirror masks, v1 and v2 the packed residues of d^m A[S,T] and
-    d^(k-m) A[S',T'] for |S| = m, the pair holds iff
+    Exhaustive for dim <= 7, else 2000 pairs drawn from per-size lists of
+    mask pairs (see _identity_pairs).  Both walks read bit masks from the
+    element's cached packed minor table: with S', T' the mirror masks, v1
+    and v2 the packed residues of d^m A[S,T] and d^(k-m) A[S',T'] for
+    |S| = m, the pair holds iff
     (v1 * d^(k-m) - v2 * d^m) % n == 0, n = 2^(2w) + 1.  Both products
     have parts of at most Hadamard's bound H < 2^(w-2) (exact.pack), so
     their difference vanishes mod n only if it vanishes.  The identity is
@@ -515,50 +541,73 @@ class UnipotentCoords:
         return f"UnipotentCoords({self.algebra}, {body})"
 
 
+def _grade_step(family: str, d: int) -> int:
+    """The grading base delta of the integer solve, for coordinate denominators d.
+
+    Families A and C take delta = d.  Family B takes 2d: there the entries on
+    the anti-diagonal are divided by 2, and the factor 2^(i-j) keeps every
+    entry of the grade-scaled matrix a Gaussian integer.
+    """
+    return 2 * d if family == "B" else d
+
+
 def unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupElement:
     """Unique unipotent lower-triangular group element extending the free slots.
 
-    Dependent entries are solved by forward substitution in increasing band
-    i-j: each constraint row of C^t J C = J is linear in the single newest
-    unknown.  For family A there are no constraints.
+    Solved on Gaussian integers.  With d the lcm of the coordinate
+    denominators and delta = _grade_step(family, d), the matrix
+    X[i][j] = delta^(i-j) * C[i][j] has Gaussian-integer entries.  Dependent
+    entries are filled by forward substitution in increasing band i-j: the
+    row (p, q) = (k-1-i, j) of C^t J C = J is homogeneous of grade i-j,
+    sum_r (-1)^r X[r][p] X[k-1-r][q] = 0, and linear in X[i][j] with
+    coefficient c = (-1)^p, or (-1)^p + (-1)^i = +-2 on the anti-diagonal
+    of odd k.  So X[i][j] = -(the other terms) / c is an exact division; a
+    nonzero remainder raises ArithmeticError.  For family A there are no
+    constraints.  The element is built once, C[i][j] = X[i][j] / delta^(i-j),
+    and its membership is asserted on its integer form.
     """
     if coords.algebra != algebra:
         raise ValueError("coordinate set belongs to a different algebra")
     k = algebra.k
-    rows: list[list[ExactScalar]] = [
-        [SCALAR_ONE if i == j else SCALAR_ZERO for j in range(k)] for i in range(k)
-    ]
-    free = {(s.row, s.col) for s in coordinate_map(algebra)}
-    for (i, j), v in coords.values.items():
-        rows[i][j] = v
-    if algebra.family == "A":
-        return GroupElement(tuple(tuple(r) for r in rows))
-
-    dependent = [
-        (i, j) for j in range(k) for i in range(j + 1, k) if (i, j) not in free
-    ]
-    dependent.sort(key=lambda ij: (ij[0] - ij[1], ij[1]))
-    for (i, j) in dependent:
-        p, q = k - 1 - i, j
-        coeff = SCALAR_ZERO
-        const = SCALAR_ZERO
-        for r in range(p, k - q):
-            sign = -1 if r % 2 else 1
-            left = (r, p)
-            right = (k - 1 - r, q)
-            if left == (i, j):
-                partner = rows[right[0]][right[1]]
-                coeff = coeff + sign * partner
-            elif right == (i, j):
-                partner = rows[left[0]][left[1]]
-                coeff = coeff + sign * partner
-            else:
-                term = rows[left[0]][left[1]] * rows[right[0]][right[1]]
-                const = const + sign * term
-        # Target is J[p][q]; here p + q < k - 1 always, so the target is 0.
-        rows[i][j] = (-const) / coeff
-    g = GroupElement(tuple(tuple(r) for r in rows))
-    if not _preserves_form(*g._integer_form):
+    values = coords.values
+    d = lcm(*(x.denominator for v in values.values() for x in (v.re, v.im)))
+    delta = _grade_step(algebra.family, d)
+    powers = [delta ** band for band in range(k)]
+    x = [[GAUSS_ONE if i == j else GAUSS_ZERO for j in range(k)] for i in range(k)]
+    for (i, j), v in values.items():
+        scale = powers[i - j]
+        x[i][j] = GaussInt(
+            v.re.numerator * (scale // v.re.denominator),
+            v.im.numerator * (scale // v.im.denominator),
+        )
+    if algebra.family != "A":
+        free = {(s.row, s.col) for s in coordinate_map(algebra)}
+        dependent = [
+            (i, j) for j in range(k) for i in range(j + 1, k) if (i, j) not in free
+        ]
+        dependent.sort(key=lambda ij: (ij[0] - ij[1], ij[1]))
+        for (i, j) in dependent:
+            p, q = k - 1 - i, j
+            # The unknown X[i][j] is still 0, so the sum holds the other terms
+            # only: the unknown meets the diagonal 1 at r = p, and at r = i
+            # when i + j = k - 1.  The target J[p][q] is 0 as p + q < k - 1.
+            acc = GAUSS_ZERO
+            for r in range(p, k - q):
+                term = x[r][p] * x[k - 1 - r][q]
+                acc = acc - term if r % 2 else acc + term
+            c = (-1) ** p + ((-1) ** i if i + j == k - 1 else 0)
+            re, re_rest = divmod(-acc.re, c)
+            im, im_rest = divmod(-acc.im, c)
+            if re_rest or im_rest:
+                raise ArithmeticError(f"constraint for entry ({i},{j}) is not an exact division")
+            x[i][j] = GaussInt(re, im)
+    g = GroupElement(
+        tuple(
+            tuple(scalar_over(v, powers[i - j]) if v else SCALAR_ZERO for j, v in enumerate(row))
+            for i, row in enumerate(x)
+        )
+    )
+    if algebra.family != "A" and not _preserves_form(*g._integer_form):
         raise ArithmeticError("constraint solver produced a non-group element")
     return g
 
@@ -644,9 +693,12 @@ def diagonal_element(diag: Sequence[Fraction]) -> GroupElement:
 def sample_group_element(algebra: Algebra, seed: int, bound: int = 3) -> GroupElement:
     """Seeded exact group element: lower-unipotent x diagonal x upper-unipotent.
 
-    Both unipotent factors are constraint-solved, the diagonal satisfies the
-    pairing condition, so the product is in the group by construction.  With
-    bound 0 the sample is the identity.
+    Both unipotent factors are constraint-solved on Gaussian integers
+    (unipotent_from_coords), the diagonal satisfies the pairing condition,
+    and the two products multiply integer forms, so the product is in the
+    group by construction; its membership is asserted once, and the verdict
+    and minor table stay cached on the element.  With bound 0 the sample is
+    the identity.
     """
     if algebra.family == "A":
         raise ValueError("sampler is defined for the C and B families")

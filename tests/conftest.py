@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 from toda import SolutionParams
-from toda.exact import Monomial, ZExpr
+from toda.exact import SCALAR_ONE, SCALAR_ZERO, ExactScalar, Monomial, ZExpr
 from toda.groups import (
     GroupElement,
+    UnipotentCoords,
     diagonal_element,
     is_in_group,
     random_coords,
@@ -12,7 +13,7 @@ from toda.groups import (
     restrict_to_ngamma,
     unipotent_from_coords,
 )
-from toda.lie import Algebra, delta_gamma
+from toda.lie import Algebra, coordinate_map, delta_gamma
 
 
 def zbar_pow(exp) -> ZExpr:
@@ -25,6 +26,42 @@ def diff_zbar(f: ZExpr) -> ZExpr:
     return ZExpr.from_terms(
         Monomial(t.coeff * t.exp_zbar, t.exp_z, t.exp_zbar - 1) for t in f.terms if t.exp_zbar != 0
     )
+
+
+def fraction_unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupElement:
+    """Oracle for groups.unipotent_from_coords: the same solve on ExactScalars.
+
+    Dependent entries are solved by forward substitution in increasing band
+    i-j: each constraint row of C^t J C = J is linear in the single newest
+    unknown, which is divided out in Fraction arithmetic.
+    """
+    k = algebra.k
+    rows: list[list[ExactScalar]] = [
+        [SCALAR_ONE if i == j else SCALAR_ZERO for j in range(k)] for i in range(k)
+    ]
+    free = {(s.row, s.col) for s in coordinate_map(algebra)}
+    for (i, j), v in coords.values.items():
+        rows[i][j] = v
+    if algebra.family != "A":
+        dependent = [(i, j) for j in range(k) for i in range(j + 1, k) if (i, j) not in free]
+        dependent.sort(key=lambda ij: (ij[0] - ij[1], ij[1]))
+        for (i, j) in dependent:
+            p, q = k - 1 - i, j
+            coeff = SCALAR_ZERO
+            const = SCALAR_ZERO
+            for r in range(p, k - q):
+                sign = -1 if r % 2 else 1
+                left = (r, p)
+                right = (k - 1 - r, q)
+                if left == (i, j):
+                    coeff = coeff + sign * rows[right[0]][right[1]]
+                elif right == (i, j):
+                    coeff = coeff + sign * rows[left[0]][left[1]]
+                else:
+                    const = const + sign * rows[left[0]][left[1]] * rows[right[0]][right[1]]
+            # Target is J[p][q]; here p + q < k - 1 always, so the target is 0.
+            rows[i][j] = (-const) / coeff
+    return GroupElement(tuple(tuple(r) for r in rows))
 
 
 def sample_positive_hermitian(algebra: Algebra, seed: int, bound: int = 3) -> GroupElement:

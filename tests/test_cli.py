@@ -79,6 +79,28 @@ def test_verify_matches_golden(capsys, family):
     assert out == (GOLDEN / f"verify_{family.lower()}3.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        # The sampled identity walk (k = 8) and the exhaustive one (k = 7).
+        ("minors_c4", ["minors", "--family", "C", "--rank", "4", "--count", "2", "--seed", "0"]),
+        ("minors_b3", ["minors", "--family", "B", "--rank", "3", "--count", "2", "--seed", "0"]),
+        # Fractional coordinates on the one slot that ngamma marks integral.
+        (
+            "solve_b4",
+            [
+                "solve", "--family", "B", "--rank", "4", "--gamma", "1/2,1/3,1/2,1/4",
+                "--lambda", "1/2,3/2,2/3,3", "--coords", '{"c52":"3/7-5i/4"}',
+            ],
+        ),
+    ],
+)
+def test_group_side_matches_golden(capsys, name, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_demo_deterministic(capsys):
     _, first, _ = run(capsys, "demo", "c3", "--json")
     _, second, _ = run(capsys, "demo", "c3", "--json")

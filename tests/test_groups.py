@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_positive_hermitian
+from conftest import fraction_unipotent_from_coords, sample_positive_hermitian
 from toda.exact import (
     GAUSS_ONE,
     GAUSS_ZERO,
@@ -47,13 +47,15 @@ from toda.groups import (
     minor,
     random_coords,
     random_paired_diagonal,
+    _grade_step,
+    _identity_pairs,
     restrict_to_ngamma,
     sample_group_element,
     split_diagonal_unipotent,
     ul_cholesky,
     unipotent_from_coords,
 )
-from toda.lie import Algebra, delta_gamma
+from toda.lie import Algebra, coordinate_map, delta_gamma
 from toda.linalg import det, mat_mul, minor_table
 
 
@@ -132,6 +134,26 @@ def test_minus_identity_rejected_for_odd_k(k):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_scalar_multiple_of_identity_rejected(k):
     assert not is_in_group(GroupElement.from_rows([[2 if i == j else 0 for j in range(k)] for i in range(k)]))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+def test_corner_shear_moves_only_a_diagonal_entry_of_the_form(k):
+    # A = I + s E_{k-1,0} has det 1 and A^t J A = J + s (J[0][k-1] + J[k-1][0]) E_00:
+    # in Sp for even k, but for odd k only the diagonal entry (0, 0) of the
+    # form differs, so membership must test the diagonal too.
+    rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    rows[k - 1][0] = F(2, 3)
+    a = GroupElement.from_rows(rows)
+    j = form_matrix(k)
+    diff = [
+        (p, q)
+        for p in range(k)
+        for q in range(k)
+        if (a.transpose() @ j @ a).entries[p][q] != j.entries[p][q]
+    ]
+    assert a.det() == SCALAR_ONE
+    assert diff == ([] if k % 2 == 0 else [(0, 0)])
+    assert is_in_group(a) == (k % 2 == 0)
 
 
 @pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2)])
@@ -664,15 +686,16 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
 
 
 def _first_sampled_identity_failure(a):
-    # The sampled check through the public minor(): 2000 draws from
-    # random.Random(0) (a size in 1..k-1, then S, then T, all 1-based); the
-    # first failing pair with both minors.
+    # The sampled check through the public minor(): 2000 draws by
+    # random.Random(0).choice (a size in 1..k-1, then S, then T among the
+    # 1-based size-m subsets in combinations order); the first failing pair
+    # with both minors.
     k = a.dim
-    rng = random.Random(0)
+    choice = random.Random(0).choice
+    subsets = [list(combinations(range(1, k + 1), m)) for m in range(k)]
     for _ in range(2000):
-        m = rng.randint(1, k - 1)
-        s = tuple(sorted(rng.sample(range(1, k + 1), m)))
-        t = tuple(sorted(rng.sample(range(1, k + 1), m)))
+        m = choice(range(1, k))
+        s, t = choice(subsets[m]), choice(subsets[m])
         lhs = minor(a, s, t)
         rhs = minor(a, iota(complement(s, k), k), iota(complement(t, k), k))
         if lhs != rhs:
@@ -703,6 +726,19 @@ def test_sampled_identity_witness_matches_minor(monkeypatch, seed, part):
     s, t = want[0]
     assert str(err.value) == f"minor identity fails at S={s}, T={t}: {want[1]} != {want[2]}"
     assert isinstance(err.value.lhs, ExactScalar) and isinstance(err.value.rhs, ExactScalar)
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_sampled_walk_draws_from_every_size(k):
+    # 2000 pairs with |S| = |T| = m and mirrors of size k - m, every size
+    # 1..k-1 drawn, and the same walk on every call.
+    first = list(_identity_pairs(k, False))
+    assert first == list(_identity_pairs(k, False))
+    assert len(first) == 2000
+    for m, (s, s_mirror), (t, t_mirror) in first:
+        assert s.bit_count() == t.bit_count() == m
+        assert s_mirror.bit_count() == t_mirror.bit_count() == k - m
+    assert {m for m, _, _ in first} == set(range(1, k))
 
 
 @pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2)])
@@ -897,6 +933,45 @@ def test_unipotent_solutions_are_group_members():
         for _ in range(3):
             c = unipotent_from_coords(alg, random_coords(alg, rng, 3))
             assert is_in_group(c)
+
+
+@st.composite
+def _solver_inputs(draw):
+    # A2-A4, C1-C7, B1-B7 with coordinates that may be zero (left out) or
+    # purely real or imaginary, with denominators up to 10^3.
+    family, rank = draw(
+        st.sampled_from([("A", r) for r in range(2, 5)] + [(f, r) for f in "CB" for r in range(1, 8)])
+    )
+    alg = Algebra(family, rank)
+    part = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+    vals = {}
+    for slot in coordinate_map(alg):
+        kind = draw(st.sampled_from(["zero", "real", "imag", "both"]))
+        if kind != "zero":
+            re = draw(part) if kind in ("real", "both") else F(0)
+            im = draw(part) if kind in ("imag", "both") else F(0)
+            vals[slot.row, slot.col] = ExactScalar(re, im)
+    return alg, UnipotentCoords(alg, vals)
+
+
+@given(_solver_inputs())
+@settings(max_examples=80, deadline=None)
+def test_integer_solver_matches_fraction_solver(case):
+    alg, coords = case
+    assert unipotent_from_coords(alg, coords).entries == fraction_unipotent_from_coords(alg, coords).entries
+
+
+def test_integer_solver_needs_the_factor_two_on_b(monkeypatch):
+    # B1: X[2][0] = X[1][0]^2 / 2 is an exact division only when the grading
+    # base carries the factor 2; with delta = d the guard fires.
+    alg = Algebra("B", 1)
+    coords = UnipotentCoords(alg, {(1, 0): S(1)})
+    assert unipotent_from_coords(alg, coords).entries[2][0] == S(F(1, 2))
+    monkeypatch.setattr("toda.groups._grade_step", lambda family, d: d)
+    with pytest.raises(ArithmeticError, match="not an exact division"):
+        unipotent_from_coords(alg, coords)
+    # C never divides by 2: its anti-diagonal slots are free.
+    assert _grade_step("C", 6) == 6 and _grade_step("B", 6) == 12
 
 
 def test_free_coordinate_round_trip():

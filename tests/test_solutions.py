@@ -796,13 +796,38 @@ def test_pde_liouville_closed_form():
     assert lhs == pytest.approx(1 / (1 + abs(z) ** 2) ** 2)
 
 
+_PDE_SEEDS = range(0, 4096, 512)
+# Seeds whose float PDE verdict fails a C2 solution that passes every exact
+# check: max_residual just above tol = 1e-9 at m = 2.  The exact PDE verdict
+# of ROADMAP item 2 would end these false failures.
+_PDE_FALSE_FAILURES = {"C": (1536, 1638, 1771, 3647), "B": ()}
+
+
+def _random_pde_bundle(family, rank, seed):
+    rng = random.Random(seed)
+    cfg = make_config(family, rank, random_gamma(rng, rank))
+    return assemble(cfg, random_params(cfg, rng))
+
+
 @pytest.mark.parametrize("family,rank", [("C", 2), ("B", 2)])
 def test_pde_random_configs(family, rank):
-    rng = random.Random(hash((family, rank, "pde")) & 0xFFF)
-    cfg = make_config(family, rank, random_gamma(rng, rank))
-    b = assemble(cfg, random_params(cfg, rng))
-    rep = verify_pde(b, count=10, tol=1e-9)
-    assert rep.passed and rep.reduced_checked
+    for seed in sorted({*_PDE_SEEDS, *_PDE_FALSE_FAILURES[family]}):
+        b = _random_pde_bundle(family, rank, seed)
+        assert verify_symmetry(b).passed and verify_monodromy(b).passed, seed
+        assert verify_integrability(b).passed, seed
+        if seed not in _PDE_FALSE_FAILURES[family]:
+            rep = verify_pde(b, count=10, tol=1e-9)
+            assert rep.passed and rep.reduced_checked, seed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="float PDE verdict: max_residual just above tol 1e-9 on an exactly verified "
+    "C2 solution; an exact verdict is ROADMAP item 2",
+)
+@pytest.mark.parametrize("seed", _PDE_FALSE_FAILURES["C"])
+def test_pde_float_verdict_false_failures(seed):
+    assert verify_pde(_random_pde_bundle("C", 2, seed), count=10, tol=1e-9).passed
 
 
 def test_pde_worked_example_configs():
