@@ -5,12 +5,9 @@ from .exact import (
     BranchCutError,
     CheckFailed,
     ExactScalar,
-    FirstOrderOp,
     Monomial,
-    OrdinaryOp,
     OriginError,
     ZExpr,
-    compose,
 )
 from .lie import (
     Algebra,

@@ -7,35 +7,30 @@ of the power integrands are single monomials
     sigma_i = z^(mu_1+...+mu_i) / (mu_i (mu_i+mu_{i-1}) ... (mu_i+...+mu_1)),
 
 and the basis entries nu_i = sigma_i / z^(xi_exponent) are monomials
-chi_i * z^(beta_i) with strictly increasing exponents beta.  The k x k
-Wronskian matrix of nu has determinant exactly 1 (checked as the rational
-determinant of its entry coefficients times one power of z), its column
-minors are single monomials with a Vandermonde coefficient (column_minor,
-the independent check of the prefix minors that assembly reads), and for
-palindromic mu the pairing W^t J W has an exact zero/sign pattern that a
-Gram-Schmidt pass turns into J itself.
+chi_i * z^(beta_i) with strictly increasing exponents beta.  The basis is
+held as those rationals (NuVector.chi, .beta), and the k x k Wronskian
+matrix as one Fraction table: its entry (i, j), the j-th z-derivative of
+nu_i, is coeffs[i][j] z^(beta_i - j) with coeffs[i][j] = chi_i (beta_i)_j
+(falling factorial).  Its determinant is exactly 1 (the determinant of the
+table, taken on integers, times one power of z).  ZExpr forms of nu and of
+the entries are built only on access.  The column minors are single
+monomials with a Vandermonde coefficient (column_minor, the independent
+check of the prefix minors that assembly reads), and for palindromic mu the
+pairing W^t J W has an exact zero/sign pattern that a Gram-Schmidt pass
+turns into J itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .config import TodaConfig
-from .exact import (
-    GAUSS_ONE,
-    GAUSS_ZERO,
-    SCALAR_ONE,
-    SCALAR_ZERO,
-    ZExpr,
-    as_fraction,
-    format_fraction,
-    scalar_over,
-    scale_to_gaussian,
-)
+from .exact import SCALAR_ONE, ZExpr, as_fraction
 from .groups import GroupElement
 from .linalg import det as generic_det
 from .linalg import mat_mul, transpose
@@ -48,35 +43,43 @@ class StructureError(AssertionError):
     """An exact structural pattern required by the construction failed."""
 
 
-def sigma_vector(mu: Sequence) -> tuple[ZExpr, ...]:
-    """Closed-form nested antiderivatives of the powers z^(mu_i - 1)."""
+def _sigma_terms(mu: Sequence) -> list[tuple[Fraction, Fraction]]:
+    """(coefficient, exponent) of each sigma_i, from the closed form above."""
     m = tuple(as_fraction(x) for x in mu)
     if any(x <= 0 for x in m):
         raise ValueError("all mu_i must be positive")
-    out = [Z_ONE]
+    out = [(Fraction(1), Fraction(0))]
     for i in range(1, len(m) + 1):
-        exponent = sum(m[:i], Fraction(0))
         denom = Fraction(1)
         partial = Fraction(0)
         for j in range(i - 1, -1, -1):
             partial += m[j]
             denom *= partial
-        out.append(ZExpr.monomial(Fraction(1) / denom, exponent))
-    return tuple(out)
+        out.append((1 / denom, sum(m[:i], Fraction(0))))
+    return out
+
+
+def sigma_vector(mu: Sequence) -> tuple[ZExpr, ...]:
+    """Closed-form nested antiderivatives of the powers z^(mu_i - 1)."""
+    return tuple(ZExpr.monomial(c, e) for c, e in _sigma_terms(mu))
 
 
 @dataclass(frozen=True)
 class NuVector:
     """Basis entries nu_i = chi_i z^(beta_i), beta strictly increasing."""
 
-    nu: tuple[ZExpr, ...]
     chi: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
     xi_exponent: Fraction
 
     @property
     def k(self) -> int:
-        return len(self.nu)
+        return len(self.beta)
+
+    @cached_property
+    def nu(self) -> tuple[ZExpr, ...]:
+        """The entries as ZExprs, built on first access."""
+        return tuple(ZExpr.monomial(c, b) for c, b in zip(self.chi, self.beta))
 
 
 def nu_vector(config: TodaConfig) -> NuVector:
@@ -85,69 +88,61 @@ def nu_vector(config: TodaConfig) -> NuVector:
 
 
 def nu_vector_from_mu(mu: Sequence, xi_exponent) -> NuVector:
-    m = tuple(as_fraction(x) for x in mu)
     xi = as_fraction(xi_exponent)
-    sigmas = sigma_vector(m)
-    nus = []
-    chis = []
-    betas = []
-    for s in sigmas:
-        term = s.single_monomial()
-        chis.append(term.coeff.re)
-        betas.append(term.exp_z - xi)
-        nus.append(ZExpr.monomial(term.coeff, term.exp_z - xi))
+    terms = _sigma_terms(mu)
+    betas = tuple(e - xi for _, e in terms)
     for a, b in zip(betas, betas[1:]):
         if not a < b:
             raise StructureError("basis exponents must increase strictly")
-    return NuVector(tuple(nus), tuple(chis), tuple(betas), xi)
+    return NuVector(tuple(c for c, _ in terms), betas, xi)
+
+
+def _falling_factorial(x: Fraction, n: int) -> Fraction:
+    """(x)_n = x (x - 1) ... (x - n + 1); (x)_0 = 1."""
+    return prod((x - i for i in range(n)), start=Fraction(1))
 
 
 @dataclass(frozen=True)
 class WronskianMatrix:
-    """Columns are successive z-derivatives of the basis vector; det = 1."""
+    """Columns are successive z-derivatives of the basis vector; det = 1.
 
-    entries: tuple[tuple[ZExpr, ...], ...]
+    Entry (i, j) is coeffs[i][j] z^(beta_i - j), coeffs[i][j] = chi_i (beta_i)_j.
+    """
+
+    coeffs: tuple[tuple[Fraction, ...], ...]
     nu: NuVector
 
     @property
     def k(self) -> int:
-        return len(self.entries)
+        return len(self.coeffs)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[ZExpr, ...], ...]:
+        """The entries as ZExprs, built on first access."""
+        return tuple(
+            tuple(ZExpr.monomial(c, b - j) for j, c in enumerate(row))
+            for b, row in zip(self.nu.beta, self.coeffs)
+        )
 
 
 def wronskian(nu: NuVector) -> WronskianMatrix:
-    """The Wronskian matrix of nu, with det W = 1 checked exactly.
+    """The Wronskian matrix of nu as its Fraction table, with det W = 1 checked exactly.
 
-    Entry (i, j) is the monomial chi_i (beta_i)_j z^(beta_i - j) (falling
-    factorial), so det W = det[chi_i (beta_i)_j] z^(sum beta - k(k-1)/2):
-    each entry's exponent is checked, and the determinant of the rational
-    coefficient matrix is taken once, on its Gaussian-integer form (d, d*M).
+    Entry (i, j) is a multiple of z^(beta_i - j), so
+    det W = det[chi_i (beta_i)_j] z^(sum beta - k(k-1)/2).  The determinant
+    of the table is taken once, on its integer form (d, d * coeffs).
     """
     k = nu.k
-    cols: list[tuple[ZExpr, ...]] = [nu.nu]
-    for _ in range(k - 1):
-        cols.append(tuple(e.diff_z() for e in cols[-1]))
-    entries = transpose(cols)
-    coeffs = []
-    for i, row in enumerate(entries):
-        coeff_row = []
-        for j, entry in enumerate(row):
-            if entry.is_zero:
-                coeff_row.append(SCALAR_ZERO)
-                continue
-            term = entry.single_monomial()
-            if term.exp_z != nu.beta[i] - j or term.exp_zbar != 0:
-                raise StructureError(
-                    f"Wronskian entry ({i},{j}) is {entry}, expected a multiple of "
-                    f"z^({format_fraction(nu.beta[i] - j)})"
-                )
-            coeff_row.append(term.coeff)
-        coeffs.append(coeff_row)
+    coeffs = tuple(
+        tuple(c * _falling_factorial(b, j) for j in range(k)) for c, b in zip(nu.chi, nu.beta)
+    )
     exponent = sum(nu.beta, Fraction(0)) - Fraction(k * (k - 1), 2)
-    scale, scaled = scale_to_gaussian(coeffs)
-    d = scalar_over(generic_det(scaled, GAUSS_ZERO, GAUSS_ONE), scale**k)
-    if d != SCALAR_ONE or exponent != 0:
+    den = lcm(*(x.denominator for row in coeffs for x in row))
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in coeffs]
+    d = Fraction(generic_det(scaled, 0, 1), den**k)
+    if d != 1 or exponent != 0:
         raise StructureError(f"Wronskian determinant is {ZExpr.monomial(d, exponent)}, expected 1")
-    return WronskianMatrix(entries, nu)
+    return WronskianMatrix(coeffs, nu)
 
 
 def column_minor(w: WronskianMatrix, rows: Sequence[int]) -> ZExpr:

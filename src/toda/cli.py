@@ -190,14 +190,15 @@ def cmd_verify(args) -> int:
             "detail": f"failures={failing}" if failing else "exponents at 0 match the doubled weights",
         }
     )
+    # N1/N2: F_1 lies in ker L (x) ker conj(L), so its exponents are roots of P.
     cdata = characteristic_data(cfg)
-    checks.append(
-        {
-            "name": "w-symmetry",
-            "passed": True,
-            "detail": f"w = [{', '.join(fractions_to_json(cdata.w))}]",
-        }
-    )
+    values = [(e, cdata.indicial(e)) for e in bundle.forms[0].exponents]
+    off_roots = [f"P({format_fraction(e)}) = {format_fraction(v)}" for e, v in values if v]
+    if off_roots:
+        wsym_detail = f"F_1 exponents off the roots of P: {', '.join(off_roots)}"
+    else:
+        wsym_detail = f"w = [{', '.join(fractions_to_json(cdata.w))}]"
+    checks.append({"name": "w-symmetry", "passed": not off_roots, "detail": wsym_detail})
     if cfg.family == "A":
         acase = a_case_form(cfg, params)
         if acase.product == acase.product_expected:
@@ -317,14 +318,14 @@ def cmd_wsym(args) -> int:
         "config": config_to_json(cfg),
         "w": fractions_to_json(data.w),
         "beta": fractions_to_json(data.beta),
-        "order": data.operator.order,
+        "order": cfg.k,
         "passed": True,
     }
     lines = [
         f"characteristic data for {cfg.family}{cfg.rank}:",
         f"  w    = [{', '.join(fractions_to_json(data.w))}]",
         f"  beta = [{', '.join(fractions_to_json(data.beta))}]",
-        f"  operator order {data.operator.order}; annihilates every basis power",
+        f"  operator order {cfg.k}; annihilates every basis power",
     ]
     _emit(report, args, lines)
     return 0

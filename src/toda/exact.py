@@ -3,10 +3,10 @@
 An expression is a finite sum of terms ``c * z**a * zb**b`` where the
 coefficient ``c`` is a complex number with rational real and imaginary parts
 and the exponents ``a``, ``b`` are rationals (``zb`` stands for the complex
-conjugate of ``z``).  All ring operations, differentiation and conjugation
-are exact; equality is structural.  The only floating-point path is one
-private routine: an expression is converted once into complex coefficients
-with indices into an exponent table (``_float_terms``, over exponents
+conjugate of ``z``).  All ring operations and conjugation are exact;
+equality is structural.  The only floating-point path is one private
+routine: an expression is converted once into complex coefficients with
+indices into an exponent table (``_float_terms``, over exponents
 interned by ``_exponent_slot``), each point gets one table of
 principal-branch powers ``z**a`` on the cut plane ``C \\ (-inf, 0]``
 (``_power_table``), and ``_FloatTerms.value`` sums the terms.
@@ -17,11 +17,6 @@ point.
 Terms are keyed by the exponent pair ``(a, b)``.  Normalization merges like
 terms, drops zero coefficients and sorts terms by exponent pair, so two
 expressions are equal iff their term tuples are equal.
-
-The module also provides first-order differential operators ``d/dz + s(z)``
-with holomorphic monomial-sum shifts ``s``, their exact composition into a
-single higher-order operator, and exact application of operators to
-expressions.
 """
 
 from __future__ import annotations
@@ -496,13 +491,6 @@ class ZExpr:
             Monomial(t.coeff.conjugate(), t.exp_zbar, t.exp_z) for t in self.terms
         )
 
-    def diff_z(self) -> ZExpr:
-        return ZExpr.from_terms(
-            Monomial(t.coeff * t.exp_z, t.exp_z - 1, t.exp_zbar)
-            for t in self.terms
-            if t.exp_z != 0
-        )
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -674,60 +662,3 @@ def _coerce_expr(x):
     if isinstance(x, (int, Fraction, ExactScalar)):
         return ZExpr.const(x)
     return NotImplemented
-
-
-@dataclass(frozen=True)
-class FirstOrderOp:
-    """The operator d/dz + shift with a holomorphic monomial-sum shift."""
-
-    shift: ZExpr
-
-    def __post_init__(self):
-        if not self.shift.is_holomorphic:
-            raise ValueError("first-order shift must be holomorphic (no conj(z) terms)")
-
-    def apply(self, f: ZExpr) -> ZExpr:
-        return f.diff_z() + self.shift * f
-
-
-@dataclass(frozen=True)
-class OrdinaryOp:
-    """Operator sum(coefficients[j] * d^(order-j)/dz^(order-j)), leading coefficient 1."""
-
-    coefficients: tuple[ZExpr, ...]
-
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[0] != _ONE:
-            raise ValueError("leading coefficient must be the constant 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def apply(self, f: ZExpr) -> ZExpr:
-        # Derivatives from highest to lowest order, matching coefficient order.
-        derivs = [f]
-        for _ in range(self.order):
-            derivs.append(derivs[-1].diff_z())
-        total = ZExpr.zero()
-        for j, c in enumerate(self.coefficients):
-            total = total + c * derivs[self.order - j]
-        return total
-
-
-def compose(ops: Sequence[FirstOrderOp]) -> OrdinaryOp:
-    """Expand a left-to-right product of first-order factors exactly.
-
-    The rightmost factor acts first; the result has leading coefficient 1.
-    """
-    coeffs: list[ZExpr] = [ZExpr.one()]
-    for op in reversed(ops):
-        s = op.shift
-        m = len(coeffs) - 1
-        new: list[ZExpr] = []
-        for j in range(m + 2):
-            c_j = coeffs[j] if j <= m else ZExpr.zero()
-            c_prev = coeffs[j - 1] if 1 <= j <= m + 1 else ZExpr.zero()
-            new.append(c_j + c_prev.diff_z() + s * c_prev)
-        coeffs = new
-    return OrdinaryOp(tuple(coeffs))

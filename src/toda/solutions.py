@@ -37,7 +37,8 @@ the family's own system, with the exact power-of-two normalization for B.
 The verification operations check the left/right symmetry of the F's, the
 monodromy conditions (algebraically on C and analytically on F_1), the
 numeric PDE residual at off-cut points, the integrability exponents at 0
-and infinity, and the Cauchy-Euler characteristic data of the family.
+and infinity, and the Cauchy-Euler characteristic data of the family, read
+from the indicial polynomial on Fractions.
 """
 
 from __future__ import annotations
@@ -48,24 +49,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import gcd, lcm, nan, prod
+from math import factorial, gcd, lcm, nan, prod
 from typing import Sequence
 
 from .basis import NuVector, StructureError, WronskianMatrix, nu_vector, wronskian
 from .config import TodaConfig
 from .exact import (
     ExactScalar,
-    FirstOrderOp,
     GaussPoly,
     Monomial,
-    OrdinaryOp,
     ZExpr,
     _exponent_slot,
     _FloatTerms,
     _float_terms,
     _power_table,
     as_fraction,
-    compose,
+    format_fraction,
 )
 from .groups import (
     GroupElement,
@@ -260,9 +259,9 @@ def _prefix_minors(w: WronskianMatrix, c: GroupElement):
     """(table, scales, B): the minor table of G = C W in integer form.
 
     With beta_s = b_s / B over one denominator B, entry (s, j) of W is
-    a_sj z^(beta_s - j), a_sj = chi_s (beta_s)_j (read from W), and D_j is the
-    lcm of the denominators of column j.  G is the GaussPoly product of dC
-    and the k x (k-1) matrix of D_j a_sj z^(b_s): entry (r, j) is
+    a_sj z^(beta_s - j), a_sj = chi_s (beta_s)_j (the table w.coeffs), and
+    D_j is the lcm of the denominators of column j.  G is the GaussPoly
+    product of dC and the k x (k-1) matrix of D_j a_sj z^(b_s): entry (r, j) is
     sum_{s <= r} (dC)[r, s] D_j a_sj z^(b_s), and for |R| = m the minor
     table(R, range(m)) is scales[m] g_R, with scales[m] = d^m D_0 ... D_{m-1},
     and every exponent raised by B m(m-1)/2.
@@ -270,10 +269,7 @@ def _prefix_minors(w: WronskianMatrix, c: GroupElement):
     k = w.k
     beta_den = lcm(*(x.denominator for x in w.nu.beta))
     beta_num = [x.numerator * (beta_den // x.denominator) for x in w.nu.beta]
-    coeffs = [
-        [Fraction(0) if e.is_zero else e.single_monomial().coeff.re for e in row[: k - 1]]
-        for row in w.entries
-    ]
+    coeffs = [row[: k - 1] for row in w.coeffs]
     col_dens = [lcm(*(row[j].denominator for row in coeffs)) for j in range(k - 1)]
     w_int = [
         [
@@ -416,52 +412,57 @@ def verify_monodromy(bundle: SolutionBundle) -> MonodromyReport:
 
 @dataclass(frozen=True)
 class CharacteristicData:
-    """Cauchy-Euler data: coefficients w_j of z^-(j+1) and indicial exponents."""
+    """Cauchy-Euler data of L = prod_t (d/dz + s_t/z), the operator of order k.
+
+    L maps z^a to P(a) z^(a-k), with the indicial polynomial
+    P(a) = prod_t (a - t + s_t) over the factor shifts ``shifts`` (s_0 acts
+    first).  In the falling-factorial basis P(a) = (a)_k + sum_j w_j (a)_(k-j),
+    j = 2..k, so L = d^k + sum_j w_j z^-j d^(k-j): ``w`` holds w_2..w_k.
+    ``beta`` are the basis exponents, the roots of P.
+    """
 
     w: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
-    operator: OrdinaryOp
+    shifts: tuple[Fraction, ...]
+
+    def indicial(self, a: Fraction) -> Fraction:
+        """P(a) = prod_t (a - t + s_t)."""
+        return _indicial(self.shifts, a)
+
+
+def _indicial(shifts: Sequence[Fraction], a: Fraction) -> Fraction:
+    return prod((a - t + s for t, s in enumerate(shifts)), start=Fraction(1))
 
 
 def characteristic_data(config: TodaConfig) -> CharacteristicData:
-    """Compose the first-order factors and read off the pure-power coefficients.
+    """The indicial polynomial of the family's Cauchy-Euler operator, on Fractions.
 
-    The factor shifts are successive differences of the A-side alphas over z.
-    Every composed coefficient of order j must be a single w_j * z^-(j+1)
-    monomial, and the operator must annihilate each basis power z^beta_i.
+    The factor shifts are the successive differences s_t = at[t] - at[t-1] of
+    the A-side alphas at, padded with 0 on both ends.  The falling-factorial
+    coefficients of P are Newton's forward differences Delta^n P(0) / n! of
+    P(0..k).  Two invariants raise StructureError: the coefficient of
+    (a)_(k-1) vanishes (the shifts telescope), and P vanishes on every
+    basis exponent beta_i, built from the partial sums of mu_tilde instead.
     """
-    at = config.alpha_tilde
     k = config.k
-    padded = (Fraction(0),) + tuple(at) + (Fraction(0),)
-    # Left-to-right factors: shift of factor i is (at[k-i] - at[k-1-i]) / z.
-    ops = [
-        FirstOrderOp(ZExpr.monomial(padded[k - i] - padded[k - 1 - i], Fraction(-1)))
-        for i in range(k)
-    ]
-    op = compose(ops)
-    coeffs = op.coefficients
-    if not coeffs[1].is_zero:
+    padded = (Fraction(0),) + tuple(config.alpha_tilde) + (Fraction(0),)
+    shifts = tuple(padded[t + 1] - padded[t] for t in range(k))
+    values = [_indicial(shifts, Fraction(a)) for a in range(k + 1)]
+    newton = []
+    for n in range(k + 1):
+        newton.append(values[0] / factorial(n))
+        values = [y - x for x, y in zip(values, values[1:])]
+    if newton[k - 1] != 0:
         raise StructureError("order k-1 coefficient must vanish (shifts telescope)")
-    ws = []
-    for idx in range(2, k + 1):
-        c = coeffs[idx]
-        if c.is_zero:
-            ws.append(Fraction(0))
-            continue
-        mono = c.single_monomial()
-        if mono.exp_zbar != 0 or mono.exp_z != -idx or not mono.coeff.is_real:
-            raise StructureError(f"coefficient {idx} is not a pure z^-{idx} monomial: {c}")
-        ws.append(mono.coeff.re)
-    beta0 = -at[0]
-    betas = [beta0]
-    acc = beta0
+    betas = [-config.alpha_tilde[0]]
     for m in config.mu_tilde:
-        acc += m
-        betas.append(acc)
-    for bexp in betas:
-        if not op.apply(ZExpr.z_pow(bexp)).is_zero:
-            raise StructureError(f"operator does not annihilate z^{bexp}")
-    return CharacteristicData(tuple(ws), tuple(betas), op)
+        betas.append(betas[-1] + m)
+    for b in betas:
+        if _indicial(shifts, b) != 0:
+            raise StructureError(
+                f"basis exponent {format_fraction(b)} is not a root of the indicial polynomial"
+            )
+    return CharacteristicData(tuple(reversed(newton[: k - 1])), tuple(betas), shifts)
 
 
 def annulus_points(

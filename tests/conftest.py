@@ -21,11 +21,43 @@ def zbar_pow(exp) -> ZExpr:
     return ZExpr.monomial(1, 0, exp)
 
 
+def diff_z(f: ZExpr) -> ZExpr:
+    """The derivative of f in z, term by term."""
+    return ZExpr.from_terms(
+        Monomial(t.coeff * t.exp_z, t.exp_z - 1, t.exp_zbar) for t in f.terms if t.exp_z != 0
+    )
+
+
 def diff_zbar(f: ZExpr) -> ZExpr:
     """The derivative of f in conj(z), term by term."""
     return ZExpr.from_terms(
         Monomial(t.coeff * t.exp_zbar, t.exp_z, t.exp_zbar - 1) for t in f.terms if t.exp_zbar != 0
     )
+
+
+def falling(x: Fraction, n: int) -> Fraction:
+    """The falling factorial (x)_n = x (x - 1) ... (x - n + 1)."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= x - i
+    return out
+
+
+def cauchy_euler_shifts(config) -> tuple[Fraction, ...]:
+    """Shifts s_t of the factors d/dz + s_t/z of the Cauchy-Euler operator L.
+
+    s_t is the difference of consecutive A-side alphas, padded with 0 on
+    both ends; the factor of s_0 acts first.
+    """
+    padded = (Fraction(0),) + tuple(config.alpha_tilde) + (Fraction(0),)
+    return tuple(b - a for a, b in zip(padded, padded[1:]))
+
+
+def apply_factors(shifts, f: ZExpr) -> ZExpr:
+    """Oracle for the Cauchy-Euler operator: apply d/dz + s/z for each shift in turn, on ZExpr."""
+    for s in shifts:
+        f = diff_z(f) + ZExpr.monomial(s, -1) * f
+    return f
 
 
 def fraction_unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupElement:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_gamma, random_palindromic_gamma
+from conftest import diff_z, random_gamma, random_palindromic_gamma
 from toda import make_config
 from toda.basis import (
     NuVector,
@@ -61,7 +61,7 @@ def test_sigma_satisfies_nested_integral_recursion():
         inner = sigma_vector(mu[1:])
         weight = ZExpr.z_pow(mu[0] - 1)
         for i in range(1, len(mu) + 1):
-            assert outer[i].diff_z() == weight * inner[i - 1]
+            assert diff_z(outer[i]) == weight * inner[i - 1]
 
 
 # -- basis vector --------------------------------------------------------
@@ -129,25 +129,43 @@ def test_wronskian_rejects_perturbed_basis(family, rank, gamma, part):
         beta[1] += F(1, 7)
     else:
         beta = [b + F(1, 7) for b in beta]
-    bad = NuVector(
-        tuple(ZExpr.monomial(c, b) for c, b in zip(chi, beta)), tuple(chi), tuple(beta), nu.xi_exponent
-    )
-    cols = [bad.nu]
-    for _ in range(bad.k - 1):
-        cols.append(tuple(e.diff_z() for e in cols[-1]))
-    laplace = generic_det(tuple(zip(*cols)), Z0, Z1)
+    bad = NuVector(tuple(chi), tuple(beta), nu.xi_exponent)
+    laplace = generic_det(_derivative_columns(bad.nu), Z0, Z1)
     assert laplace != Z1
     with pytest.raises(StructureError) as err:
         wronskian(bad)
     assert str(err.value) == f"Wronskian determinant is {laplace}, expected 1"
 
 
-def test_wronskian_rejects_entries_off_the_recorded_exponents():
-    # The recorded beta must be the exponents of the basis entries.
-    nu = nu_vector(make_config("B", 2, [F(-1, 2), F(1, 4)]))
-    shifted = NuVector(nu.nu, nu.chi, (nu.beta[0] + 1,) + nu.beta[1:], nu.xi_exponent)
-    with pytest.raises(StructureError, match=r"Wronskian entry \(0,0\)"):
-        wronskian(shifted)
+def _derivative_columns(nu):
+    # The Wronskian matrix the long way: rows of successive diff_z of each entry.
+    cols = [nu]
+    for _ in range(len(nu) - 1):
+        cols.append(tuple(diff_z(e) for e in cols[-1]))
+    return tuple(zip(*cols))
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma",
+    [
+        ("C", 2, (F(-1, 2), F(1, 4))),
+        ("C", 3, (F(1, 2), F(-1, 3), F(1, 5))),
+        ("C", 4, (F(1, 3), F(3, 4), F(-2, 5), F(1, 2))),
+        ("B", 2, (F(-1, 2), F(1, 4))),
+        ("B", 3, (F(2, 3), F(-1, 4), F(1, 2))),
+    ],
+    ids=["C2", "C3", "C4", "B2", "B3"],
+)
+def test_wronskian_table_matches_derivative_columns(family, rank, gamma):
+    # coeffs[i][j] is the coefficient of the j-th z-derivative of nu_i, and
+    # the entries built on access are those derivatives.
+    w = wronskian(nu_vector(make_config(family, rank, gamma)))
+    oracle = _derivative_columns(w.nu.nu)
+    assert "entries" not in vars(w)
+    for b, row, coeffs in zip(w.nu.beta, oracle, w.coeffs):
+        for j, (entry, c) in enumerate(zip(row, coeffs)):
+            assert entry == ZExpr.monomial(c, b - j)
+    assert w.entries == oracle
 
 
 def test_wronskian_first_column_is_basis():

@@ -201,6 +201,43 @@ def test_wsym_command(capsys):
     assert report["w"] == ["-5/16"]
 
 
+def test_wsym_matches_golden(capsys):
+    # Fractional weights: w, beta and the order of the README example.
+    code, out, err = run(capsys, "wsym", "--family", "B", "--rank", "2", "--gamma=-1/2,1/4", "--json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "wsym_b2.json").read_text()
+
+
+def test_verify_w_symmetry_fails_on_an_exponent_off_the_roots(monkeypatch, capsys):
+    # F_1 must lie in ker L (x) ker conj(L): every exponent of its form is a
+    # root of the indicial polynomial P.  At gamma = 0 P(a) = a(a-1)(a-2)(a-3),
+    # so moving the top exponent 3 to 7/2 leaves P(7/2) = 105/16.
+    import dataclasses
+
+    import toda.cli
+    import toda.solutions
+
+    def shifted(cfg, params):
+        bundle = toda.solutions.assemble(cfg, params)
+        f1 = bundle.forms[0]
+        moved = dataclasses.replace(f1, exponents=f1.exponents[:-1] + (f1.exponents[-1] + F(1, 2),))
+        return dataclasses.replace(bundle, forms=(moved,) + bundle.forms[1:])
+
+    monkeypatch.setattr(toda.cli, "assemble", shifted)
+    argv = ["verify", "--family", "C", "--rank", "2", "--gamma", "0,0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "  w-symmetry     FAIL   F_1 exponents off the roots of P: P(7/2) = 105/16" in out.splitlines()
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    row = next(c for c in json.loads(out)["checks"] if c["name"] == "w-symmetry")
+    assert row == {
+        "name": "w-symmetry",
+        "passed": False,
+        "detail": "F_1 exponents off the roots of P: P(7/2) = 105/16",
+    }
+
+
 def test_usage_error_exit_2(capsys):
     code, out, err = run(capsys, "verify", "--family", "B", "--rank", "2")
     assert code == 2

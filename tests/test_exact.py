@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diff_zbar, zbar_pow
+from conftest import apply_factors, diff_z, diff_zbar, zbar_pow
 from toda.exact import (
     BranchCutError,
     ExactScalar,
-    FirstOrderOp,
     Monomial,
     OriginError,
     ZExpr,
-    compose,
     format_scalar,
     sqrt_fraction,
     NotASquareError,
@@ -104,9 +102,9 @@ def test_conjugate_examples():
 
 
 def test_diff_examples():
-    assert ZExpr.z_pow(F(3, 2)).diff_z() == ZExpr.monomial(F(3, 2), F(1, 2))
+    assert diff_z(ZExpr.z_pow(F(3, 2))) == ZExpr.monomial(F(3, 2), F(1, 2))
     assert diff_zbar(z(2)).is_zero
-    assert diff_zbar(z() * zb()).diff_z() == ZExpr.one()
+    assert diff_z(diff_zbar(z() * zb())) == ZExpr.one()
 
 
 def test_eval_basic():
@@ -134,46 +132,21 @@ def test_eval_conj_branch():
     assert e.evaluate(p) == pytest.approx(p.conjugate() ** (1 / 3))
 
 
-# -- operators -----------------------------------------------------------
-
-
-def test_compose_two_factors():
-    a = F(2, 3)
-    lo = FirstOrderOp(ZExpr.monomial(a, -1))
-    hi = FirstOrderOp(ZExpr.monomial(-a, -1))
-    op = compose([hi, lo])
-    assert op.order == 2
-    assert op.coefficients[1].is_zero
-    assert op.coefficients[2] == ZExpr.monomial(-a * (a + 1), -2)
-
-
-def test_compose_single():
-    op = compose([FirstOrderOp(ZExpr.zero())])
-    assert op.order == 1 and op.coefficients[1].is_zero
-
-
-def test_compose_trivial_cube():
-    op = compose([FirstOrderOp(ZExpr.zero())] * 3)
-    assert op.order == 3
-    assert all(c.is_zero for c in op.coefficients[1:])
+# -- first-order factors (the test oracle of the Cauchy-Euler operator) ----------
 
 
 def test_apply_indicial():
-    from toda.exact import OrdinaryOp
-
-    # d^2 - 2/z^2 annihilates z^2: the exponent solves b(b-1) = 2.
-    op = OrdinaryOp((ZExpr.one(), ZExpr.zero(), ZExpr.monomial(F(-2), -2)))
-    assert op.apply(z(2)).is_zero
-    assert not op.apply(z(3)).is_zero
+    # (d + 2/z)(d - 2/z) = d^2 - 2/z^2 annihilates z^2: the exponent solves b(b-1) = 2.
+    assert apply_factors((F(-2), F(2)), z(2)).is_zero
+    assert apply_factors((F(-2), F(2)), z(3)) == ZExpr.monomial(4, 1)
 
 
 def test_apply_constant_and_power_rule():
-    d = compose([FirstOrderOp(ZExpr.zero())])
-    assert d.apply(ZExpr.const(5)).is_zero
-    d3 = compose([FirstOrderOp(ZExpr.zero())] * 3)
+    assert apply_factors((F(0),), ZExpr.const(5)).is_zero
     b = F(7, 2)
     expect = ZExpr.monomial(b * (b - 1) * (b - 2), b - 3)
-    assert d3.apply(ZExpr.z_pow(b)) == expect
+    assert apply_factors((F(0),) * 3, ZExpr.z_pow(b)) == expect
+    assert diff_z(diff_z(diff_z(ZExpr.z_pow(b)))) == expect
 
 
 # -- property tests --------------------------------------------------------
@@ -203,7 +176,7 @@ def test_conjugation_involution(a):
 @given(exprs)
 @settings(max_examples=60, deadline=None)
 def test_mixed_partials_commute(a):
-    assert diff_zbar(a.diff_z()) == diff_zbar(a).diff_z()
+    assert diff_zbar(diff_z(a)) == diff_z(diff_zbar(a))
 
 
 @given(exprs, exprs)
@@ -216,18 +189,3 @@ def test_eval_is_ring_homomorphism(a, b):
     lhs2 = (a + b).evaluate(pt)
     rhs2 = a.evaluate(pt) + b.evaluate(pt)
     assert cmath.isclose(lhs2, rhs2, rel_tol=1e-12, abs_tol=1e-12)
-
-
-holo_monomials = st.builds(Monomial, scalars, exponents, st.just(F(0)))
-holo_exprs = st.lists(holo_monomials, max_size=2).map(ZExpr.from_terms)
-
-
-@given(st.lists(holo_exprs, min_size=1, max_size=3), holo_exprs)
-@settings(max_examples=40, deadline=None)
-def test_compose_matches_sequential_application(shifts, f):
-    ops = [FirstOrderOp(s) for s in shifts]
-    expanded = compose(ops).apply(f)
-    sequential = f
-    for op in reversed(ops):
-        sequential = op.apply(sequential)
-    assert expanded == sequential

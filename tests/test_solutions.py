@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 import toda
 import toda.lie
 import toda.solutions
-from conftest import diff_zbar, random_gamma, random_params
+import conftest
+from conftest import (
+    apply_factors,
+    cauchy_euler_shifts,
+    diff_z,
+    diff_zbar,
+    falling,
+    random_gamma,
+    random_params,
+)
 from toda import Algebra, make_config
 from toda.basis import StructureError, column_minor, nu_vector, wronskian
 from toda.exact import BranchCutError, ExactScalar, Monomial, OriginError, ZExpr
@@ -775,8 +784,28 @@ def test_characteristic_annihilates_basis():
         data = characteristic_data(cfg)
         nu = nu_vector(cfg)
         for entry in nu.nu:
-            assert data.operator.apply(entry).is_zero
+            assert apply_factors(cauchy_euler_shifts(cfg), entry).is_zero
         assert data.beta == nu.beta
+
+
+_weights = st.fractions(min_value=-1, max_value=2, max_denominator=4).filter(lambda g: g > -1)
+
+
+@given(
+    st.sampled_from("ACB"),
+    st.integers(1, 4).flatmap(lambda r: st.lists(_weights, min_size=r, max_size=r)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+@settings(max_examples=60, deadline=None)
+def test_indicial_polynomial_matches_sequential_factors(family, gamma, a):
+    # The k factors d + s_t/z applied one after another to z^a give
+    # P(a) z^(a-k), and P(a) = (a)_k + sum_j w_j (a)_(k-j).
+    cfg = make_config(family, len(gamma), gamma)
+    data = characteristic_data(cfg)
+    k = cfg.k
+    p = data.indicial(a)
+    assert apply_factors(cauchy_euler_shifts(cfg), ZExpr.z_pow(a)) == ZExpr.monomial(p, a - k)
+    assert falling(a, k) + sum(w * falling(a, k - j) for j, w in enumerate(data.w, start=2)) == p
 
 
 # -- PDE residual --------------------------------------------------------------------
@@ -791,7 +820,7 @@ def test_pde_liouville_closed_form():
     # d_z d_zbar log(1+|z|^2) = 1/(1+|z|^2)^2 at a sample point.
     z = 1 + 1j
     f = b.F[0]
-    fz, fzb = f.diff_z(), diff_zbar(f)
+    fz, fzb = diff_z(f), diff_zbar(f)
     lhs = (f.evaluate(z) * diff_zbar(fz).evaluate(z) - fz.evaluate(z) * fzb.evaluate(z)) / f.evaluate(z) ** 2
     assert lhs == pytest.approx(1 / (1 + abs(z) ** 2) ** 2)
 
@@ -873,7 +902,7 @@ def test_log_laplacian_matches_finite_differences():
     cfg = make_config("B", 2, [F(-1, 2), F(1, 4)])
     b = assemble(cfg, random_params(cfg, rng, bound=2))
     f = b.F[0]
-    fz, fzb = f.diff_z(), diff_zbar(f)
+    fz, fzb = diff_z(f), diff_zbar(f)
     fzzb = diff_zbar(fz)
     h = 1e-4  # near the roundoff/truncation balance for second differences
 
@@ -967,8 +996,9 @@ def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
 
     monkeypatch.setattr(toda.solutions, "_pde_plan", counting_plan)
     monkeypatch.setattr(toda.solutions, "_power_table", counting_table)
-    for name in ("evaluate", "diff_z"):
-        monkeypatch.setattr(ZExpr, name, refuse(name))
+    # The program has no symbolic derivative; the only one is the test helper.
+    monkeypatch.setattr(ZExpr, "evaluate", refuse("evaluate"))
+    monkeypatch.setattr(conftest, "diff_z", refuse("diff_z"))
     monkeypatch.setattr(ZExpr, "from_terms", staticmethod(refuse("from_terms")))
     monkeypatch.setattr(UnknownForm, "expr", property(refuse("expr")))
     for b, distinct in cases:
@@ -1148,7 +1178,7 @@ def test_float_routine_is_bit_identical_to_term_oracle(family, rank, gamma):
     tables = {z: toda.solutions._power_table(z, tuple(index)) for z in points}
     seen = set()
     for f, plan in zip(b.F, plans):
-        fz = f.diff_z()
+        fz = diff_z(f)
         for expr, compiled in zip((f, fz, diff_zbar(f), diff_zbar(fz)), plan):
             for z in points:
                 want = _outcome(_evaluate_oracle, expr, z)
