@@ -59,11 +59,6 @@ def _sigma_terms(mu: Sequence) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def sigma_vector(mu: Sequence) -> tuple[ZExpr, ...]:
-    """Closed-form nested antiderivatives of the powers z^(mu_i - 1)."""
-    return tuple(ZExpr.monomial(c, e) for c, e in _sigma_terms(mu))
-
-
 @dataclass(frozen=True)
 class NuVector:
     """Basis entries nu_i = chi_i z^(beta_i), beta strictly increasing."""

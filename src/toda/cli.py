@@ -8,6 +8,20 @@ the JSON output is byte-identical across runs.  Exit codes: 0 all requested
 checks pass, 1 a check failed (a FAIL in the report, or an exception of the
 toda.exact.CheckFailed family), 2 usage error (any other ValueError, bad
 JSON, a missing file), 3 internal error.
+
+Every command loads toda.exact, toda.lie and toda.linalg (imported here);
+each command imports the other modules it runs when it runs, so that a
+fresh process compiles and executes no module it does not use:
+
+    roots                 nothing more
+    minors                toda.groups
+    ngamma                toda.config, toda.groups, toda.jsonio
+    solve, verify, wsym   those three and toda.basis, toda.solutions
+    demo                  those five and toda.demos
+
+Modules run from source when no bytecode cache is written
+(PYTHONDONTWRITEBYTECODE), so each module a command skips saves its
+compilation as well as its execution.
 """
 
 from __future__ import annotations
@@ -17,50 +31,31 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import make_config
-from .demos import build_demo
 from .exact import CheckFailed, format_fraction
-from .groups import (
-    UnipotentCoords,
-    check_minor_identity,
-    classify_by_minors,
-    expected_tag,
-    sample_group_element,
-)
-from .jsonio import (
-    config_to_json,
-    coords_to_json,
-    fractions_to_json,
-    parse_coords,
-    parse_fraction,
-    zexpr_to_json,
-)
 from .lie import Algebra, coordinate_map, format_root_table, positive_roots, slot_name
-from .solutions import (
-    SolutionParams,
-    a_case_form,
-    assemble,
-    characteristic_data,
-    default_lambdas,
-    verify_integrability,
-    verify_monodromy,
-    verify_pde,
-    verify_symmetry,
-)
+
+if TYPE_CHECKING:
+    from .groups import UnipotentCoords
+    from .solutions import SolutionParams
 
 SCHEMA = "toda-report/1"
 
 
 def _fraction_list(text: str) -> list[Fraction]:
+    from .jsonio import parse_fraction
+
     return [parse_fraction(x) for x in text.split(",") if x.strip()]
 
 
 def _load_coords_arg(algebra: Algebra, raw: str | None) -> UnipotentCoords:
+    from .jsonio import parse_coords
+
     if not raw:
-        return UnipotentCoords(algebra)
-    if raw.startswith("@"):
+        data = {}
+    elif raw.startswith("@"):
         with open(raw[1:], "r", encoding="utf-8") as fh:
             data = json.load(fh)
     else:
@@ -75,6 +70,8 @@ def _algebra_from_args(args) -> Algebra:
 
 
 def _config_from_args(args) -> tuple:
+    from .config import make_config
+
     algebra = _algebra_from_args(args)
     if getattr(args, "gamma", None) is None:
         raise ValueError("--gamma is required for this command")
@@ -83,6 +80,8 @@ def _config_from_args(args) -> tuple:
 
 
 def _params_from_args(algebra: Algebra, cfg, args) -> SolutionParams:
+    from .solutions import SolutionParams, default_lambdas
+
     coords = _load_coords_arg(algebra, getattr(args, "coords", None))
     raw = getattr(args, "lambdas", None)
     lams = _fraction_list(raw) if raw else default_lambdas(cfg)
@@ -110,6 +109,9 @@ def _check_lines(checks: list[dict], witnesses: dict[str, str]) -> list[str]:
 
 
 def cmd_solve(args) -> int:
+    from .jsonio import config_to_json, coords_to_json, fractions_to_json, zexpr_to_json
+    from .solutions import assemble
+
     algebra, cfg = _config_from_args(args)
     params = _params_from_args(algebra, cfg, args)
     bundle = assemble(cfg, params)
@@ -144,6 +146,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .jsonio import config_to_json, fractions_to_json, zexpr_to_json
+    from .solutions import (
+        a_case_form,
+        assemble,
+        characteristic_data,
+        verify_integrability,
+        verify_monodromy,
+        verify_pde,
+        verify_symmetry,
+    )
+
     if args.points <= 0:
         raise ValueError(f"--points must be positive, got {args.points}")
     if not 0 < args.tol < float("inf"):  # false for nan as well
@@ -248,6 +261,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_ngamma(args) -> int:
+    from .jsonio import config_to_json
+
     algebra, cfg = _config_from_args(args)
     rows = format_root_table(algebra, cfg.gamma)
     members = sum(1 for r in rows if r["integral"])
@@ -272,6 +287,8 @@ def cmd_ngamma(args) -> int:
 
 
 def cmd_minors(args) -> int:
+    from .groups import check_minor_identity, classify_by_minors, expected_tag, sample_group_element
+
     if args.count <= 0:
         raise ValueError(f"--count must be positive, got {args.count}")
     algebra = _algebra_from_args(args)
@@ -310,6 +327,9 @@ def cmd_minors(args) -> int:
 
 
 def cmd_wsym(args) -> int:
+    from .jsonio import config_to_json, fractions_to_json
+    from .solutions import characteristic_data
+
     _, cfg = _config_from_args(args)
     data = characteristic_data(cfg)
     report = {
@@ -332,6 +352,8 @@ def cmd_wsym(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .demos import build_demo
+
     body = build_demo(args.target)
     report = {"schema": SCHEMA, "command": "demo", **body}
     lines = [f"demo {args.target}: {body['family']}{body['rank']}, gamma = {','.join(body['gamma'])}"]

@@ -37,8 +37,10 @@ _SCALAR = re.compile(
 def parse_scalar(text) -> ExactScalar:
     """Parse "1/2+3i/4", "-i", "2", "i/3" or an {"re","im"} object.
 
-    Any other string, such as "1+" or "1 2", is a ValueError.
+    Any other string, such as "1+" or "1 2", and a boolean are ValueErrors.
     """
+    if isinstance(text, bool):
+        raise ValueError(f"a boolean is not a scalar: {text!r}")
     if isinstance(text, Mapping):
         return ExactScalar(parse_fraction(text.get("re", "0")), parse_fraction(text.get("im", "0")))
     if isinstance(text, ExactScalar):
@@ -103,7 +105,9 @@ _COORD_KEY = re.compile(r"c(?:(\d+)_(\d+)|(\d+?)(\d))")
 
 def parse_coords(algebra: Algebra, obj: Mapping[str, object]) -> UnipotentCoords:
     """Parse {"c30": "1+i", ...}; multi-digit rows use an optional underscore
-    separator ("c12_3" is row 12, column 3)."""
+    separator ("c12_3" is row 12, column 3).  Anything but an object is a ValueError."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"coordinates must be a JSON object, got {type(obj).__name__}")
     values = {}
     keys = {}
     for key, raw in obj.items():

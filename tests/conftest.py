@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from toda import SolutionParams
+from toda.basis import _sigma_terms
 from toda.exact import SCALAR_ONE, SCALAR_ZERO, ExactScalar, Monomial, ZExpr
 from toda.groups import (
     GroupElement,
@@ -33,6 +34,11 @@ def diff_zbar(f: ZExpr) -> ZExpr:
     return ZExpr.from_terms(
         Monomial(t.coeff * t.exp_zbar, t.exp_z, t.exp_zbar - 1) for t in f.terms if t.exp_zbar != 0
     )
+
+
+def sigma_vector(mu) -> tuple[ZExpr, ...]:
+    """The nested antiderivatives sigma_i of the powers z^(mu_i - 1), as ZExprs."""
+    return tuple(ZExpr.monomial(c, e) for c, e in _sigma_terms(mu))
 
 
 def falling(x: Fraction, n: int) -> Fraction:

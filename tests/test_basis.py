@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import diff_z, random_gamma, random_palindromic_gamma
+from conftest import diff_z, random_gamma, random_palindromic_gamma, sigma_vector
 from toda import make_config
 from toda.basis import (
     NuVector,
@@ -14,7 +14,6 @@ from toda.basis import (
     nu_vector,
     nu_vector_from_mu,
     pairing_matrix,
-    sigma_vector,
     wronskian,
 )
 from toda.exact import ZExpr

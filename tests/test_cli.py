@@ -214,16 +214,17 @@ def test_verify_w_symmetry_fails_on_an_exponent_off_the_roots(monkeypatch, capsy
     # so moving the top exponent 3 to 7/2 leaves P(7/2) = 105/16.
     import dataclasses
 
-    import toda.cli
     import toda.solutions
 
+    real = toda.solutions.assemble
+
     def shifted(cfg, params):
-        bundle = toda.solutions.assemble(cfg, params)
+        bundle = real(cfg, params)
         f1 = bundle.forms[0]
         moved = dataclasses.replace(f1, exponents=f1.exponents[:-1] + (f1.exponents[-1] + F(1, 2),))
         return dataclasses.replace(bundle, forms=(moved,) + bundle.forms[1:])
 
-    monkeypatch.setattr(toda.cli, "assemble", shifted)
+    monkeypatch.setattr(toda.solutions, "assemble", shifted)
     argv = ["verify", "--family", "C", "--rank", "2", "--gamma", "0,0"]
     code, out, _ = run(capsys, *argv)
     assert code == 1
@@ -301,7 +302,7 @@ def test_verify_failed_checks_report_their_witnesses(capsys):
 def test_verify_integrability_failure_names_its_indices(monkeypatch, capsys):
     # The extreme degrees of each F_m depend only on gamma, and every valid
     # gamma passes, so the failing report is substituted.
-    import toda.cli
+    import toda.solutions
 
     def failing(bundle):
         rows = (
@@ -311,7 +312,7 @@ def test_verify_integrability_failure_names_its_indices(monkeypatch, capsys):
         )
         return IntegrabilityReport(False, rows)
 
-    monkeypatch.setattr(toda.cli, "verify_integrability", failing)
+    monkeypatch.setattr(toda.solutions, "verify_integrability", failing)
     code, out, _ = run(capsys, "verify", "--family", "C", "--rank", "2", "--gamma", "0,0")
     assert code == 1
     assert "  integrability  FAIL   failures=[2, 3]\n" in out
@@ -336,6 +337,25 @@ def test_duplicate_coordinate_slot_exit_2(capsys):
     )
     assert code == 2
     assert err.startswith("error: ") and "(1, 0)" in err
+
+
+@pytest.mark.parametrize(
+    "coords,message",
+    [
+        ("[1]", "coordinates must be a JSON object"),
+        ('"x"', "coordinates must be a JSON object"),
+        ('{"c10": true}', "boolean"),
+    ],
+    ids=["list", "string", "boolean"],
+)
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_bad_coords_json_exit_2(capsys, command, coords, message):
+    code, out, err = run(
+        capsys, command, "--family", "C", "--rank", "2", "--gamma", "0,0", "--coords", coords
+    )
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -394,7 +414,6 @@ def test_minors_nonpositive_count_exit_2(capsys, count):
 
 
 def test_verify_assembles_once(monkeypatch, capsys):
-    import toda.cli
     import toda.solutions
 
     calls = []
@@ -404,8 +423,7 @@ def test_verify_assembles_once(monkeypatch, capsys):
         calls.append(args)
         return real(*args, **kwargs)
 
-    # Patch both lookups, so an assembly from inside a check counts as well.
-    monkeypatch.setattr(toda.cli, "assemble", counting)
+    # The command and the checks inside toda.solutions look assemble up there.
     monkeypatch.setattr(toda.solutions, "assemble", counting)
     code, _, _ = run(capsys, "verify", "--family", "C", "--rank", "2", "--gamma", "0,0")
     assert code == 0

@@ -1,0 +1,69 @@
+"""Which `toda` modules each entry point loads, each in a fresh process."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+CORE = ["toda", "toda.cli", "toda.exact", "toda.lie", "toda.linalg"]
+
+
+def loaded_after(code: str) -> list[str]:
+    """The `toda` modules in sys.modules after running `code` in a fresh interpreter."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "print(json.dumps(sorted(m for m in sys.modules if m == 'toda' or m.startswith('toda.'))))\n"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_cli_loads_only_the_core():
+    assert loaded_after("import toda.cli") == CORE
+
+
+def test_import_toda_loads_no_submodule():
+    assert loaded_after("import toda") == ["toda"]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (
+            ["minors", "--family", "C", "--rank", "3", "--count", "1"],
+            ["toda.solutions", "toda.basis", "toda.config", "toda.jsonio", "toda.demos"],
+        ),
+        (["roots", "--family", "C", "--rank", "3"], ["toda.groups"]),
+    ],
+    ids=["minors", "roots"],
+)
+def test_subcommand_skips_modules_it_does_not_run(argv, absent):
+    loaded = loaded_after(f"import toda.cli\nassert toda.cli.main({argv!r}) == 0")
+    assert set(CORE) <= set(loaded)
+    assert not set(absent) & set(loaded)
+
+
+def test_public_name_loads_its_module_on_access():
+    loaded = loaded_after("from toda import minor")
+    assert "toda.groups" in loaded and "toda.solutions" not in loaded
+
+
+def test_unknown_name_raises_attribute_error():
+    import toda
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        toda.no_such_name
+    with pytest.raises(ImportError):
+        exec("from toda import no_such_name", {})
+    assert not hasattr(toda, "sigma_vector")

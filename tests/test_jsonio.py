@@ -64,6 +64,26 @@ def test_parse_coords_rejects_bad_name(name):
         parse_coords(Algebra("C", 2), {name: "1"})
 
 
+@pytest.mark.parametrize("obj", [[1], "x", 3, None], ids=["list", "string", "number", "null"])
+def test_parse_coords_rejects_a_non_object(obj):
+    with pytest.raises(ValueError, match="coordinates must be a JSON object"):
+        parse_coords(Algebra("C", 2), obj)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_scalar_rejects_a_boolean(value):
+    with pytest.raises(ValueError, match="boolean"):
+        parse_scalar(value)
+    with pytest.raises(ValueError, match="boolean"):
+        parse_coords(Algebra("C", 2), {"c10": value})
+
+
+@pytest.mark.parametrize("coords", [["c10"], {"c10": True}], ids=["list", "boolean"])
+def test_solution_input_rejects_bad_coords(coords):
+    with pytest.raises(ValueError):
+        solution_input_from_json({"family": "C", "rank": 2, "gamma": ["0", "0"], "coords": coords})
+
+
 def test_scalar_round_trip():
     vals = [
         ExactScalar(F(1, 2), F(3, 4)),

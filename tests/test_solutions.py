@@ -1,8 +1,6 @@
-import ast
 import cmath
 import dataclasses
 import importlib
-import inspect
 import math
 import random
 from fractions import Fraction as F
@@ -1209,17 +1207,10 @@ def test_pde_reduced_multiplier_negative_control(family, slot):
 def test_exported_names_resolve():
     for name in toda.solutions.__all__:
         assert hasattr(toda.solutions, name), name
-    tree = ast.parse(inspect.getsource(toda))
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for module, name in imported:
-        assert hasattr(importlib.import_module(f"toda.{module}"), name), (module, name)
-        assert hasattr(toda, name), name
+    assert toda.__all__
+    for name in toda.__all__:
+        module = importlib.import_module(f"toda.{toda._SOURCE[name]}")
+        assert getattr(toda, name) is getattr(module, name), name
 
 
 def test_annulus_points_off_cut():
