@@ -8,10 +8,14 @@ case is the symplectic group, the odd case the special orthogonal group.
 Products, membership, determinants and minors run on a cached integer form
 of each element: the pair (d, d*A), with d the lcm of the entry denominators
 and Gaussian-integer entries.  A product multiplies the two integer forms and
-divides once by d_a*d_b.  Each element caches one memoized minor table over
-d*A (_integer_minors, the single minor getter), built on first use and
-shared by the membership test, det, minor, all_minors, classify_by_minors,
-ul_cholesky and the minor-identity check.  The table is over packed rows:
+divides once by d_a*d_b.  Each element caches one minor table over d*A
+(_integer_minors, the single minor getter), built on first use and shared
+by the membership test, det, minor, all_minors, classify_by_minors,
+ul_cholesky and the minor-identity check.  Up to dim _EXHAUSTIVE_DIM = 7,
+where the identity check reads every minor, it is one dense table of all
+of them, built level by level (_DenseMinorTable); beyond, where the check
+reads a sample, it is the lazy memo of linalg.minor_table, which computes
+only the minors read.  The table is over packed rows:
 each Gaussian integer a + b*i is the one int a + b*2^w mod n = 2^(2w) + 1,
 a ring homomorphism since (2^w)^2 = -1 mod n, with w from Hadamard's bound
 on the rows (exact.pack).  At that width every minor, and every difference
@@ -24,8 +28,8 @@ checks (dA)^t J (dA) = d^2 J on the Gaussian integers and det(dA) = d^k,
 once per element.
 
 The minor-identity check walks mask pairs (S, iota(comp S)) listed once per
-call and per size: all of them up to size k // 2 for k <= 7, else 2000
-draws of a size, then S, then T by random.Random(0).choice.
+call and per size: all of them up to size k // 2 for k <= _EXHAUSTIVE_DIM,
+else 2000 draws of a size, then S, then T by random.Random(0).choice.
 
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
@@ -175,7 +179,10 @@ class GroupElement:
     def _packed_minors(self):
         """(w, table): the one minor table of d*A, packed at width w; see _integer_minors."""
         w, rows = pack(*self._integer_form)
-        return w, minor_table(rows, 0, 1, packing_modulus(w))
+        n = packing_modulus(w)
+        if self.dim <= _EXHAUSTIVE_DIM:
+            return w, _DenseMinorTable(rows, n)
+        return w, minor_table(rows, 0, 1, n)
 
     @cached_property
     def _in_group(self) -> bool:
@@ -263,6 +270,76 @@ def iota(s: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(sorted(k + 1 - x for x in s))
 
 
+class _DenseMinorTable:
+    """Every minor of a square matrix of ints mod n, built level by level.
+
+    Level m is a list with one entry per size-m column set, each a list with
+    one entry per size-m row set, both in itertools.combinations order.  An
+    entry is one Laplace step along the last column of its column set over
+    level m - 1, read by list index, skipping zero entries, and reduced to
+    its residue in [0, n).  The expansion lists of the row sets and the
+    position of each mask within its level are built once per table.  Reads
+    are those of linalg.MinorTable: table(rows, cols) over same-size 0-based
+    index sets, which checks their sizes, and table.mask(rmask, cmask) over
+    their bit masks, which checks nothing.  A table of dim k holds all
+    C(2k, k) minors, O(sum_m m * C(k, m)^2) products, so it is for the
+    dims whose every minor is read (_EXHAUSTIVE_DIM).
+    """
+
+    __slots__ = ("_levels", "_pos")
+
+    def __init__(self, rows: Sequence[Sequence[int]], modulus: int):
+        k = len(rows)
+        sets = [list(combinations(range(k), m)) for m in range(k + 1)]
+        masks = [[sum(1 << i for i in s) for s in level] for level in sets]
+        pos = [0] * (1 << k)
+        for level in masks:
+            for p, x in enumerate(level):
+                pos[x] = p
+        columns = list(zip(*rows))
+        levels = [[[1]]]
+        for m in range(1, k + 1):
+            # Row position p of a size-m set carries the sign (-1)^(p + m - 1):
+            # each expansion is split into its + terms and its - terms.
+            expansions = []
+            for s, x in zip(sets[m], masks[m]):
+                terms = [(r, pos[x ^ 1 << r]) for r in s]
+                expansions.append((terms[(m - 1) % 2::2], terms[m % 2::2]))
+            below_level = levels[m - 1]
+            level = []
+            for t, x in zip(sets[m], masks[m]):
+                col = columns[t[-1]]
+                below = below_level[pos[x ^ 1 << t[-1]]]
+                entries = []
+                for plus, minus in expansions:
+                    val = 0
+                    for r, j in plus:
+                        e = col[r]
+                        if e:
+                            val += e * below[j]
+                    for r, j in minus:
+                        e = col[r]
+                        if e:
+                            val -= e * below[j]
+                    entries.append(val % modulus)
+                level.append(entries)
+            levels.append(level)
+        self._levels = levels
+        self._pos = pos
+
+    def __call__(self, rows: Iterable[int], cols: Iterable[int]) -> int:
+        rmask = sum(1 << r for r in rows)
+        cmask = sum(1 << c for c in cols)
+        if rmask.bit_count() != cmask.bit_count():
+            raise ValueError("row and column index sets differ in size")
+        return self.mask(rmask, cmask)
+
+    def mask(self, rmask: int, cmask: int) -> int:
+        """The minor on the rows of rmask and the columns of cmask (same bit count)."""
+        pos = self._pos
+        return self._levels[cmask.bit_count()][pos[cmask]][pos[rmask]]
+
+
 def _integer_minors(a: GroupElement):
     """(d, w, table): the element's cached minor table over its integer form (d, dA).
 
@@ -273,7 +350,9 @@ def _integer_minors(a: GroupElement):
     Hadamard's bound (exact.pack), d^(k-m) times any size-m minor has parts
     of at most H < 2^(w-2), so a difference of two such products is 0 iff
     it is 0 mod n.  Every minor of a group element is read through this one
-    getter, from one table built on first use and kept with the element.
+    getter, from one table built on first use and kept with the element:
+    for k <= _EXHAUSTIVE_DIM a _DenseMinorTable of all C(2k, k) minors,
+    else a lazy linalg.minor_table.  Both read the same way.
     """
     w, table = a._packed_minors
     return a._integer_form[0], w, table
@@ -327,7 +406,8 @@ class MinorIdentityReport:
     exhaustive: bool
 
 
-_SAMPLED_PAIRS = 2000  # pairs drawn by check_minor_identity beyond dim 7
+_EXHAUSTIVE_DIM = 7  # check_minor_identity walks every pair up to this dim
+_SAMPLED_PAIRS = 2000  # pairs drawn by check_minor_identity beyond _EXHAUSTIVE_DIM
 
 
 def _mask_pair(indices: Iterable[int], k: int) -> tuple[int, int]:
@@ -375,11 +455,12 @@ def _mask_indices(x: int, k: int) -> tuple[int, ...]:
 def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     """Verify A[S,T] == A[iota(comp S), iota(comp T)] for same-size S, T.
 
-    Exhaustive for dim <= 7, else 2000 pairs drawn from per-size lists of
-    mask pairs (see _identity_pairs).  Both walks read bit masks from the
-    element's cached packed minor table: with S', T' the mirror masks, v1
-    and v2 the packed residues of d^m A[S,T] and d^(k-m) A[S',T'] for
-    |S| = m, the pair holds iff
+    Exhaustive for dim <= _EXHAUSTIVE_DIM, else 2000 pairs drawn from
+    per-size lists of mask pairs (see _identity_pairs).  Both walks read bit
+    masks from the element's cached packed minor table (dense for the
+    exhaustive walk, lazy for the sampled one; see _integer_minors): with
+    S', T' the mirror masks, v1 and v2 the packed residues of d^m A[S,T]
+    and d^(k-m) A[S',T'] for |S| = m, the pair holds iff
     (v1 * d^(k-m) - v2 * d^m) % n == 0, n = 2^(2w) + 1.  Both products
     have parts of at most Hadamard's bound H < 2^(w-2) (exact.pack), so
     their difference vanishes mod n only if it vanishes.  The identity is
@@ -393,7 +474,7 @@ def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     if not is_in_group(a):
         raise ValueError("input is not exactly symplectic/orthogonal")
     k = a.dim
-    exhaustive = k <= 7
+    exhaustive = k <= _EXHAUSTIVE_DIM
     d, w, table = _integer_minors(a)
     n = packing_modulus(w)
     read = table.mask
@@ -418,7 +499,9 @@ def classify_by_minors(a: GroupElement) -> str | None:
 
     Tests a[s][t] == minor over (complement of iota(s), complement of iota(t))
     for all 1 <= s, t <= k, reading the determinant and every such minor from
-    the element's cached packed minor table: with (d, dA) its integer form,
+    the element's cached packed minor table (see _integer_minors; up to
+    _EXHAUSTIVE_DIM the dense one, already built by the membership test):
+    with (d, dA) its integer form,
     (d^(k-1) (dA)[s][t] - d * minor(dA)) % n == 0, n = 2^(2w) + 1.  The
     entry (dA)[s][t] is read as the table's 1x1 minor; both products are
     within Hadamard's bound (exact.pack), so the test is exact.  Returns

@@ -1,13 +1,16 @@
 """Small generic matrix helpers over exact coefficient rings.
 
 Matrices are sequences of row sequences whose entries support +, -, * (and,
-for inversion, /).  Everything here works for ExactScalar, ZExpr, GaussInt
-and GaussPoly entries (GaussInt: the Gaussian-integer form of a group
-element; GaussPoly: the integer form of G = C W in assembly); nothing is
-numeric.  minor_table also runs on plain ints reduced mod a modulus: a
-group element's table holds each Gaussian integer a + b*i as the one int
-a + b*2^w mod 2^(2w) + 1, with w wide enough by Hadamard's bound that every
-value it is read for is exact (exact.pack and exact.unpack).
+for inversion, /).  Everything here works for ExactScalar, ZExpr and
+GaussInt entries (GaussInt: the Gaussian-integer form of a group element),
+and mat_mul also for GaussPoly (the integer form of G = C W in assembly,
+whose prefix minors solutions builds level by level); nothing is numeric.
+minor_table also runs on plain ints reduced mod a modulus: a group element
+of dim 8 or more keeps one such lazy table, holding each Gaussian integer
+a + b*i as the one int a + b*2^w mod 2^(2w) + 1, with w wide enough by
+Hadamard's bound that every value it is read for is exact (exact.pack and
+exact.unpack).  Smaller elements, whose every minor is read, keep a dense
+table built in groups instead.
 """
 
 from __future__ import annotations
@@ -44,13 +47,12 @@ def minor_table(m: Matrix, zero: T, one: T, modulus: int = 0) -> MinorTable:
     """Memoized minors of `m`, looked up by same-size 0-based row and column sets.
 
     Entries may be ExactScalar, ZExpr, GaussInt (Gaussian integers, whose
-    ring operations cost no gcd), GaussPoly (polynomials over them) or, with
-    a nonzero `modulus`, plain ints.  Each minor is the Laplace expansion
-    along its last column over minors one size smaller, computed once per
-    table; falsy (zero) entries are skipped.  On the prefix column sets
-    0..m-1 this is the recursion from level m-1 to level m.
-    A full determinant costs O(2^k * k) ring multiplications, every minor
-    O(sum_j j * C(k,j)^2).  The empty minor is `one`.
+    ring operations cost no gcd) or, with a nonzero `modulus`, plain ints.
+    Each minor is the Laplace expansion along its last column over minors
+    one size smaller, computed on first read and once per table; falsy
+    (zero) entries are skipped.  A full determinant costs O(2^k * k) ring
+    multiplications, every minor O(sum_j j * C(k,j)^2).  The empty minor is
+    `one`.
 
     The table has two entry points: a call table(rows, cols) takes index
     sets and checks that their sizes agree; table.mask(rmask, cmask) takes
@@ -60,8 +62,9 @@ def minor_table(m: Matrix, zero: T, one: T, modulus: int = 0) -> MinorTable:
     per entry instead of a tuple of two, for tables shared by thousands of
     lookups.
 
-    `modulus` is internal to groups: its tables hold packed Gaussian
-    integers, ints mod n = 2^(2w) + 1 (exact.pack), and pass n.  Each
+    `modulus` is internal to groups: the tables of its elements of dim 8 or
+    more hold packed Gaussian integers, ints mod n = 2^(2w) + 1
+    (exact.pack), and pass n.  Each
     minor is then reduced once, when stored, to its residue in [0, n), so
     stored minors do not grow with their size; the width w makes every
     value read back exact (exact.unpack).  With the default 0 nothing is

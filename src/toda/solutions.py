@@ -16,15 +16,17 @@ The sum runs on integers.  G is built once with exact.GaussPoly entries:
 entry (r, j) is sum_{s <= r} (dC)[r,s] D_j chi_s (beta_s)_j z^(B beta_s),
 with d the lcm of the denominators of C, B that of the beta, one integer
 denominator D_j per column, and the common factor z^(-m(m-1)/2) of the
-level-m minors applied once per level.  Every g_R is read from the one
-minor table of G (linalg.minor_table): on the prefix column sets its
-Laplace expansion along column m-1 is the recursion from level m-1.  The
-squared weights share one denominator Lambda.  F_m is
-accumulated as a Hermitian integer matrix over pairs of interned exponents,
-the pairs i <= j only, with the single denominator s_m^2 Lambda^m
-(s_m = d^m D_0 ... D_{m-1}), and kept on the bundle in that integer form
-(UnknownForm): the sorted exponents, the nonzero entries and the
-denominator, in lowest terms: equal unknowns have equal forms.  Every check
+level-m minors applied once per level.  The g_R are built one level at a
+time: level m is a dict from each m-row set R to the minor of G on R and
+the columns 0..m-1, one Laplace step along column m-1 from level m-1, and
+level m-1 is dropped once level m is built, so assembly holds at most two
+levels of the minors of G.  The squared weights share one denominator
+Lambda.  F_m is accumulated as a Hermitian integer matrix over pairs of
+interned exponents, the pairs i <= j only, with the single denominator
+s_m^2 Lambda^m (s_m = d^m D_0 ... D_{m-1}), and kept on the bundle in
+that integer form (UnknownForm): the sorted exponents, the nonzero
+entries and the denominator, in lowest terms: equal unknowns have equal
+forms.  Every check
 reads that one form.  The PDE check compiles each distinct form once (the
 mirror pairs of C/B share one) into complex terms of F and its derivatives,
 each coefficient rounded once, evaluated with one power table per point.
@@ -74,7 +76,7 @@ from .groups import (
     unipotent_from_coords,
 )
 from .lie import Algebra, cartan, monodromy_element, slot_name
-from .linalg import mat_mul, minor_table
+from .linalg import mat_mul
 
 __all__ = [
     "SolutionParams",
@@ -223,8 +225,9 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     first m columns.
 
     The sums run on integers: G is built once with GaussPoly entries
-    (_prefix_minors), every g_R is read from its one minor table, and
-    lambda_r^2 = l_r / Lambda.  F_m is accumulated as a Hermitian integer
+    (_holomorphic_matrix), its minors g_R are built one level m at a time,
+    each level from the one before, which is then dropped (_prefix_minors),
+    and lambda_r^2 = l_r / Lambda.  F_m is accumulated as a Hermitian integer
     matrix over pairs of interned exponents (_unknown_matrix) with the
     single denominator s_m^2 Lambda^m, s_m the scale of the level-m minors
     of G, and kept as an UnknownForm, in lowest terms.  F_1 is cross-checked
@@ -237,13 +240,13 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     lams = full_lambda(config, params)
     b = diagonal_element(lams) @ c
     h = GroupElement((b.conj_transpose() @ b).entries)
-    g_minor, scales, beta_den = _prefix_minors(w, c)
+    g, scales, beta_den = _holomorphic_matrix(w, c)
     squares = [x * x for x in lams]
     lam_den = lcm(*(q.denominator for q in squares))
     lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
     forms = []
-    for m in range(1, config.k):
-        exps, re, im = _unknown_matrix(g_minor, config.k, m, lam_num)
+    for m, level in enumerate(_prefix_minors(g), start=1):
+        exps, re, im = _unknown_matrix(level, lam_num)
         n, shift = len(exps), beta_den * m * (m - 1) // 2
         exponents = tuple(Fraction(e - shift, beta_den) for e in exps)
         entries = tuple(
@@ -255,16 +258,17 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     return SolutionBundle(config, params, nu, w, tuple(forms), reduced, h, c, lams)
 
 
-def _prefix_minors(w: WronskianMatrix, c: GroupElement):
-    """(table, scales, B): the minor table of G = C W in integer form.
+def _holomorphic_matrix(w: WronskianMatrix, c: GroupElement):
+    """(G, scales, B): G = C W in integer form, with the scales of its prefix minors.
 
     With beta_s = b_s / B over one denominator B, entry (s, j) of W is
     a_sj z^(beta_s - j), a_sj = chi_s (beta_s)_j (the table w.coeffs), and
     D_j is the lcm of the denominators of column j.  G is the GaussPoly
     product of dC and the k x (k-1) matrix of D_j a_sj z^(b_s): entry (r, j) is
-    sum_{s <= r} (dC)[r, s] D_j a_sj z^(b_s), and for |R| = m the minor
-    table(R, range(m)) is scales[m] g_R, with scales[m] = d^m D_0 ... D_{m-1},
-    and every exponent raised by B m(m-1)/2.
+    sum_{s <= r} (dC)[r, s] D_j a_sj z^(b_s), and for |R| = m the minor of
+    G on the rows R and the columns 0..m-1 (_prefix_minors) is scales[m] g_R,
+    with scales[m] = d^m D_0 ... D_{m-1}, and every exponent raised by
+    B m(m-1)/2.
     """
     k = w.k
     beta_den = lcm(*(x.denominator for x in w.nu.beta))
@@ -280,31 +284,55 @@ def _prefix_minors(w: WronskianMatrix, c: GroupElement):
     ]
     d, dc = c._integer_form
     c_int = [[GaussPoly({} if x.is_zero else {0: (x.re, x.im)}) for x in row] for row in dc]
-    zero = GaussPoly()
-    g = mat_mul(c_int, w_int, zero)
+    g = mat_mul(c_int, w_int, GaussPoly())
     scales = [d**m * prod(col_dens[:m]) for m in range(k)]
-    return minor_table(g, zero, GaussPoly({0: (1, 0)})), scales, beta_den
+    return g, scales, beta_den
 
 
-def _unknown_matrix(g_minor, k: int, m: int, lam_num: Sequence[int]):
+def _prefix_minors(g: Sequence[Sequence[GaussPoly]]):
+    """Yield the prefix minors of the k x (k-1) matrix g, one level at a time.
+
+    Level m, for m = 1..k-1, is a dict from each m-row set R (a sorted
+    tuple, in itertools.combinations order) to the minor of g on the rows R
+    and the columns 0..m-1: the Laplace expansion along column m-1 over
+    level m-1, skipping zero entries.  Only the level being read and the
+    one being built are held: the previous level is dropped once the next
+    is built.
+    """
+    k = len(g)
+    level = {(): GaussPoly({0: (1, 0)})}
+    for m in range(1, k):
+        col = [row[m - 1] for row in g]
+        next_level = {}
+        for rows in combinations(range(k), m):
+            val = GaussPoly()
+            negate = m % 2 == 0  # sign (-1)^(p + m - 1) at row position p
+            for p, r in enumerate(rows):
+                if col[r]:
+                    term = col[r] * level[rows[:p] + rows[p + 1:]]
+                    val = val - term if negate else val + term
+                negate = not negate
+            next_level[rows] = val
+        level = next_level
+        yield level
+
+
+def _unknown_matrix(level: dict, lam_num: Sequence[int]):
     """The integer matrix of F_m: (exponents, re, im).
 
-    Each G_R = g_minor(R, range(m)) is a GaussPoly (see _prefix_minors); the
-    int exponents of all of them are interned as indices into the sorted
+    level maps each m-row set R to the GaussPoly G_R (see _prefix_minors);
+    the int exponents of all of them are interned as indices into the sorted
     distinct ``exponents``.  Entry (i, j) of the matrix re + i*im is
     sum_R (prod_{r in R} l_r) G_R[i] conj(G_R[j]): it is accumulated for
     i <= j only and mirrored, since the matrix is Hermitian by construction.
     """
-    level = [
-        (prod(lam_num[r] for r in rows), g_minor(rows, range(m)))
-        for rows in combinations(range(k), m)
-    ]
-    exps = sorted(set().union(*(g for _, g in level)))
+    exps = sorted(set().union(*level.values()))
     index = {e: i for i, e in enumerate(exps)}
     n = len(exps)
     re = [[0] * n for _ in range(n)]
     im = [[0] * n for _ in range(n)]
-    for weight, g in level:
+    for rows, g in level.items():
+        weight = prod(lam_num[r] for r in rows)
         entries = [(index[e], *g[e]) for e in sorted(g)]
         for p, (i, ar, ai) in enumerate(entries):
             ar, ai = ar * weight, ai * weight

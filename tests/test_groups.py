@@ -47,6 +47,8 @@ from toda.groups import (
     minor,
     random_coords,
     random_paired_diagonal,
+    _DenseMinorTable,
+    _EXHAUSTIVE_DIM,
     _grade_step,
     _identity_pairs,
     restrict_to_ngamma,
@@ -501,6 +503,63 @@ def test_minor_table_rejects_columns_out_of_range():
         table((0, 1), (0, 2))
 
 
+def _assert_dense_table_matches_lazy(rows, modulus):
+    # Oracle: the lazy memoized table over the same rows and modulus, read
+    # on every pair of same-size sets, by index sets and by bit masks.
+    k = len(rows)
+    dense = _DenseMinorTable(rows, modulus)
+    lazy = minor_table(rows, 0, 1, modulus)
+    for m in range(k + 1):
+        for s in combinations(range(k), m):
+            rmask = sum(1 << i for i in s)
+            for t in combinations(range(k), m):
+                want = lazy(s, t)
+                assert dense(s, t) == want, (s, t)
+                assert dense.mask(rmask, sum(1 << j for j in t)) == want, (s, t)
+
+
+@pytest.mark.parametrize("family", ["C", "B"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_minor_table_matches_lazy_table_on_samples(family, rank, seed):
+    g = sample_group_element(Algebra(family, rank), seed=seed, bound=3)
+    w, rows = pack(*g._integer_form)
+    _assert_dense_table_matches_lazy(rows, packing_modulus(w))
+
+
+@pytest.mark.parametrize("k", range(1, _EXHAUSTIVE_DIM + 1))
+def test_dense_minor_table_matches_lazy_table_on_the_identity(k):
+    w, rows = pack(*GroupElement.identity(k)._integer_form)
+    _assert_dense_table_matches_lazy(rows, packing_modulus(w))
+
+
+@st.composite
+def _sparse_integer_matrices(draw):
+    # Dims 1..7 with many zero entries, so that the skip of zero entries is
+    # exercised; packed as an element's rows are.
+    k = draw(st.integers(1, _EXHAUSTIVE_DIM))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-10**6, 10**6), st.integers(-3, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    return GroupElement.from_rows(rows)
+
+
+@given(_sparse_integer_matrices())
+@settings(max_examples=30, deadline=None)
+def test_dense_minor_table_matches_lazy_table_with_zero_entries(g):
+    w, rows = pack(*g._integer_form)
+    _assert_dense_table_matches_lazy(rows, packing_modulus(w))
+
+
+def test_dense_minor_table_rejects_sets_of_different_sizes():
+    g = sample_group_element(Algebra("B", 2), seed=0, bound=2)
+    w, table = g._packed_minors
+    assert isinstance(table, _DenseMinorTable)
+    assert table((), ()) == 1
+    for rows, cols in (((0,), ()), ((), (4,)), ((0, 1), (2,)), ((3,), (0, 4))):
+        with pytest.raises(ValueError):
+            table(rows, cols)
+
+
 def test_iota_and_complement():
     assert iota((1, 3), 5) == (3, 5)
     assert complement((1, 3), 5) == (2, 4, 5)
@@ -653,8 +712,9 @@ def test_mirror_half_walk_reads_each_identity_once(family, rank):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_pairs_checked_on_the_identity(k):
-    expected = math.comb(2 * k, k) if k <= 7 else 2000
-    assert check_minor_identity(GroupElement.identity(k)) == MinorIdentityReport(k, expected_tag(k), expected, k <= 7)
+    exhaustive = k <= _EXHAUSTIVE_DIM
+    expected = math.comb(2 * k, k) if exhaustive else 2000
+    assert check_minor_identity(GroupElement.identity(k)) == MinorIdentityReport(k, expected_tag(k), expected, exhaustive)
 
 
 def test_check_minor_identity_builds_one_minor_table(monkeypatch):
@@ -683,6 +743,41 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
     w, rows = pack(*g._integer_form)
     assert g._packed_minors[0] == w
     assert builds[0] == (rows, 0, 1, packing_modulus(w))
+
+
+@pytest.mark.parametrize("family,tag", [("C", "Sp"), ("B", "SO")])
+def test_exhaustive_dims_build_one_dense_minor_table(monkeypatch, family, tag):
+    import toda.groups
+    import toda.linalg
+
+    dense_builds, lazy_builds = [], []
+    real = toda.groups._DenseMinorTable
+
+    def counting(*args):
+        dense_builds.append(args)
+        return real(*args)
+
+    def lazy(*args):
+        lazy_builds.append(args)
+        return toda.linalg.MinorTable(*args)
+
+    # Patched before sampling: up to the exhaustive dim, membership, the
+    # walk, the classification and det() read one dense table over the
+    # packed integer form, and no lazy table is built for the element.
+    monkeypatch.setattr(toda.groups, "_DenseMinorTable", counting)
+    monkeypatch.setattr(toda.linalg, "minor_table", lazy)
+    monkeypatch.setattr(toda.groups, "minor_table", lazy)
+    g = sample_group_element(Algebra(family, 3), seed=0, bound=3)
+    assert len(dense_builds) == 1
+    k = g.dim
+    assert check_minor_identity(g) == MinorIdentityReport(k, tag, math.comb(2 * k, k), True)
+    assert classify_by_minors(g) == tag
+    assert g.det() == SCALAR_ONE
+    assert is_in_group(g)
+    assert len(dense_builds) == 1 and lazy_builds == []
+    w, rows = pack(*g._integer_form)
+    assert g._packed_minors[0] == w
+    assert dense_builds[0] == (rows, packing_modulus(w))
 
 
 def _first_sampled_identity_failure(a):

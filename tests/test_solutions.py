@@ -25,7 +25,7 @@ from conftest import (
 )
 from toda import Algebra, make_config
 from toda.basis import StructureError, column_minor, nu_vector, wronskian
-from toda.exact import BranchCutError, ExactScalar, Monomial, OriginError, ZExpr
+from toda.exact import BranchCutError, ExactScalar, GaussPoly, Monomial, OriginError, ZExpr
 from toda.groups import (
     GroupElement,
     UnipotentCoords,
@@ -36,7 +36,7 @@ from toda.groups import (
 )
 from toda.lie import coordinate_map, delta_gamma
 from toda.linalg import det as generic_det
-from toda.linalg import transpose
+from toda.linalg import minor_table, transpose
 from toda.solutions import (
     SolutionParams,
     UnknownForm,
@@ -332,25 +332,46 @@ def test_mirrored_matrix_equals_full_sum(family, rank, gamma, restrict):
     # every G_R, sum_R l_R G_R[e] conj(G_R[f]).
     cfg = make_config(family, rank, gamma)
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
-    g_minor, _, _ = toda.solutions._prefix_minors(b.wronskian, b.C)
+    g_matrix, _, _ = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
     _, lam_num = _lambda_integers(b.lambdas)
-    for m in range(1, cfg.k):
+    for level in toda.solutions._prefix_minors(g_matrix):
         full: dict = {}
-        for rows in combinations(range(cfg.k), m):
+        for rows, g in level.items():
             weight = math.prod(lam_num[r] for r in rows)
-            g = g_minor(rows, range(m))
             for e, (ar, ai) in g.items():
                 for f, (br, bi) in g.items():
                     re, im = full.get((e, f), (0, 0))
                     full[(e, f)] = (re + weight * (ar * br + ai * bi),
                                     im + weight * (ai * br - ar * bi))
-        exps, re, im = toda.solutions._unknown_matrix(g_minor, cfg.k, m, lam_num)
+        exps, re, im = toda.solutions._unknown_matrix(level, lam_num)
         assert {
             (e, f): (re[i][j], im[i][j])
             for i, e in enumerate(exps)
             for j, f in enumerate(exps)
             if re[i][j] or im[i][j]
         } == {ef: v for ef, v in full.items() if v != (0, 0)}
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma,restrict",
+    STANDALONE_BUNDLES,
+    ids=[f"{f}{r}-{'frac' if any(g) else 'zero'}-{'restricted' if x else 'free'}"
+         for f, r, g, x in STANDALONE_BUNDLES],
+)
+def test_prefix_levels_match_the_lazy_minor_table(family, rank, gamma, restrict):
+    # Oracle: the memoized minor table of G, read on the prefix column sets.
+    # Each level holds exactly the m-row sets, in combinations order, and
+    # each g_R equals the table's minor on R and the columns 0..m-1.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
+    g_matrix, _, _ = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    oracle = minor_table(g_matrix, GaussPoly(), GaussPoly({0: (1, 0)}))
+    levels = list(toda.solutions._prefix_minors(g_matrix))
+    assert len(levels) == cfg.k - 1
+    for m, level in enumerate(levels, start=1):
+        assert list(level) == list(combinations(range(cfg.k), m))
+        for rows, g in level.items():
+            assert g == oracle(rows, range(m)), (m, rows)
 
 
 @pytest.mark.parametrize(
@@ -363,13 +384,13 @@ def test_prefix_minors_of_identity_are_column_minors(family, rank, gamma):
     # its exponents lowered by B m(m-1)/2, is the closed-form column minor.
     cfg = make_config(family, rank, gamma)
     w = wronskian(nu_vector(cfg))
-    g_minor, scales, beta_den = toda.solutions._prefix_minors(w, GroupElement.identity(cfg.k))
-    for m in range(1, cfg.k):
+    g_matrix, scales, beta_den = toda.solutions._holomorphic_matrix(w, GroupElement.identity(cfg.k))
+    for m, level in enumerate(toda.solutions._prefix_minors(g_matrix), start=1):
         shift = beta_den * m * (m - 1) // 2
-        for rows in combinations(range(cfg.k), m):
+        for rows, minor in level.items():
             g = ZExpr.from_terms(
                 Monomial(ExactScalar(F(re, scales[m]), F(im, scales[m])), F(e - shift, beta_den))
-                for e, (re, im) in g_minor(rows, range(m)).items()
+                for e, (re, im) in minor.items()
             )
             assert g == column_minor(w, rows), (m, rows)
 
@@ -423,10 +444,11 @@ def test_lazy_unknowns_equal_from_terms_of_the_matrix(family, rank, gamma):
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
     assert "F" not in vars(b)
     assert ["expr" in vars(f) for f in b.forms] == [False] * (cfg.k - 1)
-    g_minor, scales, beta_den = toda.solutions._prefix_minors(b.wronskian, b.C)
+    g_matrix, scales, beta_den = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    levels = toda.solutions._prefix_minors(g_matrix)
     lam_den, lam_num = _lambda_integers(b.lambdas)
-    for m, (f, form) in enumerate(zip(b.F, b.forms), start=1):
-        ints, re, im = toda.solutions._unknown_matrix(g_minor, cfg.k, m, lam_num)
+    for m, (f, form, level) in enumerate(zip(b.F, b.forms, levels), start=1):
+        ints, re, im = toda.solutions._unknown_matrix(level, lam_num)
         exps = [F(e - beta_den * m * (m - 1) // 2, beta_den) for e in ints]
         den = scales[m] ** 2 * lam_den**m
         assert form.exponents == tuple(exps)
