@@ -47,7 +47,7 @@ SCHEMA = "toda-report/1"
 def _fraction_list(text: str) -> list[Fraction]:
     from .jsonio import parse_fraction
 
-    return [parse_fraction(x) for x in text.split(",") if x.strip()]
+    return [parse_fraction(x) for x in text.split(",")]
 
 
 def _load_coords_arg(algebra: Algebra, raw: str | None) -> UnipotentCoords:

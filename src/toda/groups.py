@@ -5,27 +5,28 @@ it is skew for even k and symmetric for odd k, with J^-1 = (-1)^(k-1) J.
 A matrix A belongs to the group when A^t J A = J and det A = 1; the even
 case is the symplectic group, the odd case the special orthogonal group.
 
-Products, membership, determinants and minors run on a cached integer form
-of each element: the pair (d, d*A), with d the lcm of the entry denominators
-and Gaussian-integer entries.  A product multiplies the two integer forms and
-divides once by d_a*d_b.  Each element caches one minor table over d*A
-(_integer_minors, the single minor getter), built on first use and shared
-by the membership test, det, minor, all_minors, classify_by_minors,
-ul_cholesky and the minor-identity check.  Up to dim _EXHAUSTIVE_DIM = 7,
-where the identity check reads every minor, it is one dense table of all
-of them, built level by level (_DenseMinorTable); beyond, where the check
-reads a sample, it is the lazy memo of linalg.minor_table, which computes
-only the minors read.  The table is over packed rows:
-each Gaussian integer a + b*i is the one int a + b*2^w mod n = 2^(2w) + 1,
-a ring homomorphism since (2^w)^2 = -1 mod n, with w from Hadamard's bound
-on the rows (exact.pack).  At that width every minor, and every difference
-the checks compare, has parts below 2^(w-1): a difference is 0 mod n only
-if it is 0, and exact.unpack recovers a minor from its residue.  A minor is
-unpacked and converted to ExactScalar only when returned (divided by d^m
-for size m); the identity check and classify_by_minors compare residues,
-read by bit mask, and unpack only a failing pair.  The membership test
-checks (dA)^t J (dA) = d^2 J on the Gaussian integers and det(dA) = d^k,
-once per element.
+A GroupElement stores only its integer form: the pair (den, rows) =
+(d, d*A), with d the lcm of the entry denominators and Gaussian-integer
+entries, kept in lowest terms.  Products, membership, determinants and
+minors run on it; the ExactScalar entries are built only when read.  A
+product is (d_a*d_b, (d_a A)(d_b B)), reduced by the gcd of its parts.
+Each element caches one minor table over d*A (_integer_minors, the single
+minor getter), built on first use and shared by the membership test, det,
+minor, all_minors, classify_by_minors, ul_cholesky and the minor-identity
+check.  Up to dim _EXHAUSTIVE_DIM = 7, where the identity check reads every
+minor, it is one dense table of all of them, built level by level
+(_DenseMinorTable); beyond, where the check reads a sample, it is the lazy
+memo of linalg.minor_table, which computes only the minors read.  The table
+is over packed rows: each Gaussian integer a + b*i is the one int
+a + b*2^w mod n = 2^(2w) + 1, a ring homomorphism since (2^w)^2 = -1 mod n,
+with w from Hadamard's bound on the rows (exact.pack).  At that width every
+minor, and every difference the checks compare, has parts below 2^(w-1): a
+difference is 0 mod n only if it is 0, and exact.unpack recovers a minor
+from its residue.  A minor is unpacked and converted to ExactScalar only
+when returned (divided by d^m for size m); the identity check and
+classify_by_minors compare residues, read by bit mask, and unpack only a
+failing pair.  The membership test checks (dA)^t J (dA) = d^2 J on the
+Gaussian integers and det(dA) = d^k, once per element.
 
 The minor-identity check walks mask pairs (S, iota(comp S)) listed once per
 call and per size: all of them up to size k // 2 for k <= _EXHAUSTIVE_DIM,
@@ -36,9 +37,10 @@ reversed Cholesky factorization H = B^dag B with B lower-triangular, the
 diagonal/unipotent split, the constraint solver filling a unipotent group
 element from its free coordinates, and a seeded sampler of exact group
 elements.  The solver runs on Gaussian integers: with delta = d (A, C) or
-2d (B), d the lcm of the coordinate denominators, each entry scaled by
-delta^(i-j) is a Gaussian integer, each constraint is homogeneous in that
-grading, and each dependent entry is one exact division by +-1 or +-2.
+2d (B), d the lcm of the coordinate denominators, each entry scaled to
+X[i][j] = delta^(i-j) C[i][j] is a Gaussian integer, each constraint is
+homogeneous in that grading, each dependent entry is one exact division by
++-1 or +-2, and the element is (delta^(k-1), X[i][j] delta^(k-1-(i-j))).
 
 Index sets for the public minor API are 1-based sorted tuples, matching the
 inversion iota(j) = k+1-j.
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
@@ -113,41 +115,57 @@ class NonzeroForbiddenCoordinate(CheckFailed):
 MatrixRows = tuple[tuple[ExactScalar, ...], ...]
 
 
-def _coerce_rows(rows: Sequence[Sequence]) -> MatrixRows:
-    out = []
-    for row in rows:
-        coerced = []
-        for x in row:
-            if isinstance(x, ExactScalar):
-                coerced.append(x)
-            else:
-                coerced.append(ExactScalar.of(as_fraction(x)))
-        out.append(tuple(coerced))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GroupElement:
-    """Square matrix over ExactScalar."""
+    """Square matrix A over the Gaussian rationals, stored as its integer form.
 
-    entries: MatrixRows
+    ``rows`` is d*A with GaussInt entries and ``den`` is d > 0.  Construction
+    divides den and every part by their gcd, so d is the lcm of the entry
+    denominators, (den, rows) is what exact.scale_to_gaussian returns for A,
+    and elements are equal (and hash the same) iff their matrices are.
+    ``rows`` is a tuple of tuples.  The ExactScalar rows ``entries`` are
+    built only when read.
+    """
+
+    den: int
+    rows: GaussRows
 
     def __post_init__(self):
-        k = len(self.entries)
-        if any(len(row) != k for row in self.entries):
+        k = len(self.rows)
+        if any(len(row) != k for row in self.rows):
             raise ValueError("matrix must be square")
+        if self.den <= 0:
+            raise ValueError("denominator must be positive")
+        g = gcd(self.den, *(x for row in self.rows for e in row for x in (e.re, e.im)))
+        if g > 1:
+            rows = tuple(tuple(GaussInt(e.re // g, e.im // g) for e in row) for row in self.rows)
+            object.__setattr__(self, "rows", rows)
+            object.__setattr__(self, "den", self.den // g)
+
+    def __hash__(self) -> int:
+        return hash((self.den, tuple((e.re, e.im) for row in self.rows for e in row)))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> GroupElement:
-        return GroupElement(_coerce_rows(rows))
+        """The element with int, Fraction or ExactScalar entries ``rows``."""
+        return GroupElement(*scale_to_gaussian([
+            [x if isinstance(x, ExactScalar) else ExactScalar.of(as_fraction(x)) for x in row]
+            for row in rows
+        ]))
 
     @staticmethod
     def identity(k: int) -> GroupElement:
-        return GroupElement(identity_rows(k, SCALAR_ZERO, SCALAR_ONE))
+        return GroupElement(1, identity_rows(k, GAUSS_ZERO, GAUSS_ONE))
+
+    @cached_property
+    def entries(self) -> MatrixRows:
+        """The matrix A as ExactScalar rows, built on first read."""
+        den = self.den
+        return tuple(tuple(scalar_over(x, den) for x in row) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> ExactScalar:
         return self.entries[ij[0]][ij[1]]
@@ -155,30 +173,19 @@ class GroupElement:
     def __matmul__(self, other: GroupElement) -> GroupElement:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        da, a = self._integer_form
-        db, b = other._integer_form
-        den = da * db
-        return GroupElement(
-            tuple(tuple(scalar_over(x, den) for x in row) for row in mat_mul(a, b, GAUSS_ZERO))
-        )
+        return GroupElement(self.den * other.den, mat_mul(self.rows, other.rows, GAUSS_ZERO))
 
     def transpose(self) -> GroupElement:
-        return GroupElement(transpose(self.entries))
+        return GroupElement(self.den, transpose(self.rows))
 
     def conj_transpose(self) -> GroupElement:
-        return GroupElement(
-            tuple(tuple(x.conjugate() for x in row) for row in transpose(self.entries))
-        )
-
-    @cached_property
-    def _integer_form(self) -> tuple[int, GaussRows]:
-        """(d, d*A): d is the lcm of the entry denominators, d*A has GaussInt entries."""
-        return scale_to_gaussian(self.entries)
+        conj = tuple(tuple(GaussInt(x.re, -x.im) for x in row) for row in self.rows)
+        return GroupElement(self.den, transpose(conj))
 
     @cached_property
     def _packed_minors(self):
         """(w, table): the one minor table of d*A, packed at width w; see _integer_minors."""
-        w, rows = pack(*self._integer_form)
+        w, rows = pack(self.den, self.rows)
         n = packing_modulus(w)
         if self.dim <= _EXHAUSTIVE_DIM:
             return w, _DenseMinorTable(rows, n)
@@ -187,7 +194,7 @@ class GroupElement:
     @cached_property
     def _in_group(self) -> bool:
         """Verdict of is_in_group, computed once per element."""
-        return _preserves_form(*self._integer_form) and self.det() == SCALAR_ONE
+        return _preserves_form(self.den, self.rows) and self.det() == SCALAR_ONE
 
     def det(self) -> ExactScalar:
         d, w, table = _integer_minors(self)
@@ -195,22 +202,17 @@ class GroupElement:
         return scalar_over(unpack(table.mask(full, full), w), d ** self.dim)
 
     def is_hermitian(self) -> bool:
-        k = self.dim
-        return all(
-            self.entries[i][j] == self.entries[j][i].conjugate()
-            for i in range(k)
-            for j in range(k)
-        )
+        return self.conj_transpose() == self
 
 
 def form_matrix(k: int) -> GroupElement:
     """The secondary-diagonal form J_k with alternating signs."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = [[SCALAR_ZERO] * k for _ in range(k)]
-    for i in range(k):
-        rows[i][k - 1 - i] = ExactScalar.of(1 if i % 2 == 0 else -1)
-    return GroupElement(tuple(tuple(r) for r in rows))
+    signs = (GAUSS_ONE, GaussInt(-1))
+    return GroupElement(1, tuple(
+        tuple(signs[i % 2] if i + j == k - 1 else GAUSS_ZERO for j in range(k)) for i in range(k)
+    ))
 
 
 def expected_tag(k: int) -> str:
@@ -341,7 +343,7 @@ class _DenseMinorTable:
 
 
 def _integer_minors(a: GroupElement):
-    """(d, w, table): the element's cached minor table over its integer form (d, dA).
+    """(d, w, table): the element's cached minor table over its stored form (d, dA).
 
     table(rows, cols), over same-size 0-based sets that are not validated,
     or table.mask(rmask, cmask) over their bit masks, is the packed residue
@@ -355,7 +357,7 @@ def _integer_minors(a: GroupElement):
     else a lazy linalg.minor_table.  Both read the same way.
     """
     w, table = a._packed_minors
-    return a._integer_form[0], w, table
+    return a.den, w, table
 
 
 def _minor_lookup(a: GroupElement):
@@ -560,8 +562,8 @@ def ul_cholesky(h: GroupElement) -> GroupElement:
             for r in range(i + 1, k):
                 s = s - rows[r][i].conjugate() * rows[r][j]
             rows[i][j] = s / rows[i][i]
-    b = GroupElement(tuple(tuple(r) for r in rows))
-    if (b.conj_transpose() @ b).entries != h.entries:
+    b = GroupElement.from_rows(rows)
+    if b.conj_transpose() @ b != h:
         raise ArithmeticError("factorization failed to reproduce the input")
     return b
 
@@ -581,7 +583,7 @@ def split_diagonal_unipotent(b: GroupElement) -> tuple[GroupElement, GroupElemen
     unip = tuple(
         tuple(b.entries[i][j] / b.entries[i][i] for j in range(k)) for i in range(k)
     )
-    return GroupElement(diag), GroupElement(unip)
+    return GroupElement.from_rows(diag), GroupElement.from_rows(unip)
 
 
 # -- unipotent coordinates ----------------------------------------------
@@ -646,8 +648,9 @@ def unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupEle
     coefficient c = (-1)^p, or (-1)^p + (-1)^i = +-2 on the anti-diagonal
     of odd k.  So X[i][j] = -(the other terms) / c is an exact division; a
     nonzero remainder raises ArithmeticError.  For family A there are no
-    constraints.  The element is built once, C[i][j] = X[i][j] / delta^(i-j),
-    and its membership is asserted on its integer form.
+    constraints.  The element is built once from X, as the integer form
+    (delta^(k-1), X[i][j] delta^(k-1-(i-j))) of C[i][j] = X[i][j] / delta^(i-j),
+    and its membership is asserted on that form.
     """
     if coords.algebra != algebra:
         raise ValueError("coordinate set belongs to a different algebra")
@@ -684,13 +687,13 @@ def unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupEle
             if re_rest or im_rest:
                 raise ArithmeticError(f"constraint for entry ({i},{j}) is not an exact division")
             x[i][j] = GaussInt(re, im)
-    g = GroupElement(
-        tuple(
-            tuple(scalar_over(v, powers[i - j]) if v else SCALAR_ZERO for j, v in enumerate(row))
-            for i, row in enumerate(x)
-        )
-    )
-    if algebra.family != "A" and not _preserves_form(*g._integer_form):
+    top = k - 1
+    g = GroupElement(powers[top], tuple(
+        tuple(GaussInt(v.re * powers[top - i + j], v.im * powers[top - i + j]) if v else GAUSS_ZERO
+              for j, v in enumerate(row))
+        for i, row in enumerate(x)
+    ))
+    if algebra.family != "A" and not _preserves_form(g.den, g.rows):
         raise ArithmeticError("constraint solver produced a non-group element")
     return g
 

@@ -19,9 +19,12 @@ from .lie import Algebra, slot_name
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "p", "p/q" (or a decimal); a zero denominator is a ValueError."""
+    """Parse "p", "p/q" (or a decimal); an empty field or zero denominator is a ValueError."""
+    s = str(text).strip()
+    if not s:
+        raise ValueError("empty field where a rational is expected")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -37,11 +40,15 @@ _SCALAR = re.compile(
 def parse_scalar(text) -> ExactScalar:
     """Parse "1/2+3i/4", "-i", "2", "i/3" or an {"re","im"} object.
 
-    Any other string, such as "1+" or "1 2", and a boolean are ValueErrors.
+    Any other string, such as "1+" or "1 2", a boolean and an object with
+    any key but "re" and "im" are ValueErrors.
     """
     if isinstance(text, bool):
         raise ValueError(f"a boolean is not a scalar: {text!r}")
     if isinstance(text, Mapping):
+        unknown = [key for key in text if key not in ("re", "im")]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in a scalar object (keys: re, im)")
         return ExactScalar(parse_fraction(text.get("re", "0")), parse_fraction(text.get("im", "0")))
     if isinstance(text, ExactScalar):
         return text

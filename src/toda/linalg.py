@@ -2,7 +2,7 @@
 
 Matrices are sequences of row sequences whose entries support +, -, * (and,
 for inversion, /).  Everything here works for ExactScalar, ZExpr and
-GaussInt entries (GaussInt: the Gaussian-integer form of a group element),
+GaussInt entries (GaussInt: the stored rows of a group element),
 and mat_mul also for GaussPoly (the integer form of G = C W in assembly,
 whose prefix minors solutions builds level by level); nothing is numeric.
 minor_table also runs on plain ints reduced mod a modulus: a group element

@@ -239,7 +239,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     c = unipotent_from_coords(config.algebra, params.coords)
     lams = full_lambda(config, params)
     b = diagonal_element(lams) @ c
-    h = GroupElement((b.conj_transpose() @ b).entries)
+    h = b.conj_transpose() @ b
     g, scales, beta_den = _holomorphic_matrix(w, c)
     squares = [x * x for x in lams]
     lam_den = lcm(*(q.denominator for q in squares))
@@ -282,7 +282,7 @@ def _holomorphic_matrix(w: WronskianMatrix, c: GroupElement):
         ]
         for b, row in zip(beta_num, coeffs)
     ]
-    d, dc = c._integer_form
+    d, dc = c.den, c.rows
     c_int = [[GaussPoly({} if x.is_zero else {0: (x.re, x.im)}) for x in row] for row in dc]
     g = mat_mul(c_int, w_int, GaussPoly())
     scales = [d**m * prod(col_dens[:m]) for m in range(k)]
@@ -350,7 +350,7 @@ def _unknown_matrix(level: dict, lam_num: Sequence[int]):
 def _check_first_unknown(f1: UnknownForm, nu: NuVector, h: GroupElement) -> None:
     # F_1 = nu^dag H nu: entry H_ab carries conj(nu_a) nu_b = chi_a chi_b zb^beta_a z^beta_b,
     # so on exponents beta, entry (b, a) of F_1 is chi_a chi_b (dH)_ab / d.
-    d, dh = h._integer_form
+    d, dh = h.den, h.rows
     terms = {(i, j): (re, im) for i, j, re, im in f1.entries}
     same = f1.exponents == nu.beta
     for a, b in product(range(nu.k), repeat=2):
@@ -426,7 +426,7 @@ def verify_monodromy(bundle: SolutionBundle) -> MonodromyReport:
         (i, j)
         for i in range(k)
         for j in range(i)
-        if not c.entries[i][j].is_zero and not mono.fixes_slot(i, j)
+        if c.rows[i][j] and not mono.fixes_slot(i, j)
     )
     f1 = bundle.forms[0]
     e = f1.exponents

@@ -99,7 +99,7 @@ def fraction_unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) ->
                     const = const + sign * rows[left[0]][left[1]] * rows[right[0]][right[1]]
             # Target is J[p][q]; here p + q < k - 1 always, so the target is 0.
             rows[i][j] = (-const) / coeff
-    return GroupElement(tuple(tuple(r) for r in rows))
+    return GroupElement.from_rows(rows)
 
 
 def sample_positive_hermitian(algebra: Algebra, seed: int, bound: int = 3) -> GroupElement:

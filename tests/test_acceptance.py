@@ -131,7 +131,7 @@ def test_criterion_04_minor_identities():
                 continue
             if not rep.exhaustive:
                 failures.append((str(alg), seed, "not exhaustive"))
-            if classify_by_minors(GroupElement(g.entries)) != expected_tag(alg.k):
+            if classify_by_minors(GroupElement.from_rows(g.entries)) != expected_tag(alg.k):
                 failures.append((str(alg), seed, "classification failed"))
     # Converse negative controls: random determinant-1 non-group matrices.
     rng = random.Random(104)
@@ -149,7 +149,7 @@ def test_criterion_04_minor_identities():
             prod *= x
         diag.append(1 / prod)
         a = lower @ diagonal_element(diag) @ upper
-        a = GroupElement(a.entries)
+        a = GroupElement.from_rows(a.entries)
         if is_in_group(a):  # vanishingly unlikely; skip rather than miscount
             continue
         if classify_by_minors(a) is not None:
@@ -221,7 +221,7 @@ def test_criterion_07_symmetry_reduction():
     c_bad = GroupElement.from_rows(rows)
     lam = diagonal_element((F(2), F(1), F(1), F(1, 2)))
     b = lam @ c_bad
-    h = GroupElement((b.conj_transpose() @ b).entries)
+    h = b.conj_transpose() @ b
     w = wronskian(nu_vector(cfg))
     from toda.basis import column_minor
 

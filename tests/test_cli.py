@@ -330,6 +330,21 @@ def test_zero_denominator_exit_2(capsys, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--gamma", ",0,0,"), ("--gamma", "0,,0"), ("--lambda", "2,,1/2"), ("--lambda", "2,1/2,")],
+    ids=["gamma-ends", "gamma-inner", "lambda-inner", "lambda-trailing"],
+)
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_empty_list_field_exit_2(capsys, command, flag, value):
+    # An empty field is an error, not a field left out: "2,,1/2" is not (2, 1/2).
+    opts = {"--family": "C", "--rank": "2", "--gamma": "0,0", flag: value}
+    code, out, err = run(capsys, command, *(x for item in opts.items() for x in item))
+    assert code == 2
+    assert err.startswith("error: ") and "empty field" in err
+    assert out == ""
+
+
 def test_duplicate_coordinate_slot_exit_2(capsys):
     code, _, err = run(
         capsys, "solve", "--family", "C", "--rank", "2", "--gamma", "0,0",
@@ -345,8 +360,9 @@ def test_duplicate_coordinate_slot_exit_2(capsys):
         ("[1]", "coordinates must be a JSON object"),
         ('"x"', "coordinates must be a JSON object"),
         ('{"c10": true}', "boolean"),
+        ('{"c10": {"re": "1", "imag": "2"}}', "unknown key 'imag'"),
     ],
-    ids=["list", "string", "boolean"],
+    ids=["list", "string", "boolean", "unknown-key"],
 )
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_bad_coords_json_exit_2(capsys, command, coords, message):

@@ -65,6 +65,15 @@ def S(x):
     return ExactScalar.of(x)
 
 
+def _assert_integer_form(g):
+    """g stores (den, rows) in lowest terms: what scale_to_gaussian returns for its entries."""
+    parts = [x for row in g.rows for e in row for x in (e.re, e.im)]
+    assert g.den > 0 and math.gcd(g.den, *parts) == 1
+    assert (g.den, g.rows) == scale_to_gaussian(g.entries)
+    rebuilt = GroupElement.from_rows(g.entries)
+    assert rebuilt == g and hash(rebuilt) == hash(g)
+
+
 # -- the bilinear form ------------------------------------------------------
 
 
@@ -352,7 +361,7 @@ def test_packing_is_exact_on_hadamard_tight_matrices():
         ([[one_plus_i * x for x in row] for row in h8], S(65536), 21),
     ):
         g = GroupElement.from_rows(rows)
-        assert pack(*g._integer_form)[0] == width
+        assert pack(g.den, g.rows)[0] == width
         assert g.det() == want
         _assert_packed_minors_match_gauss_table(g)
 
@@ -380,8 +389,8 @@ def test_membership_verdict_belongs_to_its_element():
     assert not is_in_group(bad)
     assert is_in_group(g) and not is_in_group(bad)
     # An equal element built afresh gets its own verdict, the same one.
-    assert not is_in_group(GroupElement(bad.entries))
-    assert is_in_group(GroupElement(g.entries))
+    assert not is_in_group(GroupElement.from_rows(bad.entries))
+    assert is_in_group(GroupElement.from_rows(g.entries))
     with pytest.raises(ValueError):
         check_minor_identity(bad)
 
@@ -398,9 +407,10 @@ def test_check_minor_identity_rescales_once(monkeypatch):
 
     g = sample_group_element(Algebra("C", 4), seed=0, bound=3)
     monkeypatch.setattr(toda.groups, "scale_to_gaussian", counting)
-    rep = check_minor_identity(GroupElement(g.entries))
+    rep = check_minor_identity(GroupElement(g.den, g.rows))
     assert not rep.exhaustive and rep.pairs_checked == 2000
-    assert len(calls) == 1
+    # The element is stored in integer form: the check never rescales.
+    assert len(calls) == 0
 
 
 def test_all_minors_table_matches_minor():
@@ -523,13 +533,14 @@ def _assert_dense_table_matches_lazy(rows, modulus):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_minor_table_matches_lazy_table_on_samples(family, rank, seed):
     g = sample_group_element(Algebra(family, rank), seed=seed, bound=3)
-    w, rows = pack(*g._integer_form)
+    w, rows = pack(g.den, g.rows)
     _assert_dense_table_matches_lazy(rows, packing_modulus(w))
 
 
 @pytest.mark.parametrize("k", range(1, _EXHAUSTIVE_DIM + 1))
 def test_dense_minor_table_matches_lazy_table_on_the_identity(k):
-    w, rows = pack(*GroupElement.identity(k)._integer_form)
+    e = GroupElement.identity(k)
+    w, rows = pack(e.den, e.rows)
     _assert_dense_table_matches_lazy(rows, packing_modulus(w))
 
 
@@ -546,7 +557,7 @@ def _sparse_integer_matrices(draw):
 @given(_sparse_integer_matrices())
 @settings(max_examples=30, deadline=None)
 def test_dense_minor_table_matches_lazy_table_with_zero_entries(g):
-    w, rows = pack(*g._integer_form)
+    w, rows = pack(g.den, g.rows)
     _assert_dense_table_matches_lazy(rows, packing_modulus(w))
 
 
@@ -740,7 +751,7 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
     assert classify_by_minors(g) == "Sp"
     assert g.det() == SCALAR_ONE
     assert len(builds) == 1
-    w, rows = pack(*g._integer_form)
+    w, rows = pack(g.den, g.rows)
     assert g._packed_minors[0] == w
     assert builds[0] == (rows, 0, 1, packing_modulus(w))
 
@@ -775,7 +786,7 @@ def test_exhaustive_dims_build_one_dense_minor_table(monkeypatch, family, tag):
     assert g.det() == SCALAR_ONE
     assert is_in_group(g)
     assert len(dense_builds) == 1 and lazy_builds == []
-    w, rows = pack(*g._integer_form)
+    w, rows = pack(g.den, g.rows)
     assert g._packed_minors[0] == w
     assert dense_builds[0] == (rows, packing_modulus(w))
 
@@ -874,7 +885,7 @@ def test_identity_violation_witness():
 def test_classify_round_trip():
     for alg in (Algebra("C", 2), Algebra("B", 2)):
         g = sample_group_element(alg, seed=5, bound=2)
-        stripped = GroupElement(g.entries)
+        stripped = GroupElement.from_rows(g.entries)
         assert classify_by_minors(stripped) == expected_tag(alg.k)
 
 
@@ -930,14 +941,14 @@ def test_ul_cholesky_round_trip_complex():
         c = unipotent_from_coords(alg, random_coords(alg, rng, 2))
         lam = diagonal_element(random_paired_diagonal(alg.k, rng, 3))
         b = lam @ c
-        h = GroupElement((b.conj_transpose() @ b).entries)
+        h = b.conj_transpose() @ b
         recovered = ul_cholesky(h)
         assert recovered.entries == b.entries  # uniqueness: same positive diagonal
 
 
 def test_ul_cholesky_uniqueness_perturbation():
     b = GroupElement.from_rows([[1, 0], [1, 1]])
-    h = GroupElement((b.conj_transpose() @ b).entries)
+    h = b.conj_transpose() @ b
     rows = [list(r) for r in b.entries]
     rows[1][0] = rows[1][0] + S(1)
     perturbed = GroupElement.from_rows(rows)
@@ -1053,7 +1064,9 @@ def _solver_inputs(draw):
 @settings(max_examples=80, deadline=None)
 def test_integer_solver_matches_fraction_solver(case):
     alg, coords = case
-    assert unipotent_from_coords(alg, coords).entries == fraction_unipotent_from_coords(alg, coords).entries
+    c = unipotent_from_coords(alg, coords)
+    assert c.entries == fraction_unipotent_from_coords(alg, coords).entries
+    _assert_integer_form(c)
 
 
 def test_integer_solver_needs_the_factor_two_on_b(monkeypatch):
@@ -1105,14 +1118,70 @@ def _square_pair(draw):
 @given(_square_pair())
 @settings(max_examples=80, deadline=None)
 def test_integer_form_product_matches_the_scalar_product(pair):
-    # a @ b multiplies the integer forms and divides once by d_a * d_b; the
-    # oracle is the product of the ExactScalar entries.
+    # a @ b is (d_a * d_b, (d_a A)(d_b B)) in lowest terms; the oracle is the
+    # product of the ExactScalar entries.
     a, b = pair
     want = mat_mul(a.entries, b.entries, SCALAR_ZERO)
     got = (a @ b).entries
     assert got == want
     assert repr(got) == repr(want)
     assert all(isinstance(x, ExactScalar) for row in got for x in row)
+    _assert_integer_form(a @ b)
+
+
+_SAMPLED = [Algebra(f, r) for f in "CB" for r in range(1, 5)]
+
+
+@pytest.mark.parametrize("alg", _SAMPLED, ids=str)
+def test_stored_form_is_in_lowest_terms(alg):
+    # Samples, their transposes, conjugate transposes and products.
+    g = sample_group_element(alg, seed=1, bound=3)
+    h = sample_group_element(alg, seed=2, bound=3)
+    for x in (g, h, g.transpose(), g.conj_transpose(), g @ h, h.conj_transpose() @ g):
+        _assert_integer_form(x)
+    assert g.den > 1 and (g @ h).den > 1
+
+
+@pytest.mark.parametrize("family,rank", [("C", 2), ("C", 3), ("B", 2), ("B", 3)])
+def test_unipotent_solver_stores_lowest_terms_at_fractional_coords(family, rank):
+    # The solver builds (delta^(k-1), X[i][j] delta^(k-1-(i-j))), delta = d on
+    # C and 2d on B, and construction reduces it to lowest terms.
+    alg = Algebra(family, rank)
+    for seed in range(3):
+        coords = random_coords(alg, random.Random(seed), 3)
+        d = math.lcm(*(x.denominator for v in coords.values.values() for x in (v.re, v.im)))
+        delta = _grade_step(family, d)
+        c = unipotent_from_coords(alg, coords)
+        _assert_integer_form(c)
+        assert (delta ** (alg.k - 1)) % c.den == 0
+        assert c.entries == fraction_unipotent_from_coords(alg, coords).entries
+    b1 = unipotent_from_coords(Algebra("B", 1), UnipotentCoords(Algebra("B", 1), {(1, 0): S(1)}))
+    assert b1.den == 2 and b1.rows[2][0] == GaussInt(1)
+
+
+def test_group_element_construction_guards():
+    row = (GAUSS_ONE, GAUSS_ZERO)
+    with pytest.raises(ValueError, match="positive"):
+        GroupElement(0, (row, row[::-1]))
+    with pytest.raises(ValueError, match="positive"):
+        GroupElement(-1, (row, row[::-1]))
+    with pytest.raises(ValueError, match="square"):
+        GroupElement(1, (row,))
+    with pytest.raises(ValueError, match="square"):
+        GroupElement.from_rows([[1, 2], [3]])
+    # Construction divides den and every part by their gcd.
+    g = GroupElement(6, ((GaussInt(2), GaussInt(0, 4)), (GAUSS_ZERO, GaussInt(6))))
+    assert g.den == 3 and g.rows == ((GaussInt(1), GaussInt(0, 2)), (GAUSS_ZERO, GaussInt(3)))
+    assert g == GroupElement.from_rows([[F(1, 3), ExactScalar(F(0), F(2, 3))], [0, 1]])
+    assert len({g, GroupElement(3, g.rows), GroupElement.identity(2)}) == 2
+
+
+def test_group_checks_never_build_entries():
+    for alg in (Algebra("C", 3), Algebra("B", 3), Algebra("C", 4)):
+        g = sample_group_element(alg, seed=0, bound=3)
+        check_minor_identity(g)
+        assert classify_by_minors(g) == expected_tag(alg.k)
+        assert "entries" not in vars(g)
 
 
 def test_coords_reject_non_free_slot():

@@ -78,7 +78,21 @@ def test_parse_scalar_rejects_a_boolean(value):
         parse_coords(Algebra("C", 2), {"c10": value})
 
 
-@pytest.mark.parametrize("coords", [["c10"], {"c10": True}], ids=["list", "boolean"])
+@pytest.mark.parametrize(
+    "obj", [{"re": "1", "imag": "2"}, {"real": "1"}, {"im": "1", "re": "2", "x": "0"}]
+)
+def test_parse_scalar_rejects_unknown_keys(obj):
+    with pytest.raises(ValueError, match="unknown key"):
+        parse_scalar(obj)
+    with pytest.raises(ValueError, match="unknown key"):
+        parse_coords(Algebra("C", 2), {"c10": obj})
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [["c10"], {"c10": True}, {"c10": {"re": "1", "imag": "2"}}],
+    ids=["list", "boolean", "unknown-key"],
+)
 def test_solution_input_rejects_bad_coords(coords):
     with pytest.raises(ValueError):
         solution_input_from_json({"family": "C", "rank": 2, "gamma": ["0", "0"], "coords": coords})
@@ -102,6 +116,11 @@ def test_parse_fraction():
     assert parse_fraction("3") == F(3)
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         parse_fraction("1/0")
+    for empty in ("", "  "):
+        with pytest.raises(ValueError, match="empty field"):
+            parse_fraction(empty)
+    with pytest.raises(ValueError, match="empty field"):
+        solution_input_from_json({"family": "C", "rank": 2, "gamma": ["0", ""]})
 
 
 def test_zexpr_round_trip():

@@ -284,7 +284,7 @@ def test_integer_kernel_matches_h_minor_route_property(family, rank, data):
     }
     b = assemble(cfg, SolutionParams.of(lams, UnipotentCoords(cfg.algebra, values)))
     w = b.wronskian
-    assert b.C._integer_form[0] > 1
+    assert b.C.den > 1
     assert math.lcm(*((x * x).denominator for x in b.lambdas)) > 1
     assume(any(
         math.lcm(*(column_minor(w, s).single_monomial().coeff.re.denominator
@@ -505,7 +505,7 @@ def test_symmetry_negative_control():
     c_bad = GroupElement.from_rows(rows)
     lam = diagonal_element((F(2), F(1), F(1), F(1, 2)))
     b_mat = lam @ c_bad
-    h = GroupElement((b_mat.conj_transpose() @ b_mat).entries)
+    h = b_mat.conj_transpose() @ b_mat
     assert h.det().re == 1 and h.is_hermitian()
     w = wronskian(nu_vector(cfg))
     assert not is_in_group(h)
@@ -617,7 +617,7 @@ def test_first_unknown_is_checked_on_integers():
                 rows = [list(row) for row in b.H.entries]
                 rows[a][c] = rows[a][c] + bump
                 with pytest.raises(StructureError):
-                    check(b.forms[0], b.nu, GroupElement(tuple(map(tuple, rows))))
+                    check(b.forms[0], b.nu, GroupElement.from_rows(rows))
     # The same entries on other exponents are not nu^dag H nu either.
     f1 = b.forms[0]
     shifted = UnknownForm(tuple(e + 1 for e in f1.exponents), f1.entries, f1.den)
@@ -732,8 +732,11 @@ def test_monodromy_checks_agree(family, rank):
     rng = random.Random(hash((family, rank, "mono")) & 0xFFF)
     for restrict in (True, False):
         cfg = make_config(family, rank, random_gamma(rng, rank))
-        rep = verify_monodromy(assemble(cfg, random_params(cfg, rng, restrict=restrict)))
+        bundle = assemble(cfg, random_params(cfg, rng, restrict=restrict))
+        rep = verify_monodromy(bundle)
         assert rep.agree
+        # Assembly and the check read the integer forms of C and H only.
+        assert "entries" not in vars(bundle.C) and "entries" not in vars(bundle.H)
 
 
 def _zexpr_offenders(f1):
