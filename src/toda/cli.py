@@ -22,6 +22,11 @@ fresh process compiles and executes no module it does not use:
 Modules run from source when no bytecode cache is written
 (PYTHONDONTWRITEBYTECODE), so each module a command skips saves its
 compilation as well as its execution.
+
+main builds the argument parser on its first call and reuses it for every
+later call in the process.  The parser stores only the subcommand's name;
+main looks the function cmd_<name> up in this module when the command
+runs, so a cmd_* replaced here (as tests do) is the one called.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ def _check_lines(checks: list[dict], witnesses: dict[str, str]) -> list[str]:
 
 
 def cmd_solve(args) -> int:
-    from .jsonio import config_to_json, coords_to_json, fractions_to_json, zexpr_to_json
+    from .jsonio import config_to_json, coords_to_json, form_to_json, fractions_to_json
     from .solutions import assemble
 
     algebra, cfg = _config_from_args(args)
@@ -123,7 +128,7 @@ def cmd_solve(args) -> int:
         "coords": coords_to_json(params.coords),
         "beta": fractions_to_json(bundle.nu.beta),
         "chi": fractions_to_json(bundle.nu.chi),
-        "F1": zexpr_to_json(bundle.forms[0].expr),
+        "F1": form_to_json(bundle.forms[0]),
         "term_counts": [len(form.entries) for form in bundle.forms],
     }
     if bundle.reduced is not None:
@@ -146,7 +151,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .jsonio import config_to_json, fractions_to_json, zexpr_to_json
+    from .jsonio import config_to_json, form_to_json, fractions_to_json
     from .solutions import (
         a_case_form,
         assemble,
@@ -232,7 +237,7 @@ def cmd_verify(args) -> int:
             "algebraic": [list(x) for x in mono.algebraic_offenders],
             "analytic": list(mono.analytic_offenders),
         },
-        "F1": zexpr_to_json(bundle.forms[0].expr),
+        "F1": form_to_json(bundle.forms[0]),
         "passed": passed,
     }
     lines = [f"verification for {cfg.family}{cfg.rank}:"]
@@ -394,33 +399,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="assemble a solution and print its exact data")
     common(p, params=True)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="run every verification for a configuration")
     common(p, params=True, points=True, seed=True)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("roots", help="list the positive roots")
     common(p, gamma=False)
-    p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("ngamma", help="integral-root table and coordinate restrictions")
     common(p)
-    p.set_defaults(fn=cmd_ngamma)
 
     p = sub.add_parser("minors", help="minor identities on sampled group elements")
     common(p, gamma=False, seed=True)
     p.add_argument("--count", type=int, default=5)
-    p.set_defaults(fn=cmd_minors)
 
     p = sub.add_parser("wsym", help="characteristic operator data")
     common(p)
-    p.set_defaults(fn=cmd_wsym)
 
     p = sub.add_parser("demo", help="worked example (c3 or b2)")
     p.add_argument("target", choices=["c3", "b2"])
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_demo)
 
     return parser
 
@@ -443,13 +441,18 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args = _PARSER.parse_args(_merge_negative_values(list(argv)))
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CheckFailed as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1

@@ -9,7 +9,8 @@ routine: an expression is converted once into complex coefficients with
 indices into an exponent table (``_float_terms``, over exponents
 interned by ``_exponent_slot``), each point gets one table of
 principal-branch powers ``z**a`` on the cut plane ``C \\ (-inf, 0]``
-(``_power_table``), and ``_FloatTerms.value`` sums the terms.
+and their conjugates (``_power_table``), and ``_FloatTerms.value`` sums
+the terms.
 :meth:`ZExpr.evaluate` runs it on a single expression; the PDE check runs it
 on the integer forms of F_m and its derivatives with one power table per
 point.
@@ -28,6 +29,8 @@ from math import isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[int, Fraction]
+# (z**a for each exponent a, conj(z**a) for each), from _power_table
+PowerTable = tuple[list[complex], list[complex]]
 
 
 class CheckFailed(ValueError):
@@ -588,12 +591,14 @@ class _FloatTerms:
     fractional: bool
     negative: bool
 
-    def value(self, z: complex, powers: Sequence[complex] | None) -> complex:
-        """The sum at ``z`` from ``powers = _power_table(z, exponents)``.
+    def value(self, z: complex, table: PowerTable | None) -> complex:
+        """The sum at ``z`` from ``table = _power_table(z, exponents)``.
 
-        This is the one float evaluation path.  At the origin only the
-        constant terms count (OriginError if an exponent is negative); on the
-        cut (-inf, 0] a fractional exponent raises BranchCutError.
+        This is the one float evaluation path.  Each term is
+        ``(c * z**a) * conj(z**b)``, read from the powers and their
+        conjugates, summed in term order.  At the origin only the constant
+        terms count (OriginError if an exponent is negative); on the cut
+        (-inf, 0] a fractional exponent raises BranchCutError.
         """
         if z == 0:
             if self.negative:
@@ -604,9 +609,10 @@ class _FloatTerms:
             return total
         if z.imag == 0 and z.real < 0 and self.fractional:
             raise BranchCutError(f"{z} lies on the branch cut")
+        powers, conj = table
         total = 0j
         for c, ia, ib in self.terms:
-            total += c * powers[ia] * powers[ib].conjugate()
+            total += c * powers[ia] * conj[ib]
         return total
 
 
@@ -637,10 +643,12 @@ def _float_terms(terms: Iterable[tuple[complex, tuple, tuple]]) -> _FloatTerms:
     return _FloatTerms(tuple(out), tuple(constant), fractional, negative)
 
 
-def _power_table(z: complex, exponents: Iterable[Fraction]) -> list[complex] | None:
-    """Principal-branch z**a for each exponent a, in order; None at the origin.
+def _power_table(z: complex, exponents: Iterable[Fraction]) -> PowerTable | None:
+    """(powers, conjugates): principal-branch z**a for each exponent a, in order,
+    and the conjugate of each; None at the origin.
 
-    Integer exponents use z**n, fractional ones exp(a * log z).
+    Integer exponents use z**n, fractional ones exp(a * log z).  Each power
+    is conjugated once here, for every sum that reads the table.
     """
     if z == 0:
         return None
@@ -653,7 +661,7 @@ def _power_table(z: complex, exponents: Iterable[Fraction]) -> list[complex] | N
             if log is None:
                 log = cmath.log(z)
             table.append(cmath.exp(float(a) * log))
-    return table
+    return table, [p.conjugate() for p in table]
 
 
 def _coerce_expr(x):

@@ -4,18 +4,25 @@ Wire formats: rationals are strings "p" or "p/q"; complex scalars are
 compact strings like "1/2+3i/4" (object form {"re": "p/q", "im": "p/q"} is
 also accepted); expressions are arrays of monomial records; matrices are
 row-major arrays of scalar strings; coordinates are {"c10": "1+i", ...}.
+
+An unknown F_m is written from its integer form (form_to_json), with the
+same records as zexpr_to_json of its ZExpr, so no report builds a ZExpr.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .config import TodaConfig, make_config
 from .exact import ExactScalar, Monomial, ZExpr, format_fraction, format_scalar
 from .groups import GroupElement, UnipotentCoords
 from .lie import Algebra, slot_name
+
+if TYPE_CHECKING:
+    from .solutions import UnknownForm
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -86,6 +93,32 @@ def zexpr_to_json(e: ZExpr) -> list[dict]:
         }
         for t in e.terms
     ]
+
+
+def form_to_json(form: UnknownForm) -> list[dict]:
+    """The records of zexpr_to_json(form.expr), read off the integer form.
+
+    The entries are nonzero, distinct and in (e_i, e_j) order, the term
+    order of the ZExpr, and each coefficient part is one ratio over den.
+    """
+    exps = [format_fraction(e) for e in form.exponents]
+    den = form.den
+    return [
+        {
+            "coeff": {"re": _ratio_text(re, den), "im": _ratio_text(im, den)},
+            "exp_z": exps[i],
+            "exp_zbar": exps[j],
+        }
+        for i, j, re, im in form.entries
+    ]
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """format_fraction(Fraction(num, den)) for den > 0."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 def zexpr_from_json(records: Sequence[Mapping]) -> ZExpr:

@@ -26,13 +26,15 @@ interned exponents, the pairs i <= j only, with the single denominator
 s_m^2 Lambda^m (s_m = d^m D_0 ... D_{m-1}), and kept on the bundle in
 that integer form (UnknownForm): the sorted exponents, the nonzero
 entries and the denominator, in lowest terms: equal unknowns have equal
-forms.  Every check
-reads that one form.  The PDE check compiles each distinct form once (the
-mirror pairs of C/B share one) into complex terms of F and its derivatives,
-each coefficient rounded once, evaluated with one power table per point.
-The symmetry check is equality of the forms of F_m and F_{k-m}; F_1 is
-checked against nu^dag H nu on integers.  A ZExpr of F_m is built only on
-access (UnknownForm.expr, SolutionBundle.F): toda verify builds F_1 alone.
+forms.  Every check and every report reads that one form.  The PDE check
+compiles each distinct form once (the mirror pairs of C/B share one) into
+complex terms of F and its derivatives, each coefficient rounded once,
+evaluated with one power table (and its conjugates) per point.  The
+symmetry check is equality of the forms of F_m and F_{k-m}; F_1 is
+checked against nu^dag H nu on integers, and its JSON records are written
+from its form (jsonio.form_to_json).  UnknownForm.expr and
+SolutionBundle.F, the ZExprs of the F_m, are API only: they are built on
+access, and no command reads them.
 
 For the C and B families the first n unknowns carry the reduction back to
 the family's own system, with the exact power-of-two normalization for B.
@@ -186,7 +188,7 @@ class UnknownForm:
 
     @cached_property
     def expr(self) -> ZExpr:
-        """F_m as a ZExpr, built on first access."""
+        """F_m as a ZExpr, built on first access; API only, no command reads it."""
         e, den = self.exponents, self.den
         return ZExpr.from_terms(
             Monomial(ExactScalar(Fraction(re, den), Fraction(im, den)), e[i], e[j])
@@ -212,7 +214,7 @@ class SolutionBundle:
 
     @cached_property
     def F(self) -> tuple[ZExpr, ...]:
-        """The unknowns F_1..F_{k-1} as ZExprs, built on first access."""
+        """The unknowns F_1..F_{k-1} as ZExprs, built on first access; API only."""
         return tuple(form.expr for form in self.forms)
 
 
@@ -430,8 +432,11 @@ def verify_monodromy(bundle: SolutionBundle) -> MonodromyReport:
     )
     f1 = bundle.forms[0]
     e = f1.exponents
+    # e_i - e_j is an integer iff e_i = e_j mod 1; a residue (n mod d)/d of
+    # n/d in lowest terms is in lowest terms too, so it is the pair (n mod d, d).
+    residue = [(x.numerator % x.denominator, x.denominator) for x in e]
     ana_offenders = tuple(
-        f"z^{e[i]} zb^{e[j]}" for i, j, _, _ in f1.entries if (e[i] - e[j]).denominator != 1
+        f"z^{e[i]} zb^{e[j]}" for i, j, _, _ in f1.entries if residue[i] != residue[j]
     )
     a_ok = not alg_offenders
     b_ok = not ana_offenders
@@ -459,7 +464,14 @@ class CharacteristicData:
 
 
 def _indicial(shifts: Sequence[Fraction], a: Fraction) -> Fraction:
-    return prod((a - t + s for t, s in enumerate(shifts)), start=Fraction(1))
+    # With D the lcm of the shift denominators and a = p/q, each factor is
+    # (p D + (s_t - t) D q) / (q D): one product of ints, one Fraction.
+    d = lcm(*(s.denominator for s in shifts))
+    p, q = a.numerator, a.denominator
+    return Fraction(
+        prod(p * d + (s.numerator * (d // s.denominator) - t * d) * q for t, s in enumerate(shifts)),
+        (q * d) ** len(shifts),
+    )
 
 
 def characteristic_data(config: TodaConfig) -> CharacteristicData:
@@ -512,10 +524,12 @@ def _pde_plan(form: UnknownForm, index: dict[Fraction, int]) -> tuple[_FloatTerm
 
     An entry (i, j, r, s) is the term c z^a zb^b with c = (r + i s)/den,
     a = e_i and b = e_j.  It gives c*a z^(a-1) zb^b, c*b z^a zb^(b-1) and
-    c*a*b z^(a-1) zb^(b-1), in entry order; vanishing terms are skipped.
-    Each exponent and exponent - 1 is interned in the shared ``index`` once,
-    and each coefficient is rounded once (_ratio), bit for bit the float of
-    the exact coefficient.
+    c*a*b z^(a-1) zb^(b-1), in entry order, in one pass over the entries;
+    vanishing terms are skipped.  Each exponent and exponent - 1 is interned
+    in the shared ``index`` once.  Each coefficient is rounded once: each
+    part is one int / int division, which is correctly rounded, as is
+    float() of the reduced Fraction, so it is the float of the exact
+    coefficient bit for bit.
     """
     den = form.den
     # (numerator, denominator, slot of e, slot of e - 1) per exponent e.
@@ -528,26 +542,21 @@ def _pde_plan(form: UnknownForm, index: dict[Fraction, int]) -> tuple[_FloatTerm
         )
         for e in form.exponents
     ]
-    terms = [(r, s, exps[i], exps[j]) for i, j, r, s in form.entries]
-    return (
-        _float_terms((_ratio(r, s, 1, den), a[2], b[2]) for r, s, a, b in terms),
-        _float_terms((_ratio(r, s, a[0], den * a[1]), a[3], b[2]) for r, s, a, b in terms if a[0]),
-        _float_terms((_ratio(r, s, b[0], den * b[1]), a[2], b[3]) for r, s, a, b in terms if b[0]),
-        _float_terms(
-            (_ratio(r, s, a[0] * b[0], den * a[1] * b[1]), a[3], b[3])
-            for r, s, a, b in terms
-            if a[0] and b[0]
-        ),
-    )
-
-
-def _ratio(re: int, im: int, num: int, den: int) -> complex:
-    """complex((re + i*im) * num / den) for ints and den > 0.
-
-    Each part is one int / int division, which is correctly rounded, as is
-    float() of the reduced Fraction: the result is the same bit for bit.
-    """
-    return complex(re * num / den, im * num / den)
+    f, fz, fzb, fzzb = [], [], [], []
+    for i, j, r, s in form.entries:
+        an, ad, a0, a1 = exps[i]
+        bn, bd, b0, b1 = exps[j]
+        f.append((complex(r / den, s / den), a0, b0))
+        if an:
+            q = den * ad
+            fz.append((complex(r * an / q, s * an / q), a1, b0))
+            if bn:
+                n, q = an * bn, q * bd
+                fzzb.append((complex(r * n / q, s * n / q), a1, b1))
+        if bn:
+            q = den * bd
+            fzb.append((complex(r * bn / q, s * bn / q), a0, b1))
+    return _float_terms(f), _float_terms(fz), _float_terms(fzb), _float_terms(fzzb)
 
 
 @dataclass(frozen=True)
@@ -572,9 +581,10 @@ def verify_pde(
     Each distinct form (the forms are in lowest terms, so the mirror pairs
     F_m = F_{k-m} of C/B are one) is compiled once per call into a float
     plan (_pde_plan): the terms of F, d_z F, d_zbar F and d_z d_zbar F; no
-    ZExpr is built.  Each point gets one power table shared by all plans,
-    each plan is evaluated once, and each m reads F_m and the log-Laplacian
-    d_z d_zbar log F_m from its form's values into the point's table row.
+    ZExpr is built.  Each point gets one power table, with the conjugate of
+    each power, shared by all plans, each plan is evaluated once, and each
+    m reads F_m and the log-Laplacian d_z d_zbar log F_m from its form's
+    values into the point's table row.
     One residual routine compares a log-Laplacian with its Cartan product
     in relative terms.  The A-side system
     d_z d_zbar log F_m = prod_j F_j^(-a_mj) is checked at every point as its
@@ -613,10 +623,10 @@ def verify_pde(
     rows = []
     for z in pts:
         zc = complex(z)
-        powers = _power_table(zc, exponents)
-        fs = [plan[0].value(zc, powers) for plan in plans]
+        table = _power_table(zc, exponents)
+        fs = [plan[0].value(zc, table) for plan in plans]
         laps = [
-            (fv * fzzb.value(zc, powers) - fz.value(zc, powers) * fzb.value(zc, powers)) / (fv * fv)
+            (fv * fzzb.value(zc, table) - fz.value(zc, table) * fzb.value(zc, table)) / (fv * fv)
             for fv, (_, fz, fzb, fzzb) in zip(fs, plans)
         ]
         values, laps = [fs[s] for s in order], [laps[s] for s in order]
@@ -662,8 +672,10 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
     rows = []
     ok = True
     for m in range(1, k):
-        at0 = -sum((Fraction(amat[m - 1][j - 1]) * mins[j - 1] for j in range(1, k)), Fraction(0))
-        atinf = -sum((Fraction(amat[m - 1][j - 1]) * maxs[j - 1] for j in range(1, k)), Fraction(0))
+        # The Cartan row is tridiagonal: its zero entries add nothing.
+        row = [(a, j) for j, a in enumerate(amat[m - 1]) if a]
+        at0 = -sum((a * mins[j] for a, j in row), Fraction(0))
+        atinf = -sum((a * maxs[j] for a, j in row), Fraction(0))
         integrable = at0 > -2 and atinf < -2
         matches = at0 == 2 * config.gamma_tilde[m - 1]
         ok = ok and integrable and matches

@@ -14,7 +14,7 @@ from toda.groups import (
     SingularDiagonal,
     random_coords,
 )
-from toda.jsonio import coords_to_json
+from toda.jsonio import coords_to_json, parse_coords
 from toda.lie import Algebra, coordinate_map
 from toda.solutions import IntegrabilityReport, IntegrabilityRow
 
@@ -516,3 +516,100 @@ def test_other_errors_still_exit_2(monkeypatch, capsys, error):
     code, _, err = run(capsys, "roots", "--family", "C", "--rank", "2")
     assert code == 2
     assert err.startswith("error: ")
+
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# verify, a usage error, roots, minors and verify again.  The first verify
+# and the minors call set options that the later calls leave at their
+# defaults, so a value left over from an earlier call would show.
+PARSER_SEQUENCE = [
+    (
+        "verify", "--family", "C", "--rank", "2", "--gamma", "0,0", "--lambda", "3/2,2",
+        "--coords", '{"c10": "1-i", "c30": "-1/2"}', "--points", "5", "--seed", "3", "--json",
+    ),
+    ("verify", "--family", "Q", "--rank", "2"),
+    ("roots", "--family", "B", "--rank", "2"),
+    ("minors", "--family", "C", "--rank", "2", "--count", "2", "--seed", "4", "--json"),
+    ("minors", "--family", "C", "--rank", "2", "--json"),
+    ("verify", "--family", "C", "--rank", "2", "--gamma", "0,0", "--json"),
+]
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    import toda.cli
+
+    built = []
+    real = toda.cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(toda.cli, "_PARSER", None)
+    monkeypatch.setattr(toda.cli, "build_parser", counting)
+    codes = [_call(capsys, argv)[0] for argv in PARSER_SEQUENCE * 2]
+    assert codes == [0, 2, 0, 0, 0, 0] * 2
+    assert len(built) == 1
+
+
+def test_reused_parser_answers_like_a_fresh_one(monkeypatch, capsys):
+    import toda.cli
+
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        monkeypatch.setattr(toda.cli, "_PARSER", None)
+        fresh.append(_call(capsys, argv))
+    monkeypatch.setattr(toda.cli, "_PARSER", None)
+    reused = [_call(capsys, argv) for argv in PARSER_SEQUENCE]
+    assert reused == fresh
+    assert "invalid choice: 'Q'" in fresh[1][2]
+    first, last = json.loads(fresh[0][1]), json.loads(fresh[-1][1])
+    assert first["options"] == {"points": 5, "tol": 1e-9, "seed": 3}
+    assert last["options"] == {"points": 20, "tol": 1e-9, "seed": 0}
+    assert first["F1"] != last["F1"]
+    assert [s["seed"] for s in json.loads(fresh[3][1])["samples"]] == [4, 5]
+    assert [s["seed"] for s in json.loads(fresh[4][1])["samples"]] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_json_reports_build_no_zexpr(monkeypatch, capsys, command):
+    # F_1 is written from its integer form: no ZExpr is built, and the
+    # records are those of the ZExpr, built afterwards as the check.
+    from toda.config import make_config
+    from toda.exact import ZExpr
+    from toda.jsonio import zexpr_to_json
+    from toda.solutions import SolutionParams, UnknownForm, assemble, default_lambdas
+
+    cases = [
+        ("A", 3, "1/3,1/2,1/3", "{}"),
+        ("C", 3, "0,0,0", '{"c10": "1-i/2", "c31": "-3", "c50": "2i"}'),
+        ("B", 2, "-1/2,1/4", '{"c30": "-1+i"}'),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a ZExpr was built")
+
+    monkeypatch.setattr(ZExpr, "from_terms", staticmethod(refuse))
+    monkeypatch.setattr(UnknownForm, "expr", property(refuse))
+    reports = []
+    for family, rank, gamma, coords in cases:
+        code, out, err = run(
+            capsys, command, "--family", family, "--rank", str(rank), "--gamma", gamma,
+            "--coords", coords, "--json",
+        )
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    monkeypatch.undo()
+    for (family, rank, gamma, coords), report in zip(cases, reports):
+        cfg = make_config(family, rank, [F(x) for x in gamma.split(",")])
+        params = SolutionParams.of(default_lambdas(cfg), parse_coords(cfg.algebra, json.loads(coords)))
+        assert report["F1"] == zexpr_to_json(assemble(cfg, params).forms[0].expr)

@@ -12,6 +12,9 @@ from toda.exact import (
     Monomial,
     OriginError,
     ZExpr,
+    _exponent_slot,
+    _float_terms,
+    _power_table,
     format_scalar,
     sqrt_fraction,
     NotASquareError,
@@ -189,3 +192,74 @@ def test_eval_is_ring_homomorphism(a, b):
     lhs2 = (a + b).evaluate(pt)
     rhs2 = a.evaluate(pt) + b.evaluate(pt)
     assert cmath.isclose(lhs2, rhs2, rel_tol=1e-12, abs_tol=1e-12)
+
+
+# -- the float routine ----------------------------------------------------
+
+_plan_exponent = st.one_of(
+    st.integers(-4, 4).map(F), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+_plan_coefficient = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+_plan_point = st.one_of(
+    st.sampled_from([0j, complex(-1.5, 0.0), complex(-0.5, -0.0), complex(2.0, 0.0), -1j]),
+    # Off the origin, points stay in an annulus, where no power overflows.
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)).filter(lambda p: abs(p) > 0.25),
+)
+
+
+@st.composite
+def _float_plans(draw):
+    """Exponents and two term lists (c, index of a, index of b) over them."""
+    exponents = draw(st.lists(_plan_exponent, min_size=1, max_size=6, unique=True))
+    term = st.tuples(
+        _plan_coefficient, st.integers(0, len(exponents) - 1), st.integers(0, len(exponents) - 1)
+    )
+    return exponents, draw(st.lists(term, max_size=10)), draw(st.lists(term, max_size=10))
+
+
+def _outcome(fn, *args):
+    # repr keeps the sign of a zero part, so equal outcomes are bit-identical.
+    try:
+        return repr(fn(*args))
+    except (OriginError, BranchCutError) as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_plans(), _plan_point)
+def test_float_routine_matches_the_term_by_term_oracle(plan, z):
+    # Two sums share one exponent index and one power table, as the PDE
+    # plans do; each value read through the table's conjugates equals the
+    # term-by-term sum of c * powers[a] * powers[b].conjugate() by repr, and
+    # the origin and branch-cut errors are raised by the same rules.
+    exponents, *term_lists = plan
+    index = {}
+    sums = [
+        _float_terms(
+            (c, _exponent_slot(exponents[a], index), _exponent_slot(exponents[b], index))
+            for c, a, b in terms
+        )
+        for terms in term_lists
+    ]
+    table = _power_table(z, tuple(index))
+
+    def oracle(terms):
+        used = [exponents[x] for _, a, b in terms for x in (a, b)]
+        if z == 0:
+            if any(e < 0 for e in used):
+                raise OriginError("negative exponent at the origin")
+            total = 0j
+            for c, a, b in terms:
+                if exponents[a] == 0 and exponents[b] == 0:
+                    total += c
+            return total
+        if z.imag == 0 and z.real < 0 and any(e.denominator != 1 for e in used):
+            raise BranchCutError(f"{z} lies on the branch cut")
+        powers = table[0]
+        total = 0j
+        for c, a, b in terms:
+            total += c * powers[index[exponents[a]]] * powers[index[exponents[b]]].conjugate()
+        return total
+
+    for compiled, terms in zip(sums, term_lists):
+        assert _outcome(compiled.value, z, table) == _outcome(oracle, terms)

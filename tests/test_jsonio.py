@@ -1,12 +1,18 @@
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_params
+from toda.config import make_config
 from toda.exact import ExactScalar, ZExpr
 from toda.groups import UnipotentCoords
 from toda.jsonio import (
     coords_to_json,
+    form_to_json,
     matrix_to_json,
     parse_coords,
     parse_fraction,
@@ -18,6 +24,7 @@ from toda.jsonio import (
     zexpr_to_json,
 )
 from toda.lie import Algebra, coordinate_map
+from toda.solutions import UnknownForm, assemble
 
 
 @pytest.mark.parametrize(
@@ -126,6 +133,58 @@ def test_parse_fraction():
 def test_zexpr_round_trip():
     e = ZExpr.monomial(ExactScalar(F(1, 2), F(-1, 3)), F(5, 2), F(-1)) + ZExpr.one()
     assert zexpr_from_json(zexpr_to_json(e)) == e
+
+
+def test_form_to_json_matches_the_zexpr_records():
+    # The records written from each integer form are those of its ZExpr,
+    # term for term and string for string, for every F_m of A, C and B
+    # bundles at zero and fractional gamma; between them the coefficient
+    # parts take every sign, zero included.
+    kinds = set()
+    for family, rank, gamma in [
+        ("A", 3, (0, 0, 0)),
+        ("A", 3, (F(1, 3), F(1, 2), F(1, 3))),
+        ("C", 2, (0, 0)),
+        ("C", 3, (F(-1, 2), F(1, 4), 1)),
+        ("B", 2, (0, 0)),
+        ("B", 2, (F(-1, 2), F(1, 4))),
+        ("B", 3, (F(1, 2), 0, F(1, 3))),
+    ]:
+        cfg = make_config(family, rank, gamma)
+        for seed in range(3):
+            bundle = assemble(cfg, random_params(cfg, random.Random(seed)))
+            for form in bundle.forms:
+                records = form_to_json(form)
+                assert records == zexpr_to_json(form.expr), (family, rank, gamma, seed)
+                for r in records:
+                    for part in ("re", "im"):
+                        text = r["coeff"][part]
+                        kinds.add((part, "0" if text == "0" else text[0] == "-"))
+    assert kinds == {(part, kind) for part in ("re", "im") for kind in ("0", True, False)}
+
+
+_exponent = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def unknown_forms(draw):
+    exponents = sorted(draw(st.sets(_exponent, min_size=1, max_size=5)))
+    n = len(exponents)
+    part = st.integers(-(10**6), 10**6)
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    entries = []
+    for i, j in sorted(pairs):
+        re, im = draw(part), draw(part)
+        if re or im:
+            entries.append((i, j, re, im))
+    return UnknownForm(tuple(exponents), tuple(entries), draw(st.integers(1, 10**6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unknown_forms())
+def test_form_to_json_matches_the_zexpr_records_on_any_form(form):
+    # Zero, negative and reducible parts and exponents of every sign.
+    assert form_to_json(form) == zexpr_to_json(form.expr)
 
 
 def test_coords_round_trip():

@@ -1174,10 +1174,16 @@ big_dens = st.integers(min_value=1, max_value=10**40)
 @settings(max_examples=150, deadline=None)
 @given(big_ints, big_ints, big_dens, big_ints, big_dens)
 def test_plan_coefficient_is_the_rounded_exact_product(re, im, den, num, q):
-    # The plan rounds (re + i im)/den * num/q once from the integers; it must
-    # equal the float of the exact product, bit for bit.
-    exact = ExactScalar(F(re, den), F(im, den)) * F(num, q)
-    assert repr(toda.solutions._ratio(re, im, num, den * q)) == repr(complex(exact))
+    # The plan rounds each coefficient c a^p, c = (re + i im)/den, of F
+    # (p = 0), d_z F and d_zbar F (p = 1) and d_z d_zbar F (p = 2) once from
+    # the integers of the form; each must equal the float of the exact
+    # product, bit for bit.
+    a = F(num, q)
+    c = ExactScalar(F(re, den), F(im, den))
+    plan = toda.solutions._pde_plan(UnknownForm((a,), ((0, 0, re, im),), den), {})
+    want = [c, c * a, c * a, c * a * a] if num else [c]
+    got = [terms.terms[0][0] for terms in plan if terms.terms]
+    assert [repr(x) for x in got] == [repr(complex(w)) for w in want]
 
 
 @pytest.mark.parametrize(
