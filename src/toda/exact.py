@@ -31,6 +31,8 @@ from typing import Iterable, Sequence, Union
 RatLike = Union[int, Fraction]
 # (z**a for each exponent a, conj(z**a) for each), from _power_table
 PowerTable = tuple[list[complex], list[complex]]
+# The value of a power out of float range in a power table.
+_NONFINITE = complex(cmath.nan, cmath.nan)
 
 
 class CheckFailed(ValueError):
@@ -220,8 +222,8 @@ class GaussPoly(dict):
     """Polynomial in one variable with Gaussian-integer coefficients and int exponents.
 
     A dict from each exponent to its nonzero coefficient (re, im), plain
-    ints: the entry ring of the holomorphic minors in assembly.  Only
-    is_zero, +, - and * are defined.
+    ints: the entry ring of G = C W in assembly, whose minors are built as
+    plain dicts of the same shape.  Only is_zero, +, - and * are defined.
     """
 
     __slots__ = ()
@@ -647,20 +649,27 @@ def _power_table(z: complex, exponents: Iterable[Fraction]) -> PowerTable | None
     """(powers, conjugates): principal-branch z**a for each exponent a, in order,
     and the conjugate of each; None at the origin.
 
-    Integer exponents use z**n, fractional ones exp(a * log z).  Each power
-    is conjugated once here, for every sum that reads the table.
+    Integer exponents use z**n, fractional ones exp(a * log z).  A power
+    out of float range (z**n raises ZeroDivisionError when z**|n|
+    underflows for n < 0, and OverflowError on overflow, as exp does) is
+    the non-finite NaN + NaN i, so a sum that reads it is not finite and a
+    check on it fails instead of raising.  Each power is conjugated once
+    here, for every sum that reads the table.
     """
     if z == 0:
         return None
     log = None
     table = []
     for a in exponents:
-        if a.denominator == 1:
-            table.append(z ** a.numerator)
-        else:
-            if log is None:
-                log = cmath.log(z)
-            table.append(cmath.exp(float(a) * log))
+        try:
+            if a.denominator == 1:
+                table.append(z ** a.numerator)
+            else:
+                if log is None:
+                    log = cmath.log(z)
+                table.append(cmath.exp(float(a) * log))
+        except (ZeroDivisionError, OverflowError):
+            table.append(_NONFINITE)
     return table, [p.conjugate() for p in table]
 
 

@@ -18,19 +18,26 @@ with d the lcm of the denominators of C, B that of the beta, one integer
 denominator D_j per column, and the common factor z^(-m(m-1)/2) of the
 level-m minors applied once per level.  The g_R are built one level at a
 time: level m is a dict from each m-row set R to the minor of G on R and
-the columns 0..m-1, one Laplace step along column m-1 from level m-1, and
-level m-1 is dropped once level m is built, so assembly holds at most two
-levels of the minors of G.  The squared weights share one denominator
-Lambda.  F_m is accumulated as a Hermitian integer matrix over pairs of
-interned exponents, the pairs i <= j only, with the single denominator
-s_m^2 Lambda^m (s_m = d^m D_0 ... D_{m-1}), and kept on the bundle in
-that integer form (UnknownForm): the sorted exponents, the nonzero
-entries and the denominator, in lowest terms: equal unknowns have equal
-forms.  Every check and every report reads that one form.  The PDE check
-compiles each distinct form once (the mirror pairs of C/B share one) into
-complex terms of F and its derivatives, each coefficient rounded once,
-evaluated with one power table (and its conjugates) per point.  The
-symmetry check is equality of the forms of F_m and F_{k-m}; F_1 is
+the columns 0..m-1, one Laplace step along column m-1 from level m-1,
+accumulated in one dict of (re, im) int pairs per minor, and level m-1 is
+dropped once level m is built, so assembly holds at most two levels of
+the minors of G.  For C/B the levels stop at k//2 and F_{k-m} is the same
+form as F_m; A builds every level.  The squared weights share one
+denominator Lambda.  F_m is accumulated as a Hermitian integer matrix over
+pairs of interned exponents, the pairs i <= j only, with the single
+denominator s_m^2 Lambda^m (s_m = d^m D_0 ... D_{m-1}), and kept on the
+bundle in that integer form (UnknownForm): the sorted exponents, the
+nonzero entries and the denominator, in lowest terms: equal unknowns have
+equal forms.  Every check and every report reads that one form.  The PDE
+check compiles each distinct form once (the mirror pairs of C/B share one)
+into complex terms of F and its derivatives, each coefficient rounded
+once, evaluated with one power table (and its conjugates) per point; a
+value out of float range makes its residual NaN, which fails.  The
+symmetry check is a modular certificate: at random points mod a fixed
+prime p, every F_m, assembled or mirrored, is compared with the leading
+minor of W(y)^t H W(x), one elimination giving them all, so the mirror
+symmetry is proved on each solution and every level is checked against
+its definition (false-pass bound deg/(p - 1) per trial).  F_1 is also
 checked against nu^dag H nu on integers, and its JSON records are written
 from its form (jsonio.form_to_json).  UnknownForm.expr and
 SolutionBundle.F, the ZExprs of the F_m, are API only: they are built on
@@ -38,11 +45,12 @@ access, and no command reads them.
 
 For the C and B families the first n unknowns carry the reduction back to
 the family's own system, with the exact power-of-two normalization for B.
-The verification operations check the left/right symmetry of the F's, the
-monodromy conditions (algebraically on C and analytically on F_1), the
-numeric PDE residual at off-cut points, the integrability exponents at 0
-and infinity, and the Cauchy-Euler characteristic data of the family, read
-from the indicial polynomial on Fractions.
+The verification operations certify every F_m, and with it the left/right
+symmetry of the F's, and check the monodromy conditions (algebraically on
+C and analytically on F_1), the numeric PDE residual at off-cut points,
+the integrability exponents at 0 and infinity, and the Cauchy-Euler
+characteristic data of the family, read from the indicial polynomial on
+Fractions.
 """
 
 from __future__ import annotations
@@ -52,8 +60,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import factorial, gcd, lcm, nan, prod
+from operator import mul
 from typing import Sequence
 
 from .basis import NuVector, StructureError, WronskianMatrix, nu_vector, wronskian
@@ -64,6 +73,7 @@ from .exact import (
     Monomial,
     ZExpr,
     _exponent_slot,
+    _NONFINITE,
     _FloatTerms,
     _float_terms,
     _power_table,
@@ -232,8 +242,13 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     and lambda_r^2 = l_r / Lambda.  F_m is accumulated as a Hermitian integer
     matrix over pairs of interned exponents (_unknown_matrix) with the
     single denominator s_m^2 Lambda^m, s_m the scale of the level-m minors
-    of G, and kept as an UnknownForm, in lowest terms.  F_1 is cross-checked
-    on integers against nu^dag H nu, which reads H directly.  No ZExpr is
+    of G, and kept as an UnknownForm, in lowest terms.  For C and B only
+    the levels m <= k//2 are built: the level generator stops there, and
+    F_{k-m} is the same form object as F_m, the mirror symmetry of the
+    paper (C in Sp/SO, palindromic basis).  That symmetry is not trusted:
+    verify_symmetry certifies every F_m, mirrored or not, against its
+    definition.  The A family builds every level.  F_1 is cross-checked on
+    integers against nu^dag H nu, which reads H directly.  No ZExpr is
     built here: they are built when bundle.F is read.
     """
     nu = nu_vector(config)
@@ -246,8 +261,10 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     squares = [x * x for x in lams]
     lam_den = lcm(*(q.denominator for q in squares))
     lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
+    k = config.k
+    built = k - 1 if config.family == "A" else k // 2
     forms = []
-    for m, level in enumerate(_prefix_minors(g), start=1):
+    for m, level in enumerate(islice(_prefix_minors(g), built), start=1):
         exps, re, im = _unknown_matrix(level, lam_num)
         n, shift = len(exps), beta_den * m * (m - 1) // 2
         exponents = tuple(Fraction(e - shift, beta_den) for e in exps)
@@ -255,6 +272,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
             (i, j, re[i][j], im[i][j]) for i in range(n) for j in range(n) if re[i][j] or im[i][j]
         )
         forms.append(UnknownForm(exponents, entries, scales[m] ** 2 * lam_den**m))
+    forms += [forms[k - m - 1] for m in range(built + 1, k)]
     _check_first_unknown(forms[0], nu, h)
     reduced = reduced_unknowns(config)
     return SolutionBundle(config, params, nu, w, tuple(forms), reduced, h, c, lams)
@@ -296,25 +314,39 @@ def _prefix_minors(g: Sequence[Sequence[GaussPoly]]):
 
     Level m, for m = 1..k-1, is a dict from each m-row set R (a sorted
     tuple, in itertools.combinations order) to the minor of g on the rows R
-    and the columns 0..m-1: the Laplace expansion along column m-1 over
-    level m-1, skipping zero entries.  Only the level being read and the
-    one being built are held: the previous level is dropped once the next
-    is built.
+    and the columns 0..m-1, itself a dict from each exponent to its nonzero
+    coefficient (re, im): the Laplace expansion along column m-1 over level
+    m-1, skipping zero entries.  Each minor is accumulated in one dict,
+    straight from the products of the terms of g[r][m-1] and of the
+    lower-level minor, with the sign of the expansion folded into the
+    column's coefficients.  Only the level being read and the one being
+    built are held: the previous level is dropped once the next is built.
     """
     k = len(g)
-    level = {(): GaussPoly({0: (1, 0)})}
+    level = {(): {0: (1, 0)}}
     for m in range(1, k):
-        col = [row[m - 1] for row in g]
+        # Column m-1 as (exponent, re, im) terms, and with the opposite sign.
+        col = [[(e, a, b) for e, (a, b) in row[m - 1].items()] for row in g]
+        neg = [[(e, -a, -b) for e, a, b in terms] for terms in col]
         next_level = {}
         for rows in combinations(range(k), m):
-            val = GaussPoly()
+            acc: dict[int, tuple[int, int]] = {}
             negate = m % 2 == 0  # sign (-1)^(p + m - 1) at row position p
             for p, r in enumerate(rows):
-                if col[r]:
-                    term = col[r] * level[rows[:p] + rows[p + 1:]]
-                    val = val - term if negate else val + term
+                terms = neg[r] if negate else col[r]
                 negate = not negate
-            next_level[rows] = val
+                if not terms:
+                    continue
+                lower = level[rows[:p] + rows[p + 1:]].items()
+                for e, a, b in terms:
+                    for f, (c, d) in lower:
+                        key = e + f
+                        cur = acc.get(key)
+                        if cur is None:
+                            acc[key] = (a * c - b * d, a * d + b * c)
+                        else:
+                            acc[key] = (cur[0] + a * c - b * d, cur[1] + a * d + b * c)
+            next_level[rows] = {e: v for e, v in acc.items() if v[0] or v[1]}
         level = next_level
         yield level
 
@@ -322,7 +354,7 @@ def _prefix_minors(g: Sequence[Sequence[GaussPoly]]):
 def _unknown_matrix(level: dict, lam_num: Sequence[int]):
     """The integer matrix of F_m: (exponents, re, im).
 
-    level maps each m-row set R to the GaussPoly G_R (see _prefix_minors);
+    level maps each m-row set R to the minor G_R (see _prefix_minors);
     the int exponents of all of them are interned as indices into the sorted
     distinct ``exponents``.  Entry (i, j) of the matrix re + i*im is
     sum_R (prod_{r in R} l_r) G_R[i] conj(G_R[j]): it is accumulated for
@@ -389,15 +421,142 @@ class SymmetryReport:
     failures: tuple[int, ...]
 
 
-def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
-    """Exact check that F_m = F_{k-m} for every m, on the integer forms.
+# The certificate's field Z/p: p is the first prime = 1 (mod 4) above 2^61,
+# and _I_P is a square root of -1 mod p, the image of the imaginary unit.
+_P = 2305843009213693973
+_I_P = 1035093963448091331
+_TRIALS = 2
+_SEED = 0
+# Point pairs drawn at most; each one with a zero pivot is skipped.
+_DRAWS = 64
 
-    The forms are in lowest terms, so two unknowns are equal iff their
-    forms are equal.
+
+def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
+    """Certify every F_m against its definition, mod a prime, at random points.
+
+    The symmetry F_{k-m} = F_m of C/B is what assemble relies on to build
+    only the levels m <= k//2; here each form, assembled or mirrored, is
+    compared with the leading m x m minor of W^dag H W, so the symmetry is
+    proved on this solution, not assumed.  On an A bundle, which has no
+    mirror symmetry, it certifies the forms as built.  With z = x^B and zb = y^B (B the
+    lcm of the beta denominators), x and y independent, F_m(x, y) is the
+    leading minor of P(x, y) = W(y)^t H W(x), W cut to its first k-1
+    columns.  A trial draws a nonzero pair (x, y) mod p from a fixed-seed
+    random.Random, so the report is deterministic.  It maps the Wronskian
+    table and H to Z/p, each column j of W over one integer denominator D_j
+    and H as its integer form (d, rows), forms the (k-1) x (k-1) matrix
+    Q = (W(y) D)^t (d H) (W(x) D), D = diag(D_j), and gets every leading
+    minor of Q from one elimination (_leading_minors).  A zero pivot skips
+    the pair for the next one of the same stream; it is never an exception
+    and never a pass, and if all _DRAWS pairs are skipped every m fails.
+    Each distinct form is evaluated once per trial, on int exponents only
+    (_form_value).  F_m passes a trial when
+    den_m * minor_m(Q) = d^m (D_0 ... D_(m-1))^2 * num_m(x, y) mod p, its
+    form being num_m / den_m; ``failures`` lists every m that fails a trial.
+
+    False-pass bound (Schwartz-Zippel): for a wrong form, the two sides
+    differ by a Laurent polynomial in (x, y); cleared of negative powers it
+    has some total degree deg_m, at most 2 m B (beta_(k-1) - beta_0) when
+    the form's exponents lie in the range of the true F_m.  Unless every
+    coefficient of that difference vanishes mod p, one trial passes it with
+    probability at most deg_m / (p - 1), about deg_m * 4.3e-19, and the
+    _TRIALS = 2 independent trials with the square of that.
     """
     k, forms = bundle.k, bundle.forms
-    failures = tuple(m for m in range(1, k) if forms[m - 1] != forms[k - m - 1])
-    return SymmetryReport(not failures, failures)
+    w, h = bundle.wronskian, bundle.H
+    beta_den = lcm(*(b.denominator for b in w.nu.beta))
+    beta_ints = [b.numerator * (beta_den // b.denominator) for b in w.nu.beta]
+    col_dens = [lcm(*(row[j].denominator for row in w.coeffs)) for j in range(k - 1)]
+    # Column j of W D as ints: D_j chi_s (beta_s)_j over the rows s.
+    w_cols = [
+        [row[j].numerator * (dj // row[j].denominator) for row in w.coeffs]
+        for j, dj in enumerate(col_dens)
+    ]
+    hp = [[(x.re + x.im * _I_P) % _P for x in row] for row in h.rows]
+    # scales[m - 1] = d^m (D_0 ... D_(m-1))^2 mod p.
+    scales, scale = [], 1
+    for dj in col_dens:
+        scale = scale * h.den * dj * dj % _P
+        scales.append(scale)
+    # Each distinct form once, with its exponents as the ints B e: the
+    # mirrored forms of C/B are the assembled objects.
+    distinct = {
+        id(form): (form, [e.numerator * (beta_den // e.denominator) for e in form.exponents])
+        for form in forms
+    }
+    rng = random.Random(_SEED)
+    failures: set[int] = set()
+    trials = 0
+    for _ in range(_DRAWS):
+        x, y = rng.randrange(1, _P), rng.randrange(1, _P)
+        wx = _wronskian_columns(w_cols, beta_ints, beta_den, x)
+        wy = _wronskian_columns(w_cols, beta_ints, beta_den, y)
+        hwx = [[sum(map(mul, row, col)) % _P for row in hp] for col in wx]
+        q = [[sum(map(mul, left, right)) % _P for right in hwx] for left in wy]
+        minors = _leading_minors(q)
+        if minors is None:
+            continue
+        values = {key: _form_value(form, exps, x, y) for key, (form, exps) in distinct.items()}
+        failures.update(
+            m
+            for m, (form, minor, scale) in enumerate(zip(forms, minors, scales), start=1)
+            if (form.den * minor - scale * values[id(form)]) % _P
+        )
+        trials += 1
+        if trials == _TRIALS:
+            break
+    else:
+        failures = set(range(1, k))
+    return SymmetryReport(not failures, tuple(sorted(failures)))
+
+
+def _wronskian_columns(
+    w_cols: list[list[int]], beta_ints: Sequence[int], beta_den: int, x: int
+) -> list[list[int]]:
+    """The columns of W(x) D mod p: entry s of column j is w_cols[j][s] x^(b_s - B j)."""
+    powers = [pow(x, b, _P) for b in beta_ints]
+    step, shift = pow(x, -beta_den, _P), 1
+    out = []
+    for col in w_cols:
+        out.append([a * v * shift % _P for a, v in zip(col, powers)])
+        shift = shift * step % _P
+    return out
+
+
+def _leading_minors(q: list[list[int]]) -> list[int] | None:
+    """Every leading principal minor of the square matrix q mod p, by one elimination.
+
+    Gaussian elimination without row exchanges: the leading minor of size
+    t + 1 is the product of the first t + 1 pivots.  None if a pivot is 0.
+    q is overwritten.
+    """
+    out, minor = [], 1
+    for t, pivot_row in enumerate(q):
+        pivot = pivot_row[t]
+        if not pivot:
+            return None
+        minor = minor * pivot % _P
+        out.append(minor)
+        inverse = pow(pivot, -1, _P)
+        for row in q[t + 1:]:
+            f = row[t] * inverse % _P
+            if f:
+                for j in range(t + 1, len(row)):
+                    row[j] = (row[j] - f * pivot_row[j]) % _P
+    return out
+
+
+def _form_value(form: UnknownForm, exps: Sequence[int], x: int, y: int) -> int:
+    """num(x, y) mod p of a form num / den, on int exponents.
+
+    Each entry (i, j, re, im) adds (re + i_p im) x^(B e_i) y^(B e_j), exps
+    holding the ints B e_i; the entries are summed row by row.
+    """
+    ys = [pow(y, e, _P) for e in exps]
+    rows = [0] * len(exps)
+    for i, j, re, im in form.entries:
+        rows[i] += (re + im * _I_P) * ys[j]
+    return sum(r * pow(x, e, _P) for r, e in zip(rows, exps)) % _P
 
 
 @dataclass(frozen=True)
@@ -559,6 +718,14 @@ def _pde_plan(form: UnknownForm, index: dict[Fraction, int]) -> tuple[_FloatTerm
     return _float_terms(f), _float_terms(fz), _float_terms(fzb), _float_terms(fzzb)
 
 
+def _log_laplacian(f: complex, fz: complex, fzb: complex, fzzb: complex) -> complex:
+    """d_z d_zbar log F = (F F_zzb - F_z F_zb) / F^2; NaN if F^2 is 0 in floats."""
+    try:
+        return (f * fzzb - fz * fzb) / (f * f)
+    except ZeroDivisionError:
+        return _NONFINITE
+
+
 @dataclass(frozen=True)
 class PdeReport:
     passed: bool
@@ -591,10 +758,12 @@ def verify_pde(
     row is built.  For C/B bundles the family system for m <= n is then
     checked on the same rows, each reduced unknown U_i scaled from the value
     of F_i already in the row.  A residual that is not finite (NaN or an
-    overflow, or a reduced unknown with no real value) fails the check: it
-    becomes the worst one unless an earlier one already is not finite.  A
-    failure is reported, never raised: ``worst`` is its witness (m, z).  An
-    empty point list raises ValueError, since it would pass vacuously.
+    overflow, a power, F^2 or Cartan factor out of float range at a tiny or
+    huge point, or a reduced unknown with no real value) fails the check:
+    it becomes the worst one unless an earlier one already is not finite.  A
+    failure is reported, never raised: ``worst`` is its witness (m, z); the
+    only errors are OriginError and BranchCutError, from the point itself.
+    An empty point list raises ValueError, since it would pass vacuously.
     """
     config = bundle.config
     pts = tuple(points) if points is not None else annulus_points(count, seed)
@@ -609,13 +778,18 @@ def verify_pde(
 
     def residual(m: int, z: complex, lhs: complex, values: list, row: Sequence[int], unit) -> None:
         # The Cartan product starts from the unit of the values' type:
-        # complex for the F values, float for the reduced unknowns.
+        # complex for the F values, float for the reduced unknowns.  A value
+        # out of float range (0 to a negative power, an overflow) makes the
+        # residual NaN.
         nonlocal max_res, worst
-        rhs = unit
-        for a, v in zip(row, values):
-            if a != 0:
-                rhs *= v ** (-a)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        try:
+            rhs = unit
+            for a, v in zip(row, values):
+                if a != 0:
+                    rhs *= v ** (-a)
+            rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        except (ZeroDivisionError, OverflowError):
+            rel = nan
         if rel > max_res or (cmath.isnan(rel) and not cmath.isnan(max_res)):
             max_res, worst = rel, (m, z)
 
@@ -626,7 +800,7 @@ def verify_pde(
         table = _power_table(zc, exponents)
         fs = [plan[0].value(zc, table) for plan in plans]
         laps = [
-            (fv * fzzb.value(zc, table) - fz.value(zc, table) * fzb.value(zc, table)) / (fv * fv)
+            _log_laplacian(fv, fz.value(zc, table), fzb.value(zc, table), fzzb.value(zc, table))
             for fv, (_, fz, fzb, fzzb) in zip(fs, plans)
         ]
         values, laps = [fs[s] for s in order], [laps[s] for s in order]

@@ -202,8 +202,10 @@ _plan_exponent = st.one_of(
 _plan_coefficient = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
 _plan_point = st.one_of(
     st.sampled_from([0j, complex(-1.5, 0.0), complex(-0.5, -0.0), complex(2.0, 0.0), -1j]),
-    # Off the origin, points stay in an annulus, where no power overflows.
-    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)).filter(lambda p: abs(p) > 0.25),
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    # Magnitudes 1e-300 to 1e300: a power out of float range reads as NaN,
+    # never raises.
+    st.builds(cmath.rect, st.floats(-300, 300).map(lambda e: 10.0**e), st.floats(-cmath.pi, cmath.pi)),
 )
 
 
@@ -231,7 +233,9 @@ def test_float_routine_matches_the_term_by_term_oracle(plan, z):
     # Two sums share one exponent index and one power table, as the PDE
     # plans do; each value read through the table's conjugates equals the
     # term-by-term sum of c * powers[a] * powers[b].conjugate() by repr, and
-    # the origin and branch-cut errors are raised by the same rules.
+    # the origin and branch-cut errors are raised by the same rules.  Each
+    # power in range is z**n or exp(a log z) bit for bit; one out of range
+    # (0 to a negative power, an overflow) is NaN + NaN i.
     exponents, *term_lists = plan
     index = {}
     sums = [
@@ -242,6 +246,13 @@ def test_float_routine_matches_the_term_by_term_oracle(plan, z):
         for terms in term_lists
     ]
     table = _power_table(z, tuple(index))
+    for a, power in zip(index, table[0] if table else ()):
+        try:
+            expected = z ** a.numerator if a.denominator == 1 else cmath.exp(float(a) * cmath.log(z))
+        except (ZeroDivisionError, OverflowError):
+            assert cmath.isnan(power.real) and cmath.isnan(power.imag)
+        else:
+            assert repr(power) == repr(expected)
 
     def oracle(terms):
         used = [exponents[x] for _, a, b in terms for x in (a, b)]

@@ -54,6 +54,14 @@ def test_subcommand_skips_modules_it_does_not_run(argv, absent):
     assert not set(absent) & set(loaded)
 
 
+def test_verify_loads_the_modules_it_runs_and_no_more():
+    # The symmetry certificate runs inside toda.solutions on ints and the
+    # random module it already imports: verify loads no module for it.
+    argv = ["verify", "--family", "C", "--rank", "2", "--gamma", "0,0", "--json"]
+    loaded = loaded_after(f"import toda.cli\nassert toda.cli.main({argv!r}) == 0")
+    assert loaded == sorted(CORE + ["toda.basis", "toda.config", "toda.groups", "toda.jsonio", "toda.solutions"])
+
+
 def test_public_name_loads_its_module_on_access():
     loaded = loaded_after("from toda import minor")
     assert "toda.groups" in loaded and "toda.solutions" not in loaded

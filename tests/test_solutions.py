@@ -536,8 +536,9 @@ def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
     # The same entries on shifted exponents are a different unknown.
     shifted = UnknownForm(tuple(e + 1 for e in last.exponents), last.entries, last.den)
     assert last != shifted
-    # Bumping one entry of F_{k-m}, m < k-m, breaks the pair (m, k-m) and
-    # nothing else.
+    # The certificate compares each form with its definition: bumping one
+    # entry of a mirrored F_{k-m}, m < k-m, fails at k - m alone, and
+    # bumping an assembled F_m, m <= k//2, fails at m alone.
     for m in range(1, (k + 1) // 2):
         forms = list(b.forms)
         mirror = forms[k - m - 1]
@@ -548,7 +549,160 @@ def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
         assert bumped.F[k - m - 1] != b.F[m - 1]
         rep = verify_symmetry(bumped)
         assert not rep.passed
-        assert rep.failures == (m, k - m)
+        assert rep.failures == (k - m,)
+    for m in range(1, k // 2 + 1):
+        forms = list(b.forms)
+        i, j, re, im = forms[m - 1].entries[0]
+        bumped_entries = ((i, j, re, im + 1),) + forms[m - 1].entries[1:]
+        forms[m - 1] = UnknownForm(forms[m - 1].exponents, bumped_entries, forms[m - 1].den)
+        rep = verify_symmetry(dataclasses.replace(b, forms=tuple(forms)))
+        assert not rep.passed
+        assert rep.failures == (m,)
+
+
+def _is_prime(n):
+    # Miller-Rabin with the bases 2..37, deterministic for n < 3.3e24.
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_certificate_constants():
+    # p is the first prime = 1 (mod 4) above 2^61, and i_p^2 = -1 mod p.
+    p, i_p = toda.solutions._P, toda.solutions._I_P
+    assert _is_prime(p) and p % 4 == 1 and p > 2**61
+    assert not any(_is_prime(n) for n in range(2**61 + 1, p) if n % 4 == 1)
+    assert i_p * i_p % p == p - 1
+    assert [_is_prime(n) for n in (1, 2, 9, 561, 2**61 - 1, 2**61 + 1)] == [
+        False, True, False, False, True, False
+    ]
+
+
+@pytest.mark.parametrize("rank", [3, 5])
+def test_certificate_fails_mirrored_a_forms_exactly_above_the_middle(rank):
+    # Negative control: an A bundle (gamma = 0, every coordinate nonzero)
+    # with F_m := F_{k-m} put in for m > k/2, as half assembly would.  A is
+    # not symmetric, so the certificate fails at exactly those levels.
+    cfg = make_config("A", rank, [0] * rank)
+    b = assemble(cfg, random_params(cfg, random.Random(rank)))
+    k = cfg.k
+    assert verify_symmetry(b).passed
+    mirrored = tuple(b.forms[m - 1] if 2 * m <= k else b.forms[k - m - 1] for m in range(1, k))
+    rep = verify_symmetry(dataclasses.replace(b, forms=mirrored))
+    assert not rep.passed
+    assert rep.failures == tuple(m for m in range(1, k) if 2 * m > k)
+
+
+@pytest.mark.parametrize(
+    "family,rows,failures",
+    [
+        ("C", [[1, 0, 0, 0], [F(1, 2), 1, 0, 0], [F(1, 3), 1, 1, 0], [2, 3, F(1, 5), 1]], (3,)),
+        ("B", [[1, 0, 0, 0, 0], [F(1, 2), 1, 0, 0, 0], [F(1, 3), 1, 1, 0, 0],
+               [2, 3, F(1, 5), 1, 0], [1, F(-1, 2), 2, F(2, 3), 1]], (3, 4)),
+    ],
+)
+def test_certificate_fails_a_c_outside_the_group_at_the_mirrored_levels(
+    monkeypatch, family, rows, failures
+):
+    # C unipotent but not in Sp/SO: assemble builds the levels m <= k//2
+    # from it, which are right, and mirrors them, which is wrong.
+    c_bad = GroupElement.from_rows(rows)
+    assert not is_in_group(c_bad)
+    monkeypatch.setattr(toda.solutions, "unipotent_from_coords", lambda alg, coords: c_bad)
+    cfg = make_config(family, 2, [0, 0])
+    b = assemble(cfg, SolutionParams.of([2, F(1, 3)], no_coords(family, 2)))
+    assert b.C is c_bad
+    rep = verify_symmetry(b)
+    assert not rep.passed
+    assert rep.failures == failures
+
+
+def test_leading_minors_are_the_determinants_mod_p():
+    p = toda.solutions._P
+    rng = random.Random(3)
+    q = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+    expected = [generic_det([row[:m] for row in q[:m]], 0, 1) % p for m in range(1, 5)]
+    assert toda.solutions._leading_minors([row[:] for row in q]) == expected
+    # A zero pivot, first or last, gives no minors at all.
+    assert toda.solutions._leading_minors([[0, 1], [1, 0]]) is None
+    assert toda.solutions._leading_minors([[1, 2], [3, 6]]) is None
+
+
+def test_zero_pivot_moves_to_the_next_point_pair(monkeypatch):
+    # A zero pivot skips the pair: the check still runs its two trials on
+    # the next pairs of the same stream.  If every pair of the stream has a
+    # zero pivot, nothing is certified and every level fails.
+    cfg = make_config("C", 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(2)))
+    real = toda.solutions._leading_minors
+    calls = []
+
+    def first_pivot_zero(q):
+        calls.append(q[0][0])
+        return None if len(calls) == 1 else real(q)
+
+    monkeypatch.setattr(toda.solutions, "_leading_minors", first_pivot_zero)
+    assert verify_symmetry(b) == toda.solutions.SymmetryReport(True, ())
+    assert len(calls) == toda.solutions._TRIALS + 1
+    assert len(set(calls)) == len(calls)  # a fresh pair each time
+    calls.clear()
+
+    def every_pivot_zero(q):
+        calls.append(q[0][0])
+        return None
+
+    monkeypatch.setattr(toda.solutions, "_leading_minors", every_pivot_zero)
+    assert verify_symmetry(b) == toda.solutions.SymmetryReport(False, (1, 2, 3))
+    assert len(calls) == toda.solutions._DRAWS
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma,restrict",
+    STANDALONE_BUNDLES,
+    ids=[f"{f}{r}-{'frac' if any(g) else 'zero'}-{'restricted' if x else 'free'}"
+         for f, r, g, x in STANDALONE_BUNDLES],
+)
+def test_half_assembly_equals_the_full_assembly(family, rank, gamma, restrict):
+    # Oracle: every level m = 1..k-1 of _prefix_minors and _unknown_matrix,
+    # built here in full.  For C/B the forms above k//2 are the mirrored
+    # lower ones, and they must equal it; the certificate passes.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
+    g_matrix, scales, beta_den = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    lam_den, lam_num = _lambda_integers(b.lambdas)
+    full = []
+    for m, level in enumerate(toda.solutions._prefix_minors(g_matrix), start=1):
+        ints, re, im = toda.solutions._unknown_matrix(level, lam_num)
+        n = len(ints)
+        full.append(UnknownForm(
+            tuple(F(e - beta_den * m * (m - 1) // 2, beta_den) for e in ints),
+            tuple((i, j, re[i][j], im[i][j]) for i in range(n) for j in range(n) if re[i][j] or im[i][j]),
+            scales[m] ** 2 * lam_den**m,
+        ))
+    assert len(full) == cfg.k - 1
+    assert b.forms == tuple(full)
+    k = cfg.k
+    if family != "A":
+        assert all(b.forms[m - 1] is b.forms[k - m - 1] for m in range(1, k))
+    assert verify_symmetry(b).passed
 
 
 @st.composite
@@ -986,6 +1140,42 @@ def test_pde_non_finite_residual_after_finite_point():
     assert rep.passed is False
     assert not math.isfinite(rep.max_residual)
     assert rep.worst == (1, far)
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma",
+    [("C", 2, (0, 0)), ("C", 2, (F(-1, 2), F(1, 4))), ("B", 2, (F(-1, 2), F(1, 4))),
+     ("A", 2, (F(-1, 2), F(-1, 2))), ("B", 3, (0, 0, 0))],
+)
+@pytest.mark.parametrize(
+    "z", [6.6e-223j, 1e-300 + 0j, 1e-170 + 1e-170j, complex(-1e-300, 1e-310), 1e300 + 0j, 1e150 + 1j]
+)
+def test_pde_at_tiny_and_huge_points_fails_or_passes_never_raises(family, rank, gamma, z):
+    # Powers out of float range (0 to a negative power, an overflow), an
+    # F^2 that underflows to 0 and a Cartan power of such a value are
+    # non-finite, never an exception.  Such a point passes only with a
+    # finite residual; otherwise it fails with the point as its witness.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
+    rep = verify_pde(b, [z])
+    assert rep.points_checked == 1 and rep.worst[1] == z
+    assert rep.passed == (rep.max_residual <= 1e-9)
+    if not math.isfinite(rep.max_residual):
+        assert rep.passed is False
+
+
+def test_pde_tiny_point_with_vanishing_unknown_fails_with_witness():
+    # At gamma = (-1/2, 1/4) every exponent of F_1 is positive, so at
+    # 1e-300 F_1 underflows to 0: the log-Laplacian is NaN and the check
+    # fails at m = 1 instead of dividing by zero.
+    cfg = make_config("C", 2, (F(-1, 2), F(1, 4)))
+    b = assemble(cfg, random_params(cfg, random.Random(2), restrict=True))
+    assert min(b.forms[0].exponents) > 0
+    tiny = 1e-300 + 0j
+    rep = verify_pde(b, [1 + 1j, tiny])
+    assert rep.passed is False
+    assert math.isnan(rep.max_residual)
+    assert rep.worst == (1, tiny)
 
 
 def test_pde_evaluates_each_quantity_once_per_point(monkeypatch):
