@@ -9,15 +9,18 @@ of the power integrands are single monomials
 and the basis entries nu_i = sigma_i / z^(xi_exponent) are monomials
 chi_i * z^(beta_i) with strictly increasing exponents beta.  The basis is
 held as those rationals (NuVector.chi, .beta), and the k x k Wronskian
-matrix as one Fraction table: its entry (i, j), the j-th z-derivative of
-nu_i, is coeffs[i][j] z^(beta_i - j) with coeffs[i][j] = chi_i (beta_i)_j
-(falling factorial).  Its determinant is exactly 1 (the determinant of the
-table, taken on integers, times one power of z).  ZExpr forms of nu and of
+matrix, whose entry (i, j), the j-th z-derivative of nu_i, is
+chi_i (beta_i)_j z^(beta_i - j) (falling factorial), as its integer form
+only: beta_i = b_i / B over one denominator B, and column j as the ints
+D_j chi_i (beta_i)_j over one denominator D_j.  That one table feeds the
+det W = 1 check (det of the columns equal to D_0 ... D_(k-1), times one
+power of z), the assembly of G = C W and the modular certificate in
+solutions.  The Fraction table (coeffs) and the ZExpr forms of nu and of
 the entries are built only on access.  The column minors are single
-monomials with a Vandermonde coefficient (column_minor, the independent
-check of the prefix minors that assembly reads), and for palindromic mu the
-pairing W^t J W has an exact zero/sign pattern that a Gram-Schmidt pass
-turns into J itself.
+monomials with a Vandermonde coefficient (column_minor, an independent
+closed form that tests hold the prefix minors of G against), and for
+palindromic mu the pairing W^t J W has an exact zero/sign pattern that a
+Gram-Schmidt pass turns into J itself.
 """
 
 from __future__ import annotations
@@ -92,24 +95,32 @@ def nu_vector_from_mu(mu: Sequence, xi_exponent) -> NuVector:
     return NuVector(tuple(c for c, _ in terms), betas, xi)
 
 
-def _falling_factorial(x: Fraction, n: int) -> Fraction:
-    """(x)_n = x (x - 1) ... (x - n + 1); (x)_0 = 1."""
-    return prod((x - i for i in range(n)), start=Fraction(1))
-
-
 @dataclass(frozen=True)
 class WronskianMatrix:
     """Columns are successive z-derivatives of the basis vector; det = 1.
 
-    Entry (i, j) is coeffs[i][j] z^(beta_i - j), coeffs[i][j] = chi_i (beta_i)_j.
+    Entry (s, j) is chi_s (beta_s)_j z^(beta_s - j), held in integer form:
+    beta_s = exps[s] / den over one denominator den, and
+    cols[j][s] = col_dens[j] chi_s (beta_s)_j, with col_dens[j] the lcm of
+    the reduced denominators of column j.
     """
 
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    den: int
+    exps: tuple[int, ...]
+    col_dens: tuple[int, ...]
+    cols: tuple[tuple[int, ...], ...]
     nu: NuVector
 
     @property
     def k(self) -> int:
-        return len(self.coeffs)
+        return len(self.exps)
+
+    @cached_property
+    def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """coeffs[s][j] = chi_s (beta_s)_j as Fractions, built on first access; API only."""
+        return tuple(zip(*(
+            tuple(Fraction(x, dj) for x in col) for col, dj in zip(self.cols, self.col_dens)
+        )))
 
     @cached_property
     def entries(self) -> tuple[tuple[ZExpr, ...], ...]:
@@ -121,23 +132,36 @@ class WronskianMatrix:
 
 
 def wronskian(nu: NuVector) -> WronskianMatrix:
-    """The Wronskian matrix of nu as its Fraction table, with det W = 1 checked exactly.
+    """The Wronskian matrix of nu in integer form, with det W = 1 checked exactly.
 
-    Entry (i, j) is a multiple of z^(beta_i - j), so
-    det W = det[chi_i (beta_i)_j] z^(sum beta - k(k-1)/2).  The determinant
-    of the table is taken once, on its integer form (d, d * coeffs).
+    With beta_s = b_s / B, (beta_s)_j = (b_s)(b_s - B)...(b_s - (j-1)B) / B^j,
+    so each entry is one Fraction of an integer falling factorial.  Entry
+    (s, j) is a multiple of z^(beta_s - j), so
+    det W = det[chi_s (beta_s)_j] z^(sum beta - k(k-1)/2), and the table's
+    determinant is det(cols) / (D_0 ... D_(k-1)).
     """
     k = nu.k
-    coeffs = tuple(
-        tuple(c * _falling_factorial(b, j) for j in range(k)) for c, b in zip(nu.chi, nu.beta)
+    den = lcm(*(b.denominator for b in nu.beta))
+    exps = tuple(b.numerator * (den // b.denominator) for b in nu.beta)
+    rows = []
+    for c, b in zip(nu.chi, exps):
+        row, falling = [], 1
+        for j in range(k):
+            row.append(Fraction(c.numerator * falling, c.denominator * den**j))
+            falling *= b - j * den
+        rows.append(row)
+    col_dens = tuple(lcm(*(row[j].denominator for row in rows)) for j in range(k))
+    cols = tuple(
+        tuple(row[j].numerator * (dj // row[j].denominator) for row in rows)
+        for j, dj in enumerate(col_dens)
     )
     exponent = sum(nu.beta, Fraction(0)) - Fraction(k * (k - 1), 2)
-    den = lcm(*(x.denominator for row in coeffs for x in row))
-    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in coeffs]
-    d = Fraction(generic_det(scaled, 0, 1), den**k)
+    # On the rows s: at integer beta the last column (beta_s)_(k-1) is mostly
+    # zero, and the Laplace expansion along it skips zeros.
+    d = Fraction(generic_det(transpose(cols), 0, 1), prod(col_dens))
     if d != 1 or exponent != 0:
         raise StructureError(f"Wronskian determinant is {ZExpr.monomial(d, exponent)}, expected 1")
-    return WronskianMatrix(coeffs, nu)
+    return WronskianMatrix(den, exps, col_dens, cols, nu)
 
 
 def column_minor(w: WronskianMatrix, rows: Sequence[int]) -> ZExpr:

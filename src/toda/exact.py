@@ -218,45 +218,6 @@ GAUSS_ZERO = GaussInt(0)
 GAUSS_ONE = GaussInt(1)
 
 
-class GaussPoly(dict):
-    """Polynomial in one variable with Gaussian-integer coefficients and int exponents.
-
-    A dict from each exponent to its nonzero coefficient (re, im), plain
-    ints: the entry ring of G = C W in assembly, whose minors are built as
-    plain dicts of the same shape.  Only is_zero, +, - and * are defined.
-    """
-
-    __slots__ = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self
-
-    def __add__(self, other: GaussPoly, sign: int = 1) -> GaussPoly:
-        out = GaussPoly(self)
-        for e, (c, d) in other.items():
-            a, b = out.pop(e, (0, 0))
-            a, b = a + sign * c, b + sign * d
-            if a or b:
-                out[e] = (a, b)
-        return out
-
-    def __sub__(self, other: GaussPoly) -> GaussPoly:
-        return self.__add__(other, -1)
-
-    def __mul__(self, other: GaussPoly) -> GaussPoly:
-        out: dict[int, tuple[int, int]] = {}
-        for e, (a, b) in self.items():
-            for f, (c, d) in other.items():
-                g = e + f
-                cur = out.get(g)
-                if cur is None:
-                    out[g] = (a * c - b * d, a * d + b * c)
-                else:
-                    out[g] = (cur[0] + a * c - b * d, cur[1] + a * d + b * c)
-        return GaussPoly((e, v) for e, v in out.items() if v[0] or v[1])
-
-
 GaussRows = tuple[tuple[GaussInt, ...], ...]
 
 

@@ -2,9 +2,8 @@
 
 Matrices are sequences of row sequences whose entries support +, -, * (and,
 for inversion, /).  Everything here works for ExactScalar, ZExpr and
-GaussInt entries (GaussInt: the stored rows of a group element),
-and mat_mul also for GaussPoly (the integer form of G = C W in assembly,
-whose prefix minors solutions builds level by level); nothing is numeric.
+GaussInt entries (GaussInt: the stored rows of a group element); nothing
+is numeric.
 minor_table also runs on plain ints reduced mod a modulus: a group element
 of dim 8 or more keeps one such lazy table, holding each Gaussian integer
 a + b*i as the one int a + b*2^w mod 2^(2w) + 1, with w wide enough by

@@ -12,12 +12,14 @@ F_m = sum_R lambda_R^2 |g_R|^2, where g_R is the holomorphic minor of
 G = C W on the row set R and the first m columns.  Every F_m is a
 conjugation-invariant sum of monomials in z and conj(z).
 
-The sum runs on integers.  G is built once with exact.GaussPoly entries:
-entry (r, j) is sum_{s <= r} (dC)[r,s] D_j chi_s (beta_s)_j z^(B beta_s),
-with d the lcm of the denominators of C, B that of the beta, one integer
-denominator D_j per column, and the common factor z^(-m(m-1)/2) of the
-level-m minors applied once per level.  The g_R are built one level at a
-time: level m is a dict from each m-row set R to the minor of G on R and
+The sum runs on integers.  G is built once, straight from the integer
+forms of C and of W (basis.WronskianMatrix), as columns of term lists:
+entry (r, j) is the list of the terms (B beta_s, re, im) of
+sum_{s <= r} (dC)[r,s] D_j chi_s (beta_s)_j z^(B beta_s), with d the lcm
+of the denominators of C, B that of the beta, one integer denominator D_j
+per column, and the common factor z^(-m(m-1)/2) of the level-m minors
+applied once per level.  The g_R are built one level at a time: level m
+is a dict from each m-row set R to the minor of G on R and
 the columns 0..m-1, one Laplace step along column m-1 from level m-1,
 accumulated in one dict of (re, im) int pairs per minor, and level m-1 is
 dropped once level m is built, so assembly holds at most two levels of
@@ -69,7 +71,6 @@ from .basis import NuVector, StructureError, WronskianMatrix, nu_vector, wronski
 from .config import TodaConfig
 from .exact import (
     ExactScalar,
-    GaussPoly,
     Monomial,
     ZExpr,
     _exponent_slot,
@@ -88,7 +89,6 @@ from .groups import (
     unipotent_from_coords,
 )
 from .lie import Algebra, cartan, monodromy_element, slot_name
-from .linalg import mat_mul
 
 __all__ = [
     "SolutionParams",
@@ -236,7 +236,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     where g_R is the holomorphic minor of G = C W on the m rows R and the
     first m columns.
 
-    The sums run on integers: G is built once with GaussPoly entries
+    The sums run on integers: G is built once as columns of term lists
     (_holomorphic_matrix), its minors g_R are built one level m at a time,
     each level from the one before, which is then dropped (_prefix_minors),
     and lambda_r^2 = l_r / Lambda.  F_m is accumulated as a Hermitian integer
@@ -257,7 +257,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     lams = full_lambda(config, params)
     b = diagonal_element(lams) @ c
     h = b.conj_transpose() @ b
-    g, scales, beta_den = _holomorphic_matrix(w, c)
+    g, scales = _holomorphic_matrix(w, c)
     squares = [x * x for x in lams]
     lam_den = lcm(*(q.denominator for q in squares))
     lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
@@ -266,8 +266,8 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     forms = []
     for m, level in enumerate(islice(_prefix_minors(g), built), start=1):
         exps, re, im = _unknown_matrix(level, lam_num)
-        n, shift = len(exps), beta_den * m * (m - 1) // 2
-        exponents = tuple(Fraction(e - shift, beta_den) for e in exps)
+        n, shift = len(exps), w.den * m * (m - 1) // 2
+        exponents = tuple(Fraction(e - shift, w.den) for e in exps)
         entries = tuple(
             (i, j, re[i][j], im[i][j]) for i in range(n) for j in range(n) if re[i][j] or im[i][j]
         )
@@ -279,54 +279,44 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
 
 
 def _holomorphic_matrix(w: WronskianMatrix, c: GroupElement):
-    """(G, scales, B): G = C W in integer form, with the scales of its prefix minors.
+    """(G, scales): the columns of G = C W in integer form, and the scales of its prefix minors.
 
-    With beta_s = b_s / B over one denominator B, entry (s, j) of W is
-    a_sj z^(beta_s - j), a_sj = chi_s (beta_s)_j (the table w.coeffs), and
-    D_j is the lcm of the denominators of column j.  G is the GaussPoly
-    product of dC and the k x (k-1) matrix of D_j a_sj z^(b_s): entry (r, j) is
-    sum_{s <= r} (dC)[r, s] D_j a_sj z^(b_s), and for |R| = m the minor of
-    G on the rows R and the columns 0..m-1 (_prefix_minors) is scales[m] g_R,
-    with scales[m] = d^m D_0 ... D_{m-1}, and every exponent raised by
+    With beta_s = b_s / B (b_s = w.exps[s], B = w.den), column j of the
+    integer form of W holds w.cols[j][s] = D_j chi_s (beta_s)_j.  Column j
+    of G, for j < k-1, is a list over the rows r of the terms (b_s, re, im)
+    of sum_{s <= r} (dC)[r, s] D_j chi_s (beta_s)_j z^(b_s), one per nonzero
+    product: the b_s are distinct, so no two terms of an entry share an
+    exponent.  For |R| = m the minor of G on the rows R and the columns
+    0..m-1 (_prefix_minors) is scales[m] g_R, with
+    scales[m] = d^m D_0 ... D_{m-1}, and every exponent raised by
     B m(m-1)/2.
     """
-    k = w.k
-    beta_den = lcm(*(x.denominator for x in w.nu.beta))
-    beta_num = [x.numerator * (beta_den // x.denominator) for x in w.nu.beta]
-    coeffs = [row[: k - 1] for row in w.coeffs]
-    col_dens = [lcm(*(row[j].denominator for row in coeffs)) for j in range(k - 1)]
-    w_int = [
-        [
-            GaussPoly({b: (x.numerator * (dj // x.denominator), 0)} if x else {})
-            for x, dj in zip(row, col_dens)
-        ]
-        for b, row in zip(beta_num, coeffs)
+    k, d = w.k, c.den
+    g = [
+        [[(b, x.re * a, x.im * a) for x, a, b in zip(row, col, w.exps) if x and a] for row in c.rows]
+        for col in w.cols[: k - 1]
     ]
-    d, dc = c.den, c.rows
-    c_int = [[GaussPoly({} if x.is_zero else {0: (x.re, x.im)}) for x in row] for row in dc]
-    g = mat_mul(c_int, w_int, GaussPoly())
-    scales = [d**m * prod(col_dens[:m]) for m in range(k)]
-    return g, scales, beta_den
+    scales = [d**m * prod(w.col_dens[:m]) for m in range(k)]
+    return g, scales
 
 
-def _prefix_minors(g: Sequence[Sequence[GaussPoly]]):
-    """Yield the prefix minors of the k x (k-1) matrix g, one level at a time.
+def _prefix_minors(g: Sequence[Sequence[list]]):
+    """Yield the prefix minors of the k x (k-1) matrix with the columns g, one level at a time.
 
     Level m, for m = 1..k-1, is a dict from each m-row set R (a sorted
-    tuple, in itertools.combinations order) to the minor of g on the rows R
+    tuple, in itertools.combinations order) to the minor on the rows R
     and the columns 0..m-1, itself a dict from each exponent to its nonzero
     coefficient (re, im): the Laplace expansion along column m-1 over level
     m-1, skipping zero entries.  Each minor is accumulated in one dict,
-    straight from the products of the terms of g[r][m-1] and of the
+    straight from the products of the terms of g[m-1][r] and of the
     lower-level minor, with the sign of the expansion folded into the
     column's coefficients.  Only the level being read and the one being
     built are held: the previous level is dropped once the next is built.
     """
-    k = len(g)
+    k = len(g) + 1
     level = {(): {0: (1, 0)}}
-    for m in range(1, k):
-        # Column m-1 as (exponent, re, im) terms, and with the opposite sign.
-        col = [[(e, a, b) for e, (a, b) in row[m - 1].items()] for row in g]
+    for m, col in enumerate(g, start=1):
+        # Column m-1 with the opposite sign.
         neg = [[(e, -a, -b) for e, a, b in terms] for terms in col]
         next_level = {}
         for rows in combinations(range(k), m):
@@ -438,17 +428,18 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     only the levels m <= k//2; here each form, assembled or mirrored, is
     compared with the leading m x m minor of W^dag H W, so the symmetry is
     proved on this solution, not assumed.  On an A bundle, which has no
-    mirror symmetry, it certifies the forms as built.  With z = x^B and zb = y^B (B the
-    lcm of the beta denominators), x and y independent, F_m(x, y) is the
-    leading minor of P(x, y) = W(y)^t H W(x), W cut to its first k-1
-    columns.  A trial draws a nonzero pair (x, y) mod p from a fixed-seed
-    random.Random, so the report is deterministic.  It maps the Wronskian
-    table and H to Z/p, each column j of W over one integer denominator D_j
-    and H as its integer form (d, rows), forms the (k-1) x (k-1) matrix
-    Q = (W(y) D)^t (d H) (W(x) D), D = diag(D_j), and gets every leading
-    minor of Q from one elimination (_leading_minors).  A zero pivot skips
-    the pair for the next one of the same stream; it is never an exception
-    and never a pass, and if all _DRAWS pairs are skipped every m fails.
+    mirror symmetry, it certifies the forms as built.  With z = x^B and
+    zb = y^B (B = w.den, the lcm of the beta denominators), x and y
+    independent, F_m(x, y) is the leading minor of P(x, y) = W(y)^t H W(x),
+    W cut to its first k-1 columns.  A trial draws a nonzero pair (x, y)
+    mod p from a fixed-seed random.Random, so the report is deterministic.
+    It maps the integer form of W (each column j over its denominator
+    D_j = w.col_dens[j]) and that of H, (d, rows), to Z/p, forms the
+    (k-1) x (k-1) matrix Q = (W(y) D)^t (d H) (W(x) D), D = diag(D_j), and
+    gets every leading minor of Q from one elimination (_leading_minors).
+    A zero pivot skips the pair for the next one of the same stream; it is
+    never an exception and never a pass, and if all _DRAWS pairs are
+    skipped every m fails.
     Each distinct form is evaluated once per trial, on int exponents only
     (_form_value).  F_m passes a trial when
     den_m * minor_m(Q) = d^m (D_0 ... D_(m-1))^2 * num_m(x, y) mod p, its
@@ -464,24 +455,16 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     """
     k, forms = bundle.k, bundle.forms
     w, h = bundle.wronskian, bundle.H
-    beta_den = lcm(*(b.denominator for b in w.nu.beta))
-    beta_ints = [b.numerator * (beta_den // b.denominator) for b in w.nu.beta]
-    col_dens = [lcm(*(row[j].denominator for row in w.coeffs)) for j in range(k - 1)]
-    # Column j of W D as ints: D_j chi_s (beta_s)_j over the rows s.
-    w_cols = [
-        [row[j].numerator * (dj // row[j].denominator) for row in w.coeffs]
-        for j, dj in enumerate(col_dens)
-    ]
     hp = [[(x.re + x.im * _I_P) % _P for x in row] for row in h.rows]
     # scales[m - 1] = d^m (D_0 ... D_(m-1))^2 mod p.
     scales, scale = [], 1
-    for dj in col_dens:
+    for dj in w.col_dens[: k - 1]:
         scale = scale * h.den * dj * dj % _P
         scales.append(scale)
     # Each distinct form once, with its exponents as the ints B e: the
     # mirrored forms of C/B are the assembled objects.
     distinct = {
-        id(form): (form, [e.numerator * (beta_den // e.denominator) for e in form.exponents])
+        id(form): (form, [e.numerator * (w.den // e.denominator) for e in form.exponents])
         for form in forms
     }
     rng = random.Random(_SEED)
@@ -489,8 +472,7 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     trials = 0
     for _ in range(_DRAWS):
         x, y = rng.randrange(1, _P), rng.randrange(1, _P)
-        wx = _wronskian_columns(w_cols, beta_ints, beta_den, x)
-        wy = _wronskian_columns(w_cols, beta_ints, beta_den, y)
+        wx, wy = _wronskian_columns(w, x), _wronskian_columns(w, y)
         hwx = [[sum(map(mul, row, col)) % _P for row in hp] for col in wx]
         q = [[sum(map(mul, left, right)) % _P for right in hwx] for left in wy]
         minors = _leading_minors(q)
@@ -510,14 +492,12 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     return SymmetryReport(not failures, tuple(sorted(failures)))
 
 
-def _wronskian_columns(
-    w_cols: list[list[int]], beta_ints: Sequence[int], beta_den: int, x: int
-) -> list[list[int]]:
-    """The columns of W(x) D mod p: entry s of column j is w_cols[j][s] x^(b_s - B j)."""
-    powers = [pow(x, b, _P) for b in beta_ints]
-    step, shift = pow(x, -beta_den, _P), 1
+def _wronskian_columns(w: WronskianMatrix, x: int) -> list[list[int]]:
+    """The first k-1 columns of W(x) D mod p: entry s of column j is w.cols[j][s] x^(b_s - B j)."""
+    powers = [pow(x, b, _P) for b in w.exps]
+    step, shift = pow(x, -w.den, _P), 1
     out = []
-    for col in w_cols:
+    for col in w.cols[: w.k - 1]:
         out.append([a * v * shift % _P for a, v in zip(col, powers)])
         shift = shift * step % _P
     return out
@@ -842,7 +822,10 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
     config = bundle.config
     k = config.k
     amat = cartan(Algebra("A", k - 1)).matrix
-    mins, maxs = zip(*(_degree_range(form) for form in bundle.forms))
+    # Each distinct form once: the mirrored forms of C/B are the assembled objects.
+    distinct = {id(form): form for form in bundle.forms}
+    ranges = {key: _degree_range(form) for key, form in distinct.items()}
+    mins, maxs = zip(*(ranges[id(form)] for form in bundle.forms))
     rows = []
     ok = True
     for m in range(1, k):

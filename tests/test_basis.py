@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from conftest import diff_z, random_gamma, random_palindromic_gamma, sigma_vector
+from conftest import diff_z, falling, random_gamma, random_palindromic_gamma, sigma_vector
 from toda import make_config
 from toda.basis import (
     NuVector,
@@ -157,10 +158,21 @@ def _derivative_columns(nu):
 )
 def test_wronskian_table_matches_derivative_columns(family, rank, gamma):
     # coeffs[i][j] is the coefficient of the j-th z-derivative of nu_i, and
-    # the entries built on access are those derivatives.
+    # the entries built on access are those derivatives.  The stored integer
+    # form is held to its definition on Fractions: beta_s = exps[s] / den,
+    # den the lcm of the beta denominators, and column j is
+    # chi_s (beta_s)_j over D_j, the lcm of its reduced denominators.
     w = wronskian(nu_vector(make_config(family, rank, gamma)))
     oracle = _derivative_columns(w.nu.nu)
-    assert "entries" not in vars(w)
+    assert "coeffs" not in vars(w) and "entries" not in vars(w)
+    chi, beta = w.nu.chi, w.nu.beta
+    assert w.den == math.lcm(*(b.denominator for b in beta))
+    assert [F(e) for e in w.exps] == [w.den * b for b in beta]
+    assert len(w.cols) == len(w.col_dens) == w.k
+    for j, (col, dj) in enumerate(zip(w.cols, w.col_dens)):
+        column = [c * falling(b, j) for c, b in zip(chi, beta)]
+        assert dj == math.lcm(*(x.denominator for x in column)), j
+        assert [F(x, dj) for x in col] == column, j
     for b, row, coeffs in zip(w.nu.beta, oracle, w.coeffs):
         for j, (entry, c) in enumerate(zip(row, coeffs)):
             assert entry == ZExpr.monomial(c, b - j)

@@ -25,7 +25,7 @@ from conftest import (
 )
 from toda import Algebra, make_config
 from toda.basis import StructureError, column_minor, nu_vector, wronskian
-from toda.exact import BranchCutError, ExactScalar, GaussPoly, Monomial, OriginError, ZExpr
+from toda.exact import BranchCutError, ExactScalar, Monomial, OriginError, ZExpr
 from toda.groups import (
     GroupElement,
     UnipotentCoords,
@@ -36,7 +36,7 @@ from toda.groups import (
 )
 from toda.lie import coordinate_map, delta_gamma
 from toda.linalg import det as generic_det
-from toda.linalg import minor_table, transpose
+from toda.linalg import mat_mul, minor_table, transpose
 from toda.solutions import (
     SolutionParams,
     UnknownForm,
@@ -332,7 +332,7 @@ def test_mirrored_matrix_equals_full_sum(family, rank, gamma, restrict):
     # every G_R, sum_R l_R G_R[e] conj(G_R[f]).
     cfg = make_config(family, rank, gamma)
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
-    g_matrix, _, _ = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    g_matrix, _ = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
     _, lam_num = _lambda_integers(b.lambdas)
     for level in toda.solutions._prefix_minors(g_matrix):
         full: dict = {}
@@ -359,19 +359,57 @@ def test_mirrored_matrix_equals_full_sum(family, rank, gamma, restrict):
          for f, r, g, x in STANDALONE_BUNDLES],
 )
 def test_prefix_levels_match_the_lazy_minor_table(family, rank, gamma, restrict):
-    # Oracle: the memoized minor table of G, read on the prefix column sets.
-    # Each level holds exactly the m-row sets, in combinations order, and
-    # each g_R equals the table's minor on R and the columns 0..m-1.
+    # Oracle: the memoized minor table of G over ZExpr entries, read on the
+    # prefix column sets.  Each level holds exactly the m-row sets, in
+    # combinations order, and each g_R equals the table's minor on R and the
+    # columns 0..m-1.
     cfg = make_config(family, rank, gamma)
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
-    g_matrix, _, _ = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
-    oracle = minor_table(g_matrix, GaussPoly(), GaussPoly({0: (1, 0)}))
+    g_matrix, _ = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    rows_of_g = [[_int_poly(terms) for terms in row] for row in zip(*g_matrix)]
+    oracle = minor_table(rows_of_g, Z0, Z1)
     levels = list(toda.solutions._prefix_minors(g_matrix))
     assert len(levels) == cfg.k - 1
     for m, level in enumerate(levels, start=1):
         assert list(level) == list(combinations(range(cfg.k), m))
         for rows, g in level.items():
-            assert g == oracle(rows, range(m)), (m, rows)
+            assert _int_poly((e, re, im) for e, (re, im) in g.items()) == oracle(rows, range(m)), (m, rows)
+
+
+def _int_poly(terms):
+    # The ZExpr sum of (e, re, im) terms (re + i im) z^e, int parts and exponents.
+    return ZExpr.from_terms(Monomial(ExactScalar(F(re), F(im)), F(e)) for e, re, im in terms)
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma,restrict",
+    STANDALONE_BUNDLES,
+    ids=[f"{f}{r}-{'frac' if any(g) else 'zero'}-{'restricted' if x else 'free'}"
+         for f, r, g, x in STANDALONE_BUNDLES],
+)
+def test_holomorphic_columns_are_the_scaled_product(family, rank, gamma, restrict):
+    # Oracle: G = (dC) (W D) by linalg.mat_mul over ZExpr, with W from its
+    # definition on Fractions, column j scaled by D_j, and z^(beta_s) written
+    # as z^(B beta_s).  Each entry of a column of G is its list of nonzero
+    # terms with distinct exponents, so from_terms merges nothing.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
+    w, k = b.wronskian, cfg.k
+    g_matrix, scales = toda.solutions._holomorphic_matrix(w, b.C)
+    dc = [[ZExpr.const(ExactScalar(F(x.re), F(x.im))) for x in row] for row in b.C.rows]
+    wd = [
+        [ZExpr.monomial(w.col_dens[j] * chi * falling(beta, j), w.den * beta) for j in range(k - 1)]
+        for chi, beta in zip(b.nu.chi, b.nu.beta)
+    ]
+    oracle = mat_mul(dc, wd, Z0)
+    assert len(g_matrix) == k - 1
+    for j, col in enumerate(g_matrix):
+        assert len(col) == k
+        for r, terms in enumerate(col):
+            got = _int_poly(terms)
+            assert got == oracle[r][j], (r, j)
+            assert len(got.terms) == len(terms) and all(re or im for _, re, im in terms)
+    assert scales == [b.C.den**m * math.prod(w.col_dens[:m]) for m in range(k)]
 
 
 @pytest.mark.parametrize(
@@ -384,7 +422,8 @@ def test_prefix_minors_of_identity_are_column_minors(family, rank, gamma):
     # its exponents lowered by B m(m-1)/2, is the closed-form column minor.
     cfg = make_config(family, rank, gamma)
     w = wronskian(nu_vector(cfg))
-    g_matrix, scales, beta_den = toda.solutions._holomorphic_matrix(w, GroupElement.identity(cfg.k))
+    g_matrix, scales = toda.solutions._holomorphic_matrix(w, GroupElement.identity(cfg.k))
+    beta_den = w.den
     for m, level in enumerate(toda.solutions._prefix_minors(g_matrix), start=1):
         shift = beta_den * m * (m - 1) // 2
         for rows, minor in level.items():
@@ -444,7 +483,8 @@ def test_lazy_unknowns_equal_from_terms_of_the_matrix(family, rank, gamma):
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
     assert "F" not in vars(b)
     assert ["expr" in vars(f) for f in b.forms] == [False] * (cfg.k - 1)
-    g_matrix, scales, beta_den = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    g_matrix, scales = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    beta_den = b.wronskian.den
     levels = toda.solutions._prefix_minors(g_matrix)
     lam_den, lam_num = _lambda_integers(b.lambdas)
     for m, (f, form, level) in enumerate(zip(b.F, b.forms, levels), start=1):
@@ -686,7 +726,8 @@ def test_half_assembly_equals_the_full_assembly(family, rank, gamma, restrict):
     # lower ones, and they must equal it; the certificate passes.
     cfg = make_config(family, rank, gamma)
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
-    g_matrix, scales, beta_den = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    g_matrix, scales = toda.solutions._holomorphic_matrix(b.wronskian, b.C)
+    beta_den = b.wronskian.den
     lam_den, lam_num = _lambda_integers(b.lambdas)
     full = []
     for m, level in enumerate(toda.solutions._prefix_minors(g_matrix), start=1):
