@@ -166,6 +166,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--points must be positive, got {args.points}")
     if not 0 < args.tol < float("inf"):  # false for nan as well
         raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
+    _check_seed(args.seed)
     algebra, cfg = _config_from_args(args)
     params = _params_from_args(algebra, cfg, args)
     t0 = time.monotonic()
@@ -291,11 +292,19 @@ def cmd_ngamma(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random(-s) is random.Random(s): a negative seed would repeat the
+    # draws of its absolute value.
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_minors(args) -> int:
     from .groups import check_minor_identity, classify_by_minors, expected_tag, sample_group_element
 
     if args.count <= 0:
         raise ValueError(f"--count must be positive, got {args.count}")
+    _check_seed(args.seed)
     algebra = _algebra_from_args(args)
     results = []
     ok = True

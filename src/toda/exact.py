@@ -248,8 +248,9 @@ def pack(d: int, rows: GaussRows) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
     The map a + b*i -> a + b*2^w is a ring homomorphism from the Gaussian
     integers to Z/n, n = 2^(2w) + 1, since (2^w)^2 = -1 mod n; packed
-    entries are its residues in [0, n).  The width comes from Hadamard's
-    inequality: a size-m minor M of the k x k matrix rows has
+    entries are its balanced residues, in (-n/2, n/2], so that an entry or
+    a minor with small parts stays a short int.  The width comes from
+    Hadamard's inequality: a size-m minor M of the k x k matrix rows has
     |M| <= prod r_i over its m rows, where the length r_i of row i is below
     isqrt(sum_j |rows[i][j]|^2) + 1.  So
     H = prod_i max(d, isqrt(sum_j |rows[i][j]|^2) + 1) bounds |re| and |im|
@@ -259,14 +260,15 @@ def pack(d: int, rows: GaussRows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     d * (size k-1 minor) of the minor classification.  With
     w = H.bit_length() + 2, a difference of two such values has parts
     below 2^(w-1) in absolute value: it is 0 mod n only if it is 0, and
-    unpack recovers any of them from its residue.
+    unpack recovers any of them from its residue.  An entry's parts are at
+    most its row's length, so at most H < 2^(w-2): a + b*2^w is below
+    2^(2w-1) < n/2 in absolute value, its own balanced residue.
     """
     h = 1
     for row in rows:
         h *= max(d, isqrt(sum(x.re * x.re + x.im * x.im for x in row)) + 1)
     w = h.bit_length() + 2
-    n = packing_modulus(w)
-    return w, tuple(tuple((x.re + (x.im << w)) % n for x in row) for row in rows)
+    return w, tuple(tuple(x.re + (x.im << w) for x in row) for row in rows)
 
 
 def packing_modulus(w: int) -> int:
@@ -278,7 +280,9 @@ def unpack(v: int, w: int) -> GaussInt:
     """The Gaussian integer a + b*i, |a|, |b| < 2^(w-1), whose packed residue is v.
 
     Takes the balanced residue of v mod n = 2^(2w) + 1, in (-n/2, n/2], and
-    splits it as a + b*2^w with a in [-2^(w-1), 2^(w-1)); see pack.
+    splits it as a + b*2^w with a in [-2^(w-1), 2^(w-1)); see pack.  v may
+    be any residue of the class, balanced (as the minor tables store them)
+    or not.
     """
     n = packing_modulus(w)
     v %= n

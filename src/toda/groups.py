@@ -19,18 +19,24 @@ minor, it is one dense table of all of them, built level by level
 memo of linalg.minor_table, which computes only the minors read.  The table
 is over packed rows: each Gaussian integer a + b*i is the one int
 a + b*2^w mod n = 2^(2w) + 1, a ring homomorphism since (2^w)^2 = -1 mod n,
-with w from Hadamard's bound on the rows (exact.pack).  At that width every
-minor, and every difference the checks compare, has parts below 2^(w-1): a
-difference is 0 mod n only if it is 0, and exact.unpack recovers a minor
-from its residue.  A minor is unpacked and converted to ExactScalar only
-when returned (divided by d^m for size m); the identity check and
-classify_by_minors compare residues, read by bit mask, and unpack only a
-failing pair.  The membership test checks (dA)^t J (dA) = d^2 J on the
-Gaussian integers and det(dA) = d^k, once per element.
+with w from Hadamard's bound on the rows (exact.pack).  Entries and minors
+are stored as balanced residues, in (-n/2, n/2], so a minor with small
+parts stays a short int.  At that width every minor, and every difference
+the checks compare, has parts below 2^(w-1): a difference is 0 mod n only
+if it is 0, and exact.unpack recovers a minor from its residue.  A minor is
+unpacked and converted to ExactScalar only when returned (divided by d^m
+for size m); the identity check and classify_by_minors compare residues
+and unpack only a failing pair.  The membership test checks
+(dA)^t J (dA) = d^2 J on the Gaussian integers and det(dA) = d^k, once per
+element.
 
-The minor-identity check walks mask pairs (S, iota(comp S)) listed once per
-call and per size: all of them up to size k // 2 for k <= _EXHAUSTIVE_DIM,
-else 2000 draws of a size, then S, then T by random.Random(0).choice.
+The dense table keeps one plan of its dimension (_MinorPlan: the subsets
+of each size, the position of each bit mask, the Laplace expansion lists
+and the position of each set's mirror iota(comp S)), read by its build and
+by the exhaustive minor-identity walk, which compares the level lists of
+sizes m <= k // 2 with those of k - m by position.  Beyond _EXHAUSTIVE_DIM
+the walk reads 2000 mask pairs (S, iota(comp S)) drawn as a size, then S,
+then T by random.Random(0).choice.
 
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
@@ -74,7 +80,7 @@ from .exact import (
     unpack,
 )
 from .lie import Algebra, Root, coordinate_map, slot_name
-from .linalg import identity_rows, mat_mul, minor_table, transpose
+from .linalg import identity_rows, minor_table, transpose
 
 
 class CardinalityError(ValueError):
@@ -173,7 +179,7 @@ class GroupElement:
     def __matmul__(self, other: GroupElement) -> GroupElement:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GroupElement(self.den * other.den, mat_mul(self.rows, other.rows, GAUSS_ZERO))
+        return GroupElement(self.den * other.den, _gauss_product(self.rows, other.rows))
 
     def transpose(self) -> GroupElement:
         return GroupElement(self.den, transpose(self.rows))
@@ -203,6 +209,27 @@ class GroupElement:
 
     def is_hermitian(self) -> bool:
         return self.conj_transpose() == self
+
+
+def _gauss_product(a: GaussRows, b: GaussRows) -> GaussRows:
+    """The product a @ b of two Gaussian-integer matrices, summed on int parts.
+
+    The zero entries of each row of a are skipped.
+    """
+    cols = [[(x.re, x.im) for x in col] for col in zip(*b)]
+    out = []
+    for row in a:
+        terms = [(r, x.re, x.im) for r, x in enumerate(row) if x]
+        out_row = []
+        for col in cols:
+            re = im = 0
+            for r, p, q in terms:
+                c, e = col[r]
+                re += p * c - q * e
+                im += p * e + q * c
+            out_row.append(GaussInt(re, im))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def form_matrix(k: int) -> GroupElement:
@@ -272,49 +299,87 @@ def iota(s: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(sorted(k + 1 - x for x in s))
 
 
-class _DenseMinorTable:
-    """Every minor of a square matrix of ints mod n, built level by level.
+class _MinorPlan:
+    """The index lists of every minor of a k x k matrix, built once per dense table.
 
-    Level m is a list with one entry per size-m column set, each a list with
-    one entry per size-m row set, both in itertools.combinations order.  An
-    entry is one Laplace step along the last column of its column set over
-    level m - 1, read by list index, skipping zero entries, and reduced to
-    its residue in [0, n).  The expansion lists of the row sets and the
-    position of each mask within its level are built once per table.  Reads
-    are those of linalg.MinorTable: table(rows, cols) over same-size 0-based
-    index sets, which checks their sizes, and table.mask(rmask, cmask) over
-    their bit masks, which checks nothing.  A table of dim k holds all
-    C(2k, k) minors, O(sum_m m * C(k, m)^2) products, so it is for the
-    dims whose every minor is read (_EXHAUSTIVE_DIM).
+    Level m of a table lists the size-m subsets of range(k) in
+    itertools.combinations order, ``sets[m]``; a set's place in that list
+    is its position, ``pos[mask]`` for its bit mask.  Per level m >= 1:
+    ``steps[m]`` holds, for each column set T, its last column c and the
+    position of T - {c}; ``expansions[m]`` holds, for each row set S, the
+    Laplace terms (r, position of S - {r}) over r in S, split into the +
+    terms and the - terms (the term at place p of S has the sign
+    (-1)^(p + m - 1)).  ``mirrors[m]`` holds, for each set S of size m, the
+    position of its mirror iota(comp S) (i -> k-1-i, complemented) in
+    level k - m.  The build of the table reads steps and expansions; the
+    minor-identity walk reads sets and mirrors.
     """
 
-    __slots__ = ("_levels", "_pos")
+    __slots__ = ("sets", "pos", "steps", "expansions", "mirrors")
 
-    def __init__(self, rows: Sequence[Sequence[int]], modulus: int):
-        k = len(rows)
+    def __init__(self, k: int):
+        bits = [1 << i for i in range(k)]
         sets = [list(combinations(range(k), m)) for m in range(k + 1)]
-        masks = [[sum(1 << i for i in s) for s in level] for level in sets]
+        # Combinations of the bit values i -> 2^i (or, for the mirrors, of
+        # i -> 2^(k-1-i)) come in the order of the index sets.
+        masks = [list(map(sum, combinations(bits, m))) for m in range(k + 1)]
         pos = [0] * (1 << k)
         for level in masks:
             for p, x in enumerate(level):
                 pos[x] = p
+        steps, expansions = [[]], [[]]
+        for m in range(1, k + 1):
+            steps.append([(s[-1], pos[x ^ bits[s[-1]]]) for s, x in zip(sets[m], masks[m])])
+            level = []
+            for s, x in zip(sets[m], masks[m]):
+                terms = [(r, pos[x ^ bits[r]]) for r in s]
+                level.append((terms[(m - 1) % 2::2], terms[m % 2::2]))
+            expansions.append(level)
+        full = (1 << k) - 1
+        self.sets = sets
+        self.pos = pos
+        self.steps = steps
+        self.expansions = expansions
+        self.mirrors = [
+            [pos[full ^ x] for x in map(sum, combinations(bits[::-1], m))] for m in range(k + 1)
+        ]
+
+
+class _DenseMinorTable:
+    """Every minor of a square matrix of ints mod n, built level by level.
+
+    ``levels[m]`` is a list with one entry per size-m column set, each a
+    list with one entry per size-m row set, both in the order of the
+    table's _MinorPlan (itertools.combinations order).  An entry is one
+    Laplace step along the last column of its column set over level m - 1,
+    read by list position, skipping zero entries, and reduced to its
+    balanced residue in (-n/2, n/2], so that a minor with small parts stays
+    a short int.  The plan (``plan``) is built once per table and read by
+    the build and by the minor-identity walk, which compares the level
+    lists by position.  Reads are those of linalg.MinorTable:
+    table(rows, cols) over same-size 0-based index sets, which checks their
+    sizes, and table.mask(rmask, cmask) over their bit masks, which checks
+    nothing.  A table of dim k holds all C(2k, k) minors,
+    O(sum_m m * C(k, m)^2) products, so it is for the dims whose every
+    minor is read (_EXHAUSTIVE_DIM).
+    """
+
+    __slots__ = ("plan", "levels")
+
+    def __init__(self, rows: Sequence[Sequence[int]], modulus: int):
+        plan = _MinorPlan(len(rows))
+        half = modulus >> 1
         columns = list(zip(*rows))
         levels = [[[1]]]
-        for m in range(1, k + 1):
-            # Row position p of a size-m set carries the sign (-1)^(p + m - 1):
-            # each expansion is split into its + terms and its - terms.
-            expansions = []
-            for s, x in zip(sets[m], masks[m]):
-                terms = [(r, pos[x ^ 1 << r]) for r in s]
-                expansions.append((terms[(m - 1) % 2::2], terms[m % 2::2]))
-            below_level = levels[m - 1]
+        for steps, expansions in zip(plan.steps[1:], plan.expansions[1:]):
+            below_level = levels[-1]
             level = []
-            for t, x in zip(sets[m], masks[m]):
-                col = columns[t[-1]]
-                below = below_level[pos[x ^ 1 << t[-1]]]
+            for c, p in steps:
+                col, below = columns[c], below_level[p]
                 entries = []
                 for plus, minus in expansions:
-                    val = 0
+                    # Started at half, so val % modulus - half is the balanced residue.
+                    val = half
                     for r, j in plus:
                         e = col[r]
                         if e:
@@ -323,11 +388,11 @@ class _DenseMinorTable:
                         e = col[r]
                         if e:
                             val -= e * below[j]
-                    entries.append(val % modulus)
+                    entries.append(val % modulus - half)
                 level.append(entries)
             levels.append(level)
-        self._levels = levels
-        self._pos = pos
+        self.plan = plan
+        self.levels = levels
 
     def __call__(self, rows: Iterable[int], cols: Iterable[int]) -> int:
         rmask = sum(1 << r for r in rows)
@@ -338,23 +403,26 @@ class _DenseMinorTable:
 
     def mask(self, rmask: int, cmask: int) -> int:
         """The minor on the rows of rmask and the columns of cmask (same bit count)."""
-        pos = self._pos
-        return self._levels[cmask.bit_count()][pos[cmask]][pos[rmask]]
+        pos = self.plan.pos
+        return self.levels[cmask.bit_count()][pos[cmask]][pos[rmask]]
 
 
 def _integer_minors(a: GroupElement):
     """(d, w, table): the element's cached minor table over its stored form (d, dA).
 
     table(rows, cols), over same-size 0-based sets that are not validated,
-    or table.mask(rmask, cmask) over their bit masks, is the packed residue
-    of the Gaussian integer minor(dA; rows, cols) = d^|rows| * minor(A; rows,
-    cols) mod n = 2^(2w) + 1; unpack(value, w) gives it back exactly.  By
+    or table.mask(rmask, cmask) over their bit masks, is the balanced
+    residue, in (-n/2, n/2], of the packed Gaussian integer
+    minor(dA; rows, cols) = d^|rows| * minor(A; rows, cols) mod
+    n = 2^(2w) + 1; unpack(value, w) gives it back exactly.  By
     Hadamard's bound (exact.pack), d^(k-m) times any size-m minor has parts
     of at most H < 2^(w-2), so a difference of two such products is 0 iff
     it is 0 mod n.  Every minor of a group element is read through this one
     getter, from one table built on first use and kept with the element:
     for k <= _EXHAUSTIVE_DIM a _DenseMinorTable of all C(2k, k) minors,
-    else a lazy linalg.minor_table.  Both read the same way.
+    whose plan and level lists the exhaustive identity walk reads by
+    position, else a lazy linalg.minor_table.  Both read the same way
+    through table(rows, cols) and table.mask.
     """
     w, table = a._packed_minors
     return a.den, w, table
@@ -421,26 +489,16 @@ def _mask_pair(indices: Iterable[int], k: int) -> tuple[int, int]:
     return mask, reflected ^ ((1 << k) - 1)
 
 
-def _identity_pairs(k: int, exhaustive: bool):
-    """Pairs (m, (S, S'), (T, T')) walked by check_minor_identity, in order.
+def _identity_pairs(k: int):
+    """The pairs (m, (S, S'), (T, T')) drawn by the sampled walk of check_minor_identity.
 
     |S| = |T| = m; S, T and their mirrors S', T' are bit masks.  The mask
     pairs of each size are listed once per call, in the order of
-    itertools.combinations, and both walks read these lists.  Exhaustive:
-    every pair of size m <= k // 2, by size, then S, then T.  The mirror
-    pair, of size k - m, is the same identity, so the walk covers all
-    C(2k, k) pairs.  Otherwise _SAMPLED_PAIRS pairs drawn by
+    itertools.combinations.  _SAMPLED_PAIRS pairs are drawn by
     random.Random(0).choice: a size m uniform in 1..k-1, then S and T
     uniform in the size-m list.
     """
-    top = k // 2 if exhaustive else k - 1
-    levels = [[_mask_pair(c, k) for c in combinations(range(k), m)] for m in range(top + 1)]
-    if exhaustive:
-        for m, masks in enumerate(levels):
-            for s in masks:
-                for t in masks:
-                    yield m, s, t
-        return
+    levels = [[_mask_pair(c, k) for c in combinations(range(k), m)] for m in range(k)]
     choice = random.Random(0).choice
     sizes = range(1, k)
     for _ in range(_SAMPLED_PAIRS):
@@ -454,46 +512,72 @@ def _mask_indices(x: int, k: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(k) if x >> i & 1)
 
 
+def _violation(s, t, v1: int, v2: int, w: int, low: int, high: int) -> IdentityViolation:
+    """The failure at (S, T): v1, v2 are the residues of d^m A[S,T] and d^(k-m) A[S',T']."""
+    lhs, rhs = scalar_over(unpack(v1, w), low), scalar_over(unpack(v2, w), high)
+    return IdentityViolation(s, t, lhs, rhs)
+
+
 def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     """Verify A[S,T] == A[iota(comp S), iota(comp T)] for same-size S, T.
 
     Exhaustive for dim <= _EXHAUSTIVE_DIM, else 2000 pairs drawn from
-    per-size lists of mask pairs (see _identity_pairs).  Both walks read bit
-    masks from the element's cached packed minor table (dense for the
-    exhaustive walk, lazy for the sampled one; see _integer_minors): with
-    S', T' the mirror masks, v1 and v2 the packed residues of d^m A[S,T]
-    and d^(k-m) A[S',T'] for |S| = m, the pair holds iff
+    per-size lists of mask pairs (see _identity_pairs).  Both walks read the
+    element's cached packed minor table (see _integer_minors): with S', T'
+    the mirrors, v1 and v2 the balanced residues of d^m A[S,T] and
+    d^(k-m) A[S',T'] for |S| = m, the pair holds iff
     (v1 * d^(k-m) - v2 * d^m) % n == 0, n = 2^(2w) + 1.  Both products
     have parts of at most Hadamard's bound H < 2^(w-2) (exact.pack), so
-    their difference vanishes mod n only if it vanishes.  The identity is
-    symmetric under the involution S -> S', which maps size m to size
-    k - m, so the exhaustive walk stops at size k // 2: the first failing
-    pair by size, then S, then T, always has size <= k / 2, and the report
-    still counts all C(2k, k) pairs.  The input must be exactly in its
-    group; the first failing pair raises IdentityViolation with it as
-    witness and both minors as ExactScalars, the only minors unpacked.
+    their difference vanishes mod n only if it vanishes.
+
+    The exhaustive walk reads the dense table's level lists by position:
+    the mirror of the set at position p of level m is at position
+    plan.mirrors[m][p] of level k - m, so the row list of each column set
+    T is compared with the row list of T', reordered by the mirror
+    positions, in one pass.  The identity is symmetric under the
+    involution S -> S', which maps size m to size k - m, so the walk stops
+    at size k // 2, and the report still counts all C(2k, k) pairs.  A
+    level with a failing pair is read again in (S, T) order, so that the
+    witness is the first failing pair by size, then S, then T.  The
+    sampled walk reads the lazy table by bit mask, in draw order.  The
+    input must be exactly in its group; the first failing pair raises
+    IdentityViolation with it as witness and both minors as ExactScalars,
+    the only minors unpacked.
     """
     if not is_in_group(a):
         raise ValueError("input is not exactly symplectic/orthogonal")
     k = a.dim
-    exhaustive = k <= _EXHAUSTIVE_DIM
+    tag = expected_tag(k)
     d, w, table = _integer_minors(a)
     n = packing_modulus(w)
-    read = table.mask
     powers = [d ** j for j in range(k + 1)]
-    for m, (s, s_mirror), (t, t_mirror) in _identity_pairs(k, exhaustive):
+    if k > _EXHAUSTIVE_DIM:
+        read = table.mask
+        for m, (s, s_mirror), (t, t_mirror) in _identity_pairs(k):
+            low, high = powers[m], powers[k - m]
+            v1 = read(s, t)
+            v2 = read(s_mirror, t_mirror)
+            if (v1 * high - v2 * low) % n:
+                raise _violation(_mask_indices(s, k), _mask_indices(t, k), v1, v2, w, low, high)
+        return MinorIdentityReport(k, tag, _SAMPLED_PAIRS, False)
+    plan, levels = table.plan, table.levels
+    for m in range(k // 2 + 1):
         low, high = powers[m], powers[k - m]
-        v1 = read(s, t)
-        v2 = read(s_mirror, t_mirror)
-        if (v1 * high - v2 * low) % n:
-            raise IdentityViolation(
-                _mask_indices(s, k),
-                _mask_indices(t, k),
-                scalar_over(unpack(v1, w), low),
-                scalar_over(unpack(v2, w), high),
-            )
-    pairs = comb(2 * k, k) if exhaustive else _SAMPLED_PAIRS
-    return MinorIdentityReport(k, expected_tag(k), pairs, exhaustive)
+        level, mirrored, mirror = levels[m], levels[k - m], plan.mirrors[m]
+        # Column set T against T', every row set S against S' at once.
+        if any(
+            (v1 * high - v2 * low) % n
+            for col, t_mirror in zip(level, mirror)
+            for v1, v2 in zip(col, map(mirrored[t_mirror].__getitem__, mirror))
+        ):
+            sets = plan.sets[m]
+            for p, s_mirror in enumerate(mirror):
+                for q, t_mirror in enumerate(mirror):
+                    v1, v2 = level[q][p], mirrored[t_mirror][s_mirror]
+                    if (v1 * high - v2 * low) % n:
+                        s, t = tuple(i + 1 for i in sets[p]), tuple(j + 1 for j in sets[q])
+                        raise _violation(s, t, v1, v2, w, low, high)
+    return MinorIdentityReport(k, tag, comb(2 * k, k), True)
 
 
 def classify_by_minors(a: GroupElement) -> str | None:
@@ -659,13 +743,13 @@ def unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupEle
     d = lcm(*(x.denominator for v in values.values() for x in (v.re, v.im)))
     delta = _grade_step(algebra.family, d)
     powers = [delta ** band for band in range(k)]
-    x = [[GAUSS_ONE if i == j else GAUSS_ZERO for j in range(k)] for i in range(k)]
+    # X as two int matrices, its real and its imaginary parts.
+    re = [[int(i == j) for j in range(k)] for i in range(k)]
+    im = [[0] * k for _ in range(k)]
     for (i, j), v in values.items():
         scale = powers[i - j]
-        x[i][j] = GaussInt(
-            v.re.numerator * (scale // v.re.denominator),
-            v.im.numerator * (scale // v.im.denominator),
-        )
+        re[i][j] = v.re.numerator * (scale // v.re.denominator)
+        im[i][j] = v.im.numerator * (scale // v.im.denominator)
     if algebra.family != "A":
         free = {(s.row, s.col) for s in coordinate_map(algebra)}
         dependent = [
@@ -677,21 +761,29 @@ def unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupEle
             # The unknown X[i][j] is still 0, so the sum holds the other terms
             # only: the unknown meets the diagonal 1 at r = p, and at r = i
             # when i + j = k - 1.  The target J[p][q] is 0 as p + q < k - 1.
-            acc = GAUSS_ZERO
+            acc_re = acc_im = 0
             for r in range(p, k - q):
-                term = x[r][p] * x[k - 1 - r][q]
-                acc = acc - term if r % 2 else acc + term
+                a, b = re[r][p], im[r][p]
+                c, e = re[k - 1 - r][q], im[k - 1 - r][q]
+                if r % 2:
+                    acc_re -= a * c - b * e
+                    acc_im -= a * e + b * c
+                else:
+                    acc_re += a * c - b * e
+                    acc_im += a * e + b * c
             c = (-1) ** p + ((-1) ** i if i + j == k - 1 else 0)
-            re, re_rest = divmod(-acc.re, c)
-            im, im_rest = divmod(-acc.im, c)
+            re[i][j], re_rest = divmod(-acc_re, c)
+            im[i][j], im_rest = divmod(-acc_im, c)
             if re_rest or im_rest:
                 raise ArithmeticError(f"constraint for entry ({i},{j}) is not an exact division")
-            x[i][j] = GaussInt(re, im)
     top = k - 1
+    # Entries above the diagonal are 0 (their power index would pass top).
     g = GroupElement(powers[top], tuple(
-        tuple(GaussInt(v.re * powers[top - i + j], v.im * powers[top - i + j]) if v else GAUSS_ZERO
-              for j, v in enumerate(row))
-        for i, row in enumerate(x)
+        tuple(
+            GaussInt(x * powers[top - i + j], y * powers[top - i + j]) if j <= i else GAUSS_ZERO
+            for j, (x, y) in enumerate(zip(re_row, im_row))
+        )
+        for i, (re_row, im_row) in enumerate(zip(re, im))
     ))
     if algebra.family != "A" and not _preserves_form(g.den, g.rows):
         raise ArithmeticError("constraint solver produced a non-group element")
@@ -769,11 +861,35 @@ def random_paired_diagonal(k: int, rng: random.Random, bound: int) -> tuple[Frac
     return paired_diagonal(half, k)
 
 
+def _diagonal_form(diag: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * x for x in diag]): the integer form of a rational diagonal, d the lcm."""
+    d = lcm(*(x.denominator for x in diag))
+    return d, [x.numerator * (d // x.denominator) for x in diag]
+
+
 def diagonal_element(diag: Sequence[Fraction]) -> GroupElement:
-    k = len(diag)
-    return GroupElement.from_rows(
-        [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    )
+    """The diagonal matrix with int or Fraction entries ``diag``."""
+    return scale_rows(diag, GroupElement.identity(len(diag)))
+
+
+def scale_rows(diag: Sequence[Fraction], a: GroupElement) -> GroupElement:
+    """diagonal_element(diag) @ a, as a scaling of the rows of a's integer form."""
+    if len(diag) != a.dim:
+        raise ValueError(f"dimension mismatch: {len(diag)} vs {a.dim}")
+    d, ints = _diagonal_form(diag)
+    return GroupElement(d * a.den, tuple(
+        tuple(GaussInt(x.re * c, x.im * c) for x in row) for c, row in zip(ints, a.rows)
+    ))
+
+
+def scale_columns(a: GroupElement, diag: Sequence[Fraction]) -> GroupElement:
+    """a @ diagonal_element(diag), as a scaling of the columns of a's integer form."""
+    if len(diag) != a.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {len(diag)}")
+    d, ints = _diagonal_form(diag)
+    return GroupElement(d * a.den, tuple(
+        tuple(GaussInt(x.re * c, x.im * c) for x, c in zip(row, ints)) for row in a.rows
+    ))
 
 
 def sample_group_element(algebra: Algebra, seed: int, bound: int = 3) -> GroupElement:
@@ -781,18 +897,19 @@ def sample_group_element(algebra: Algebra, seed: int, bound: int = 3) -> GroupEl
 
     Both unipotent factors are constraint-solved on Gaussian integers
     (unipotent_from_coords), the diagonal satisfies the pairing condition,
-    and the two products multiply integer forms, so the product is in the
-    group by construction; its membership is asserted once, and the verdict
-    and minor table stay cached on the element.  With bound 0 the sample is
-    the identity.
+    c1 Lambda scales the columns of c1's integer form and the product with
+    c2^t multiplies integer forms, so the product is in the group by
+    construction; its membership is asserted once, and the verdict and
+    minor table stay cached on the element.  With bound 0 the sample is the
+    identity.
     """
     if algebra.family == "A":
         raise ValueError("sampler is defined for the C and B families")
     rng = random.Random(seed)
     c1 = unipotent_from_coords(algebra, random_coords(algebra, rng, bound))
-    lam = diagonal_element(random_paired_diagonal(algebra.k, rng, bound))
+    lam = random_paired_diagonal(algebra.k, rng, bound)
     c2 = unipotent_from_coords(algebra, random_coords(algebra, rng, bound))
-    g = c1 @ lam @ c2.transpose()
+    g = scale_columns(c1, lam) @ c2.transpose()
     if not is_in_group(g):
         raise ArithmeticError("sampler produced a non-group element")
     return g

@@ -6,10 +6,10 @@ GaussInt entries (GaussInt: the stored rows of a group element); nothing
 is numeric.
 minor_table also runs on plain ints reduced mod a modulus: a group element
 of dim 8 or more keeps one such lazy table, holding each Gaussian integer
-a + b*i as the one int a + b*2^w mod 2^(2w) + 1, with w wide enough by
-Hadamard's bound that every value it is read for is exact (exact.pack and
-exact.unpack).  Smaller elements, whose every minor is read, keep a dense
-table built in groups instead.
+a + b*i as the one int a + b*2^w, a balanced residue mod 2^(2w) + 1, with
+w wide enough by Hadamard's bound that every value it is read for is exact
+(exact.pack and exact.unpack).  Smaller elements, whose every minor is
+read, keep a dense table built in groups instead.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ def minor_table(m: Matrix, zero: T, one: T, modulus: int = 0) -> MinorTable:
 
     `modulus` is internal to groups: the tables of its elements of dim 8 or
     more hold packed Gaussian integers, ints mod n = 2^(2w) + 1
-    (exact.pack), and pass n.  Each
-    minor is then reduced once, when stored, to its residue in [0, n), so
-    stored minors do not grow with their size; the width w makes every
-    value read back exact (exact.unpack).  With the default 0 nothing is
-    reduced.
+    (exact.pack), and pass n.  Each minor is then reduced once, when
+    stored, to its balanced residue in (-n/2, n/2], so stored minors do not
+    grow with their size and a minor with small parts stays a short int;
+    the width w makes every value read back exact (exact.unpack).  With the
+    default 0 nothing is reduced.
     """
     return MinorTable(m, zero, one, modulus)
 
@@ -122,6 +122,8 @@ def _minor(m: Matrix, memo: dict, zero: T, modulus: int, width: int, rmask: int,
             negate = not negate
         if modulus:
             val %= modulus
+            if val > modulus >> 1:
+                val -= modulus
         memo[key] = val
     return val
 

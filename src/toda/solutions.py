@@ -84,8 +84,8 @@ from .exact import (
 from .groups import (
     GroupElement,
     UnipotentCoords,
-    diagonal_element,
     paired_diagonal,
+    scale_rows,
     unipotent_from_coords,
 )
 from .lie import Algebra, cartan, monodromy_element, slot_name
@@ -255,7 +255,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     w = wronskian(nu)
     c = unipotent_from_coords(config.algebra, params.coords)
     lams = full_lambda(config, params)
-    b = diagonal_element(lams) @ c
+    b = scale_rows(lams, c)
     h = b.conj_transpose() @ b
     g, scales = _holomorphic_matrix(w, c)
     squares = [x * x for x in lams]
@@ -824,7 +824,8 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
     amat = cartan(Algebra("A", k - 1)).matrix
     # Each distinct form once: the mirrored forms of C/B are the assembled objects.
     distinct = {id(form): form for form in bundle.forms}
-    ranges = {key: _degree_range(form) for key, form in distinct.items()}
+    den = bundle.wronskian.den
+    ranges = {key: _degree_range(form, den) for key, form in distinct.items()}
     mins, maxs = zip(*(ranges[id(form)] for form in bundle.forms))
     rows = []
     ok = True
@@ -840,19 +841,23 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
     return IntegrabilityReport(ok, tuple(rows))
 
 
-def _degree_range(form: UnknownForm) -> tuple[Fraction, Fraction]:
+def _degree_range(form: UnknownForm, den: int) -> tuple[Fraction, Fraction]:
     """Least and greatest total degree e_i + e_j over the nonzero entries.
 
     The exponents are sorted, so within row i the first entry has the least
-    degree and the last the greatest.
+    degree and the last the greatest.  Every exponent is a multiple of
+    1/den (den = B, the lcm of the beta denominators), so the degrees are
+    compared as the ints den * e, and only the two results are Fractions.
     """
-    e = form.exponents
+    e = [x.numerator * (den // x.denominator) for x in form.exponents]
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for i, j, _, _ in form.entries:
         first.setdefault(i, j)
         last[i] = j
-    return min(e[i] + e[j] for i, j in first.items()), max(e[i] + e[j] for i, j in last.items())
+    low = min(e[i] + e[j] for i, j in first.items())
+    high = max(e[i] + e[j] for i, j in last.items())
+    return Fraction(low, den), Fraction(high, den)
 
 
 @dataclass(frozen=True)

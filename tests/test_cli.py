@@ -429,6 +429,24 @@ def test_minors_nonpositive_count_exit_2(capsys, count):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("minors", "--family", "C", "--rank", "2", "--count", "5"),
+        ("verify", "--family", "C", "--rank", "2", "--gamma", "0,0"),
+    ],
+    ids=["minors", "verify"],
+)
+@pytest.mark.parametrize("seed", ["-1", "-2"])
+def test_negative_seed_exit_2(capsys, argv, seed):
+    # random.Random(-s) equals random.Random(s): "minors --seed -2 --count 5"
+    # would report 5 samples but check only 3 distinct elements.
+    code, out, err = run(capsys, *argv, "--seed", seed)
+    assert code == 2
+    assert err == f"error: --seed must be non-negative, got {seed}\n"
+    assert out == ""
+
+
 def test_verify_assembles_once(monkeypatch, capsys):
     import toda.solutions
 

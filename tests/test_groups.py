@@ -4,6 +4,7 @@ import random
 import weakref
 from fractions import Fraction as F
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -445,9 +446,9 @@ def test_det_and_minor_table_edge_cases(zero, one, modulus):
     assert table((), ()) == one and table((1,), (0,)) == zero
     with pytest.raises(ValueError):
         table((0,), ())
-    # det = -1, stored as its residue when there is a modulus.
+    # det = -1, stored as its balanced residue, -1 itself, when there is a modulus.
     swap = minor_table(((zero, one), (one, zero)), zero, one, modulus)
-    assert swap((0, 1), (0, 1)) == (modulus - 1 if modulus else zero - one)
+    assert swap((0, 1), (0, 1)) == (-1 if modulus else zero - one)
     assert swap((0,), (0,)) == zero and swap((0,), (1,)) == one
 
 
@@ -524,6 +525,7 @@ def _assert_dense_table_matches_lazy(rows, modulus):
             rmask = sum(1 << i for i in s)
             for t in combinations(range(k), m):
                 want = lazy(s, t)
+                assert -(modulus >> 1) <= want <= modulus >> 1, (s, t)  # balanced residue
                 assert dense(s, t) == want, (s, t)
                 assert dense.mask(rmask, sum(1 << j for j in t)) == want, (s, t)
 
@@ -681,16 +683,49 @@ def test_mirror_half_walk_reports_the_first_failure_of_the_full_walk(bad):
     assert str(err.value) == f"minor identity fails at S={s}, T={t}: {lhs} != {rhs}"
 
 
-class _RecordingTable:
-    """Stands in for an element's minor table and records every mask read."""
+def test_walk_reports_the_first_failure_by_size_then_s_then_t():
+    # Two bumped entries above the diagonal of the identity: det stays 1 and
+    # exactly the size-1 pairs (S, T) = ((1,), (5,)) and ((2,), (4,)) fail
+    # among sizes <= k // 2.  Column by column the walk meets ((2,), (4,))
+    # first, so the witness must come from the rescan of that level in
+    # (S, T) order, as in the all_minors oracle.
+    k = 5
+    rows = [[F(int(i == j)) for j in range(k)] for i in range(k)]
+    rows[0][4], rows[1][3] = F(2), F(3)
+    bad = GroupElement.from_rows(rows)
+    want = _first_identity_failure(bad)
+    assert want[0] == ((1,), (5,))
+    table = all_minors(bad)
+    by_column = min(
+        (t, s) for s, t in table
+        if len(s) == 1 and table[s, t] != table[iota(complement(s, k), k), iota(complement(t, k), k)]
+    )
+    assert by_column == ((4,), (2,))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr("toda.groups.is_in_group", lambda a: True)
+        with pytest.raises(IdentityViolation) as err:
+            check_minor_identity(bad)
+    assert (err.value.witness, err.value.lhs, err.value.rhs) == want
 
-    def __init__(self, table):
-        self.table = table
-        self.reads = []
 
-    def mask(self, rmask, cmask):
-        self.reads.append((rmask, cmask))
-        return self.table.mask(rmask, cmask)
+class _Probe:
+    """Stands in for one entry of a dense minor table and records each comparison.
+
+    The walk tests (v1 * high - v2 * low) % n: a probe's product is the
+    probe, and the difference of two records their keys and is 0, so the
+    walk reads on to the end.
+    """
+
+    def __init__(self, key, reads):
+        self.key = key
+        self.reads = reads
+
+    def __mul__(self, factor):
+        return self
+
+    def __sub__(self, other):
+        self.reads.append((self.key, other.key))
+        return 0
 
 
 @pytest.mark.parametrize("family,rank", [("C", 1), ("B", 1), ("C", 2), ("B", 2), ("C", 3), ("B", 3)])
@@ -699,20 +734,28 @@ def test_mirror_half_walk_reads_each_identity_once(family, rank):
     # (iota(comp S), iota(comp T)) built from index tuples, so that together
     # with the mirrors every one of the C(2k, k) pairs is covered once, and
     # every pair of the middle size (k even) is read as the first of a pair.
+    # Each entry of the element's dense table is replaced by a probe keyed by
+    # its (row mask, column mask), found through the table's plan.
     g = sample_group_element(Algebra(family, rank), seed=3, bound=2)
     k = g.dim
     w, table = g._packed_minors
-    recorder = _RecordingTable(table)
-    g.__dict__["_packed_minors"] = w, recorder
+    plan = table.plan
+    reads = []
+    masks = [[sum(1 << i for i in s) for s in level] for level in plan.sets]
+    levels = [
+        [[_Probe((rmask, cmask), reads) for rmask in masks[m]] for cmask in masks[m]]
+        for m in range(k + 1)
+    ]
+    g.__dict__["_packed_minors"] = w, SimpleNamespace(plan=plan, levels=levels)
     assert check_minor_identity(g).pairs_checked == math.comb(2 * k, k)
 
     def mask(idx):
         return sum(1 << (i - 1) for i in idx)
 
-    firsts = recorder.reads[0::2]
-    assert len(firsts) == len(set(firsts)) == len(recorder.reads) // 2
+    firsts = [first for first, _ in reads]
+    assert len(firsts) == len(set(firsts)) == len(reads)
     covered = set()
-    for (s, t), mirrored in zip(firsts, recorder.reads[1::2]):
+    for (s, t), mirrored in reads:
         rows = tuple(i + 1 for i in range(k) if s >> i & 1)
         cols = tuple(j + 1 for j in range(k) if t >> j & 1)
         assert len(rows) <= k // 2
@@ -838,8 +881,8 @@ def test_sampled_identity_witness_matches_minor(monkeypatch, seed, part):
 def test_sampled_walk_draws_from_every_size(k):
     # 2000 pairs with |S| = |T| = m and mirrors of size k - m, every size
     # 1..k-1 drawn, and the same walk on every call.
-    first = list(_identity_pairs(k, False))
-    assert first == list(_identity_pairs(k, False))
+    first = list(_identity_pairs(k))
+    assert first == list(_identity_pairs(k))
     assert len(first) == 2000
     for m, (s, s_mirror), (t, t_mirror) in first:
         assert s.bit_count() == t.bit_count() == m
