@@ -7,20 +7,19 @@ of the power integrands are single monomials
     sigma_i = z^(mu_1+...+mu_i) / (mu_i (mu_i+mu_{i-1}) ... (mu_i+...+mu_1)),
 
 and the basis entries nu_i = sigma_i / z^(xi_exponent) are monomials
-chi_i * z^(beta_i) with strictly increasing exponents beta.  The basis is
-held as those rationals (NuVector.chi, .beta), and the k x k Wronskian
-matrix, whose entry (i, j), the j-th z-derivative of nu_i, is
-chi_i (beta_i)_j z^(beta_i - j) (falling factorial), as its integer form
-only: beta_i = b_i / B over one denominator B, and column j as the ints
-D_j chi_i (beta_i)_j over one denominator D_j.  That one table feeds the
-det W = 1 check (det of the columns equal to D_0 ... D_(k-1), times one
-power of z), the assembly of G = C W and the modular certificate in
-solutions.  The Fraction table (coeffs) and the ZExpr forms of nu and of
-the entries are built only on access.  The column minors are single
-monomials with a Vandermonde coefficient (column_minor, an independent
-closed form that tests hold the prefix minors of G against), and for
-palindromic mu the pairing W^t J W has an exact zero/sign pattern that a
-Gram-Schmidt pass turns into J itself.
+chi_i * z^(beta_i) with strictly increasing exponents beta, held as those
+rationals (NuVector.chi, .beta).  The k x k Wronskian matrix, entry (i, j)
+chi_i (beta_i)_j z^(beta_i - j) (falling factorial), is held as its integer
+form only (WronskianMatrix).  That one table feeds the det W = 1 check, the
+assembly of G = C W, the modular certificate in solutions and the pairing
+below; the Fraction table (coeffs) and the ZExpr forms of nu and of the
+entries are built only on access.  The column minors are single monomials
+with a Vandermonde coefficient (column_minor, an independent closed form
+that tests hold the prefix minors of G against).  For palindromic mu,
+beta_r + beta_(k-1-r) = k - 1, column t of W is homogeneous of degree -t
+under the pairing: W^t J W, summed on the integer table, has an exact
+zero/sign pattern, and a Gram-Schmidt pass on constant columns turns it
+into J itself.
 """
 
 from __future__ import annotations
@@ -33,13 +32,10 @@ from math import lcm, prod
 from typing import Sequence
 
 from .config import TodaConfig
-from .exact import SCALAR_ONE, ZExpr, as_fraction
+from .exact import ExactScalar, Monomial, ZExpr, as_fraction
 from .groups import GroupElement
 from .linalg import det as generic_det
-from .linalg import mat_mul, transpose
-
-Z_ZERO = ZExpr.zero()
-Z_ONE = ZExpr.one()
+from .linalg import transpose
 
 
 class StructureError(AssertionError):
@@ -117,7 +113,7 @@ class WronskianMatrix:
 
     @cached_property
     def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """coeffs[s][j] = chi_s (beta_s)_j as Fractions, built on first access; API only."""
+        """coeffs[s][j] = chi_s (beta_s)_j as Fractions, built on first access."""
         return tuple(zip(*(
             tuple(Fraction(x, dj) for x in col) for col, dj in zip(self.cols, self.col_dens)
         )))
@@ -179,36 +175,50 @@ def column_minor(w: WronskianMatrix, rows: Sequence[int]) -> ZExpr:
     return ZExpr.monomial(coeff, sum((nu.beta[r] for r in rows), Fraction(-m * (m - 1), 2)))
 
 
+def _form_products(w: WronskianMatrix, j: GroupElement, cols, dens) -> tuple[tuple[ZExpr, ...], ...]:
+    """V^t j V for V[r][t] = cols[t][r] / dens[t] z^(beta_r - t) (ints, or Fractions over 1).
+
+    Entry (a, b) sums cols[a][r] j_rs cols[b][s] z^(beta_r + beta_s - a - b) over
+    the nonzero j_rs, grouped by the int exponent exps[r] + exps[s], in one ZExpr.
+    """
+    if j.dim != w.k:
+        raise ValueError("form dimension mismatch")
+    nonzero = [(r, s, x) for r, row in enumerate(j.rows) for s, x in enumerate(row) if x]
+
+    def entry(a: int, b: int) -> ZExpr:
+        acc: dict[int, list] = {}
+        for r, s, x in nonzero:
+            c = cols[a][r] * cols[b][s]
+            if c:
+                part = acc.setdefault(w.exps[r] + w.exps[s], [0, 0])
+                part[0] += c * x.re
+                part[1] += c * x.im
+        d = dens[a] * dens[b] * j.den
+        return ZExpr.from_terms(
+            Monomial(ExactScalar(Fraction(re, d), Fraction(im, d)), Fraction(e, w.den) - a - b)
+            for e, (re, im) in acc.items()
+        )
+
+    return tuple(tuple(entry(a, b) for b in range(w.k)) for a in range(w.k))
+
+
 def pairing_matrix(w: WronskianMatrix, j: GroupElement) -> tuple[tuple[ZExpr, ...], ...]:
     """P = W^t J W with the exact zero / (-1)^i / zero pattern enforced.
 
     Entries above the secondary diagonal vanish, the secondary diagonal
     alternates +1/-1 down from the top-right corner, and the first band
-    below it vanishes as well.  A violation (non-palindromic exponent data)
-    raises StructureError.
+    below it vanishes as well: for palindromic exponents column t of W is
+    homogeneous of degree -t, so P[a][b] is a constant times z^(k-1-a-b).
+    A violation (non-palindromic exponent data) raises StructureError.
     """
     k = w.k
-    if j.dim != k:
-        raise ValueError("form dimension mismatch")
-    jz = tuple(
-        tuple(ZExpr.const(x) for x in row) for row in j.entries
-    )
-    wt = transpose(w.entries)
-    p = mat_mul(mat_mul(wt, jz, Z_ZERO), w.entries, Z_ZERO)
+    p = _form_products(w, j, w.cols, w.col_dens)
     for a in range(k):
-        for b in range(k):
-            entry = p[a][b]
-            if a + b < k - 1 or a + b == k:
-                if not entry.is_zero:
-                    raise StructureError(
-                        f"pairing entry ({a},{b}) should vanish, got {entry}"
-                    )
-            elif a + b == k - 1:
-                want = ZExpr.const(1 if a % 2 == 0 else -1)
-                if entry != want:
-                    raise StructureError(
-                        f"pairing entry ({a},{b}) should be {want}, got {entry}"
-                    )
+        for b in range(min(k, k + 1 - a)):  # a + b <= k
+            want = ZExpr.const((-1) ** a) if a + b == k - 1 else ZExpr.zero()
+            if p[a][b] != want:
+                should = f"be {want}" if want else "vanish"
+                raise StructureError(f"pairing entry ({a},{b}) should {should}, got {p[a][b]}")
     return p
 
 
@@ -222,56 +232,38 @@ def gram_schmidt_normalizer(
     clear the pairing of every middle column against the high column.  All
     corrections add multiples of earlier columns only, so U stays unipotent
     upper-triangular; divisions are by the constant +-1 pairings of the
-    secondary diagonal.
+    secondary diagonal.  Column t of W is homogeneous of degree -t, so a
+    step adds f z^(s-t) times column s to column t and U[a][b] = u_ab z^(a-b):
+    the steps and their checks run in Fractions on the constant columns
+    (coeffs), each stacked on its column of the identity, which becomes u.
     """
     k = w.k
     pairing_matrix(w, j)  # rejects non-palindromic exponent data up front
-    cols: list[list[ZExpr]] = [list(col) for col in transpose(w.entries)]
-    u: list[list[ZExpr]] = [
-        [Z_ONE if a == b else Z_ZERO for b in range(k)] for a in range(k)
-    ]
-    jrows = j.entries
+    if any(w.exps[r] + w.exps[k - 1 - r] != (k - 1) * w.den for r in range(k)):
+        raise StructureError("basis exponents are not palindromic")
+    cols = [list(col) + [int(t == a) for a in range(k)] for t, col in enumerate(zip(*w.coeffs))]
+    signs = [1 if j.rows[r][k - 1 - r].re > 0 else -1 for r in range(k)]
 
-    def pair(x: list[ZExpr], y: list[ZExpr]) -> ZExpr:
-        acc = Z_ZERO
-        for r in range(k):
-            jv = jrows[r][k - 1 - r]
-            term = x[r] * y[k - 1 - r]
-            acc = acc + (term if jv.re > 0 else -term)
-        return acc
+    def pair(x: list[Fraction], y: list[Fraction]) -> Fraction:
+        return sum(sign * x[r] * y[k - 1 - r] for r, sign in enumerate(signs))
 
-    def add_multiple(target: int, source: int, factor: ZExpr):
+    def add_multiple(target: int, source: int, factor: Fraction):
         # column[target] += factor * column[source]; source < target keeps U upper.
-        if factor.is_zero:
-            return
-        for r in range(k):
-            cols[target][r] = cols[target][r] + factor * cols[source][r]
-        for r in range(k):
-            u[r][target] = u[r][target] + factor * u[r][source]
+        cols[target] = [x + factor * y for x, y in zip(cols[target], cols[source])]
 
     for lo in range(k // 2):
         hi = k - 1 - lo
-        e = pair(cols[lo], cols[hi]).constant_value()
-        want = SCALAR_ONE if lo % 2 == 0 else -SCALAR_ONE
+        e = pair(cols[lo], cols[hi])
+        want = 1 if lo % 2 == 0 else -1
         if e != want:
             raise StructureError(f"plane ({lo},{hi}) pairing is {e}, expected {want}")
-        q = pair(cols[hi], cols[hi])
-        add_multiple(hi, lo, q.scale_div(-2 * e.re))
+        add_multiple(hi, lo, pair(cols[hi], cols[hi]) / (-2 * e))
         for mid in range(lo + 1, hi):
-            a = pair(cols[mid], cols[hi])
-            add_multiple(mid, lo, a.scale_div(-e.re))
-            low_pair = pair(cols[mid], cols[lo])
-            if not low_pair.is_zero:
-                raise StructureError(
-                    f"column {mid} unexpectedly pairs with column {lo}"
-                )
+            add_multiple(mid, lo, pair(cols[mid], cols[hi]) / -e)
+            if pair(cols[mid], cols[lo]):
+                raise StructureError(f"column {mid} unexpectedly pairs with column {lo}")
     # Exact verification of the final identity.
-    jz = tuple(tuple(ZExpr.const(x) for x in row) for row in jrows)
-    v = transpose(tuple(tuple(c) for c in cols))
-    lhs = mat_mul(mat_mul(transpose(v), jz, Z_ZERO), v, Z_ZERO)
-    for a in range(k):
-        for b in range(k):
-            want = ZExpr.const(jrows[a][b])
-            if lhs[a][b] != want:
-                raise StructureError("normalized columns do not reproduce the form")
-    return tuple(tuple(row) for row in u)
+    form = tuple(tuple(ZExpr.const(x) for x in row) for row in j.entries)
+    if _form_products(w, j, cols, (1,) * k) != form:
+        raise StructureError("normalized columns do not reproduce the form")
+    return tuple(tuple(ZExpr.monomial(cols[b][k + a], a - b) for b in range(k)) for a in range(k))

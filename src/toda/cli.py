@@ -55,17 +55,25 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [parse_fraction(x) for x in text.split(",")]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key repeated within it is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"--coords repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_coords_arg(algebra: Algebra, raw: str | None) -> UnipotentCoords:
     from .jsonio import parse_coords
 
     if not raw:
-        data = {}
-    elif raw.startswith("@"):
+        return parse_coords(algebra, {})
+    if raw.startswith("@"):
         with open(raw[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(raw)
-    return parse_coords(algebra, data)
+            raw = fh.read()
+    return parse_coords(algebra, json.loads(raw, object_pairs_hook=_unique_keys))
 
 
 def _algebra_from_args(args) -> Algebra:
@@ -466,7 +474,9 @@ def main(argv=None) -> int:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message.
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except Exception as err:  # internal failure
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -473,10 +473,6 @@ class ZExpr:
         """True iff the expression equals its own conjugate."""
         return self == self.conjugate()
 
-    @property
-    def is_holomorphic(self) -> bool:
-        return all(t.exp_zbar == 0 for t in self.terms)
-
     def single_monomial(self) -> Monomial:
         """The unique term of a one-term expression (zero not allowed)."""
         if len(self.terms) != 1:

@@ -686,7 +686,7 @@ class UnipotentCoords:
         vals: dict[tuple[int, int], ExactScalar] = {}
         for key, raw in (values or {}).items():
             if key not in free:
-                raise KeyError(f"({key[0]},{key[1]}) is not a free coordinate slot of {algebra}")
+                raise KeyError(f"{slot_name(*key)} is not a free coordinate slot of {algebra}")
             v = raw if isinstance(raw, ExactScalar) else ExactScalar.of(as_fraction(raw))
             if not v.is_zero:
                 vals[key] = v

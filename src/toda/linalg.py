@@ -10,6 +10,7 @@ a + b*i as the one int a + b*2^w, a balanced residue mod 2^(2w) + 1, with
 w wide enough by Hadamard's bound that every value it is read for is exact
 (exact.pack and exact.unpack).  Smaller elements, whose every minor is
 read, keep a dense table built in groups instead.
+mat_mul has no program caller; it serves the tests as an oracle of products.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ from toda.basis import (
     pairing_matrix,
     wronskian,
 )
-from toda.exact import ZExpr
-from toda.groups import form_matrix
+from toda.cli import main
+from toda.exact import SCALAR_ONE, ExactScalar, ZExpr
+from toda.groups import GroupElement, form_matrix
 from toda.linalg import det as generic_det
+from toda.linalg import mat_mul, transpose
 
 Z0, Z1 = ZExpr.zero(), ZExpr.one()
 
@@ -319,3 +321,194 @@ def test_normalizer_palindromic_a_family():
 def test_nu_from_mu_requires_increasing_exponents():
     nu = nu_vector_from_mu([F(1, 2), F(3)], F(0))
     assert nu.beta == (0, F(1, 2), F(7, 2))
+
+
+# -- the ZExpr route as the oracle -------------------------------------------
+#
+# pairing_matrix and gram_schmidt_normalizer as they were written on ZExpr
+# matrix products and column operations of the Wronskian's entries, before
+# both moved to its integer table.
+
+
+def _zexpr_pairing(w, j):
+    k = w.k
+    if j.dim != k:
+        raise ValueError("form dimension mismatch")
+    jz = tuple(
+        tuple(ZExpr.const(x) for x in row) for row in j.entries
+    )
+    wt = transpose(w.entries)
+    p = mat_mul(mat_mul(wt, jz, Z0), w.entries, Z0)
+    for a in range(k):
+        for b in range(k):
+            entry = p[a][b]
+            if a + b < k - 1 or a + b == k:
+                if not entry.is_zero:
+                    raise StructureError(
+                        f"pairing entry ({a},{b}) should vanish, got {entry}"
+                    )
+            elif a + b == k - 1:
+                want = ZExpr.const(1 if a % 2 == 0 else -1)
+                if entry != want:
+                    raise StructureError(
+                        f"pairing entry ({a},{b}) should be {want}, got {entry}"
+                    )
+    return p
+
+
+def _zexpr_gram_schmidt(w, j):
+    k = w.k
+    _zexpr_pairing(w, j)  # rejects non-palindromic exponent data up front
+    cols: list[list[ZExpr]] = [list(col) for col in transpose(w.entries)]
+    u: list[list[ZExpr]] = [
+        [Z1 if a == b else Z0 for b in range(k)] for a in range(k)
+    ]
+    jrows = j.entries
+
+    def pair(x: list[ZExpr], y: list[ZExpr]) -> ZExpr:
+        acc = Z0
+        for r in range(k):
+            jv = jrows[r][k - 1 - r]
+            term = x[r] * y[k - 1 - r]
+            acc = acc + (term if jv.re > 0 else -term)
+        return acc
+
+    def add_multiple(target: int, source: int, factor: ZExpr):
+        # column[target] += factor * column[source]; source < target keeps U upper.
+        if factor.is_zero:
+            return
+        for r in range(k):
+            cols[target][r] = cols[target][r] + factor * cols[source][r]
+        for r in range(k):
+            u[r][target] = u[r][target] + factor * u[r][source]
+
+    for lo in range(k // 2):
+        hi = k - 1 - lo
+        e = pair(cols[lo], cols[hi]).constant_value()
+        want = SCALAR_ONE if lo % 2 == 0 else -SCALAR_ONE
+        if e != want:
+            raise StructureError(f"plane ({lo},{hi}) pairing is {e}, expected {want}")
+        q = pair(cols[hi], cols[hi])
+        add_multiple(hi, lo, q.scale_div(-2 * e.re))
+        for mid in range(lo + 1, hi):
+            a = pair(cols[mid], cols[hi])
+            add_multiple(mid, lo, a.scale_div(-e.re))
+            low_pair = pair(cols[mid], cols[lo])
+            if not low_pair.is_zero:
+                raise StructureError(
+                    f"column {mid} unexpectedly pairs with column {lo}"
+                )
+    # Exact verification of the final identity.
+    jz = tuple(tuple(ZExpr.const(x) for x in row) for row in jrows)
+    v = transpose(tuple(tuple(c) for c in cols))
+    lhs = mat_mul(mat_mul(transpose(v), jz, Z0), v, Z0)
+    for a in range(k):
+        for b in range(k):
+            want = ZExpr.const(jrows[a][b])
+            if lhs[a][b] != want:
+                raise StructureError("normalized columns do not reproduce the form")
+    return tuple(tuple(row) for row in u)
+
+
+def _outcome(fn, w, j):
+    """The result of fn(w, j), or the message of the StructureError it raises."""
+    try:
+        return fn(w, j)
+    except StructureError as err:
+        return f"StructureError: {err}"
+
+
+def _forms(k):
+    """J_k, 2J, -J, iJ, J^t and the identity."""
+    j = form_matrix(k)
+    return {
+        "J": j,
+        "2J": GroupElement.from_rows([[2 * x for x in row] for row in j.entries]),
+        "-J": GroupElement.from_rows([[-x for x in row] for row in j.entries]),
+        "iJ": GroupElement.from_rows([[ExactScalar.of(0, 1) * x for x in row] for row in j.entries]),
+        "Jt": j.transpose(),
+        "I": GroupElement.identity(k),
+    }
+
+
+ORACLE_CONFIGS = (
+    [(family, rank, (0,) * rank) for family in "CB" for rank in range(1, 7)]
+    + [
+        ("C", 2, (F(-1, 2), F(1, 4))),
+        ("C", 3, (F(1, 2), F(-1, 3), F(1, 5))),
+        ("C", 4, (F(1, 3), F(3, 4), F(-2, 5), F(1, 2))),
+        ("B", 2, (F(2, 3), F(-3, 4))),
+        ("B", 3, (F(2, 3), F(-1, 4), F(1, 2))),
+        ("B", 4, (F(1, 6), F(5, 2), F(-1, 3), F(3, 7))),
+        ("A", 3, (F(1, 2), F(1, 2), F(1, 2))),
+        ("A", 2, (F(1, 2), F(1, 3))),
+        ("A", 2, (0, 1)),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma", ORACLE_CONFIGS, ids=[f"{f}{r}-{i}" for i, (f, r, _) in enumerate(ORACLE_CONFIGS)]
+)
+def test_pairing_and_normalizer_match_zexpr_oracle(family, rank, gamma):
+    # On the form J the two routes give == results, or the same
+    # StructureError on non-palindromic A data; on 2J, -J, iJ, J^t and the
+    # identity they raise the same StructureError, or (J^t = J at odd k)
+    # agree again.
+    w = wronskian(nu_vector(make_config(family, rank, gamma)))
+    raised = {}
+    for name, j in _forms(w.k).items():
+        for new, old in [(pairing_matrix, _zexpr_pairing), (gram_schmidt_normalizer, _zexpr_gram_schmidt)]:
+            got = _outcome(new, w, j)
+            assert got == _outcome(old, w, j), (name, new.__name__)
+            raised[name, new.__name__] = isinstance(got, str)
+    palindromic = family != "A" or gamma == tuple(reversed(gamma))
+    assert raised["J", "gram_schmidt_normalizer"] == (not palindromic)
+    assert raised["Jt", "gram_schmidt_normalizer"] == (not palindromic or w.k % 2 == 0)
+    for name in ("2J", "-J", "iJ", "I"):
+        assert raised[name, "pairing_matrix"] and raised[name, "gram_schmidt_normalizer"]
+
+
+ZEXPR_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+    "scale_div", "conjugate",
+)
+
+TODA_CALLS = [
+    ("solve", "--family", "C", "--rank", "2", "--gamma", "1/2,1/3", "--coords", '{"c10": "1-i"}'),
+    ("verify", "--family", "A", "--rank", "3", "--gamma", "1/3,1/2,1/3", "--points", "5"),
+    ("verify", "--family", "C", "--rank", "2", "--gamma", "0,0", "--coords", '{"c30": "2i"}', "--points", "5"),
+    ("verify", "--family", "B", "--rank", "2", "--gamma", "-1/2,1/4", "--points", "5"),
+    ("minors", "--family", "B", "--rank", "2", "--count", "2"),
+    ("wsym", "--family", "C", "--rank", "3", "--gamma", "0,0,0"),
+    ("ngamma", "--family", "C", "--rank", "3", "--gamma", "-1/2,1/4,1"),
+    ("roots", "--family", "B", "--rank", "3"),
+    ("demo", "c3"),
+    ("demo", "b2"),
+]
+
+
+def test_no_zexpr_arithmetic_on_any_program_path(monkeypatch, capsys):
+    # With every ZExpr ring operation, scale_div and conjugate made to
+    # raise, the pairing and the normalizer still run on C2-C4 and B2-B3 at
+    # gamma 0 and at a fractional gamma, and so does one call of every toda
+    # subcommand.  No ZExpr view of the Wronskian is built on the way.
+    def refuse(*args):
+        raise AssertionError("ZExpr arithmetic ran")
+
+    for name in ZEXPR_ARITHMETIC:
+        monkeypatch.setattr(ZExpr, name, refuse)
+    with pytest.raises(AssertionError, match="ZExpr arithmetic ran"):
+        Z1 + Z1
+    wronskians = []
+    for family, rank in [("C", 2), ("C", 3), ("C", 4), ("B", 2), ("B", 3)]:
+        for gamma in [(0,) * rank, (F(1, 2), F(-1, 3), F(2, 5), F(3, 4))[:rank]]:
+            w = wronskian(nu_vector(make_config(family, rank, gamma)))
+            pairing_matrix(w, form_matrix(w.k))
+            gram_schmidt_normalizer(w, form_matrix(w.k))
+            wronskians.append(w)
+    for argv in TODA_CALLS:
+        assert main(list(argv)) == 0, argv
+        assert capsys.readouterr().err == "", argv
+    monkeypatch.undo()
+    assert all("entries" not in vars(w) for w in wronskians)

@@ -355,6 +355,41 @@ def test_duplicate_coordinate_slot_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "coords,key",
+    [
+        ('{"c10":"1","c10":"2"}', "c10"),
+        ('{"c10":"1","c30":"2","c10":"1"}', "c10"),
+        ('{"c10":{"re":"1","re":"2"}}', "re"),
+    ],
+    ids=["top", "same-value", "nested"],
+)
+@pytest.mark.parametrize("form", ["inline", "file"])
+def test_repeated_coords_key_exit_2(tmp_path, capsys, coords, key, form):
+    # json keeps the last of two equal keys; --coords refuses them at any
+    # depth, inline or from a file, and names the key.
+    if form == "file":
+        f = tmp_path / "coords.json"
+        f.write_text(coords)
+        coords = f"@{f}"
+    code, out, err = run(
+        capsys, "solve", "--family", "C", "--rank", "2", "--gamma", "0,0", "--coords", coords
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --coords repeats the key {key!r}\n"
+
+
+@pytest.mark.parametrize("name", ["c99", "c9_9"])
+def test_coords_not_a_free_slot_exit_2(capsys, name):
+    # The slot is named as lie.slot_name writes it, without KeyError's quotes.
+    code, out, err = run(
+        capsys, "solve", "--family", "C", "--rank", "2", "--gamma", "0,0",
+        "--coords", json.dumps({name: "1"}),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: c99 is not a free coordinate slot of C2\n"
+
+
+@pytest.mark.parametrize(
     "coords,message",
     [
         ("[1]", "coordinates must be a JSON object"),
@@ -533,7 +568,7 @@ def test_other_errors_still_exit_2(monkeypatch, capsys, error):
     monkeypatch.setattr(toda.cli, "cmd_roots", failing)
     code, _, err = run(capsys, "roots", "--family", "C", "--rank", "2")
     assert code == 2
-    assert err.startswith("error: ")
+    assert err == f"error: {error.args[0]}\n"
 
 
 def _call(capsys, argv):
