@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .config import TodaConfig
-from .exact import ExactScalar, Monomial, ZExpr, as_fraction
+from .exact import ExactScalar, Monomial, ZExpr, as_fraction, scale_to_ints
 from .groups import GroupElement
-from .linalg import det as generic_det
-from .linalg import transpose
+from .linalg import int_det
 
 
 class StructureError(AssertionError):
@@ -134,11 +133,11 @@ def wronskian(nu: NuVector) -> WronskianMatrix:
     so each entry is one Fraction of an integer falling factorial.  Entry
     (s, j) is a multiple of z^(beta_s - j), so
     det W = det[chi_s (beta_s)_j] z^(sum beta - k(k-1)/2), and the table's
-    determinant is det(cols) / (D_0 ... D_(k-1)).
+    determinant is det(cols) / (D_0 ... D_(k-1)), det(cols) taken by
+    fraction-free elimination (linalg.int_det).
     """
     k = nu.k
-    den = lcm(*(b.denominator for b in nu.beta))
-    exps = tuple(b.numerator * (den // b.denominator) for b in nu.beta)
+    den, exps = scale_to_ints(nu.beta)
     rows = []
     for c, b in zip(nu.chi, exps):
         row, falling = [], 1
@@ -146,15 +145,9 @@ def wronskian(nu: NuVector) -> WronskianMatrix:
             row.append(Fraction(c.numerator * falling, c.denominator * den**j))
             falling *= b - j * den
         rows.append(row)
-    col_dens = tuple(lcm(*(row[j].denominator for row in rows)) for j in range(k))
-    cols = tuple(
-        tuple(row[j].numerator * (dj // row[j].denominator) for row in rows)
-        for j, dj in enumerate(col_dens)
-    )
+    col_dens, cols = zip(*map(scale_to_ints, zip(*rows)))
     exponent = sum(nu.beta, Fraction(0)) - Fraction(k * (k - 1), 2)
-    # On the rows s: at integer beta the last column (beta_s)_(k-1) is mostly
-    # zero, and the Laplace expansion along it skips zeros.
-    d = Fraction(generic_det(transpose(cols), 0, 1), prod(col_dens))
+    d = Fraction(int_det(cols), prod(col_dens))
     if d != 1 or exponent != 0:
         raise StructureError(f"Wronskian determinant is {ZExpr.monomial(d, exponent)}, expected 1")
     return WronskianMatrix(den, exps, col_dens, cols, nu)

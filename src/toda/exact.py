@@ -4,16 +4,14 @@ An expression is a finite sum of terms ``c * z**a * zb**b`` where the
 coefficient ``c`` is a complex number with rational real and imaginary parts
 and the exponents ``a``, ``b`` are rationals (``zb`` stands for the complex
 conjugate of ``z``).  All ring operations and conjugation are exact;
-equality is structural.  The only floating-point path is one private
-routine: an expression is converted once into complex coefficients with
-indices into an exponent table (``_float_terms``, over exponents
-interned by ``_exponent_slot``), each point gets one table of
-principal-branch powers ``z**a`` on the cut plane ``C \\ (-inf, 0]``
-and their conjugates (``_power_table``), and ``_FloatTerms.value`` sums
-the terms.
-:meth:`ZExpr.evaluate` runs it on a single expression; the PDE check runs it
-on the integer forms of F_m and its derivatives with one power table per
-point.
+equality is structural.  The only floating-point path is two private
+functions: ``_power_table`` gives one point's principal-branch powers
+``z**a`` over an exponent table, with their conjugates, and applies the
+origin and branch-cut rules once for the whole table; ``_float_sum`` sums
+terms ``(complex c, index of a, index of b)`` as ``c * z**a * conj(z**b)``
+read from it.  :meth:`ZExpr.evaluate` runs them on a single expression; the
+PDE check runs them on the integer forms of F_m and its derivatives, with
+one power table per point.
 
 Terms are keyed by the exponent pair ``(a, b)``.  Normalization merges like
 terms, drops zero coefficients and sorts terms by exponent pair, so two
@@ -219,6 +217,12 @@ GAUSS_ONE = GaussInt(1)
 
 
 GaussRows = tuple[tuple[GaussInt, ...], ...]
+
+
+def scale_to_ints(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The pair (d, d*xs) of a rational vector: d is the lcm of its denominators."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
 def scale_to_gaussian(rows: Sequence[Sequence[ExactScalar]]) -> tuple[int, GaussRows]:
@@ -496,13 +500,13 @@ class ZExpr:
         Raises BranchCutError on the cut (-inf, 0] when a fractional
         exponent occurs, and OriginError at 0 with a negative exponent.
         """
-        z = complex(point)
         index: dict[Fraction, int] = {}
-        compiled = _float_terms(
-            (complex(t.coeff), _exponent_slot(t.exp_z, index), _exponent_slot(t.exp_zbar, index))
+        terms = [
+            (complex(t.coeff), index.setdefault(t.exp_z, len(index)),
+             index.setdefault(t.exp_zbar, len(index)))
             for t in self.terms
-        )
-        return compiled.value(z, _power_table(z, index))
+        ]
+        return _float_sum(terms, _power_table(complex(point), index))
 
     # -- comparison / display -----------------------------------------
 
@@ -539,99 +543,52 @@ _ZERO = ZExpr(())
 _ONE = ZExpr((Monomial(SCALAR_ONE),))
 
 
-@dataclass(frozen=True, slots=True)
-class _FloatTerms:
-    """Float form of a sum of terms c * z**a * zb**b over a shared exponent table.
-
-    Each term is (complex(c), index of a, index of b), in the order of the
-    exact terms it came from.  ``constant`` holds the coefficients of the
-    terms with a = b = 0; ``fractional`` and ``negative`` record whether
-    some exponent is not an integer or is below zero.
-    """
-
-    terms: tuple[tuple[complex, int, int], ...]
-    constant: tuple[complex, ...]
-    fractional: bool
-    negative: bool
-
-    def value(self, z: complex, table: PowerTable | None) -> complex:
-        """The sum at ``z`` from ``table = _power_table(z, exponents)``.
-
-        This is the one float evaluation path.  Each term is
-        ``(c * z**a) * conj(z**b)``, read from the powers and their
-        conjugates, summed in term order.  At the origin only the constant
-        terms count (OriginError if an exponent is negative); on the cut
-        (-inf, 0] a fractional exponent raises BranchCutError.
-        """
-        if z == 0:
-            if self.negative:
-                raise OriginError("negative exponent at the origin")
-            total = 0j
-            for c in self.constant:
-                total += c
-            return total
-        if z.imag == 0 and z.real < 0 and self.fractional:
-            raise BranchCutError(f"{z} lies on the branch cut")
-        powers, conj = table
-        total = 0j
-        for c, ia, ib in self.terms:
-            total += c * powers[ia] * conj[ib]
-        return total
-
-
-def _exponent_slot(e: Fraction, index: dict[Fraction, int]) -> tuple[int, bool, bool, bool]:
-    """(position of e in ``index``, e == 0, e not an integer, e < 0).
-
-    Interns e in ``index`` (exponent -> position), which several expressions
-    may share, so that one power table per point serves all of them.
-    """
-    return index.setdefault(e, len(index)), e == 0, e.denominator != 1, e < 0
-
-
-def _float_terms(terms: Iterable[tuple[complex, tuple, tuple]]) -> _FloatTerms:
-    """Collect terms (complex c, slot of a, slot of b) whose exact coefficients are nonzero.
-
-    Each slot comes from ``_exponent_slot``; its flags give the constant
-    terms and the ``fractional`` and ``negative`` marks.
-    """
-    out = []
-    constant = []
-    fractional = negative = False
-    for fc, (ia, zero_a, frac_a, neg_a), (ib, zero_b, frac_b, neg_b) in terms:
-        out.append((fc, ia, ib))
-        if zero_a and zero_b:
-            constant.append(fc)
-        fractional = fractional or frac_a or frac_b
-        negative = negative or neg_a or neg_b
-    return _FloatTerms(tuple(out), tuple(constant), fractional, negative)
-
-
-def _power_table(z: complex, exponents: Iterable[Fraction]) -> PowerTable | None:
+def _power_table(z: complex, exponents: Iterable[Fraction]) -> PowerTable:
     """(powers, conjugates): principal-branch z**a for each exponent a, in order,
-    and the conjugate of each; None at the origin.
+    and the conjugate of each.
 
-    Integer exponents use z**n, fractional ones exp(a * log z).  A power
-    out of float range (z**n raises ZeroDivisionError when z**|n|
-    underflows for n < 0, and OverflowError on overflow, as exp does) is
-    the non-finite NaN + NaN i, so a sum that reads it is not finite and a
-    check on it fails instead of raising.  Each power is conjugated once
-    here, for every sum that reads the table.
+    This is where the origin and branch-cut rules live, once per point.  At
+    z = 0, z**0 is 1 and z**a is 0 for a > 0; a negative exponent raises
+    OriginError.  Elsewhere on the cut (-inf, 0] a fractional exponent
+    raises BranchCutError.  Integer exponents use z**n, fractional ones
+    exp(a * log z).  A power out of float range (z**n raises
+    ZeroDivisionError when z**|n| underflows for n < 0, and OverflowError
+    on overflow, as exp does) is the non-finite NaN + NaN i, so a sum that
+    reads it is not finite and a check on it fails instead of raising.
+    Each power is conjugated once here, for every sum that reads the table.
     """
-    if z == 0:
-        return None
-    log = None
-    table = []
+    origin, log, table = z == 0, None, []
     for a in exponents:
+        if origin:
+            if a < 0:
+                raise OriginError("negative exponent at the origin")
+            table.append(0j if a else 1 + 0j)
+            continue
         try:
             if a.denominator == 1:
                 table.append(z ** a.numerator)
             else:
                 if log is None:
+                    if z.imag == 0 and z.real < 0:
+                        raise BranchCutError(f"{z} lies on the branch cut")
                     log = cmath.log(z)
                 table.append(cmath.exp(float(a) * log))
         except (ZeroDivisionError, OverflowError):
             table.append(_NONFINITE)
     return table, [p.conjugate() for p in table]
+
+
+def _float_sum(terms: Iterable[tuple[complex, int, int]], table: PowerTable) -> complex:
+    """The sum of c * z**a * conj(z**b) over the terms (c, index of a, index of b).
+
+    ``table`` is the point's _power_table over the exponents the indices
+    point into; the terms are summed in order.
+    """
+    powers, conj = table
+    total = 0j
+    for c, a, b in terms:
+        total += c * powers[a] * conj[b]
+    return total
 
 
 def _coerce_expr(x):

@@ -30,7 +30,7 @@ and unpack only a failing pair.  The membership test checks
 (dA)^t J (dA) = d^2 J on the Gaussian integers and det(dA) = d^k, once per
 element.
 
-The dense table keeps one plan of its dimension (_MinorPlan: the subsets
+Every dense table of one dimension shares one plan (_minor_plan: the subsets
 of each size, the position of each bit mask, the Laplace expansion lists
 and the position of each set's mirror iota(comp S)), read by its build and
 by the exhaustive minor-identity walk, which compares the level lists of
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -76,6 +76,7 @@ from .exact import (
     packing_modulus,
     scalar_over,
     scale_to_gaussian,
+    scale_to_ints,
     sqrt_fraction,
     unpack,
 )
@@ -300,7 +301,7 @@ def iota(s: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 class _MinorPlan:
-    """The index lists of every minor of a k x k matrix, built once per dense table.
+    """The index lists of every minor of a k x k matrix, built once per dimension (_minor_plan).
 
     Level m of a table lists the size-m subsets of range(k) in
     itertools.combinations order, ``sets[m]``; a set's place in that list
@@ -345,6 +346,12 @@ class _MinorPlan:
         ]
 
 
+@lru_cache(maxsize=None)
+def _minor_plan(k: int) -> _MinorPlan:
+    """The one plan of dimension k, shared by every dense table of that dimension; read only."""
+    return _MinorPlan(k)
+
+
 class _DenseMinorTable:
     """Every minor of a square matrix of ints mod n, built level by level.
 
@@ -354,7 +361,7 @@ class _DenseMinorTable:
     Laplace step along the last column of its column set over level m - 1,
     read by list position, skipping zero entries, and reduced to its
     balanced residue in (-n/2, n/2], so that a minor with small parts stays
-    a short int.  The plan (``plan``) is built once per table and read by
+    a short int.  The plan (``plan``), one per dimension, is read by
     the build and by the minor-identity walk, which compares the level
     lists by position.  Reads are those of linalg.MinorTable:
     table(rows, cols) over same-size 0-based index sets, which checks their
@@ -367,7 +374,7 @@ class _DenseMinorTable:
     __slots__ = ("plan", "levels")
 
     def __init__(self, rows: Sequence[Sequence[int]], modulus: int):
-        plan = _MinorPlan(len(rows))
+        plan = _minor_plan(len(rows))
         half = modulus >> 1
         columns = list(zip(*rows))
         levels = [[[1]]]
@@ -861,12 +868,6 @@ def random_paired_diagonal(k: int, rng: random.Random, bound: int) -> tuple[Frac
     return paired_diagonal(half, k)
 
 
-def _diagonal_form(diag: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, [d * x for x in diag]): the integer form of a rational diagonal, d the lcm."""
-    d = lcm(*(x.denominator for x in diag))
-    return d, [x.numerator * (d // x.denominator) for x in diag]
-
-
 def diagonal_element(diag: Sequence[Fraction]) -> GroupElement:
     """The diagonal matrix with int or Fraction entries ``diag``."""
     return scale_rows(diag, GroupElement.identity(len(diag)))
@@ -876,7 +877,7 @@ def scale_rows(diag: Sequence[Fraction], a: GroupElement) -> GroupElement:
     """diagonal_element(diag) @ a, as a scaling of the rows of a's integer form."""
     if len(diag) != a.dim:
         raise ValueError(f"dimension mismatch: {len(diag)} vs {a.dim}")
-    d, ints = _diagonal_form(diag)
+    d, ints = scale_to_ints(diag)
     return GroupElement(d * a.den, tuple(
         tuple(GaussInt(x.re * c, x.im * c) for x in row) for c, row in zip(ints, a.rows)
     ))
@@ -886,7 +887,7 @@ def scale_columns(a: GroupElement, diag: Sequence[Fraction]) -> GroupElement:
     """a @ diagonal_element(diag), as a scaling of the columns of a's integer form."""
     if len(diag) != a.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {len(diag)}")
-    d, ints = _diagonal_form(diag)
+    d, ints = scale_to_ints(diag)
     return GroupElement(d * a.den, tuple(
         tuple(GaussInt(x.re * c, x.im * c) for x, c in zip(row, ints)) for row in a.rows
     ))

@@ -1,16 +1,18 @@
 """Small generic matrix helpers over exact coefficient rings.
 
 Matrices are sequences of row sequences whose entries support +, -, * (and,
-for inversion, /).  Everything here works for ExactScalar, ZExpr and
-GaussInt entries (GaussInt: the stored rows of a group element); nothing
-is numeric.
+for inversion, /).  Everything here but int_det works for ExactScalar,
+ZExpr and GaussInt entries (GaussInt: the stored rows of a group element);
+nothing is numeric.  int_det, the determinant of an int matrix by
+fraction-free elimination, checks det W = 1 on the Wronskian's table.
 minor_table also runs on plain ints reduced mod a modulus: a group element
 of dim 8 or more keeps one such lazy table, holding each Gaussian integer
 a + b*i as the one int a + b*2^w, a balanced residue mod 2^(2w) + 1, with
 w wide enough by Hadamard's bound that every value it is read for is exact
 (exact.pack and exact.unpack).  Smaller elements, whose every minor is
 read, keep a dense table built in groups instead.
-mat_mul has no program caller; it serves the tests as an oracle of products.
+mat_mul and det have no program caller; they serve the tests as oracles of
+products and determinants.
 """
 
 from __future__ import annotations
@@ -138,6 +140,39 @@ def det(m: Matrix, zero: T, one: T) -> T:
     if any(len(row) != k for row in m):
         raise ValueError("determinant of a non-square matrix")
     return minor_table(m, zero, one)(range(k), range(k))
+
+
+def int_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square int matrix by fraction-free (Bareiss) elimination.
+
+    Step t sets a[i][j] = (a[i][j] a[t][t] - a[i][t] a[t][j]) / p for i, j > t,
+    p the pivot of step t - 1 (1 at t = 0); the division is exact, so every
+    entry stays an int, a minor of the input, and the last pivot is the
+    determinant.  A zero pivot is swapped with the first row below it with
+    a nonzero entry in its column, which flips the sign; if there is none
+    the determinant is 0.  O(k^3) int products, against the O(2^k k) of
+    det.  Raises ValueError on a non-square matrix; the 0x0 determinant is 1.
+    """
+    k = len(m)
+    if any(len(row) != k for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for t in range(k - 1):
+        if not a[t][t]:
+            swap = next((i for i in range(t + 1, k) if a[i][t]), None)
+            if swap is None:
+                return 0
+            a[t], a[swap] = a[swap], a[t]
+            sign = -sign
+        pivot_row = a[t]
+        pivot = pivot_row[t]
+        for row in a[t + 1:]:
+            f = row[t]
+            for j in range(t + 1, k):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if k else 1
 
 
 def invert_fraction_matrix(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:

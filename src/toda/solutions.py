@@ -9,50 +9,29 @@ system are
 
 where W is the Wronskian matrix of the holomorphic basis.  By Cauchy-Binet
 F_m = sum_R lambda_R^2 |g_R|^2, where g_R is the holomorphic minor of
-G = C W on the row set R and the first m columns.  Every F_m is a
-conjugation-invariant sum of monomials in z and conj(z).
-
-The sum runs on integers.  G is built once, straight from the integer
-forms of C and of W (basis.WronskianMatrix), as columns of term lists:
-entry (r, j) is the list of the terms (B beta_s, re, im) of
-sum_{s <= r} (dC)[r,s] D_j chi_s (beta_s)_j z^(B beta_s), with d the lcm
-of the denominators of C, B that of the beta, one integer denominator D_j
-per column, and the common factor z^(-m(m-1)/2) of the level-m minors
-applied once per level.  The g_R are built one level at a time: level m
-is a dict from each m-row set R to the minor of G on R and
-the columns 0..m-1, one Laplace step along column m-1 from level m-1,
-accumulated in one dict of (re, im) int pairs per minor, and level m-1 is
-dropped once level m is built, so assembly holds at most two levels of
-the minors of G.  For C/B the levels stop at k//2 and F_{k-m} is the same
-form as F_m; A builds every level.  The squared weights share one
-denominator Lambda.  F_m is accumulated as a Hermitian integer matrix over
-pairs of interned exponents, the pairs i <= j only, with the single
-denominator s_m^2 Lambda^m (s_m = d^m D_0 ... D_{m-1}), and kept on the
-bundle in that integer form (UnknownForm): the sorted exponents, the
-nonzero entries and the denominator, in lowest terms: equal unknowns have
-equal forms.  Every check and every report reads that one form.  The PDE
-check compiles each distinct form once (the mirror pairs of C/B share one)
-into complex terms of F and its derivatives, each coefficient rounded
-once, evaluated with one power table (and its conjugates) per point; a
-value out of float range makes its residual NaN, which fails.  The
-symmetry check is a modular certificate: at random points mod a fixed
-prime p, every F_m, assembled or mirrored, is compared with the leading
-minor of W(y)^t H W(x), one elimination giving them all, so the mirror
-symmetry is proved on each solution and every level is checked against
-its definition (false-pass bound deg/(p - 1) per trial).  F_1 is also
-checked against nu^dag H nu on integers, and its JSON records are written
-from its form (jsonio.form_to_json).  UnknownForm.expr and
-SolutionBundle.F, the ZExprs of the F_m, are API only: they are built on
-access, and no command reads them.
+G = C W on the row set R and the first m columns.  assemble runs that sum
+on integers and keeps each F_m in one integer form (UnknownForm), in
+lowest terms, which every check and every report reads.  For C/B only the
+levels m <= k//2 are built and F_{k-m} is the same object as F_m; each
+check reads each distinct form once (_distinct_forms).  UnknownForm.expr
+and SolutionBundle.F, the ZExprs of the F_m, are API only: they are built
+on access, and no command reads them.
 
 For the C and B families the first n unknowns carry the reduction back to
 the family's own system, with the exact power-of-two normalization for B.
-The verification operations certify every F_m, and with it the left/right
-symmetry of the F's, and check the monodromy conditions (algebraically on
-C and analytically on F_1), the numeric PDE residual at off-cut points,
-the integrability exponents at 0 and infinity, and the Cauchy-Euler
-characteristic data of the family, read from the indicial polynomial on
-Fractions.
+The checks: the symmetry certificate compares every F_m, assembled or
+mirrored, with the leading minor of W(y)^t H W(x) at random points mod a
+fixed prime p (false-pass bound deg/(p - 1) per trial), so the mirror
+symmetry is proved on each solution; the monodromy conditions,
+algebraically on C and analytically on F_1; the PDE residual at sample
+points, from float plans of the distinct forms summed by exact._float_sum
+over one exact._power_table per point, which alone applies the origin and
+branch-cut rules (a value out of float range makes its residual NaN,
+which fails); the integrability exponents at 0 and infinity; and the
+Cauchy-Euler characteristic data of the family, read from the indicial
+polynomial on Fractions.  F_1 is also checked against nu^dag H nu on
+integers, and its JSON records are written from its form
+(jsonio.form_to_json).
 """
 
 from __future__ import annotations
@@ -63,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product
-from math import factorial, gcd, lcm, nan, prod
+from math import factorial, gcd, nan, prod
 from operator import mul
 from typing import Sequence
 
@@ -73,13 +52,12 @@ from .exact import (
     ExactScalar,
     Monomial,
     ZExpr,
-    _exponent_slot,
     _NONFINITE,
-    _FloatTerms,
-    _float_terms,
+    _float_sum,
     _power_table,
     as_fraction,
     format_fraction,
+    scale_to_ints,
 )
 from .groups import (
     GroupElement,
@@ -258,9 +236,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     b = scale_rows(lams, c)
     h = b.conj_transpose() @ b
     g, scales = _holomorphic_matrix(w, c)
-    squares = [x * x for x in lams]
-    lam_den = lcm(*(q.denominator for q in squares))
-    lam_num = [q.numerator * (lam_den // q.denominator) for q in squares]
+    lam_den, lam_num = scale_to_ints([x * x for x in lams])
     k = config.k
     built = k - 1 if config.family == "A" else k // 2
     forms = []
@@ -405,6 +381,18 @@ def reduced_unknowns(config: TodaConfig) -> tuple[ReducedUnknown, ...] | None:
     return tuple(out)
 
 
+def _distinct_forms(forms: Sequence[UnknownForm]) -> tuple[list[UnknownForm], list[int]]:
+    """(distinct, slots): each form object once, in order, and forms[m] is distinct[slots[m]].
+
+    assemble makes the mirror F_(k-m) of C/B the same object as F_m, so a
+    C/B bundle has k//2 distinct forms and an A bundle k - 1.  The checks
+    evaluate each distinct form once and read each F_m through its slot.
+    """
+    index: dict[int, int] = {}
+    slots = [index.setdefault(id(form), len(index)) for form in forms]
+    return list({id(form): form for form in forms}.values()), slots
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
     passed: bool
@@ -461,12 +449,9 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     for dj in w.col_dens[: k - 1]:
         scale = scale * h.den * dj * dj % _P
         scales.append(scale)
-    # Each distinct form once, with its exponents as the ints B e: the
-    # mirrored forms of C/B are the assembled objects.
-    distinct = {
-        id(form): (form, [e.numerator * (w.den // e.denominator) for e in form.exponents])
-        for form in forms
-    }
+    distinct, slots = _distinct_forms(forms)
+    # The exponents of each distinct form as the ints B e.
+    exps = [[e.numerator * (w.den // e.denominator) for e in form.exponents] for form in distinct]
     rng = random.Random(_SEED)
     failures: set[int] = set()
     trials = 0
@@ -478,11 +463,11 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
         minors = _leading_minors(q)
         if minors is None:
             continue
-        values = {key: _form_value(form, exps, x, y) for key, (form, exps) in distinct.items()}
+        values = [_form_value(form, e, x, y) for form, e in zip(distinct, exps)]
         failures.update(
             m
-            for m, (form, minor, scale) in enumerate(zip(forms, minors, scales), start=1)
-            if (form.den * minor - scale * values[id(form)]) % _P
+            for m, (form, slot, minor, scale) in enumerate(zip(forms, slots, minors, scales), start=1)
+            if (form.den * minor - scale * values[slot]) % _P
         )
         trials += 1
         if trials == _TRIALS:
@@ -605,12 +590,9 @@ class CharacteristicData:
 def _indicial(shifts: Sequence[Fraction], a: Fraction) -> Fraction:
     # With D the lcm of the shift denominators and a = p/q, each factor is
     # (p D + (s_t - t) D q) / (q D): one product of ints, one Fraction.
-    d = lcm(*(s.denominator for s in shifts))
+    d, ints = scale_to_ints(shifts)
     p, q = a.numerator, a.denominator
-    return Fraction(
-        prod(p * d + (s.numerator * (d // s.denominator) - t * d) * q for t, s in enumerate(shifts)),
-        (q * d) ** len(shifts),
-    )
+    return Fraction(prod(p * d + (x - t * d) * q for t, x in enumerate(ints)), (q * d) ** len(ints))
 
 
 def characteristic_data(config: TodaConfig) -> CharacteristicData:
@@ -644,40 +626,43 @@ def characteristic_data(config: TodaConfig) -> CharacteristicData:
     return CharacteristicData(tuple(reversed(newton[: k - 1])), tuple(betas), shifts)
 
 
-def annulus_points(
-    count: int, seed: int = 7, rmin: float = 0.3, rmax: float = 3.0, sector: float = 0.2
-) -> tuple[complex, ...]:
+# The radii of the PDE sample points, and the angle of the sector around the cut they avoid.
+_RMIN, _RMAX, _SECTOR = 0.3, 3.0, 0.2
+
+
+def annulus_points(count: int, seed: int = 7) -> tuple[complex, ...]:
     """Deterministic off-cut sample points in an annulus avoiding the cut."""
     rng = random.Random(seed)
     pts = []
-    half = sector / 2.0
+    half = _SECTOR / 2.0
     for _ in range(count):
-        r = rng.uniform(rmin, rmax)
+        r = rng.uniform(_RMIN, _RMAX)
         theta = rng.uniform(-cmath.pi + half, cmath.pi - half)
         pts.append(r * cmath.exp(1j * theta))
     return tuple(pts)
 
 
-def _pde_plan(form: UnknownForm, index: dict[Fraction, int]) -> tuple[_FloatTerms, ...]:
+def _pde_plan(form: UnknownForm, index: dict[Fraction, int]) -> tuple[tuple, ...]:
     """Float terms of F, d_z F, d_zbar F and d_z d_zbar F from F's integer form.
 
     An entry (i, j, r, s) is the term c z^a zb^b with c = (r + i s)/den,
     a = e_i and b = e_j.  It gives c*a z^(a-1) zb^b, c*b z^a zb^(b-1) and
     c*a*b z^(a-1) zb^(b-1), in entry order, in one pass over the entries;
-    vanishing terms are skipped.  Each exponent and exponent - 1 is interned
-    in the shared ``index`` once.  Each coefficient is rounded once: each
-    part is one int / int division, which is correctly rounded, as is
-    float() of the reduced Fraction, so it is the float of the exact
-    coefficient bit for bit.
+    vanishing terms are skipped.  Each sum is a tuple of terms
+    (complex c, index of a, index of b) for exact._float_sum, indexing the
+    shared ``index``, in which each exponent and exponent - 1 is interned
+    once.  Each coefficient is rounded once: each part is one int / int
+    division, which is correctly rounded, as is float() of the reduced
+    Fraction, so it is the float of the exact coefficient bit for bit.
     """
     den = form.den
-    # (numerator, denominator, slot of e, slot of e - 1) per exponent e.
+    # (numerator, denominator, index of e, index of e - 1) per exponent e.
     exps = [
         (
             e.numerator,
             e.denominator,
-            _exponent_slot(e, index),
-            _exponent_slot(e - 1, index) if e else None,
+            index.setdefault(e, len(index)),
+            index.setdefault(e - 1, len(index)) if e else None,
         )
         for e in form.exponents
     ]
@@ -695,7 +680,7 @@ def _pde_plan(form: UnknownForm, index: dict[Fraction, int]) -> tuple[_FloatTerm
         if bn:
             q = den * bd
             fzb.append((complex(r * bn / q, s * bn / q), a0, b1))
-    return _float_terms(f), _float_terms(fz), _float_terms(fzb), _float_terms(fzzb)
+    return tuple(f), tuple(fz), tuple(fzb), tuple(fzzb)
 
 
 def _log_laplacian(f: complex, fz: complex, fzb: complex, fzzb: complex) -> complex:
@@ -725,13 +710,13 @@ def verify_pde(
 ) -> PdeReport:
     """Numeric residual of the coupled log-Laplacian equations at off-cut points.
 
-    Each distinct form (the forms are in lowest terms, so the mirror pairs
-    F_m = F_{k-m} of C/B are one) is compiled once per call into a float
-    plan (_pde_plan): the terms of F, d_z F, d_zbar F and d_z d_zbar F; no
-    ZExpr is built.  Each point gets one power table, with the conjugate of
-    each power, shared by all plans, each plan is evaluated once, and each
-    m reads F_m and the log-Laplacian d_z d_zbar log F_m from its form's
-    values into the point's table row.
+    Each distinct form (_distinct_forms: the mirror pairs F_m = F_{k-m} of
+    C/B are one) is compiled once per call into a float plan (_pde_plan):
+    the terms of F, d_z F, d_zbar F and d_z d_zbar F; no ZExpr is built.
+    Each point gets one power table, with the conjugate of each power,
+    shared by all plans, each plan is summed once (exact._float_sum), and
+    each m reads F_m and the log-Laplacian d_z d_zbar log F_m from its
+    form's values into the point's table row.
     One residual routine compares a log-Laplacian with its Cartan product
     in relative terms.  The A-side system
     d_z d_zbar log F_m = prod_j F_j^(-a_mj) is checked at every point as its
@@ -742,7 +727,9 @@ def verify_pde(
     huge point, or a reduced unknown with no real value) fails the check:
     it becomes the worst one unless an earlier one already is not finite.  A
     failure is reported, never raised: ``worst`` is its witness (m, z); the
-    only errors are OriginError and BranchCutError, from the point itself.
+    only errors are OriginError and BranchCutError, from the point's power
+    table: at the origin if any exponent of any plan is negative, and on
+    the cut if any is fractional.
     An empty point list raises ValueError, since it would pass vacuously.
     """
     config = bundle.config
@@ -750,9 +737,8 @@ def verify_pde(
     if not pts:
         raise ValueError("verify_pde needs at least one point")
     index: dict[Fraction, int] = {}
-    slots: dict[UnknownForm, int] = {}
-    order = [slots.setdefault(form, len(slots)) for form in bundle.forms]
-    plans = [_pde_plan(form, index) for form in slots]
+    distinct, slots = _distinct_forms(bundle.forms)
+    plans = [_pde_plan(form, index) for form in distinct]
     exponents = tuple(index)
     max_res, worst = 0.0, None
 
@@ -776,14 +762,13 @@ def verify_pde(
     amat = cartan(Algebra("A", config.k - 1)).matrix
     rows = []
     for z in pts:
-        zc = complex(z)
-        table = _power_table(zc, exponents)
-        fs = [plan[0].value(zc, table) for plan in plans]
+        table = _power_table(complex(z), exponents)
+        fs = [_float_sum(f, table) for f, _, _, _ in plans]
         laps = [
-            _log_laplacian(fv, fz.value(zc, table), fzb.value(zc, table), fzzb.value(zc, table))
+            _log_laplacian(fv, _float_sum(fz, table), _float_sum(fzb, table), _float_sum(fzzb, table))
             for fv, (_, fz, fzb, fzzb) in zip(fs, plans)
         ]
-        values, laps = [fs[s] for s in order], [laps[s] for s in order]
+        values, laps = [fs[s] for s in slots], [laps[s] for s in slots]
         for m, lap in enumerate(laps, start=1):
             residual(m, z, lap, values, amat[m - 1], 1.0 + 0.0j)
         rows.append((z, values, laps))
@@ -822,11 +807,9 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
     config = bundle.config
     k = config.k
     amat = cartan(Algebra("A", k - 1)).matrix
-    # Each distinct form once: the mirrored forms of C/B are the assembled objects.
-    distinct = {id(form): form for form in bundle.forms}
-    den = bundle.wronskian.den
-    ranges = {key: _degree_range(form, den) for key, form in distinct.items()}
-    mins, maxs = zip(*(ranges[id(form)] for form in bundle.forms))
+    distinct, slots = _distinct_forms(bundle.forms)
+    ranges = [_degree_range(form, bundle.wronskian.den) for form in distinct]
+    mins, maxs = zip(*(ranges[slot] for slot in slots))
     rows = []
     ok = True
     for m in range(1, k):

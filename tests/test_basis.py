@@ -21,7 +21,7 @@ from toda.cli import main
 from toda.exact import SCALAR_ONE, ExactScalar, ZExpr
 from toda.groups import GroupElement, form_matrix
 from toda.linalg import det as generic_det
-from toda.linalg import mat_mul, transpose
+from toda.linalg import int_det, mat_mul, transpose
 
 Z0, Z1 = ZExpr.zero(), ZExpr.one()
 
@@ -186,6 +186,18 @@ def test_wronskian_first_column_is_basis():
     nu = nu_vector(cfg)
     w = wronskian(nu)
     assert tuple(row[0] for row in w.entries) == nu.nu
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("C", 2), ("C", 3), ("C", 4), ("C", 5), ("B", 2), ("B", 3), ("B", 4)]
+)
+@pytest.mark.parametrize("gamma", [0, F(1, 3)], ids=["zero", "frac"])
+def test_int_det_of_the_wronskian_table(family, rank, gamma):
+    # The table's determinant is D_0 ... D_(k-1) (det W = 1), by elimination
+    # and by Laplace expansion, on the columns and on the rows.
+    w = wronskian(nu_vector(make_config(family, rank, [gamma] * rank)))
+    want = generic_det(transpose(w.cols), 0, 1)
+    assert int_det(w.cols) == int_det(transpose(w.cols)) == want == math.prod(w.col_dens)
 
 
 def test_column_minor_matches_generic_det():

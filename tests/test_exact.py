@@ -12,8 +12,7 @@ from toda.exact import (
     Monomial,
     OriginError,
     ZExpr,
-    _exponent_slot,
-    _float_terms,
+    _float_sum,
     _power_table,
     format_scalar,
     sqrt_fraction,
@@ -230,47 +229,49 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(_float_plans(), _plan_point)
 def test_float_routine_matches_the_term_by_term_oracle(plan, z):
-    # Two sums share one exponent index and one power table, as the PDE
-    # plans do; each value read through the table's conjugates equals the
-    # term-by-term sum of c * powers[a] * powers[b].conjugate() by repr, and
-    # the origin and branch-cut errors are raised by the same rules.  Each
-    # power in range is z**n or exp(a log z) bit for bit; one out of range
-    # (0 to a negative power, an overflow) is NaN + NaN i.
+    # Two sums read one power table, as the PDE plans do; each value read
+    # through the table's conjugates equals the term-by-term sum of
+    # c * z**a * conj(z**b) by repr.  The origin and branch-cut rules hold
+    # for the whole table, whichever exponents a sum reads: at 0 only the
+    # constant terms count and any negative exponent of the table raises,
+    # and on the cut any fractional one raises.  Each power in range is
+    # z**n or exp(a log z) bit for bit; one out of range (0 to a negative
+    # power, an overflow) is NaN + NaN i.
     exponents, *term_lists = plan
-    index = {}
-    sums = [
-        _float_terms(
-            (c, _exponent_slot(exponents[a], index), _exponent_slot(exponents[b], index))
-            for c, a, b in terms
-        )
-        for terms in term_lists
-    ]
-    table = _power_table(z, tuple(index))
-    for a, power in zip(index, table[0] if table else ()):
+
+    def power(a):
+        if z == 0:
+            return 0j if a else 1 + 0j
         try:
-            expected = z ** a.numerator if a.denominator == 1 else cmath.exp(float(a) * cmath.log(z))
+            return z ** a.numerator if a.denominator == 1 else cmath.exp(float(a) * cmath.log(z))
         except (ZeroDivisionError, OverflowError):
-            assert cmath.isnan(power.real) and cmath.isnan(power.imag)
-        else:
-            assert repr(power) == repr(expected)
+            return complex(cmath.nan, cmath.nan)
 
     def oracle(terms):
-        used = [exponents[x] for _, a, b in terms for x in (a, b)]
         if z == 0:
-            if any(e < 0 for e in used):
+            if any(e < 0 for e in exponents):
                 raise OriginError("negative exponent at the origin")
             total = 0j
             for c, a, b in terms:
                 if exponents[a] == 0 and exponents[b] == 0:
                     total += c
             return total
-        if z.imag == 0 and z.real < 0 and any(e.denominator != 1 for e in used):
+        if z.imag == 0 and z.real < 0 and any(e.denominator != 1 for e in exponents):
             raise BranchCutError(f"{z} lies on the branch cut")
-        powers = table[0]
         total = 0j
         for c, a, b in terms:
-            total += c * powers[index[exponents[a]]] * powers[index[exponents[b]]].conjugate()
+            total += c * power(exponents[a]) * power(exponents[b]).conjugate()
         return total
 
-    for compiled, terms in zip(sums, term_lists):
-        assert _outcome(compiled.value, z, table) == _outcome(oracle, terms)
+    def routine(terms):
+        return _float_sum(terms, _power_table(z, exponents))
+
+    try:
+        powers, conj = _power_table(z, exponents)
+    except (OriginError, BranchCutError):
+        pass  # the oracle raises it too, checked below
+    else:
+        assert [repr(p) for p in powers] == [repr(power(a)) for a in exponents]
+        assert [repr(p) for p in conj] == [repr(p.conjugate()) for p in powers]
+    for terms in term_lists:
+        assert _outcome(routine, terms) == _outcome(oracle, terms)

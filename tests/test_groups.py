@@ -59,7 +59,7 @@ from toda.groups import (
     unipotent_from_coords,
 )
 from toda.lie import Algebra, coordinate_map, delta_gamma
-from toda.linalg import det, mat_mul, minor_table
+from toda.linalg import det, int_det, mat_mul, minor_table
 
 
 def S(x):
@@ -452,6 +452,47 @@ def test_det_and_minor_table_edge_cases(zero, one, modulus):
     assert swap((0,), (0,)) == zero and swap((0,), (1,)) == one
 
 
+@st.composite
+def _int_matrices(draw):
+    # Dims 0..7 with many zero entries, so that zero pivots, row swaps and
+    # singular matrices occur; large entries too, so that the exact
+    # divisions of the elimination carry big ints.
+    k = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-10**12, 10**12))
+    return draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+@given(_int_matrices())
+@settings(max_examples=200, deadline=None)
+def test_int_det_matches_laplace_det(m):
+    assert int_det(m) == det(m, 0, 1)
+
+
+def test_int_det_swaps_and_singular_matrices():
+    cases = [
+        ([[0, 1], [1, 0]], -1),  # a swap at the first pivot
+        ([[0, 2, 1], [0, 1, 3], [4, 0, 0]], 20),  # a swap with the last row
+        ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], 1),  # a zero pivot made by elimination
+        ([[1, 2], [2, 4]], 0),  # a zero last pivot
+        ([[0, 1, 5], [0, 2, 6], [0, 3, 7]], 0),  # a zero column: no row to swap in
+        ([[7]], 7),
+        ([], 1),
+    ]
+    for m, want in cases:
+        assert int_det(m) == want == det(m, 0, 1)
+    rng = random.Random(3)
+    for k in range(2, 8):
+        rows = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k - 1)]
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        dependent = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+        for place in (0, k // 2, k - 1):
+            m = rows[:place] + [dependent] + rows[place:]
+            assert int_det(m) == 0 == det(m, 0, 1)
+    for bad in ([[1, 2]], [[1], [2, 3]]):
+        with pytest.raises(ValueError):
+            int_det(bad)
+
+
 def test_minor_table_is_freed_by_reference_counting():
     # A table must hold no reference cycle, or each one would wait for the
     # cyclic garbage collector.
@@ -797,6 +838,17 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
     w, rows = pack(g.den, g.rows)
     assert g._packed_minors[0] == w
     assert builds[0] == (rows, 0, 1, packing_modulus(w))
+
+
+def test_dense_tables_of_one_dimension_share_one_plan():
+    # The plan depends on the dimension only: it is built once per dimension.
+    c2 = [sample_group_element(Algebra("C", 2), seed=seed, bound=3) for seed in (0, 1)]
+    b2 = sample_group_element(Algebra("B", 2), seed=0, bound=3)
+    (_, first), (_, second), (_, other) = (g._packed_minors for g in c2 + [b2])
+    assert isinstance(first, _DenseMinorTable) and first.levels != second.levels
+    assert first.plan is second.plan
+    assert _DenseMinorTable(((1, 0, 0, 0),) * 4, 17).plan is first.plan
+    assert other.plan is not first.plan and len(other.plan.sets) == 6
 
 
 @pytest.mark.parametrize("family,tag", [("C", "Sp"), ("B", "SO")])

@@ -25,7 +25,7 @@ from conftest import (
 )
 from toda import Algebra, make_config
 from toda.basis import StructureError, column_minor, nu_vector, wronskian
-from toda.exact import BranchCutError, ExactScalar, Monomial, OriginError, ZExpr
+from toda.exact import BranchCutError, ExactScalar, Monomial, OriginError, ZExpr, _float_sum
 from toda.groups import (
     GroupElement,
     UnipotentCoords,
@@ -1290,11 +1290,12 @@ def _per_form_pde_reference(bundle, points, tol=1e-9):
     rows = []
     for z in points:
         powers = toda.solutions._power_table(z, exponents)
-        values = [plan[0].value(z, powers) for plan in plans]
+        values = [_float_sum(plan[0], powers) for plan in plans]
         laps = []
         for m, (fv, (_, fz, fzb, fzzb)) in enumerate(zip(values, plans), start=1):
             laps.append(
-                (fv * fzzb.value(z, powers) - fz.value(z, powers) * fzb.value(z, powers)) / (fv * fv)
+                (fv * _float_sum(fzzb, powers) - _float_sum(fz, powers) * _float_sum(fzb, powers))
+                / (fv * fv)
             )
             residual(m, z, laps[-1], values, amat[m - 1], 1.0 + 0.0j)
         rows.append((z, values, laps))
@@ -1413,7 +1414,7 @@ def test_plan_coefficient_is_the_rounded_exact_product(re, im, den, num, q):
     c = ExactScalar(F(re, den), F(im, den))
     plan = toda.solutions._pde_plan(UnknownForm((a,), ((0, 0, re, im),), den), {})
     want = [c, c * a, c * a, c * a * a] if num else [c]
-    got = [terms.terms[0][0] for terms in plan if terms.terms]
+    got = [terms[0][0] for terms in plan if terms]
     assert [repr(x) for x in got] == [repr(complex(w)) for w in want]
 
 
@@ -1428,14 +1429,21 @@ def test_plan_coefficient_is_the_rounded_exact_product(re, im, den, num, q):
 def test_float_routine_is_bit_identical_to_term_oracle(family, rank, gamma):
     # ZExpr.evaluate and the verify_pde plans share one routine; both must
     # reproduce the term-by-term oracle on F_m and its symbolic derivatives,
-    # at off-cut points, at the origin and on the cut.  The plans are built
-    # from the integer forms, the oracle reads the ZExprs.
+    # at off-cut points, at the origin and on the cut.  evaluate's power
+    # table holds the exponents of its own expression, a plan's table those
+    # of every plan, so the origin and cut rules of a plan read them all
+    # (_table_oracle).  The plans are built from the integer forms, the
+    # oracle reads the ZExprs.
     cfg = make_config(family, rank, gamma)
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
     points = annulus_points(6, seed=3) + (0j, complex(-1.5, 0.0), complex(-0.5, -0.0), 2 + 0j)
     index = {}
     plans = [toda.solutions._pde_plan(form, index) for form in b.forms]
-    tables = {z: toda.solutions._power_table(z, tuple(index)) for z in points}
+    exponents = tuple(index)
+
+    def plan_value(terms, z):
+        return _float_sum(terms, toda.solutions._power_table(z, exponents))
+
     seen = set()
     for f, plan in zip(b.F, plans):
         fz = diff_z(f)
@@ -1443,12 +1451,102 @@ def test_float_routine_is_bit_identical_to_term_oracle(family, rank, gamma):
             for z in points:
                 want = _outcome(_evaluate_oracle, expr, z)
                 assert _outcome(expr.evaluate, z) == want
-                assert _outcome(compiled.value, z, tables[z]) == want
+                assert _outcome(plan_value, compiled, z) == _outcome(_table_oracle, exponents, expr, z)
                 seen.add(want[0] if isinstance(want, tuple) else ("origin" if z == 0 else "value"))
     expected = {"value", "origin"} if all(x == 0 for x in gamma) else {"value", "BranchCutError"}
     assert expected <= seen
     if family == "B":
         assert "OriginError" in seen
+
+
+def _table_oracle(exponents, expr, point):
+    # _evaluate_oracle with the origin and cut rules applied to every exponent of a power table.
+    z = complex(point)
+    if z == 0:
+        if any(e < 0 for e in exponents):
+            raise OriginError("negative exponent at the origin")
+    elif z.imag == 0 and z.real < 0 and any(e.denominator != 1 for e in exponents):
+        raise BranchCutError(f"{z} lies on the branch cut")
+    return _evaluate_oracle(expr, z)
+
+
+# verify_pde(points=[z]) on one bundle per case, at the origin, on the cut
+# (both signs of a zero imaginary part) and off it: the reports, or the
+# error and its message, as the per-sum origin and cut rules gave them
+# before the power table applied them.
+_PDE_POINTS = (0j, complex(-1.5, 0.0), complex(-0.5, -0.0), 1 + 1j)
+_ORIGIN = ("OriginError", "negative exponent at the origin")
+_PINNED_PDE = [
+    (
+        "C", 2, (0, 0),
+        [
+            "PdeReport(passed=True, max_residual=2.4189800823721683e-15, worst=(2, 0j), "
+            "points_checked=1, reduced_checked=True)",
+            "PdeReport(passed=True, max_residual=2.528972668076676e-14, worst=(2, (-1.5+0j)), "
+            "points_checked=1, reduced_checked=True)",
+            "PdeReport(passed=True, max_residual=1.7097444711382493e-14, worst=(2, (-0.5-0j)), "
+            "points_checked=1, reduced_checked=True)",
+            "PdeReport(passed=True, max_residual=9.784105057944635e-15, worst=(2, (1+1j)), "
+            "points_checked=1, reduced_checked=True)",
+        ],
+    ),
+    (
+        "B", 2, (F(-1, 2), F(1, 4)),
+        [
+            _ORIGIN,
+            ("BranchCutError", "(-1.5+0j) lies on the branch cut"),
+            ("BranchCutError", "(-0.5-0j) lies on the branch cut"),
+            "PdeReport(passed=True, max_residual=2.651513094780057e-15, worst=(1, (1+1j)), "
+            "points_checked=1, reduced_checked=True)",
+        ],
+    ),
+    (
+        "A", 3, (F(1, 3), F(1, 2), F(1, 3)),
+        [
+            _ORIGIN,
+            ("BranchCutError", "(-1.5+0j) lies on the branch cut"),
+            ("BranchCutError", "(-0.5-0j) lies on the branch cut"),
+            "PdeReport(passed=True, max_residual=9.512573197594413e-16, worst=(2, (1+1j)), "
+            "points_checked=1, reduced_checked=False)",
+        ],
+    ),
+    (
+        "C", 3, (0, 0, 0),
+        [
+            "PdeReport(passed=True, max_residual=3.2836719131763e-15, worst=(2, 0j), "
+            "points_checked=1, reduced_checked=True)",
+            "PdeReport(passed=True, max_residual=3.2922248693722663e-15, worst=(3, (-1.5+0j)), "
+            "points_checked=1, reduced_checked=True)",
+            "PdeReport(passed=True, max_residual=1.4774203935281763e-14, worst=(3, (-0.5-0j)), "
+            "points_checked=1, reduced_checked=True)",
+            "PdeReport(passed=True, max_residual=8.381842573113766e-15, worst=(1, (1+1j)), "
+            "points_checked=1, reduced_checked=True)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma,outcomes", _PINNED_PDE, ids=[f"{f}{r}" for f, r, _, _ in _PINNED_PDE]
+)
+def test_pde_single_point_outcomes_are_pinned(family, rank, gamma, outcomes):
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=True))
+    assert [_outcome(verify_pde, b, [z]) for z in _PDE_POINTS] == outcomes
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("C", 2), ("C", 3), ("C", 4), ("B", 2), ("B", 3), ("A", 2), ("A", 3), ("A", 4)]
+)
+def test_distinct_forms_lists_each_form_once(family, rank):
+    # k//2 forms on C/B, whose mirror F_(k-m) is the object F_m, and k - 1 on A.
+    cfg = make_config(family, rank, [0] * rank)
+    b = assemble(cfg, random_params(cfg, random.Random(rank)))
+    distinct, slots = toda.solutions._distinct_forms(b.forms)
+    assert len(distinct) == (cfg.k - 1 if family == "A" else cfg.k // 2)
+    assert len({id(form) for form in distinct}) == len(distinct)
+    assert all(form is distinct[slot] for form, slot in zip(b.forms, slots))
+    assert slots[: len(distinct)] == list(range(len(distinct)))
 
 
 @pytest.mark.parametrize("family,slot", [("B", 1), ("C", 0)])
