@@ -176,16 +176,21 @@ def _form_products(w: WronskianMatrix, j: GroupElement, cols, dens) -> tuple[tup
     """
     if j.dim != w.k:
         raise ValueError("form dimension mismatch")
-    nonzero = [(r, s, x) for r, row in enumerate(j.rows) for s, x in enumerate(row) if x]
+    nonzero = [
+        (r, s, x, y)
+        for r, (re, im) in enumerate(zip(j.re, j.im))
+        for s, (x, y) in enumerate(zip(re, im))
+        if x or y
+    ]
 
     def entry(a: int, b: int) -> ZExpr:
         acc: dict[int, list] = {}
-        for r, s, x in nonzero:
+        for r, s, x, y in nonzero:
             c = cols[a][r] * cols[b][s]
             if c:
                 part = acc.setdefault(w.exps[r] + w.exps[s], [0, 0])
-                part[0] += c * x.re
-                part[1] += c * x.im
+                part[0] += c * x
+                part[1] += c * y
         d = dens[a] * dens[b] * j.den
         return ZExpr.from_terms(
             Monomial(ExactScalar(Fraction(re, d), Fraction(im, d)), Fraction(e, w.den) - a - b)
@@ -235,7 +240,7 @@ def gram_schmidt_normalizer(
     if any(w.exps[r] + w.exps[k - 1 - r] != (k - 1) * w.den for r in range(k)):
         raise StructureError("basis exponents are not palindromic")
     cols = [list(col) + [int(t == a) for a in range(k)] for t, col in enumerate(zip(*w.coeffs))]
-    signs = [1 if j.rows[r][k - 1 - r].re > 0 else -1 for r in range(k)]
+    signs = [1 if j.re[r][k - 1 - r] > 0 else -1 for r in range(k)]
 
     def pair(x: list[Fraction], y: list[Fraction]) -> Fraction:
         return sum(sign * x[r] * y[k - 1 - r] for r, sign in enumerate(signs))

@@ -2,9 +2,11 @@
 
 A TodaConfig derives everything downstream code needs from (family, rank,
 gamma): the ambient size k, the palindromic A-side weights, the shifted
-exponents mu, and both alpha vectors (the family's own and the ambient
-A-side one).  The cross-family relations between the two alpha vectors are
-verified exactly at construction time.
+exponents mu, both alpha vectors (the family's own and the ambient A-side
+one) and the differences of the A-side one, ``shifts``, read both as the
+monodromy exponents and as the Cauchy-Euler shifts.  The cross-family
+relations between the two alpha vectors are verified exactly at
+construction time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import as_fraction
-from .lie import Algebra, a_side_alpha, alpha_from_gamma, check_gamma, symmetrized_gamma
+from .lie import (
+    Algebra,
+    a_side_alpha,
+    alpha_differences,
+    alpha_from_gamma,
+    check_gamma,
+    symmetrized_gamma,
+)
 
 
 @dataclass(frozen=True)
@@ -27,6 +36,7 @@ class TodaConfig:
     mu_tilde: tuple[Fraction, ...] = field(init=False)
     alpha: tuple[Fraction, ...] = field(init=False)
     alpha_tilde: tuple[Fraction, ...] = field(init=False)
+    shifts: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
         g = check_gamma(self.algebra, self.gamma)
@@ -38,6 +48,7 @@ class TodaConfig:
         object.__setattr__(self, "alpha", alpha)
         at = a_side_alpha(gt)
         object.__setattr__(self, "alpha_tilde", at)
+        object.__setattr__(self, "shifts", alpha_differences(at))
         self._check_alpha_relations()
 
     def _check_alpha_relations(self):

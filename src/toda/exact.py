@@ -16,6 +16,11 @@ one power table per point.
 Terms are keyed by the exponent pair ``(a, b)``.  Normalization merges like
 terms, drops zero coefficients and sorts terms by exponent pair, so two
 expressions are equal iff their term tuples are equal.
+
+Also here: the integer form (d, re, im) of a matrix A of ExactScalars,
+d*A = re + i*im with re and im int matrices (scale_to_gaussian, the stored
+form of a group element), and its packing into one int per entry for the
+minor tables of group elements (pack, unpack).
 """
 
 from __future__ import annotations
@@ -168,55 +173,8 @@ SCALAR_ZERO = ExactScalar()
 SCALAR_ONE = ExactScalar(Fraction(1))
 
 
-class GaussInt:
-    """Gaussian integer re + im*i with plain int parts.
-
-    The lean entry ring of integer kernels: a scaled matrix d*A of
-    ExactScalars has GaussInt entries, and its ring operations cost no gcd.
-    Only +, -, *, equality and truthiness are defined; results go back to
-    ExactScalar at the boundary.  The minor tables of group elements go one
-    step further and hold each Gaussian integer as one packed int; see pack.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int = 0):
-        self.re = re
-        self.im = im
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def __add__(self, other: GaussInt) -> GaussInt:
-        return GaussInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussInt) -> GaussInt:
-        return GaussInt(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: GaussInt) -> GaussInt:
-        return GaussInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussInt):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __repr__(self) -> str:
-        return f"GaussInt({self.re}, {self.im})"
-
-
-GAUSS_ZERO = GaussInt(0)
-GAUSS_ONE = GaussInt(1)
-
-
-GaussRows = tuple[tuple[GaussInt, ...], ...]
+# A matrix of ints as a tuple of rows: the real or the imaginary part of an integer form.
+IntRows = tuple[tuple[int, ...], ...]
 
 
 def scale_to_ints(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -225,54 +183,49 @@ def scale_to_ints(xs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return d, tuple(x.numerator * (d // x.denominator) for x in xs)
 
 
-def scale_to_gaussian(rows: Sequence[Sequence[ExactScalar]]) -> tuple[int, GaussRows]:
-    """The pair (d, d*rows): d is the lcm of every entry denominator.
+def scale_to_gaussian(rows: Sequence[Sequence[ExactScalar]]) -> tuple[int, IntRows, IntRows]:
+    """The integer form (d, re, im) of a matrix: d*rows = re + i*im, d the lcm of every denominator.
 
-    The scaled rows have GaussInt entries; a minor of size m of the original
-    matrix is the same minor of the scaled one divided by d**m.
+    re and im are int matrices; a minor of size m of the original matrix is
+    the same minor of re + i*im divided by d**m.
     """
     d = lcm(*(x.denominator for row in rows for s in row for x in (s.re, s.im)))
-    return d, tuple(
-        tuple(
-            GaussInt(s.re.numerator * (d // s.re.denominator),
-                     s.im.numerator * (d // s.im.denominator))
-            for s in row
-        )
-        for row in rows
-    )
+    re = tuple(tuple(s.re.numerator * (d // s.re.denominator) for s in row) for row in rows)
+    im = tuple(tuple(s.im.numerator * (d // s.im.denominator) for s in row) for row in rows)
+    return d, re, im
 
 
-def scalar_over(value: GaussInt, den: int) -> ExactScalar:
-    """The ExactScalar value / den of a Gaussian integer and a positive int."""
-    return ExactScalar(Fraction(value.re, den), Fraction(value.im, den))
+def scalar_over(re: int, im: int, den: int) -> ExactScalar:
+    """The ExactScalar (re + im*i) / den of two ints and a positive int."""
+    return ExactScalar(Fraction(re, den), Fraction(im, den))
 
 
-def pack(d: int, rows: GaussRows) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(w, packed rows): each entry a + b*i of the integer form (d, rows) as one int.
+def pack(d: int, re: IntRows, im: IntRows) -> tuple[int, IntRows]:
+    """(w, packed rows): each entry a + b*i of the integer form (d, re + i*im) as one int.
 
     The map a + b*i -> a + b*2^w is a ring homomorphism from the Gaussian
     integers to Z/n, n = 2^(2w) + 1, since (2^w)^2 = -1 mod n; packed
     entries are its balanced residues, in (-n/2, n/2], so that an entry or
     a minor with small parts stays a short int.  The width comes from
-    Hadamard's inequality: a size-m minor M of the k x k matrix rows has
-    |M| <= prod r_i over its m rows, where the length r_i of row i is below
-    isqrt(sum_j |rows[i][j]|^2) + 1.  So
-    H = prod_i max(d, isqrt(sum_j |rows[i][j]|^2) + 1) bounds |re| and |im|
-    of d^(k-m) * M, the factor d standing in for each row left out.  That
-    covers the determinant, every minor, both sides d^(k-m) * M and
-    d^m * M' of a minor identity, and both sides d^(k-1) * rows[s][t] and
-    d * (size k-1 minor) of the minor classification.  With
-    w = H.bit_length() + 2, a difference of two such values has parts
-    below 2^(w-1) in absolute value: it is 0 mod n only if it is 0, and
-    unpack recovers any of them from its residue.  An entry's parts are at
-    most its row's length, so at most H < 2^(w-2): a + b*2^w is below
-    2^(2w-1) < n/2 in absolute value, its own balanced residue.
+    Hadamard's inequality: a size-m minor M of the k x k matrix re + i*im
+    has |M| <= prod r_i over its m rows, where the length r_i of row i is
+    below isqrt(sum_j re[i][j]^2 + im[i][j]^2) + 1.  So
+    H = prod_i max(d, isqrt(sum_j re[i][j]^2 + im[i][j]^2) + 1) bounds |re|
+    and |im| of d^(k-m) * M, the factor d standing in for each row left
+    out.  That covers the determinant, every minor, both sides
+    d^(k-m) * M and d^m * M' of a minor identity, and both sides
+    d^(k-1) * (an entry) and d * (size k-1 minor) of the minor
+    classification.  With w = H.bit_length() + 2, a difference of two such
+    values has parts below 2^(w-1) in absolute value: it is 0 mod n only if
+    it is 0, and unpack recovers any of them from its residue.  An entry's
+    parts are at most its row's length, so at most H < 2^(w-2): a + b*2^w
+    is below 2^(2w-1) < n/2 in absolute value, its own balanced residue.
     """
     h = 1
-    for row in rows:
-        h *= max(d, isqrt(sum(x.re * x.re + x.im * x.im for x in row)) + 1)
+    for a, b in zip(re, im):
+        h *= max(d, isqrt(sum(x * x for x in a) + sum(y * y for y in b)) + 1)
     w = h.bit_length() + 2
-    return w, tuple(tuple(x.re + (x.im << w) for x in row) for row in rows)
+    return w, tuple(tuple(x + (y << w) for x, y in zip(a, b)) for a, b in zip(re, im))
 
 
 def packing_modulus(w: int) -> int:
@@ -280,8 +233,8 @@ def packing_modulus(w: int) -> int:
     return (1 << 2 * w) + 1
 
 
-def unpack(v: int, w: int) -> GaussInt:
-    """The Gaussian integer a + b*i, |a|, |b| < 2^(w-1), whose packed residue is v.
+def unpack(v: int, w: int) -> tuple[int, int]:
+    """The parts (a, b) of the Gaussian integer a + b*i, |a|, |b| < 2^(w-1), packed as v.
 
     Takes the balanced residue of v mod n = 2^(2w) + 1, in (-n/2, n/2], and
     splits it as a + b*2^w with a in [-2^(w-1), 2^(w-1)); see pack.  v may
@@ -293,7 +246,7 @@ def unpack(v: int, w: int) -> GaussInt:
     if v > n >> 1:
         v -= n
     im = (v + (1 << (w - 1))) >> w
-    return GaussInt(v - (im << w), im)
+    return v - (im << w), im
 
 
 def _coerce_scalar(x):

@@ -5,16 +5,16 @@ it is skew for even k and symmetric for odd k, with J^-1 = (-1)^(k-1) J.
 A matrix A belongs to the group when A^t J A = J and det A = 1; the even
 case is the symplectic group, the odd case the special orthogonal group.
 
-A GroupElement stores only its integer form: the pair (den, rows) =
-(d, d*A), with d the lcm of the entry denominators and Gaussian-integer
-entries, kept in lowest terms.  Products, membership, determinants and
-minors run on it; the ExactScalar entries are built only when read.  A
-product is (d_a*d_b, (d_a A)(d_b B)), reduced by the gcd of its parts.
-Each element caches one minor table over d*A (_integer_minors, the single
-minor getter), built on first use and shared by the membership test, det,
-minor, all_minors, classify_by_minors, ul_cholesky and the minor-identity
-check.  Up to dim _EXHAUSTIVE_DIM = 7, where the identity check reads every
-minor, it is one dense table of all of them, built level by level
+A GroupElement stores only its integer form: the triple (den, re, im),
+with d*A = re + i*im for two int matrices re and im and d the lcm of the
+entry denominators, kept in lowest terms.  Products, membership,
+determinants and minors run on it; the ExactScalar entries are built only
+when read.  A product is (d_a*d_b, (d_a A)(d_b B)), reduced by the gcd of
+its parts.  Each element caches one minor table over d*A (_packed_minors),
+built on first use and shared by the membership test, det, minor,
+all_minors, classify_by_minors, ul_cholesky and the minor-identity check.
+Up to dim _EXHAUSTIVE_DIM = 7, where the identity check reads every minor,
+it is one dense table of all of them, built level by level
 (_DenseMinorTable); beyond, where the check reads a sample, it is the lazy
 memo of linalg.minor_table, which computes only the minors read.  The table
 is over packed rows: each Gaussian integer a + b*i is the one int
@@ -27,7 +27,7 @@ if it is 0, and exact.unpack recovers a minor from its residue.  A minor is
 unpacked and converted to ExactScalar only when returned (divided by d^m
 for size m); the identity check and classify_by_minors compare residues
 and unpack only a failing pair.  The membership test checks
-(dA)^t J (dA) = d^2 J on the Gaussian integers and det(dA) = d^k, once per
+(dA)^t J (dA) = d^2 J on the int parts and det(dA) = d^k, once per
 element.
 
 Every dense table of one dimension shares one plan (_minor_plan: the subsets
@@ -65,10 +65,7 @@ from typing import Iterable, Mapping, Sequence
 from .exact import (
     CheckFailed,
     ExactScalar,
-    GAUSS_ONE,
-    GAUSS_ZERO,
-    GaussInt,
-    GaussRows,
+    IntRows,
     SCALAR_ONE,
     SCALAR_ZERO,
     as_fraction,
@@ -126,31 +123,31 @@ MatrixRows = tuple[tuple[ExactScalar, ...], ...]
 class GroupElement:
     """Square matrix A over the Gaussian rationals, stored as its integer form.
 
-    ``rows`` is d*A with GaussInt entries and ``den`` is d > 0.  Construction
-    divides den and every part by their gcd, so d is the lcm of the entry
-    denominators, (den, rows) is what exact.scale_to_gaussian returns for A,
-    and elements are equal (and hash the same) iff their matrices are.
-    ``rows`` is a tuple of tuples.  The ExactScalar rows ``entries`` are
-    built only when read.
+    ``re`` and ``im`` are int matrices with d*A = re + i*im, and ``den`` is
+    d > 0.  Construction stores both as tuples of int tuples and divides den
+    and every entry by their gcd, so d is the lcm of the entry denominators,
+    (den, re, im) is what exact.scale_to_gaussian returns for A, and
+    elements are equal (and hash the same) iff their matrices are.  The
+    ExactScalar rows ``entries`` are built only when read.
     """
 
     den: int
-    rows: GaussRows
+    re: IntRows
+    im: IntRows
 
     def __post_init__(self):
-        k = len(self.rows)
-        if any(len(row) != k for row in self.rows):
+        k = len(self.re)
+        if len(self.im) != k or any(len(row) != k for part in (self.re, self.im) for row in part):
             raise ValueError("matrix must be square")
         if self.den <= 0:
             raise ValueError("denominator must be positive")
-        g = gcd(self.den, *(x for row in self.rows for e in row for x in (e.re, e.im)))
-        if g > 1:
-            rows = tuple(tuple(GaussInt(e.re // g, e.im // g) for e in row) for row in self.rows)
-            object.__setattr__(self, "rows", rows)
-            object.__setattr__(self, "den", self.den // g)
-
-    def __hash__(self) -> int:
-        return hash((self.den, tuple((e.re, e.im) for row in self.rows for e in row)))
+        g = gcd(self.den, *(x for part in (self.re, self.im) for row in part for x in row))
+        for name in ("re", "im"):
+            rows = getattr(self, name)
+            if g > 1:
+                rows = [[x // g for x in row] for row in rows]
+            object.__setattr__(self, name, tuple(map(tuple, rows)))
+        object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> GroupElement:
@@ -162,17 +159,19 @@ class GroupElement:
 
     @staticmethod
     def identity(k: int) -> GroupElement:
-        return GroupElement(1, identity_rows(k, GAUSS_ZERO, GAUSS_ONE))
+        return GroupElement(1, identity_rows(k, 0, 1), ((0,) * k,) * k)
 
     @cached_property
     def entries(self) -> MatrixRows:
         """The matrix A as ExactScalar rows, built on first read."""
         den = self.den
-        return tuple(tuple(scalar_over(x, den) for x in row) for row in self.rows)
+        return tuple(
+            tuple(scalar_over(x, y, den) for x, y in zip(a, b)) for a, b in zip(self.re, self.im)
+        )
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.re)
 
     def __getitem__(self, ij: tuple[int, int]) -> ExactScalar:
         return self.entries[ij[0]][ij[1]]
@@ -180,19 +179,32 @@ class GroupElement:
     def __matmul__(self, other: GroupElement) -> GroupElement:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GroupElement(self.den * other.den, _gauss_product(self.rows, other.rows))
+        return GroupElement(self.den * other.den, *_gauss_product(self, other))
 
     def transpose(self) -> GroupElement:
-        return GroupElement(self.den, transpose(self.rows))
+        return GroupElement(self.den, transpose(self.re), transpose(self.im))
 
     def conj_transpose(self) -> GroupElement:
-        conj = tuple(tuple(GaussInt(x.re, -x.im) for x in row) for row in self.rows)
-        return GroupElement(self.den, transpose(conj))
+        conj = [[-y for y in col] for col in zip(*self.im)]
+        return GroupElement(self.den, transpose(self.re), conj)
 
     @cached_property
     def _packed_minors(self):
-        """(w, table): the one minor table of d*A, packed at width w; see _integer_minors."""
-        w, rows = pack(self.den, self.rows)
+        """(w, table): the one minor table of d*A, packed at width w (exact.pack).
+
+        table(rows, cols), over same-size 0-based sets that are not
+        validated, or table.mask(rmask, cmask) over their bit masks, is the
+        balanced residue, in (-n/2, n/2], of the packed Gaussian integer
+        minor(dA; rows, cols) = d^|rows| * minor(A; rows, cols) mod
+        n = 2^(2w) + 1; unpack(value, w) gives it back exactly.  By
+        Hadamard's bound (exact.pack), d^(k-m) times any size-m minor has
+        parts of at most H < 2^(w-2), so a difference of two such products
+        is 0 iff it is 0 mod n.  For k <= _EXHAUSTIVE_DIM the table is a
+        _DenseMinorTable of all C(2k, k) minors, whose plan and level lists
+        the exhaustive identity walk reads by position, else a lazy
+        linalg.minor_table.
+        """
+        w, rows = pack(self.den, self.re, self.im)
         n = packing_modulus(w)
         if self.dim <= _EXHAUSTIVE_DIM:
             return w, _DenseMinorTable(rows, n)
@@ -201,67 +213,69 @@ class GroupElement:
     @cached_property
     def _in_group(self) -> bool:
         """Verdict of is_in_group, computed once per element."""
-        return _preserves_form(self.den, self.rows) and self.det() == SCALAR_ONE
+        return _preserves_form(self) and self.det() == SCALAR_ONE
 
     def det(self) -> ExactScalar:
-        d, w, table = _integer_minors(self)
+        w, table = self._packed_minors
         full = (1 << self.dim) - 1
-        return scalar_over(unpack(table.mask(full, full), w), d ** self.dim)
+        return scalar_over(*unpack(table.mask(full, full), w), self.den ** self.dim)
 
     def is_hermitian(self) -> bool:
         return self.conj_transpose() == self
 
 
-def _gauss_product(a: GaussRows, b: GaussRows) -> GaussRows:
-    """The product a @ b of two Gaussian-integer matrices, summed on int parts.
+def _gauss_product(a: GroupElement, b: GroupElement) -> tuple[list[list[int]], list[list[int]]]:
+    """(re, im) of the product of the integer forms of a and b, summed on int parts.
 
     The zero entries of each row of a are skipped.
     """
-    cols = [[(x.re, x.im) for x in col] for col in zip(*b)]
-    out = []
-    for row in a:
-        terms = [(r, x.re, x.im) for r, x in enumerate(row) if x]
-        out_row = []
+    cols = [list(zip(c, e)) for c, e in zip(zip(*b.re), zip(*b.im))]
+    re_out, im_out = [], []
+    for re_row, im_row in zip(a.re, a.im):
+        terms = [(r, p, q) for r, (p, q) in enumerate(zip(re_row, im_row)) if p or q]
+        re_part, im_part = [], []
         for col in cols:
             re = im = 0
             for r, p, q in terms:
                 c, e = col[r]
                 re += p * c - q * e
                 im += p * e + q * c
-            out_row.append(GaussInt(re, im))
-        out.append(tuple(out_row))
-    return tuple(out)
+            re_part.append(re)
+            im_part.append(im)
+        re_out.append(re_part)
+        im_out.append(im_part)
+    return re_out, im_out
 
 
 def form_matrix(k: int) -> GroupElement:
     """The secondary-diagonal form J_k with alternating signs."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    signs = (GAUSS_ONE, GaussInt(-1))
-    return GroupElement(1, tuple(
-        tuple(signs[i % 2] if i + j == k - 1 else GAUSS_ZERO for j in range(k)) for i in range(k)
-    ))
+    return GroupElement(1, [
+        [(-1) ** i if i + j == k - 1 else 0 for j in range(k)] for i in range(k)
+    ], ((0,) * k,) * k)
 
 
 def expected_tag(k: int) -> str:
     return "Sp" if k % 2 == 0 else "SO"
 
 
-def _preserves_form(d: int, scaled: GaussRows) -> bool:
-    """(dA)^t J (dA) == d^2 J on the integer form (d, dA), i.e. A^t J A = J.
+def _preserves_form(g: GroupElement) -> bool:
+    """(dA)^t J (dA) == d^2 J on the integer form (d, dA) of g, i.e. A^t J A = J.
 
     Both sides are J-symmetric, M^t = (-1)^(k-1) M, since J^t = (-1)^(k-1) J;
     so the entries p <= q decide.  Sums run on int parts, skipping the zero
     entries of column p.
     """
-    k = len(scaled)
+    k, d = g.dim, g.den
+    rows = [list(zip(a, b)) for a, b in zip(g.re, g.im)]
     # Row r of J (dA) is (-1)^r times row k-1-r of dA.
     flipped = [
-        [(x.re, x.im) if r % 2 == 0 else (-x.re, -x.im) for x in scaled[k - 1 - r]]
+        rows[k - 1 - r] if r % 2 == 0 else [(-x, -y) for x, y in rows[k - 1 - r]]
         for r in range(k)
     ]
     for p in range(k):
-        column = [(r, x.re, x.im) for r in range(k) if (x := scaled[r][p])]
+        column = [(r, a, b) for r, (a, b) in enumerate(row[p] for row in rows) if a or b]
         for q in range(p, k):
             re = im = 0
             for r, a, b in column:
@@ -414,37 +428,17 @@ class _DenseMinorTable:
         return self.levels[cmask.bit_count()][pos[cmask]][pos[rmask]]
 
 
-def _integer_minors(a: GroupElement):
-    """(d, w, table): the element's cached minor table over its stored form (d, dA).
-
-    table(rows, cols), over same-size 0-based sets that are not validated,
-    or table.mask(rmask, cmask) over their bit masks, is the balanced
-    residue, in (-n/2, n/2], of the packed Gaussian integer
-    minor(dA; rows, cols) = d^|rows| * minor(A; rows, cols) mod
-    n = 2^(2w) + 1; unpack(value, w) gives it back exactly.  By
-    Hadamard's bound (exact.pack), d^(k-m) times any size-m minor has parts
-    of at most H < 2^(w-2), so a difference of two such products is 0 iff
-    it is 0 mod n.  Every minor of a group element is read through this one
-    getter, from one table built on first use and kept with the element:
-    for k <= _EXHAUSTIVE_DIM a _DenseMinorTable of all C(2k, k) minors,
-    whose plan and level lists the exhaustive identity walk reads by
-    position, else a lazy linalg.minor_table.  Both read the same way
-    through table(rows, cols) and table.mask.
-    """
-    w, table = a._packed_minors
-    return a.den, w, table
-
-
 def _minor_lookup(a: GroupElement):
     """Minors of A as ExactScalars, by same-size 0-based row and column sets.
 
-    Wraps _integer_minors: a lookup unpacks and converts only the minor it
-    returns, as minor(A; S, T) = minor(dA; S, T) / d^|S|.
+    Reads the element's cached table (_packed_minors): a lookup unpacks and
+    converts only the minor it returns, as minor(A; S, T) = minor(dA; S, T) / d^|S|.
     """
-    d, w, table = _integer_minors(a)
+    d = a.den
+    w, table = a._packed_minors
 
     def lookup(rows: Sequence[int], cols: Sequence[int]) -> ExactScalar:
-        return scalar_over(unpack(table(rows, cols), w), d ** len(rows))
+        return scalar_over(*unpack(table(rows, cols), w), d ** len(rows))
 
     return lookup
 
@@ -521,7 +515,7 @@ def _mask_indices(x: int, k: int) -> tuple[int, ...]:
 
 def _violation(s, t, v1: int, v2: int, w: int, low: int, high: int) -> IdentityViolation:
     """The failure at (S, T): v1, v2 are the residues of d^m A[S,T] and d^(k-m) A[S',T']."""
-    lhs, rhs = scalar_over(unpack(v1, w), low), scalar_over(unpack(v2, w), high)
+    lhs, rhs = scalar_over(*unpack(v1, w), low), scalar_over(*unpack(v2, w), high)
     return IdentityViolation(s, t, lhs, rhs)
 
 
@@ -530,7 +524,7 @@ def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
 
     Exhaustive for dim <= _EXHAUSTIVE_DIM, else 2000 pairs drawn from
     per-size lists of mask pairs (see _identity_pairs).  Both walks read the
-    element's cached packed minor table (see _integer_minors): with S', T'
+    element's cached packed minor table (see _packed_minors): with S', T'
     the mirrors, v1 and v2 the balanced residues of d^m A[S,T] and
     d^(k-m) A[S',T'] for |S| = m, the pair holds iff
     (v1 * d^(k-m) - v2 * d^m) % n == 0, n = 2^(2w) + 1.  Both products
@@ -555,7 +549,8 @@ def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
         raise ValueError("input is not exactly symplectic/orthogonal")
     k = a.dim
     tag = expected_tag(k)
-    d, w, table = _integer_minors(a)
+    d = a.den
+    w, table = a._packed_minors
     n = packing_modulus(w)
     powers = [d ** j for j in range(k + 1)]
     if k > _EXHAUSTIVE_DIM:
@@ -592,7 +587,7 @@ def classify_by_minors(a: GroupElement) -> str | None:
 
     Tests a[s][t] == minor over (complement of iota(s), complement of iota(t))
     for all 1 <= s, t <= k, reading the determinant and every such minor from
-    the element's cached packed minor table (see _integer_minors; up to
+    the element's cached packed minor table (see _packed_minors; up to
     _EXHAUSTIVE_DIM the dense one, already built by the membership test):
     with (d, dA) its integer form,
     (d^(k-1) (dA)[s][t] - d * minor(dA)) % n == 0, n = 2^(2w) + 1.  The
@@ -604,7 +599,8 @@ def classify_by_minors(a: GroupElement) -> str | None:
     k = a.dim
     if a.det() != SCALAR_ONE:
         raise ValueError("classification requires det A = 1")
-    d, w, table = _integer_minors(a)
+    d = a.den
+    w, table = a._packed_minors
     n = packing_modulus(w)
     read = table.mask
     full = (1 << k) - 1
@@ -785,14 +781,13 @@ def unipotent_from_coords(algebra: Algebra, coords: UnipotentCoords) -> GroupEle
                 raise ArithmeticError(f"constraint for entry ({i},{j}) is not an exact division")
     top = k - 1
     # Entries above the diagonal are 0 (their power index would pass top).
-    g = GroupElement(powers[top], tuple(
-        tuple(
-            GaussInt(x * powers[top - i + j], y * powers[top - i + j]) if j <= i else GAUSS_ZERO
-            for j, (x, y) in enumerate(zip(re_row, im_row))
-        )
-        for i, (re_row, im_row) in enumerate(zip(re, im))
-    ))
-    if algebra.family != "A" and not _preserves_form(g.den, g.rows):
+    re, im = (
+        [[x * powers[top - i + j] if j <= i else 0 for j, x in enumerate(row)]
+         for i, row in enumerate(part)]
+        for part in (re, im)
+    )
+    g = GroupElement(powers[top], re, im)
+    if algebra.family != "A" and not _preserves_form(g):
         raise ArithmeticError("constraint solver produced a non-group element")
     return g
 
@@ -878,9 +873,8 @@ def scale_rows(diag: Sequence[Fraction], a: GroupElement) -> GroupElement:
     if len(diag) != a.dim:
         raise ValueError(f"dimension mismatch: {len(diag)} vs {a.dim}")
     d, ints = scale_to_ints(diag)
-    return GroupElement(d * a.den, tuple(
-        tuple(GaussInt(x.re * c, x.im * c) for x in row) for c, row in zip(ints, a.rows)
-    ))
+    re, im = ([[x * c for x in row] for c, row in zip(ints, part)] for part in (a.re, a.im))
+    return GroupElement(d * a.den, re, im)
 
 
 def scale_columns(a: GroupElement, diag: Sequence[Fraction]) -> GroupElement:
@@ -888,9 +882,8 @@ def scale_columns(a: GroupElement, diag: Sequence[Fraction]) -> GroupElement:
     if len(diag) != a.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {len(diag)}")
     d, ints = scale_to_ints(diag)
-    return GroupElement(d * a.den, tuple(
-        tuple(GaussInt(x.re * c, x.im * c) for x, c in zip(row, ints)) for row in a.rows
-    ))
+    re, im = ([[x * c for x, c in zip(row, ints)] for row in part] for part in (a.re, a.im))
+    return GroupElement(d * a.den, re, im)
 
 
 def sample_group_element(algebra: Algebra, seed: int, bound: int = 3) -> GroupElement:

@@ -269,16 +269,20 @@ class MonodromyElement:
         return (self.exponents[i] - self.exponents[j]).denominator == 1
 
 
+def alpha_differences(alpha_tilde: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The k differences (at1, at2-at1, ..., -at_{k-1}) of (0, alpha_tilde, 0).
+
+    They are both the monodromy exponents and the shifts of the factors of
+    the Cauchy-Euler operator; TodaConfig.shifts holds them once per config.
+    They telescope: their sum is 0.
+    """
+    padded = (Fraction(0), *alpha_tilde, Fraction(0))
+    return tuple(b - a for a, b in zip(padded, padded[1:]))
+
+
 def monodromy_element(algebra: Algebra, gamma: Sequence) -> MonodromyElement:
-    """Exponent vector (at1, at2-at1, ..., -at_{k-1}) over the A-side alphas."""
-    gt = symmetrized_gamma(algebra, gamma)
-    at = a_side_alpha(gt)
-    k = algebra.k
-    padded = (Fraction(0),) + at + (Fraction(0),)
-    exps = tuple(padded[i + 1] - padded[i] for i in range(k))
-    if sum(exps) != 0:
-        raise ArithmeticError("monodromy exponents must sum to zero")
-    return MonodromyElement(exps)
+    """Exponent vector alpha_differences over the A-side alphas of gamma."""
+    return MonodromyElement(alpha_differences(a_side_alpha(symmetrized_gamma(algebra, gamma))))
 
 
 def format_root_table(algebra: Algebra, gamma: Sequence) -> list[dict]:

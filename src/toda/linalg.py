@@ -1,16 +1,16 @@
 """Small generic matrix helpers over exact coefficient rings.
 
 Matrices are sequences of row sequences whose entries support +, -, * (and,
-for inversion, /).  Everything here but int_det works for ExactScalar,
-ZExpr and GaussInt entries (GaussInt: the stored rows of a group element);
-nothing is numeric.  int_det, the determinant of an int matrix by
-fraction-free elimination, checks det W = 1 on the Wronskian's table.
-minor_table also runs on plain ints reduced mod a modulus: a group element
-of dim 8 or more keeps one such lazy table, holding each Gaussian integer
-a + b*i as the one int a + b*2^w, a balanced residue mod 2^(2w) + 1, with
-w wide enough by Hadamard's bound that every value it is read for is exact
-(exact.pack and exact.unpack).  Smaller elements, whose every minor is
-read, keep a dense table built in groups instead.
+for inversion, /).  Everything here but int_det works for ExactScalar, ZExpr
+and int entries; nothing is numeric.  int_det, the determinant of an int
+matrix by fraction-free elimination, checks det W = 1 on the Wronskian's
+table.  minor_table also runs on ints reduced mod a modulus: a group
+element of dim 8 or more keeps one such lazy table over its integer form
+d*A = re + i*im, holding each entry a + b*i as the one int a + b*2^w, a
+balanced residue mod 2^(2w) + 1, with w wide enough by Hadamard's bound
+that every value it is read for is exact (exact.pack and exact.unpack).
+Smaller elements, whose every minor is read, keep a dense table built in
+groups instead.
 mat_mul and det have no program caller; they serve the tests as oracles of
 products and determinants.
 """
@@ -48,8 +48,8 @@ def mat_mul(a: Matrix, b: Matrix, zero: T) -> tuple[tuple, ...]:
 def minor_table(m: Matrix, zero: T, one: T, modulus: int = 0) -> MinorTable:
     """Memoized minors of `m`, looked up by same-size 0-based row and column sets.
 
-    Entries may be ExactScalar, ZExpr, GaussInt (Gaussian integers, whose
-    ring operations cost no gcd) or, with a nonzero `modulus`, plain ints.
+    Entries may be ExactScalar, ZExpr or ints; with a nonzero `modulus`,
+    ints reduced mod it.
     Each minor is the Laplace expansion along its last column over minors
     one size smaller, computed on first read and once per table; falsy
     (zero) entries are skipped.  A full determinant costs O(2^k * k) ring
@@ -65,8 +65,8 @@ def minor_table(m: Matrix, zero: T, one: T, modulus: int = 0) -> MinorTable:
     lookups.
 
     `modulus` is internal to groups: the tables of its elements of dim 8 or
-    more hold packed Gaussian integers, ints mod n = 2^(2w) + 1
-    (exact.pack), and pass n.  Each minor is then reduced once, when
+    more hold the packed entries of d*A = re + i*im, ints mod
+    n = 2^(2w) + 1 (exact.pack), and pass n.  Each minor is then reduced once, when
     stored, to its balanced residue in (-n/2, n/2], so stored minors do not
     grow with their size and a minor with small parts stays a short int;
     the width w makes every value read back exact (exact.unpack).  With the

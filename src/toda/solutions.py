@@ -66,7 +66,7 @@ from .groups import (
     scale_rows,
     unipotent_from_coords,
 )
-from .lie import Algebra, cartan, monodromy_element, slot_name
+from .lie import Algebra, MonodromyElement, cartan, slot_name
 
 __all__ = [
     "SolutionParams",
@@ -269,7 +269,10 @@ def _holomorphic_matrix(w: WronskianMatrix, c: GroupElement):
     """
     k, d = w.k, c.den
     g = [
-        [[(b, x.re * a, x.im * a) for x, a, b in zip(row, col, w.exps) if x and a] for row in c.rows]
+        [
+            [(b, x * a, y * a) for x, y, a, b in zip(re, im, col, w.exps) if (x or y) and a]
+            for re, im in zip(c.re, c.im)
+        ]
         for col in w.cols[: k - 1]
     ]
     scales = [d**m * prod(w.col_dens[:m]) for m in range(k)]
@@ -350,14 +353,14 @@ def _unknown_matrix(level: dict, lam_num: Sequence[int]):
 def _check_first_unknown(f1: UnknownForm, nu: NuVector, h: GroupElement) -> None:
     # F_1 = nu^dag H nu: entry H_ab carries conj(nu_a) nu_b = chi_a chi_b zb^beta_a z^beta_b,
     # so on exponents beta, entry (b, a) of F_1 is chi_a chi_b (dH)_ab / d.
-    d, dh = h.den, h.rows
+    d = h.den
     terms = {(i, j): (re, im) for i, j, re, im in f1.entries}
     same = f1.exponents == nu.beta
     for a, b in product(range(nu.k), repeat=2):
-        c, x = nu.chi[a] * nu.chi[b], dh[a][b]
+        c = nu.chi[a] * nu.chi[b]
         re, im = terms.get((b, a), (0, 0))
         scale, num = d * c.denominator, f1.den * c.numerator
-        same = same and re * scale == num * x.re and im * scale == num * x.im
+        same = same and re * scale == num * h.re[a][b] and im * scale == num * h.im[a][b]
     if not same:
         raise StructureError("principal-minor F_1 disagrees with nu^dag H nu")
 
@@ -443,7 +446,7 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     """
     k, forms = bundle.k, bundle.forms
     w, h = bundle.wronskian, bundle.H
-    hp = [[(x.re + x.im * _I_P) % _P for x in row] for row in h.rows]
+    hp = [[(x + y * _I_P) % _P for x, y in zip(re, im)] for re, im in zip(h.re, h.im)]
     # scales[m - 1] = d^m (D_0 ... D_(m-1))^2 mod p.
     scales, scale = [], 1
     for dj in w.col_dens[: k - 1]:
@@ -545,14 +548,14 @@ def verify_monodromy(bundle: SolutionBundle) -> MonodromyReport:
     raised: the offending slots and terms are the report's witnesses.
     """
     config = bundle.config
-    mono = monodromy_element(config.algebra, config.gamma)
+    mono = MonodromyElement(config.shifts)
     c = bundle.C
     k = config.k
     alg_offenders = tuple(
         (i, j)
         for i in range(k)
         for j in range(i)
-        if c.rows[i][j] and not mono.fixes_slot(i, j)
+        if (c.re[i][j] or c.im[i][j]) and not mono.fixes_slot(i, j)
     )
     f1 = bundle.forms[0]
     e = f1.exponents
@@ -598,16 +601,15 @@ def _indicial(shifts: Sequence[Fraction], a: Fraction) -> Fraction:
 def characteristic_data(config: TodaConfig) -> CharacteristicData:
     """The indicial polynomial of the family's Cauchy-Euler operator, on Fractions.
 
-    The factor shifts are the successive differences s_t = at[t] - at[t-1] of
-    the A-side alphas at, padded with 0 on both ends.  The falling-factorial
-    coefficients of P are Newton's forward differences Delta^n P(0) / n! of
-    P(0..k).  Two invariants raise StructureError: the coefficient of
-    (a)_(k-1) vanishes (the shifts telescope), and P vanishes on every
-    basis exponent beta_i, built from the partial sums of mu_tilde instead.
+    The factor shifts are config.shifts, the successive differences
+    s_t = at[t] - at[t-1] of the A-side alphas at, padded with 0 on both
+    ends (lie.alpha_differences).  The falling-factorial coefficients of P
+    are Newton's forward differences Delta^n P(0) / n! of P(0..k).  Two
+    invariants raise StructureError: the coefficient of (a)_(k-1) vanishes
+    (the shifts telescope), and P vanishes on every basis exponent beta_i,
+    built from the partial sums of mu_tilde instead.
     """
-    k = config.k
-    padded = (Fraction(0),) + tuple(config.alpha_tilde) + (Fraction(0),)
-    shifts = tuple(padded[t + 1] - padded[t] for t in range(k))
+    k, shifts = config.k, config.shifts
     values = [_indicial(shifts, Fraction(a)) for a in range(k + 1)]
     newton = []
     for n in range(k + 1):

@@ -17,6 +17,47 @@ from toda.groups import (
 from toda.lie import Algebra, coordinate_map, delta_gamma
 
 
+class GaussInt:
+    """Gaussian integer re + im*i with int parts: the oracle ring of integer minor tables.
+
+    Only +, -, *, equality and truthiness, what linalg.minor_table and
+    linalg.det use; a minor over it needs no modulus and no gcd.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int = 0):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __add__(self, other):
+        return GaussInt(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return GaussInt(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return GaussInt(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GaussInt) and (self.re, self.im) == (other.re, other.im)
+
+    def __repr__(self) -> str:
+        return f"GaussInt({self.re}, {self.im})"
+
+
+GAUSS_ZERO = GaussInt(0)
+GAUSS_ONE = GaussInt(1)
+
+
+def gauss_rows(g: GroupElement) -> tuple[tuple[GaussInt, ...], ...]:
+    """The integer form re + i*im of a group element as a matrix of GaussInts."""
+    return tuple(tuple(map(GaussInt, a, b)) for a, b in zip(g.re, g.im))
+
+
 def zbar_pow(exp) -> ZExpr:
     """The monomial conj(z)^exp."""
     return ZExpr.monomial(1, 0, exp)

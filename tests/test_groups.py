@@ -10,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_unipotent_from_coords, sample_positive_hermitian
-from toda.exact import (
+from conftest import (
     GAUSS_ONE,
     GAUSS_ZERO,
-    ExactScalar,
     GaussInt,
+    fraction_unipotent_from_coords,
+    gauss_rows,
+    sample_positive_hermitian,
+)
+from toda.exact import (
+    ExactScalar,
     NotASquareError,
     SCALAR_ONE,
     SCALAR_ZERO,
@@ -54,6 +58,8 @@ from toda.groups import (
     _identity_pairs,
     restrict_to_ngamma,
     sample_group_element,
+    scale_columns,
+    scale_rows,
     split_diagonal_unipotent,
     ul_cholesky,
     unipotent_from_coords,
@@ -67,10 +73,10 @@ def S(x):
 
 
 def _assert_integer_form(g):
-    """g stores (den, rows) in lowest terms: what scale_to_gaussian returns for its entries."""
-    parts = [x for row in g.rows for e in row for x in (e.re, e.im)]
+    """g stores (den, re, im) in lowest terms: what scale_to_gaussian returns for its entries."""
+    parts = [x for rows in (g.re, g.im) for row in rows for x in row]
     assert g.den > 0 and math.gcd(g.den, *parts) == 1
-    assert (g.den, g.rows) == scale_to_gaussian(g.entries)
+    assert (g.den, g.re, g.im) == scale_to_gaussian(g.entries)
     rebuilt = GroupElement.from_rows(g.entries)
     assert rebuilt == g and hash(rebuilt) == hash(g)
 
@@ -279,9 +285,9 @@ def test_integer_kernel_mixed_denominators():
             [F(-1), 0, ExactScalar(F(0), F(-3)), ExactScalar(F(11, 15), F(1, 2))],
         ]
     )
-    d, scaled = scale_to_gaussian(g.entries)
+    d, re, im = scale_to_gaussian(g.entries)
     assert d == 2520
-    assert scaled[1][0].re == 0 and scaled[1][0].im == -252 and scaled[0][1].is_zero
+    assert (re[1][0], im[1][0]) == (0, -252) and (re[0][1], im[0][1]) == (0, 0)
     full = (1, 2, 3, 4)
     assert g.det() == _fraction_det(g, full, full) == _laplace_det(g.entries)
     for (s, t), value in all_minors(g).items():
@@ -310,13 +316,12 @@ def _assert_packed_minors_match_gauss_table(g):
     # Oracle: the same minors over GaussInt entries, a ring with no modulus,
     # divided by d^m for size m.
     k = g.dim
-    d, scaled = scale_to_gaussian(g.entries)
-    oracle = minor_table(scaled, GAUSS_ZERO, GAUSS_ONE)
+    oracle = minor_table(gauss_rows(g), GAUSS_ZERO, GAUSS_ONE)
     table = all_minors(g)
     assert len(table) == math.comb(2 * k, k)
     for (s, t), value in table.items():
-        rows, cols = [i - 1 for i in s], [j - 1 for j in t]
-        assert value == scalar_over(oracle(rows, cols), d ** len(s))
+        want = oracle([i - 1 for i in s], [j - 1 for j in t])
+        assert value == scalar_over(want.re, want.im, g.den ** len(s))
     assert g.det() == table[tuple(range(1, k + 1)), tuple(range(1, k + 1))]
 
 
@@ -362,7 +367,7 @@ def test_packing_is_exact_on_hadamard_tight_matrices():
         ([[one_plus_i * x for x in row] for row in h8], S(65536), 21),
     ):
         g = GroupElement.from_rows(rows)
-        assert pack(g.den, g.rows)[0] == width
+        assert pack(g.den, g.re, g.im)[0] == width
         assert g.det() == want
         _assert_packed_minors_match_gauss_table(g)
 
@@ -372,12 +377,12 @@ def test_packed_compare_is_exact_at_the_bound():
     # differ by up to 2H, below 2^(w-1): unpack reads them back, and none is
     # 0 mod n unless it is 0.
     h = 6561  # Hadamard's H for H8: 3^8
-    w, _ = pack(1, tuple(tuple(GaussInt(x) for x in row) for row in _sylvester(8)))
+    w, _ = pack(1, _sylvester(8), [[0] * 8] * 8)
     n = packing_modulus(w)
     for re in (-2 * h, -h, -1, 0, 1, h, 2 * h):
         for im in (-2 * h, -1, 0, 1, 2 * h):
             packed = (re + (im << w)) % n
-            assert unpack(packed, w) == GaussInt(re, im)
+            assert unpack(packed, w) == (re, im)
             assert bool(packed) == bool(re or im)
 
 
@@ -408,7 +413,7 @@ def test_check_minor_identity_rescales_once(monkeypatch):
 
     g = sample_group_element(Algebra("C", 4), seed=0, bound=3)
     monkeypatch.setattr(toda.groups, "scale_to_gaussian", counting)
-    rep = check_minor_identity(GroupElement(g.den, g.rows))
+    rep = check_minor_identity(GroupElement(g.den, g.re, g.im))
     assert not rep.exhaustive and rep.pairs_checked == 2000
     # The element is stored in integer form: the check never rescales.
     assert len(calls) == 0
@@ -576,14 +581,14 @@ def _assert_dense_table_matches_lazy(rows, modulus):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_minor_table_matches_lazy_table_on_samples(family, rank, seed):
     g = sample_group_element(Algebra(family, rank), seed=seed, bound=3)
-    w, rows = pack(g.den, g.rows)
+    w, rows = pack(g.den, g.re, g.im)
     _assert_dense_table_matches_lazy(rows, packing_modulus(w))
 
 
 @pytest.mark.parametrize("k", range(1, _EXHAUSTIVE_DIM + 1))
 def test_dense_minor_table_matches_lazy_table_on_the_identity(k):
     e = GroupElement.identity(k)
-    w, rows = pack(e.den, e.rows)
+    w, rows = pack(e.den, e.re, e.im)
     _assert_dense_table_matches_lazy(rows, packing_modulus(w))
 
 
@@ -600,7 +605,7 @@ def _sparse_integer_matrices(draw):
 @given(_sparse_integer_matrices())
 @settings(max_examples=30, deadline=None)
 def test_dense_minor_table_matches_lazy_table_with_zero_entries(g):
-    w, rows = pack(g.den, g.rows)
+    w, rows = pack(g.den, g.re, g.im)
     _assert_dense_table_matches_lazy(rows, packing_modulus(w))
 
 
@@ -835,7 +840,7 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
     assert classify_by_minors(g) == "Sp"
     assert g.det() == SCALAR_ONE
     assert len(builds) == 1
-    w, rows = pack(g.den, g.rows)
+    w, rows = pack(g.den, g.re, g.im)
     assert g._packed_minors[0] == w
     assert builds[0] == (rows, 0, 1, packing_modulus(w))
 
@@ -881,7 +886,7 @@ def test_exhaustive_dims_build_one_dense_minor_table(monkeypatch, family, tag):
     assert g.det() == SCALAR_ONE
     assert is_in_group(g)
     assert len(dense_builds) == 1 and lazy_builds == []
-    w, rows = pack(g.den, g.rows)
+    w, rows = pack(g.den, g.re, g.im)
     assert g._packed_minors[0] == w
     assert dense_builds[0] == (rows, packing_modulus(w))
 
@@ -1251,24 +1256,67 @@ def test_unipotent_solver_stores_lowest_terms_at_fractional_coords(family, rank)
         assert (delta ** (alg.k - 1)) % c.den == 0
         assert c.entries == fraction_unipotent_from_coords(alg, coords).entries
     b1 = unipotent_from_coords(Algebra("B", 1), UnipotentCoords(Algebra("B", 1), {(1, 0): S(1)}))
-    assert b1.den == 2 and b1.rows[2][0] == GaussInt(1)
+    assert b1.den == 2 and (b1.re[2][0], b1.im[2][0]) == (1, 0)
+
+
+def _assert_int_tuples(g):
+    for part in (g.re, g.im):
+        assert type(part) is tuple and len(part) == g.dim
+        for row in part:
+            assert type(row) is tuple and all(type(x) is int for x in row)
 
 
 def test_group_element_construction_guards():
-    row = (GAUSS_ONE, GAUSS_ZERO)
+    one, zero = (1, 0), (0, 0)
     with pytest.raises(ValueError, match="positive"):
-        GroupElement(0, (row, row[::-1]))
+        GroupElement(0, (one, one[::-1]), (zero, zero))
     with pytest.raises(ValueError, match="positive"):
-        GroupElement(-1, (row, row[::-1]))
+        GroupElement(-1, (one, one[::-1]), (zero, zero))
     with pytest.raises(ValueError, match="square"):
-        GroupElement(1, (row,))
+        GroupElement(1, (one,), (zero,))
+    with pytest.raises(ValueError, match="square"):
+        GroupElement(1, (one, one), (zero,))
+    with pytest.raises(ValueError, match="square"):
+        GroupElement(1, (one, (1,)), (zero, zero))
     with pytest.raises(ValueError, match="square"):
         GroupElement.from_rows([[1, 2], [3]])
-    # Construction divides den and every part by their gcd.
-    g = GroupElement(6, ((GaussInt(2), GaussInt(0, 4)), (GAUSS_ZERO, GaussInt(6))))
-    assert g.den == 3 and g.rows == ((GaussInt(1), GaussInt(0, 2)), (GAUSS_ZERO, GaussInt(3)))
+    # Construction divides den and every entry by their gcd, and stores tuples.
+    g = GroupElement(6, [[2, 0], [0, 6]], [[0, 4], [0, 0]])
+    assert (g.den, g.re, g.im) == (3, ((1, 0), (0, 3)), ((0, 2), (0, 0)))
+    _assert_int_tuples(g)
     assert g == GroupElement.from_rows([[F(1, 3), ExactScalar(F(0), F(2, 3))], [0, 1]])
-    assert len({g, GroupElement(3, g.rows), GroupElement.identity(2)}) == 2
+    assert len({g, GroupElement(3, g.re, g.im), GroupElement.identity(2)}) == 2
+
+
+def test_equal_matrices_compare_and_hash_equal_whatever_the_constructor():
+    g = sample_group_element(Algebra("C", 2), seed=0, bound=3)
+    lam = [F(2, 3), F(1, 5), F(5), F(3, 2)]
+    scaled = scale_rows(lam, GroupElement.identity(4)) @ g
+    rows = [[x for x in row] for row in g.entries]
+    built = [
+        GroupElement.from_rows(rows),
+        GroupElement.from_rows(g.entries),
+        GroupElement(g.den, [list(row) for row in g.re], [list(row) for row in g.im]),
+        GroupElement(5 * g.den, [[5 * x for x in row] for row in g.re], [[5 * y for y in row] for row in g.im]),
+        g.transpose().transpose(),
+        g.conj_transpose().conj_transpose(),
+        GroupElement.identity(4) @ g,
+        g @ GroupElement.identity(4),
+        scale_rows([1] * 4, g),
+        scale_columns(g, [1] * 4),
+        scale_rows([1 / x for x in lam], scaled),
+        diagonal_element([1 / x for x in lam]) @ scaled,
+    ]
+    c2 = Algebra("C", 2)
+    solved = unipotent_from_coords(c2, random_coords(c2, random.Random(0), 3))
+    others = [g, scaled, solved, g.transpose(), g.conj_transpose(), g @ g, form_matrix(4)]
+    for x in built + others:
+        _assert_int_tuples(x)
+    for x in built:
+        assert x == g and hash(x) == hash(g)
+        assert x.entries == g.entries
+    assert len(set(built)) == 1
+    assert scaled != g
 
 
 def test_group_checks_never_build_entries():

@@ -396,7 +396,7 @@ def test_holomorphic_columns_are_the_scaled_product(family, rank, gamma, restric
     b = assemble(cfg, random_params(cfg, random.Random(rank), restrict=restrict))
     w, k = b.wronskian, cfg.k
     g_matrix, scales = toda.solutions._holomorphic_matrix(w, b.C)
-    dc = [[ZExpr.const(ExactScalar(F(x.re), F(x.im))) for x in row] for row in b.C.rows]
+    dc = [[ZExpr.const(ExactScalar(F(x), F(y))) for x, y in zip(*rows)] for rows in zip(b.C.re, b.C.im)]
     wd = [
         [ZExpr.monomial(w.col_dens[j] * chi * falling(beta, j), w.den * beta) for j in range(k - 1)]
         for chi, beta in zip(b.nu.chi, b.nu.beta)
@@ -1004,6 +1004,24 @@ def test_characteristic_annihilates_basis():
         for entry in nu.nu:
             assert apply_factors(cauchy_euler_shifts(cfg), entry).is_zero
         assert data.beta == nu.beta
+
+
+@pytest.mark.parametrize(
+    "family,gamma",
+    [("A", (F(1, 3), F(-1, 2), F(1, 4))), ("C", (F(1, 3), F(-1, 2), F(2, 5))),
+     ("B", (F(-1, 2), F(1, 4))), ("B", (F(1, 3), F(-1, 4), F(3, 2)))],
+    ids=["A3", "C3", "B2", "B3"],
+)
+def test_monodromy_exponents_are_the_indicial_shifts(family, gamma):
+    # One vector, read twice: the monodromy exponents and the Cauchy-Euler
+    # shifts are both the differences of (0, alpha_tilde, 0).
+    cfg = make_config(family, len(gamma), gamma)
+    shifts = cauchy_euler_shifts(cfg)
+    assert any(x.denominator > 1 for x in shifts)
+    assert cfg.shifts == shifts
+    assert toda.lie.monodromy_element(cfg.algebra, cfg.gamma).exponents == shifts
+    assert characteristic_data(cfg).shifts == shifts
+    assert len(shifts) == cfg.k and sum(shifts) == 0
 
 
 _weights = st.fractions(min_value=-1, max_value=2, max_denominator=4).filter(lambda g: g > -1)
