@@ -24,7 +24,6 @@ into J itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -32,7 +31,7 @@ from math import prod
 from typing import Sequence
 
 from .config import TodaConfig
-from .exact import ExactScalar, Monomial, ZExpr, as_fraction, scale_to_ints
+from .exact import ExactScalar, Monomial, Record, ZExpr, as_fraction, scale_to_ints
 from .groups import GroupElement
 from .linalg import int_det
 
@@ -57,8 +56,7 @@ def _sigma_terms(mu: Sequence) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-@dataclass(frozen=True)
-class NuVector:
+class NuVector(Record):
     """Basis entries nu_i = chi_i z^(beta_i), beta strictly increasing."""
 
     chi: tuple[Fraction, ...]
@@ -90,8 +88,7 @@ def nu_vector_from_mu(mu: Sequence, xi_exponent) -> NuVector:
     return NuVector(tuple(c for c, _ in terms), betas, xi)
 
 
-@dataclass(frozen=True)
-class WronskianMatrix:
+class WronskianMatrix(Record):
     """Columns are successive z-derivatives of the basis vector; det = 1.
 
     Entry (s, j) is chi_s (beta_s)_j z^(beta_s - j), held in integer form:

@@ -11,11 +11,10 @@ construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import as_fraction
+from .exact import Record, as_fraction
 from .lie import (
     Algebra,
     a_side_alpha,
@@ -26,17 +25,13 @@ from .lie import (
 )
 
 
-@dataclass(frozen=True)
-class TodaConfig:
+class TodaConfig(Record):
     algebra: Algebra
     gamma: tuple[Fraction, ...]
 
-    # Derived, filled in __post_init__.
-    gamma_tilde: tuple[Fraction, ...] = field(init=False)
-    mu_tilde: tuple[Fraction, ...] = field(init=False)
-    alpha: tuple[Fraction, ...] = field(init=False)
-    alpha_tilde: tuple[Fraction, ...] = field(init=False)
-    shifts: tuple[Fraction, ...] = field(init=False)
+    # Derived in __post_init__ as plain attributes, not fields: the Fraction
+    # tuples gamma_tilde, mu_tilde, alpha, alpha_tilde and shifts.  They are
+    # functions of the fields, so equality and hash read the fields alone.
 
     def __post_init__(self):
         g = check_gamma(self.algebra, self.gamma)

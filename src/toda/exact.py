@@ -21,14 +21,30 @@ Also here: the integer form (d, re, im) of a matrix A of ExactScalars,
 d*A = re + i*im with re and im int matrices (scale_to_gaussian, the stored
 form of a group element), and its packing into one int per entry for the
 minor tables of group elements (pack, unpack).
+
+Also here: Record, the base of the package's immutable value classes (the
+scalars and monomials here, Cartan data, roots, group elements, configs,
+solution bundles and check reports).  A subclass's fields are its own
+annotated names, in order.  Its constructor takes them by position or
+keyword, with the class-level defaults, then calls __post_init__, which may
+normalize a field through object.__setattr__.  Instances refuse assignment
+and deletion (FrozenInstanceError, an AttributeError).  Two instances are
+equal iff they are of the same class with equal fields; another type
+compares as NotImplemented.  The hash is hash() of the field tuple, and repr
+is Name(field=value, ...) unless the class defines its own; copy and pickle
+rebuild an instance through the constructor.  Record has empty __slots__: a
+subclass that declares __slots__ has no instance __dict__ (and so no
+class-level defaults: it writes its own __init__), and one that does not
+keeps the __dict__ that functools.cached_property writes to.  A subclass
+costs one attrgetter at class creation; no code is generated.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[int, Fraction]
@@ -59,6 +75,81 @@ class NotASquareError(ValueError):
     """Exact square root requested of a rational that is not a perfect square."""
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a Record."""
+
+
+_object_setattr = object.__setattr__
+
+
+class Record:
+    """Immutable value with named fields; the contract is in the module docstring."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = fields
+        cls._defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__ and n not in slots}
+        get = attrgetter(*fields)
+        # The field tuple, also for one field, where attrgetter gives the bare value.
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _object_setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords, defaults or a wrong count."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated arguments: {', '.join(kwargs)}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
 def as_fraction(x: RatLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -78,12 +169,19 @@ def sqrt_fraction(q: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-@dataclass(frozen=True, slots=True)
-class ExactScalar:
+_FRACTION_ZERO = Fraction(0)
+
+
+class ExactScalar(Record):
     """Complex number with rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+    re: Fraction
+    im: Fraction
+
+    def __init__(self, re: Fraction = _FRACTION_ZERO, im: Fraction = _FRACTION_ZERO):
+        _object_setattr(self, "re", re)
+        _object_setattr(self, "im", im)
 
     @staticmethod
     def of(re: RatLike, im: RatLike = 0) -> ExactScalar:
@@ -282,13 +380,19 @@ def format_scalar(s: ExactScalar) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(Record):
     """One term c * z**exp_z * zb**exp_zbar."""
 
+    __slots__ = ("coeff", "exp_z", "exp_zbar")
     coeff: ExactScalar
-    exp_z: Fraction = Fraction(0)
-    exp_zbar: Fraction = Fraction(0)
+    exp_z: Fraction
+    exp_zbar: Fraction
+
+    def __init__(self, coeff: ExactScalar, exp_z: Fraction = _FRACTION_ZERO,
+                 exp_zbar: Fraction = _FRACTION_ZERO):
+        _object_setattr(self, "coeff", coeff)
+        _object_setattr(self, "exp_z", exp_z)
+        _object_setattr(self, "exp_zbar", exp_zbar)
 
 
 class ZExpr:

@@ -55,7 +55,6 @@ inversion iota(j) = k+1-j.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
@@ -68,6 +67,7 @@ from .exact import (
     IntRows,
     SCALAR_ONE,
     SCALAR_ZERO,
+    Record,
     as_fraction,
     pack,
     packing_modulus,
@@ -119,8 +119,7 @@ class NonzeroForbiddenCoordinate(CheckFailed):
 MatrixRows = tuple[tuple[ExactScalar, ...], ...]
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """Square matrix A over the Gaussian rationals, stored as its integer form.
 
     ``re`` and ``im`` are int matrices with d*A = re + i*im, and ``den`` is
@@ -469,8 +468,7 @@ def all_minors(a: GroupElement) -> dict[tuple[tuple[int, ...], tuple[int, ...]],
     }
 
 
-@dataclass(frozen=True)
-class MinorIdentityReport:
+class MinorIdentityReport(Record):
     dim: int
     tag: str
     pairs_checked: int

@@ -9,21 +9,20 @@ group and their root labels follow the convention where the free slot
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import as_fraction, format_fraction
+from .exact import Record, as_fraction, format_fraction
 from .linalg import invert_fraction_matrix
 
 FAMILIES = ("A", "C", "B")
 
 
-@dataclass(frozen=True, slots=True)
-class Algebra:
+class Algebra(Record):
     """One of the families A_n, C_n, B_n."""
 
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
@@ -43,8 +42,7 @@ class Algebra:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Record):
     matrix: tuple[tuple[int, ...], ...]
     inverse: tuple[tuple[Fraction, ...], ...]
 
@@ -93,10 +91,10 @@ def alpha_from_gamma(algebra: Algebra, gamma: Sequence) -> tuple[Fraction, ...]:
     return tuple(sum((row[j] * g[j] for j in range(len(g))), Fraction(0)) for row in inv)
 
 
-@dataclass(frozen=True, slots=True)
-class Root:
+class Root(Record):
     """Positive root as coefficients over the simple roots."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def value(self, gamma: Sequence[Fraction]) -> Fraction:
@@ -157,10 +155,10 @@ def slot_name(i: int, j: int) -> str:
     return f"c{i}{j}"
 
 
-@dataclass(frozen=True, slots=True)
-class CoordinateSlot:
+class CoordinateSlot(Record):
     """Free lower-triangular coordinate (row, col) with its root label."""
 
+    __slots__ = ("row", "col", "root")
     row: int
     col: int
     root: Root
@@ -248,8 +246,7 @@ def a_side_alpha(gamma_tilde: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return alpha_from_gamma(Algebra("A", m), gamma_tilde)
 
 
-@dataclass(frozen=True)
-class MonodromyElement:
+class MonodromyElement(Record):
     """Diagonal monodromy action of z -> e^(-2 pi i) z on the basis vector.
 
     Stored exactly as the rational exponent vector d: the matrix is

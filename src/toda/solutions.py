@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product
@@ -51,6 +50,7 @@ from .config import TodaConfig
 from .exact import (
     ExactScalar,
     Monomial,
+    Record,
     ZExpr,
     _NONFINITE,
     _float_sum,
@@ -88,8 +88,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolutionParams:
+class SolutionParams(Record):
     """Diagonal weights (the free half for C/B, all k for A) plus coordinates."""
 
     lambdas: tuple[Fraction, ...]
@@ -130,8 +129,7 @@ def default_lambdas(config: TodaConfig) -> list[Fraction]:
     return [Fraction(1)] * (config.k if config.family == "A" else config.k // 2)
 
 
-@dataclass(frozen=True)
-class ReducedUnknown:
+class ReducedUnknown(Record):
     """Family unknown U_index through e^(-U) = (multiplier * F_index)^power.
 
     ``value_from`` turns an already evaluated value of F_index into e^(-U):
@@ -152,8 +150,7 @@ class ReducedUnknown:
         return scaled ** float(self.power)
 
 
-@dataclass(frozen=True)
-class UnknownForm:
+class UnknownForm(Record):
     """One unknown F_m in integer form, in lowest terms.
 
     ``exponents`` are sorted and distinct, each with a nonzero diagonal entry;
@@ -184,8 +181,7 @@ class UnknownForm:
         )
 
 
-@dataclass(frozen=True)
-class SolutionBundle:
+class SolutionBundle(Record):
     config: TodaConfig
     params: SolutionParams
     nu: NuVector
@@ -396,8 +392,7 @@ def _distinct_forms(forms: Sequence[UnknownForm]) -> tuple[list[UnknownForm], li
     return list({id(form): form for form in forms}.values()), slots
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(Record):
     passed: bool
     failures: tuple[int, ...]
 
@@ -527,8 +522,7 @@ def _form_value(form: UnknownForm, exps: Sequence[int], x: int, y: int) -> int:
     return sum(r * pow(x, e, _P) for r, e in zip(rows, exps)) % _P
 
 
-@dataclass(frozen=True)
-class MonodromyReport:
+class MonodromyReport(Record):
     passed: bool
     algebraic_ok: bool
     analytic_ok: bool
@@ -570,8 +564,7 @@ def verify_monodromy(bundle: SolutionBundle) -> MonodromyReport:
     return MonodromyReport(a_ok and b_ok, a_ok, b_ok, a_ok == b_ok, alg_offenders, ana_offenders)
 
 
-@dataclass(frozen=True)
-class CharacteristicData:
+class CharacteristicData(Record):
     """Cauchy-Euler data of L = prod_t (d/dz + s_t/z), the operator of order k.
 
     L maps z^a to P(a) z^(a-k), with the indicial polynomial
@@ -693,8 +686,7 @@ def _log_laplacian(f: complex, fz: complex, fzb: complex, fzzb: complex) -> comp
         return _NONFINITE
 
 
-@dataclass(frozen=True)
-class PdeReport:
+class PdeReport(Record):
     passed: bool
     max_residual: float
     worst: tuple[int, complex] | None
@@ -784,8 +776,7 @@ def verify_pde(
     return PdeReport(max_res <= tol, max_res, worst, len(pts), bundle.reduced is not None)
 
 
-@dataclass(frozen=True)
-class IntegrabilityRow:
+class IntegrabilityRow(Record):
     index: int
     exponent_at_zero: Fraction
     exponent_at_infinity: Fraction
@@ -793,8 +784,7 @@ class IntegrabilityRow:
     matches_weight: bool
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(Record):
     passed: bool
     rows: tuple[IntegrabilityRow, ...]
 
@@ -845,8 +835,7 @@ def _degree_range(form: UnknownForm, den: int) -> tuple[Fraction, Fraction]:
     return Fraction(low, den), Fraction(high, den)
 
 
-@dataclass(frozen=True)
-class ACaseReport:
+class ACaseReport(Record):
     lambda_hat: tuple[Fraction, ...]
     product: Fraction
     product_expected: Fraction

@@ -53,6 +53,13 @@ GAUSS_ZERO = GaussInt(0)
 GAUSS_ONE = GaussInt(1)
 
 
+def replace(record, **changes):
+    """A copy of a toda Record with the named fields changed; the constructor runs again."""
+    values = {name: getattr(record, name) for name in record._fields}
+    values.update(changes)
+    return type(record)(**values)
+
+
 def gauss_rows(g: GroupElement) -> tuple[tuple[GaussInt, ...], ...]:
     """The integer form re + i*im of a group element as a matrix of GaussInts."""
     return tuple(tuple(map(GaussInt, a, b)) for a, b in zip(g.re, g.im))

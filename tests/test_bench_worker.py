@@ -1,4 +1,5 @@
-"""The benchmark worker runs each workload to the end on the current program.
+"""The benchmark worker runs each workload to the end on the current program,
+and its `setup` mode, the source of `setup_s`, times the import of `toda.cli`.
 
 `bench/worker.py` reads program objects that no CLI output shows (for
 example `bundle.F` and the values of `all_minors` in its size counters), so
@@ -40,3 +41,14 @@ def test_worker_runs_a_workload_without_failures(bench_copy, mode, workload):
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["failed"] == 0, summary["failures"]
     assert summary["attempted"] > 0 and summary["passes"]
+
+
+def test_worker_setup_mode_prints_the_import_time(bench_copy):
+    env = {**os.environ, "PYTHONPATH": str(bench_copy / "src")}
+    proc = subprocess.run(
+        [sys.executable, "bench/worker.py", "setup"],
+        cwd=bench_copy, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    import_s = json.loads(proc.stdout.strip().splitlines()[-1])["import_s"]
+    assert isinstance(import_s, float) and import_s > 0

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import replace
 from toda.cli import main
 from toda.exact import BranchCutError, CheckFailed, OriginError
 from toda.groups import (
@@ -212,8 +213,6 @@ def test_verify_w_symmetry_fails_on_an_exponent_off_the_roots(monkeypatch, capsy
     # F_1 must lie in ker L (x) ker conj(L): every exponent of its form is a
     # root of the indicial polynomial P.  At gamma = 0 P(a) = a(a-1)(a-2)(a-3),
     # so moving the top exponent 3 to 7/2 leaves P(7/2) = 105/16.
-    import dataclasses
-
     import toda.solutions
 
     real = toda.solutions.assemble
@@ -221,8 +220,8 @@ def test_verify_w_symmetry_fails_on_an_exponent_off_the_roots(monkeypatch, capsy
     def shifted(cfg, params):
         bundle = real(cfg, params)
         f1 = bundle.forms[0]
-        moved = dataclasses.replace(f1, exponents=f1.exponents[:-1] + (f1.exponents[-1] + F(1, 2),))
-        return dataclasses.replace(bundle, forms=(moved,) + bundle.forms[1:])
+        moved = replace(f1, exponents=f1.exponents[:-1] + (f1.exponents[-1] + F(1, 2),))
+        return replace(bundle, forms=(moved,) + bundle.forms[1:])
 
     monkeypatch.setattr(toda.solutions, "assemble", shifted)
     argv = ["verify", "--family", "C", "--rank", "2", "--gamma", "0,0"]

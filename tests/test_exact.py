@@ -1,16 +1,21 @@
 import cmath
+import copy
+import importlib
+import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_factors, diff_z, diff_zbar, zbar_pow
+from conftest import apply_factors, diff_z, diff_zbar, random_params, zbar_pow
 from toda.exact import (
     BranchCutError,
     ExactScalar,
     Monomial,
     OriginError,
+    Record,
     ZExpr,
     _float_sum,
     _power_table,
@@ -275,3 +280,150 @@ def test_float_routine_matches_the_term_by_term_oracle(plan, z):
         assert [repr(p) for p in conj] == [repr(p.conjugate()) for p in powers]
     for terms in term_lists:
         assert _outcome(routine, terms) == _outcome(oracle, terms)
+
+
+# -- Record, the base of the package's value classes -----------------------
+
+_SLOTTED = {"ExactScalar", "Monomial", "Algebra", "Root", "CoordinateSlot"}
+
+
+def _record_classes() -> list[type]:
+    """Every Record subclass defined in the package."""
+    for name in ("lie", "config", "basis", "groups", "solutions"):
+        importlib.import_module(f"toda.{name}")
+    found, todo = [], [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("toda."):
+                found.append(sub)
+                todo.append(sub)
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__name__))
+
+
+@pytest.fixture(scope="module")
+def record_samples() -> dict[type, Record]:
+    """One instance of each Record class, built through the public API."""
+    from toda.config import make_config
+    from toda.groups import check_minor_identity
+    from toda.lie import cartan, coordinate_map, monodromy_element, positive_roots
+    from toda.solutions import (
+        a_case_form,
+        assemble,
+        characteristic_data,
+        verify_integrability,
+        verify_monodromy,
+        verify_pde,
+        verify_symmetry,
+    )
+
+    c2 = make_config("C", 2, [0, 0])
+    a2 = make_config("A", 2, [0, 0])
+    bundle = assemble(c2, random_params(c2, random.Random(0)))
+    integrability = verify_integrability(bundle)
+    samples = [
+        ExactScalar.of(1, F(-2, 3)),
+        Monomial(ExactScalar.of(2), F(1, 2), F(-1)),
+        c2.algebra,
+        cartan(c2.algebra),
+        positive_roots(c2.algebra)[-1],
+        coordinate_map(c2.algebra)[0],
+        monodromy_element(c2.algebra, [F(1, 2), 0]),
+        c2,
+        bundle.nu,
+        bundle.wronskian,
+        bundle.H,
+        check_minor_identity(bundle.H),
+        bundle.params,
+        bundle.forms[0],
+        bundle.reduced[0],
+        bundle,
+        verify_symmetry(bundle),
+        verify_monodromy(bundle),
+        characteristic_data(c2),
+        verify_pde(bundle, count=2),
+        integrability.rows[0],
+        integrability,
+        a_case_form(a2, random_params(a2, random.Random(0))),
+    ]
+    return {type(x): x for x in samples}
+
+
+def _bare_copy(x: Record, changes: dict) -> Record:
+    # A copy with fields replaced and no __post_init__, to compare field by field.
+    y = object.__new__(type(x))
+    for name in x._fields:
+        object.__setattr__(y, name, changes.get(name, getattr(x, name)))
+    return y
+
+
+@pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__name__)
+def test_record_contract(record_samples, cls):
+    x = record_samples[cls]
+    fields = cls._fields
+    values = tuple(getattr(x, name) for name in fields)
+    assert fields and fields == tuple(cls.__annotations__)
+    # Construction by position and by keyword gives an equal instance.
+    assert cls(*values) == x
+    assert cls(**dict(zip(fields, values))) == x
+    # Equality reads the class and every field; another type is NotImplemented.
+    assert x == _bare_copy(x, {}) and not x != _bare_copy(x, {})
+    for name in fields:
+        assert x != _bare_copy(x, {name: object()})
+    assert x.__eq__(values) is NotImplemented and x != values
+    # The hash is the hash of the field tuple, or unhashable with it.
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == expected == hash(cls(*values))
+    # Frozen: no assignment, no deletion, no new attribute.
+    with pytest.raises(AttributeError):
+        setattr(x, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(x, fields[0])
+    with pytest.raises(AttributeError):
+        x.no_such_field = 1
+    # The slotted classes have no instance dict; the others keep one for cached_property.
+    assert hasattr(x, "__dict__") == (cls.__name__ not in _SLOTTED)
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_record_repr_is_name_and_fields():
+    from toda.config import make_config
+    from toda.solutions import PdeReport
+
+    report = PdeReport(True, 1e-12, (2, 0.5 + 1j), 20, False)
+    assert repr(report) == (
+        "PdeReport(passed=True, max_residual=1e-12, worst=(2, (0.5+1j)), "
+        "points_checked=20, reduced_checked=False)"
+    )
+    # The derived weights of a config are plain attributes, not fields.
+    cfg = make_config("C", 2, [0, F(1, 2)])
+    assert repr(cfg) == (
+        "TodaConfig(algebra=Algebra(family='C', rank=2), gamma=(Fraction(0, 1), Fraction(1, 2)))"
+    )
+    assert type(cfg)._fields == ("algebra", "gamma") and len(cfg.shifts) == 4 and sum(cfg.shifts) == 0
+
+
+class _Point(Record):
+    x: int
+    y: int = 0
+
+    def __post_init__(self):
+        if self.x < 0:
+            object.__setattr__(self, "x", -self.x)
+
+
+def test_record_defaults_keywords_and_argument_errors():
+    assert _Point(1) == _Point(1, 0) == _Point(x=1) == _Point(y=0, x=-1) == _Point(-1, y=0)
+    assert _Point(1, 2) != _Point(1) and _Point(1) != (1, 0)
+    assert repr(_Point(2, 3)) == "_Point(x=2, y=3)"
+    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"z": 2}), ((1,), {"x": 1})]:
+        with pytest.raises(TypeError):
+            _Point(*args, **kwargs)
+    # The slotted scalars write their own constructors, with the same defaults.
+    assert ExactScalar() == ExactScalar(F(0), F(0)) == ExactScalar(im=F(0))
+    c = ExactScalar.of(3)
+    assert Monomial(c) == Monomial(c, F(0), F(0)) == Monomial(coeff=c, exp_zbar=F(0))

@@ -13,13 +13,13 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CORE = ["toda", "toda.cli", "toda.exact", "toda.lie", "toda.linalg"]
 
 
-def loaded_after(code: str) -> list[str]:
-    """The `toda` modules in sys.modules after running `code` in a fresh interpreter."""
+def modules_after(code: str) -> list[str]:
+    """Every module in sys.modules after running `code` in a fresh interpreter."""
     probe = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(json.dumps(sorted(m for m in sys.modules if m == 'toda' or m.startswith('toda.'))))\n"
+        + "print(json.dumps(sorted(sys.modules)))\n"
     )
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
@@ -27,6 +27,11 @@ def loaded_after(code: str) -> list[str]:
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded_after(code: str) -> list[str]:
+    """The `toda` modules in sys.modules after running `code` in a fresh interpreter."""
+    return [m for m in modules_after(code) if m == "toda" or m.startswith("toda.")]
 
 
 def test_import_cli_loads_only_the_core():
@@ -60,6 +65,29 @@ def test_verify_loads_the_modules_it_runs_and_no_more():
     argv = ["verify", "--family", "C", "--rank", "2", "--gamma", "0,0", "--json"]
     loaded = loaded_after(f"import toda.cli\nassert toda.cli.main({argv!r}) == 0")
     assert loaded == sorted(CORE + ["toda.basis", "toda.config", "toda.groups", "toda.jsonio", "toda.solutions"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["solve", "--family", "C", "--rank", "2", "--gamma", "0,1/2"],
+        ["verify", "--family", "B", "--rank", "2", "--gamma", "0,0", "--points", "2"],
+        ["minors", "--family", "C", "--rank", "3", "--count", "1"],
+        ["roots", "--family", "C", "--rank", "3"],
+        ["ngamma", "--family", "C", "--rank", "3", "--gamma", "1/2,0,0"],
+        ["wsym", "--family", "B", "--rank", "2", "--gamma", "0,0"],
+        ["demo", "c3"],
+    ],
+    ids=lambda argv: argv[0] if argv else "import",
+)
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    # The value classes derive from exact.Record, which generates no code:
+    # neither the stdlib dataclass machinery nor the inspect module it loads
+    # is part of any command's start-up.
+    code = "import toda.cli" + (f"\nassert toda.cli.main({argv!r}) == 0" if argv else "")
+    loaded = {"dataclasses", "inspect"} & set(modules_after(code))
+    assert not loaded
 
 
 def test_public_name_loads_its_module_on_access():

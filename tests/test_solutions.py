@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import importlib
 import math
 import random
@@ -22,6 +21,7 @@ from conftest import (
     falling,
     random_gamma,
     random_params,
+    replace,
 )
 from toda import Algebra, make_config
 from toda.basis import StructureError, column_minor, nu_vector, wronskian
@@ -572,7 +572,7 @@ def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
         last.exponents, tuple((i, j, 2 * re, 2 * im) for i, j, re, im in last.entries), 2 * last.den
     )
     assert doubled == last and hash(doubled) == hash(last)
-    assert verify_symmetry(dataclasses.replace(b, forms=b.forms[:-1] + (doubled,))).passed
+    assert verify_symmetry(replace(b, forms=b.forms[:-1] + (doubled,))).passed
     # The same entries on shifted exponents are a different unknown.
     shifted = UnknownForm(tuple(e + 1 for e in last.exponents), last.entries, last.den)
     assert last != shifted
@@ -585,7 +585,7 @@ def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
         i, j, re, im = mirror.entries[-1]
         bumped_entries = mirror.entries[:-1] + ((i, j, re + 1, im),)
         forms[k - m - 1] = UnknownForm(mirror.exponents, bumped_entries, mirror.den)
-        bumped = dataclasses.replace(b, forms=tuple(forms))
+        bumped = replace(b, forms=tuple(forms))
         assert bumped.F[k - m - 1] != b.F[m - 1]
         rep = verify_symmetry(bumped)
         assert not rep.passed
@@ -595,7 +595,7 @@ def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
         i, j, re, im = forms[m - 1].entries[0]
         bumped_entries = ((i, j, re, im + 1),) + forms[m - 1].entries[1:]
         forms[m - 1] = UnknownForm(forms[m - 1].exponents, bumped_entries, forms[m - 1].den)
-        rep = verify_symmetry(dataclasses.replace(b, forms=tuple(forms)))
+        rep = verify_symmetry(replace(b, forms=tuple(forms)))
         assert not rep.passed
         assert rep.failures == (m,)
 
@@ -646,7 +646,7 @@ def test_certificate_fails_mirrored_a_forms_exactly_above_the_middle(rank):
     k = cfg.k
     assert verify_symmetry(b).passed
     mirrored = tuple(b.forms[m - 1] if 2 * m <= k else b.forms[k - m - 1] for m in range(1, k))
-    rep = verify_symmetry(dataclasses.replace(b, forms=mirrored))
+    rep = verify_symmetry(replace(b, forms=mirrored))
     assert not rep.passed
     assert rep.failures == tuple(m for m in range(1, k) if 2 * m > k)
 
@@ -883,10 +883,10 @@ def test_pde_negated_reduced_multiplier_fails_at_first_point(family):
     cfg = make_config(family, 2, [0, 0])
     b = assemble(cfg, random_params(cfg, random.Random(5)))
     red = list(b.reduced)
-    red[0] = dataclasses.replace(red[0], multiplier=-red[0].multiplier)
+    red[0] = replace(red[0], multiplier=-red[0].multiplier)
     pts = annulus_points(3)
     assert verify_pde(b, pts).passed
-    rep = verify_pde(dataclasses.replace(b, reduced=tuple(red)), pts)
+    rep = verify_pde(replace(b, reduced=tuple(red)), pts)
     assert rep.passed is False
     assert math.isnan(rep.max_residual)
     assert rep.worst == (1, pts[0])
@@ -1365,7 +1365,7 @@ def test_shared_plans_report_equals_per_form_reference(monkeypatch, family, rank
     assert i == j == len(forms[-1].exponents) - 1
     bumped_entries = forms[-1].entries[:-1] + ((i, j, re + forms[-1].den, im),)
     forms[-1] = UnknownForm(forms[-1].exponents, bumped_entries, forms[-1].den)
-    bumped = dataclasses.replace(b, forms=tuple(forms))
+    bumped = replace(b, forms=tuple(forms))
     want = _per_form_pde_reference(bumped, points)
     plans.clear()
     got = verify_pde(bumped, points)
@@ -1576,8 +1576,8 @@ def test_pde_reduced_multiplier_negative_control(family, slot):
     b = assemble(cfg, random_params(cfg, rng))
     assert verify_pde(b, count=5).passed
     red = list(b.reduced)
-    red[slot] = dataclasses.replace(red[slot], multiplier=red[slot].multiplier * 2)
-    rep = verify_pde(dataclasses.replace(b, reduced=tuple(red)), count=5)
+    red[slot] = replace(red[slot], multiplier=red[slot].multiplier * 2)
+    rep = verify_pde(replace(b, reduced=tuple(red)), count=5)
     assert rep.reduced_checked
     assert rep.passed is False
 
