@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .exact import ExactScalar, format_fraction
+from .exact import ExactScalar
 from .groups import UnipotentCoords, unipotent_from_coords
 from .jsonio import coords_to_json, fractions_to_json, scalar_to_json
-from .lie import Algebra, coordinate_map, delta_gamma, monodromy_element, slot_name
+from .lie import Algebra, coordinate_map, format_root_table, slot_name
 from .solutions import reduced_unknowns
 
 F = Fraction
@@ -112,20 +112,10 @@ def build_demo(target: str) -> dict:
     cfg = TodaConfig(algebra, gamma)
     coords = _demo_assignment(algebra)
     formula_rows = check_dependent_formulas(algebra, coords)
-    integral = delta_gamma(algebra, gamma)
-    allowed = {r.coeffs for r in integral}
-    mono = monodromy_element(algebra, gamma)
-    slot_rows = []
-    for slot in coordinate_map(algebra):
-        val = slot.root.value(gamma)
-        slot_rows.append(
-            {
-                "slot": slot.name,
-                "root": str(slot.root),
-                "value": format_fraction(val),
-                "allowed": slot.root.coeffs in allowed,
-            }
-        )
+    slot_rows = [
+        {"slot": r["slot"], "root": r["root_str"], "value": r["value"], "allowed": r["integral"]}
+        for r in format_root_table(algebra, gamma)
+    ]
     report = {
         "target": target,
         "family": algebra.family,
@@ -136,7 +126,7 @@ def build_demo(target: str) -> dict:
         "free_coordinates": [s.name for s in coordinate_map(algebra)],
         "sample_assignment": coords_to_json(coords),
         "dependent_entries": formula_rows,
-        "monodromy_exponents": fractions_to_json(mono.exponents),
+        "monodromy_exponents": fractions_to_json(cfg.shifts),
         "coordinate_table": slot_rows,
         "nonzero_coordinates": [r["slot"] for r in slot_rows if r["allowed"]],
         "dimension_of_unipotent_group": len(coordinate_map(algebra)),

@@ -1,16 +1,16 @@
 """Small generic matrix helpers over exact coefficient rings.
 
-Matrices are sequences of row sequences whose entries support +, -, * (and,
-for inversion, /).  Everything here but int_det works for ExactScalar, ZExpr
-and int entries; nothing is numeric.  int_det, the determinant of an int
-matrix by fraction-free elimination, checks det W = 1 on the Wronskian's
-table.  minor_table also runs on ints reduced mod a modulus: a group
-element of dim 8 or more keeps one such lazy table over its integer form
-d*A = re + i*im, holding each entry a + b*i as the one int a + b*2^w, a
-balanced residue mod 2^(2w) + 1, with w wide enough by Hadamard's bound
-that every value it is read for is exact (exact.pack and exact.unpack).
-Smaller elements, whose every minor is read, keep a dense table built in
-groups instead.
+Matrices are sequences of row sequences with entries that support +, - and
+*: ExactScalar, ZExpr or int, save that invert_fraction_matrix takes
+int/Fraction entries and leading_minors ints.  Nothing is numeric.
+leading_minors gives det W on the Wronskian's table and the symmetry
+certificate its minors mod p.  minor_table also runs on ints reduced mod a
+modulus: a group element of dim 8 or more keeps one such lazy table over
+its integer form d*A = re + i*im, holding each entry a + b*i as the one int
+a + b*2^w, a balanced residue mod 2^(2w) + 1, with w wide enough by
+Hadamard's bound that every value it is read for is exact (exact.pack and
+exact.unpack).  Smaller elements, whose every minor is read, keep a dense
+table built in groups instead.
 mat_mul and det have no program caller; they serve the tests as oracles of
 products and determinants.
 """
@@ -142,37 +142,34 @@ def det(m: Matrix, zero: T, one: T) -> T:
     return minor_table(m, zero, one)(range(k), range(k))
 
 
-def int_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square int matrix by fraction-free (Bareiss) elimination.
+def leading_minors(m: Sequence[Sequence[int]], modulus: int = 0) -> list[int] | None:
+    """Every leading principal minor of a square int matrix, or None if one is 0.
 
-    Step t sets a[i][j] = (a[i][j] a[t][t] - a[i][t] a[t][j]) / p for i, j > t,
-    p the pivot of step t - 1 (1 at t = 0); the division is exact, so every
-    entry stays an int, a minor of the input, and the last pivot is the
-    determinant.  A zero pivot is swapped with the first row below it with
-    a nonzero entry in its column, which flips the sign; if there is none
-    the determinant is 0.  O(k^3) int products, against the O(2^k k) of
-    det.  Raises ValueError on a non-square matrix; the 0x0 determinant is 1.
+    Bareiss elimination without row exchanges: step t sets
+    a[i][j] = (a[i][j] a[t][t] - a[i][t] a[t][j]) / p for i, j > t, p the
+    pivot of step t - 1 (1 at t = 0), and its pivot a[t][t] is the leading
+    minor of size t + 1.  With modulus 0 the division is exact over Z; with
+    a prime modulus, entries are residues and p is inverted mod it.  The
+    input is not changed.  Raises ValueError on a non-square matrix.
     """
     k = len(m)
     if any(len(row) != k for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    sign, prev = 1, 1
-    for t in range(k - 1):
-        if not a[t][t]:
-            swap = next((i for i in range(t + 1, k) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        pivot_row = a[t]
+        raise ValueError("leading minors of a non-square matrix")
+    a = [[x % modulus for x in row] if modulus else list(row) for row in m]
+    out, prev = [], 1
+    for t, pivot_row in enumerate(a):
         pivot = pivot_row[t]
+        if not pivot:
+            return None
+        out.append(pivot)
+        inverse = pow(prev, -1, modulus) if modulus else 0
         for row in a[t + 1:]:
             f = row[t]
             for j in range(t + 1, k):
-                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+                x = row[j] * pivot - f * pivot_row[j]
+                row[j] = x * inverse % modulus if modulus else x // prev
         prev = pivot
-    return sign * a[-1][-1] if k else 1
+    return out
 
 
 def invert_fraction_matrix(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:

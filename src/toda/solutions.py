@@ -67,6 +67,7 @@ from .groups import (
     unipotent_from_coords,
 )
 from .lie import Algebra, MonodromyElement, cartan, slot_name
+from .linalg import leading_minors
 
 __all__ = [
     "SolutionParams",
@@ -403,7 +404,7 @@ _P = 2305843009213693973
 _I_P = 1035093963448091331
 _TRIALS = 2
 _SEED = 0
-# Point pairs drawn at most; each one with a zero pivot is skipped.
+# Point pairs drawn at most; each one with a zero leading minor is skipped.
 _DRAWS = 64
 
 
@@ -422,10 +423,11 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     It maps the integer form of W (each column j over its denominator
     D_j = w.col_dens[j]) and that of H, (d, rows), to Z/p, forms the
     (k-1) x (k-1) matrix Q = (W(y) D)^t (d H) (W(x) D), D = diag(D_j), and
-    gets every leading minor of Q from one elimination (_leading_minors).
-    A zero pivot skips the pair for the next one of the same stream; it is
-    never an exception and never a pass, and if all _DRAWS pairs are
-    skipped every m fails.
+    gets every leading minor of Q from one fraction-free elimination mod p
+    (linalg.leading_minors).  A zero leading minor skips the pair for the
+    next one of the same stream; it is never an exception and never a
+    pass, and if fewer than _TRIALS of the _DRAWS pairs are kept, every m
+    fails, whatever the kept pairs gave.
     Each distinct form is evaluated once per trial, on int exponents only
     (_form_value).  F_m passes a trial when
     den_m * minor_m(Q) = d^m (D_0 ... D_(m-1))^2 * num_m(x, y) mod p, its
@@ -458,7 +460,7 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
         wx, wy = _wronskian_columns(w, x), _wronskian_columns(w, y)
         hwx = [[sum(map(mul, row, col)) % _P for row in hp] for col in wx]
         q = [[sum(map(mul, left, right)) % _P for right in hwx] for left in wy]
-        minors = _leading_minors(q)
+        minors = leading_minors(q, _P)
         if minors is None:
             continue
         values = [_form_value(form, e, x, y) for form, e in zip(distinct, exps)]
@@ -483,29 +485,6 @@ def _wronskian_columns(w: WronskianMatrix, x: int) -> list[list[int]]:
     for col in w.cols[: w.k - 1]:
         out.append([a * v * shift % _P for a, v in zip(col, powers)])
         shift = shift * step % _P
-    return out
-
-
-def _leading_minors(q: list[list[int]]) -> list[int] | None:
-    """Every leading principal minor of the square matrix q mod p, by one elimination.
-
-    Gaussian elimination without row exchanges: the leading minor of size
-    t + 1 is the product of the first t + 1 pivots.  None if a pivot is 0.
-    q is overwritten.
-    """
-    out, minor = [], 1
-    for t, pivot_row in enumerate(q):
-        pivot = pivot_row[t]
-        if not pivot:
-            return None
-        minor = minor * pivot % _P
-        out.append(minor)
-        inverse = pow(pivot, -1, _P)
-        for row in q[t + 1:]:
-            f = row[t] * inverse % _P
-            if f:
-                for j in range(t + 1, len(row)):
-                    row[j] = (row[j] - f * pivot_row[j]) % _P
     return out
 
 

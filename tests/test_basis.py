@@ -21,7 +21,7 @@ from toda.cli import main
 from toda.exact import SCALAR_ONE, ExactScalar, ZExpr
 from toda.groups import GroupElement, form_matrix
 from toda.linalg import det as generic_det
-from toda.linalg import int_det, mat_mul, transpose
+from toda.linalg import leading_minors, mat_mul, transpose
 
 Z0, Z1 = ZExpr.zero(), ZExpr.one()
 
@@ -116,24 +116,30 @@ def test_wronskian_determinant_one(family, rank):
 
 
 @pytest.mark.parametrize("family,rank,gamma", [("C", 2, (F(-1, 2), F(1, 4))), ("A", 3, (0, 0, 0))])
-@pytest.mark.parametrize("part", ["chi", "beta", "shift"])
+@pytest.mark.parametrize("part", ["chi", "beta", "shift", "zero-chi", "repeated-beta"])
 def test_wronskian_rejects_perturbed_basis(family, rank, gamma, part):
     # Doubling one chi_i doubles det W; moving one beta_i changes both the
     # Vandermonde coefficient and the power of z; moving every beta_i by the
     # same amount keeps the coefficient 1 and changes only the power of z.
-    # Each time det W != 1, and the reported determinant is the one of the
-    # Laplace expansion over ZExpr.
+    # A zero chi_i gives a zero row and a repeated beta_i two proportional
+    # rows: det W = 0, read from a vanishing leading minor.  Each time
+    # det W != 1, and the reported determinant is the one of the Laplace
+    # expansion over ZExpr.
     nu = nu_vector(make_config(family, rank, gamma))
     chi, beta = list(nu.chi), list(nu.beta)
     if part == "chi":
         chi[1] *= 2
     elif part == "beta":
         beta[1] += F(1, 7)
-    else:
+    elif part == "shift":
         beta = [b + F(1, 7) for b in beta]
+    elif part == "zero-chi":
+        chi[1] = F(0)
+    else:
+        beta[1] = beta[0]
     bad = NuVector(tuple(chi), tuple(beta), nu.xi_exponent)
     laplace = generic_det(_derivative_columns(bad.nu), Z0, Z1)
-    assert laplace != Z1
+    assert laplace == Z0 if part in ("zero-chi", "repeated-beta") else laplace != Z1
     with pytest.raises(StructureError) as err:
         wronskian(bad)
     assert str(err.value) == f"Wronskian determinant is {laplace}, expected 1"
@@ -193,11 +199,13 @@ def test_wronskian_first_column_is_basis():
 )
 @pytest.mark.parametrize("gamma", [0, F(1, 3)], ids=["zero", "frac"])
 def test_int_det_of_the_wronskian_table(family, rank, gamma):
-    # The table's determinant is D_0 ... D_(k-1) (det W = 1), by elimination
-    # and by Laplace expansion, on the columns and on the rows.
+    # The table's determinant is D_0 ... D_(k-1) (det W = 1), as the last
+    # leading minor of the elimination and by Laplace expansion, on the
+    # columns and on the rows; no leading minor of the table is 0.
     w = wronskian(nu_vector(make_config(family, rank, [gamma] * rank)))
     want = generic_det(transpose(w.cols), 0, 1)
-    assert int_det(w.cols) == int_det(transpose(w.cols)) == want == math.prod(w.col_dens)
+    by_cols, by_rows = leading_minors(w.cols), leading_minors(transpose(w.cols))
+    assert by_cols[-1] == by_rows[-1] == want == math.prod(w.col_dens)
 
 
 def test_column_minor_matches_generic_det():
@@ -328,6 +336,28 @@ def test_normalizer_palindromic_a_family():
     for rank in (1, 2, 3, 4):
         cfg = make_config("A", rank, random_palindromic_gamma(rng, rank))
         _check_normalized(cfg)
+
+
+@pytest.mark.parametrize("family,rank", [("C", 2), ("C", 3), ("B", 2), ("B", 3)])
+def test_normalizer_rejects_a_rescaled_form_at_the_final_check(family, rank):
+    # Rescaling chi_r by s_r with prod s_r = 1 keeps det W = 1, and the one
+    # form the pairing pattern then admits is J with entry (r, k-1-r)
+    # divided by s_r s_(k-1-r): not +-1 on the secondary diagonal.  The
+    # plane steps cannot fail on it; they reach the standard +-1 pattern,
+    # which is not this form, and the final check rejects it.
+    nu = nu_vector(make_config(family, rank, (0,) * rank))
+    k = nu.k
+    scale = [F(2), F(1, 3)] + [F(1)] * (k - 3) + [F(3, 2)]
+    w = wronskian(NuVector(tuple(c * x for c, x in zip(nu.chi, scale)), nu.beta, nu.xi_exponent))
+    std = form_matrix(k)
+    rows = [[x / (scale[r] * scale[k - 1 - r]) for x in row] for r, row in enumerate(std.entries)]
+    assert any(rows[r][k - 1 - r] not in (SCALAR_ONE, -SCALAR_ONE) for r in range(k))
+    j = GroupElement.from_rows(rows)
+    pairing_matrix(w, j)
+    with pytest.raises(StructureError):
+        pairing_matrix(w, std)
+    with pytest.raises(StructureError, match="normalized columns do not reproduce the form"):
+        gram_schmidt_normalizer(w, j)
 
 
 def test_nu_from_mu_requires_increasing_exponents():

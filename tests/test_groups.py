@@ -65,7 +65,7 @@ from toda.groups import (
     unipotent_from_coords,
 )
 from toda.lie import Algebra, coordinate_map, delta_gamma
-from toda.linalg import det, int_det, mat_mul, minor_table
+from toda.linalg import det, leading_minors, mat_mul, minor_table
 
 
 def S(x):
@@ -459,7 +459,7 @@ def test_det_and_minor_table_edge_cases(zero, one, modulus):
 
 @st.composite
 def _int_matrices(draw):
-    # Dims 0..7 with many zero entries, so that zero pivots, row swaps and
+    # Dims 0..7 with many zero entries, so that zero leading minors and
     # singular matrices occur; large entries too, so that the exact
     # divisions of the elimination carry big ints.
     k = draw(st.integers(0, 7))
@@ -467,24 +467,35 @@ def _int_matrices(draw):
     return draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
 
 
+def _laplace_leading_minors(m):
+    """The leading principal minors by Laplace expansion, or None if one is 0."""
+    out = [det([row[:t] for row in m[:t]], 0, 1) for t in range(1, len(m) + 1)]
+    return None if 0 in out else out
+
+
 @given(_int_matrices())
 @settings(max_examples=200, deadline=None)
-def test_int_det_matches_laplace_det(m):
-    assert int_det(m) == det(m, 0, 1)
+def test_leading_minors_match_laplace_det(m):
+    copy = [row[:] for row in m]
+    assert leading_minors(m) == _laplace_leading_minors(m)
+    assert m == copy  # the input is not changed
 
 
-def test_int_det_swaps_and_singular_matrices():
+def test_leading_minors_of_swaps_and_singular_matrices():
+    # Without row exchanges a zero leading minor gives None, even where the
+    # determinant is not 0.
     cases = [
-        ([[0, 1], [1, 0]], -1),  # a swap at the first pivot
-        ([[0, 2, 1], [0, 1, 3], [4, 0, 0]], 20),  # a swap with the last row
-        ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], 1),  # a zero pivot made by elimination
-        ([[1, 2], [2, 4]], 0),  # a zero last pivot
-        ([[0, 1, 5], [0, 2, 6], [0, 3, 7]], 0),  # a zero column: no row to swap in
-        ([[7]], 7),
-        ([], 1),
+        ([[0, 1], [1, 0]], None),  # a zero first pivot
+        ([[0, 2, 1], [0, 1, 3], [4, 0, 0]], None),
+        ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], None),  # a zero pivot made by elimination
+        ([[1, 2], [2, 4]], None),  # a zero last pivot
+        ([[0, 1, 5], [0, 2, 6], [0, 3, 7]], None),  # a zero column
+        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [2, 5, 18]),
+        ([[7]], [7]),
+        ([], []),
     ]
     for m, want in cases:
-        assert int_det(m) == want == det(m, 0, 1)
+        assert leading_minors(m) == want == _laplace_leading_minors(m)
     rng = random.Random(3)
     for k in range(2, 8):
         rows = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k - 1)]
@@ -492,10 +503,11 @@ def test_int_det_swaps_and_singular_matrices():
         dependent = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
         for place in (0, k // 2, k - 1):
             m = rows[:place] + [dependent] + rows[place:]
-            assert int_det(m) == 0 == det(m, 0, 1)
+            assert det(m, 0, 1) == 0
+            assert leading_minors(m) is None is _laplace_leading_minors(m)
     for bad in ([[1, 2]], [[1], [2, 3]]):
         with pytest.raises(ValueError):
-            int_det(bad)
+            leading_minors(bad)
 
 
 def test_minor_table_is_freed_by_reference_counting():

@@ -36,7 +36,7 @@ from toda.groups import (
 )
 from toda.lie import coordinate_map, delta_gamma
 from toda.linalg import det as generic_det
-from toda.linalg import mat_mul, minor_table, transpose
+from toda.linalg import leading_minors, mat_mul, minor_table, transpose
 from toda.solutions import (
     SolutionParams,
     UnknownForm,
@@ -675,41 +675,82 @@ def test_certificate_fails_a_c_outside_the_group_at_the_mirrored_levels(
     assert rep.failures == failures
 
 
+def _gaussian_leading_minors(q, p):
+    """Every leading principal minor of q mod p by Gaussian elimination, or None.
+
+    No row exchanges: the leading minor of size t + 1 is the product of the
+    first t + 1 pivots, and a zero pivot gives None.  q is overwritten.
+    """
+    out, minor = [], 1
+    for t, pivot_row in enumerate(q):
+        pivot = pivot_row[t]
+        if not pivot:
+            return None
+        minor = minor * pivot % p
+        out.append(minor)
+        inverse = pow(pivot, -1, p)
+        for row in q[t + 1:]:
+            f = row[t] * inverse % p
+            if f:
+                for j in range(t + 1, len(row)):
+                    row[j] = (row[j] - f * pivot_row[j]) % p
+    return out
+
+
 def test_leading_minors_are_the_determinants_mod_p():
+    # The fraction-free kernel mod p against Gaussian elimination mod p, on
+    # random matrices of sizes 1-9, and against Laplace expansion at size 4.
     p = toda.solutions._P
     rng = random.Random(3)
+    for k in range(1, 10):
+        for _ in range(20):
+            q = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+            copy = [row[:] for row in q]
+            assert leading_minors(q, p) == _gaussian_leading_minors([row[:] for row in q], p)
+            assert q == copy
     q = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
     expected = [generic_det([row[:m] for row in q[:m]], 0, 1) % p for m in range(1, 5)]
-    assert toda.solutions._leading_minors([row[:] for row in q]) == expected
+    assert leading_minors(q, p) == expected
     # A zero pivot, first or last, gives no minors at all.
-    assert toda.solutions._leading_minors([[0, 1], [1, 0]]) is None
-    assert toda.solutions._leading_minors([[1, 2], [3, 6]]) is None
+    for q in ([[0, 1], [1, 0]], [[1, 2], [3, 6]]):
+        assert leading_minors(q, p) is None is _gaussian_leading_minors(q, p)
 
 
 def test_zero_pivot_moves_to_the_next_point_pair(monkeypatch):
     # A zero pivot skips the pair: the check still runs its two trials on
-    # the next pairs of the same stream.  If every pair of the stream has a
-    # zero pivot, nothing is certified and every level fails.
+    # the next pairs of the same stream.  If fewer than two pairs of the
+    # stream have nonzero pivots, nothing is certified and every level
+    # fails: when every pair has a zero pivot, and when only the first has
+    # none and passes its trial.
     cfg = make_config("C", 2, [0, 0])
     b = assemble(cfg, random_params(cfg, random.Random(2)))
-    real = toda.solutions._leading_minors
+    real = toda.solutions.leading_minors
     calls = []
 
-    def first_pivot_zero(q):
+    def first_pivot_zero(q, modulus):
         calls.append(q[0][0])
-        return None if len(calls) == 1 else real(q)
+        return None if len(calls) == 1 else real(q, modulus)
 
-    monkeypatch.setattr(toda.solutions, "_leading_minors", first_pivot_zero)
+    monkeypatch.setattr(toda.solutions, "leading_minors", first_pivot_zero)
     assert verify_symmetry(b) == toda.solutions.SymmetryReport(True, ())
     assert len(calls) == toda.solutions._TRIALS + 1
     assert len(set(calls)) == len(calls)  # a fresh pair each time
     calls.clear()
 
-    def every_pivot_zero(q):
+    def every_pivot_zero(q, modulus):
         calls.append(q[0][0])
         return None
 
-    monkeypatch.setattr(toda.solutions, "_leading_minors", every_pivot_zero)
+    monkeypatch.setattr(toda.solutions, "leading_minors", every_pivot_zero)
+    assert verify_symmetry(b) == toda.solutions.SymmetryReport(False, (1, 2, 3))
+    assert len(calls) == toda.solutions._DRAWS
+    calls.clear()
+
+    def only_first_pivot_nonzero(q, modulus):
+        calls.append(q[0][0])
+        return real(q, modulus) if len(calls) == 1 else None
+
+    monkeypatch.setattr(toda.solutions, "leading_minors", only_first_pivot_nonzero)
     assert verify_symmetry(b) == toda.solutions.SymmetryReport(False, (1, 2, 3))
     assert len(calls) == toda.solutions._DRAWS
 
