@@ -13,9 +13,10 @@ G = C W on the row set R and the first m columns.  assemble runs that sum
 on integers and keeps each F_m in one integer form (UnknownForm), in
 lowest terms, which every check and every report reads.  For C/B only the
 levels m <= k//2 are built and F_{k-m} is the same object as F_m; each
-check reads each distinct form once (_distinct_forms).  UnknownForm.expr
-and SolutionBundle.F, the ZExprs of the F_m, are API only: they are built
-on access, and no command reads them.
+check reads each distinct form once, with its exponents as the exact ints
+L e over a common denominator L (_form_table).  UnknownForm.expr and
+SolutionBundle.F, the ZExprs of the F_m, are API only: they are built on
+access, and no command reads them.
 
 For the C and B families the first n unknowns carry the reduction back to
 the family's own system, with the exact power-of-two normalization for B.
@@ -41,7 +42,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product
-from math import factorial, gcd, nan, prod
+from math import factorial, gcd, lcm, nan, prod
 from operator import mul
 from typing import Sequence
 
@@ -159,6 +160,10 @@ class UnknownForm(Record):
     ((re + i*im) / den) z^(e_i) zb^(e_j), in (e_i, e_j) order, which is the
     term order of the ZExpr.  Construction divides den, re and im by their
     gcd, so forms are equal (and hash the same) iff their unknowns are.
+    assemble builds every form so; the checks assume none of it.  They read
+    the exponents as exact ints (_form_table), in any order and on any grid,
+    and the entries in any order; only equality, hashing, the JSON term
+    order (jsonio.form_to_json) and the F_1 cross-check in assemble do.
     """
 
     exponents: tuple[Fraction, ...]
@@ -192,6 +197,13 @@ class SolutionBundle(Record):
     H: GroupElement
     C: GroupElement
     lambdas: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.forms) != self.config.k - 1:
+            raise ValueError(
+                f"a bundle of {self.config.algebra} needs k - 1 = {self.config.k - 1} unknowns,"
+                f" got {len(self.forms)}"
+            )
 
     @property
     def k(self) -> int:
@@ -381,16 +393,22 @@ def reduced_unknowns(config: TodaConfig) -> tuple[ReducedUnknown, ...] | None:
     return tuple(out)
 
 
-def _distinct_forms(forms: Sequence[UnknownForm]) -> tuple[list[UnknownForm], list[int]]:
-    """(distinct, slots): each form object once, in order, and forms[m] is distinct[slots[m]].
+def _form_table(bundle: SolutionBundle) -> tuple[list[UnknownForm], list[int], int, list[list[int]]]:
+    """(distinct, slots, L, exps): each form once, with its exponents as exact ints.
 
-    assemble makes the mirror F_(k-m) of C/B the same object as F_m, so a
-    C/B bundle has k//2 distinct forms and an A bundle k - 1.  The checks
-    evaluate each distinct form once and read each F_m through its slot.
+    forms[m] is distinct[slots[m]]: assemble makes the mirror F_(k-m) of C/B
+    the object F_m, so an assembled C/B bundle has k//2 distinct forms and
+    an A bundle k - 1.  L (lcd) is the lcm of B = w.den and of every exponent
+    denominator, and exps[d][i] = L e_i exactly, for any form; on assemble's
+    grid (1/B)Z, L = B.  No other code here turns exponents into ints.
     """
+    forms = bundle.forms
     index: dict[int, int] = {}
     slots = [index.setdefault(id(form), len(index)) for form in forms]
-    return list({id(form): form for form in forms}.values()), slots
+    distinct = list({id(form): form for form in forms}.values())
+    lcd = lcm(bundle.wronskian.den, *(e.denominator for form in distinct for e in form.exponents))
+    exps = [[e.numerator * (lcd // e.denominator) for e in form.exponents] for form in distinct]
+    return distinct, slots, lcd, exps
 
 
 class SymmetryReport(Record):
@@ -415,11 +433,13 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     only the levels m <= k//2; here each form, assembled or mirrored, is
     compared with the leading m x m minor of W^dag H W, so the symmetry is
     proved on this solution, not assumed.  On an A bundle, which has no
-    mirror symmetry, it certifies the forms as built.  With z = x^B and
-    zb = y^B (B = w.den, the lcm of the beta denominators), x and y
-    independent, F_m(x, y) is the leading minor of P(x, y) = W(y)^t H W(x),
-    W cut to its first k-1 columns.  A trial draws a nonzero pair (x, y)
-    mod p from a fixed-seed random.Random, so the report is deterministic.
+    mirror symmetry, it certifies the forms as built.  With z = x^L and
+    zb = y^L (L from _form_table: a multiple of B = w.den, the lcm of the
+    beta denominators, and of every exponent denominator of the forms), x
+    and y independent, F_m(x, y) is the leading minor of
+    P(x, y) = W(y)^t H W(x), W cut to its first k-1 columns.  A trial draws
+    a nonzero pair (x, y) mod p from a fixed-seed random.Random, so the
+    report is deterministic.
     It maps the integer form of W (each column j over its denominator
     D_j = w.col_dens[j]) and that of H, (d, rows), to Z/p, forms the
     (k-1) x (k-1) matrix Q = (W(y) D)^t (d H) (W(x) D), D = diag(D_j), and
@@ -428,18 +448,26 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     next one of the same stream; it is never an exception and never a
     pass, and if fewer than _TRIALS of the _DRAWS pairs are kept, every m
     fails, whatever the kept pairs gave.
-    Each distinct form is evaluated once per trial, on int exponents only
-    (_form_value).  F_m passes a trial when
+    Each distinct form is evaluated once per trial, on the int exponents
+    L e of the table (_form_value).  F_m passes a trial when
     den_m * minor_m(Q) = d^m (D_0 ... D_(m-1))^2 * num_m(x, y) mod p, its
     form being num_m / den_m; ``failures`` lists every m that fails a trial.
 
+    Range rule: every exponent of the true F_m is a sum of m distinct beta_s
+    less m(m-1)/2, so it lies in
+    [sum_(s<m) beta_s, sum_(s>=k-m) beta_s] - m(m-1)/2 (the beta increase).
+    A level whose form has an exponent outside that interval fails, whatever
+    the trials give: without the rule, an exponent moved by (p - 1)/L gives
+    the same value at every x != 0 (Fermat), so the trials pass it.
+
     False-pass bound (Schwartz-Zippel): for a wrong form, the two sides
     differ by a Laurent polynomial in (x, y); cleared of negative powers it
-    has some total degree deg_m, at most 2 m B (beta_(k-1) - beta_0) when
-    the form's exponents lie in the range of the true F_m.  Unless every
-    coefficient of that difference vanishes mod p, one trial passes it with
-    probability at most deg_m / (p - 1), about deg_m * 4.3e-19, and the
-    _TRIALS = 2 independent trials with the square of that.
+    has some total degree deg_m, at most 2 m L (beta_(k-1) - beta_0), since
+    the range rule keeps the form's exponents in the range of the true F_m.
+    Unless every coefficient of that difference vanishes mod p, one trial
+    passes it with probability at most deg_m / (p - 1), about
+    deg_m * 4.3e-19, and the _TRIALS = 2 independent trials with the square
+    of that.
     """
     k, forms = bundle.k, bundle.forms
     w, h = bundle.wronskian, bundle.H
@@ -449,15 +477,20 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     for dj in w.col_dens[: k - 1]:
         scale = scale * h.den * dj * dj % _P
         scales.append(scale)
-    distinct, slots = _distinct_forms(forms)
-    # The exponents of each distinct form as the ints B e.
-    exps = [[e.numerator * (w.den // e.denominator) for e in form.exponents] for form in distinct]
-    rng = random.Random(_SEED)
+    distinct, slots, lcd, exps = _form_table(bundle)
     failures: set[int] = set()
+    # The range rule on the ints L e, with beta_s = b_s / B.
+    step = lcd // w.den
+    for m, slot in enumerate(slots, start=1):
+        shift = lcd * m * (m - 1) // 2
+        low, high = step * sum(w.exps[:m]) - shift, step * sum(w.exps[k - m:]) - shift
+        if not all(low <= e <= high for e in exps[slot]):
+            failures.add(m)
+    rng = random.Random(_SEED)
     trials = 0
     for _ in range(_DRAWS):
         x, y = rng.randrange(1, _P), rng.randrange(1, _P)
-        wx, wy = _wronskian_columns(w, x), _wronskian_columns(w, y)
+        wx, wy = _wronskian_columns(w, x, lcd), _wronskian_columns(w, y, lcd)
         hwx = [[sum(map(mul, row, col)) % _P for row in hp] for col in wx]
         q = [[sum(map(mul, left, right)) % _P for right in hwx] for left in wy]
         minors = leading_minors(q, _P)
@@ -477,10 +510,14 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     return SymmetryReport(not failures, tuple(sorted(failures)))
 
 
-def _wronskian_columns(w: WronskianMatrix, x: int) -> list[list[int]]:
-    """The first k-1 columns of W(x) D mod p: entry s of column j is w.cols[j][s] x^(b_s - B j)."""
-    powers = [pow(x, b, _P) for b in w.exps]
-    step, shift = pow(x, -w.den, _P), 1
+def _wronskian_columns(w: WronskianMatrix, x: int, lcd: int) -> list[list[int]]:
+    """The first k-1 columns of W(x) D mod p at z = x^L, L = lcd.
+
+    Entry s of column j is w.cols[j][s] x^(b_s L/B - L j), L a multiple of B.
+    """
+    scale = lcd // w.den
+    powers = [pow(x, b * scale, _P) for b in w.exps]
+    step, shift = pow(x, -lcd, _P), 1
     out = []
     for col in w.cols[: w.k - 1]:
         out.append([a * v * shift % _P for a, v in zip(col, powers)])
@@ -491,8 +528,8 @@ def _wronskian_columns(w: WronskianMatrix, x: int) -> list[list[int]]:
 def _form_value(form: UnknownForm, exps: Sequence[int], x: int, y: int) -> int:
     """num(x, y) mod p of a form num / den, on int exponents.
 
-    Each entry (i, j, re, im) adds (re + i_p im) x^(B e_i) y^(B e_j), exps
-    holding the ints B e_i; the entries are summed row by row.
+    Each entry (i, j, re, im) adds (re + i_p im) x^(L e_i) y^(L e_j), exps
+    holding the ints L e_i (_form_table); the entries are summed row by row.
     """
     ys = [pow(y, e, _P) for e in exps]
     rows = [0] * len(exps)
@@ -683,7 +720,7 @@ def verify_pde(
 ) -> PdeReport:
     """Numeric residual of the coupled log-Laplacian equations at off-cut points.
 
-    Each distinct form (_distinct_forms: the mirror pairs F_m = F_{k-m} of
+    Each distinct form (_form_table: the mirror pairs F_m = F_{k-m} of
     C/B are one) is compiled once per call into a float plan (_pde_plan):
     the terms of F, d_z F, d_zbar F and d_z d_zbar F; no ZExpr is built.
     Each point gets one power table, with the conjugate of each power,
@@ -710,7 +747,7 @@ def verify_pde(
     if not pts:
         raise ValueError("verify_pde needs at least one point")
     index: dict[Fraction, int] = {}
-    distinct, slots = _distinct_forms(bundle.forms)
+    distinct, slots, _, _ = _form_table(bundle)
     plans = [_pde_plan(form, index) for form in distinct]
     exponents = tuple(index)
     max_res, worst = 0.0, None
@@ -778,8 +815,8 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
     config = bundle.config
     k = config.k
     amat = cartan(Algebra("A", k - 1)).matrix
-    distinct, slots = _distinct_forms(bundle.forms)
-    ranges = [_degree_range(form, bundle.wronskian.den) for form in distinct]
+    distinct, slots, lcd, exps = _form_table(bundle)
+    ranges = [_degree_range(form, e, lcd) for form, e in zip(distinct, exps)]
     mins, maxs = zip(*(ranges[slot] for slot in slots))
     rows = []
     ok = True
@@ -795,23 +832,15 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
     return IntegrabilityReport(ok, tuple(rows))
 
 
-def _degree_range(form: UnknownForm, den: int) -> tuple[Fraction, Fraction]:
+def _degree_range(form: UnknownForm, exps: Sequence[int], lcd: int) -> tuple[Fraction, Fraction]:
     """Least and greatest total degree e_i + e_j over the nonzero entries.
 
-    The exponents are sorted, so within row i the first entry has the least
-    degree and the last the greatest.  Every exponent is a multiple of
-    1/den (den = B, the lcm of the beta denominators), so the degrees are
-    compared as the ints den * e, and only the two results are Fractions.
+    exps holds the ints L e_i of the form's exponents (L = lcd, _form_table),
+    so the degrees are compared as ints, in no assumed order of the
+    exponents or the entries, and only the two results are Fractions.
     """
-    e = [x.numerator * (den // x.denominator) for x in form.exponents]
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, j, _, _ in form.entries:
-        first.setdefault(i, j)
-        last[i] = j
-    low = min(e[i] + e[j] for i, j in first.items())
-    high = max(e[i] + e[j] for i, j in last.items())
-    return Fraction(low, den), Fraction(high, den)
+    degrees = [exps[i] + exps[j] for i, j, _, _ in form.entries]
+    return Fraction(min(degrees), lcd), Fraction(max(degrees), lcd)
 
 
 class ACaseReport(Record):

@@ -600,6 +600,59 @@ def test_integer_symmetry_agrees_with_zexpr_equality(family, rank, gamma):
         assert rep.failures == (m,)
 
 
+def _moved_exponent(b, m, old, new):
+    # b with the exponent old of F_m moved to new; a mirror of F_m, the same
+    # object, moves with it.
+    form = b.forms[m - 1]
+    moved = UnknownForm(tuple(new if e == old else e for e in form.exponents), form.entries, form.den)
+    return replace(b, forms=tuple(moved if f is form else f for f in b.forms))
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma,den,old,new,failures",
+    [
+        ("C", 3, (F(1, 7),) * 3, 14, F(11, 14), F(11, 8), (1, 5)),
+        ("A", 2, (F(1, 5),) * 2, 5, 1, F(5, 3), (1,)),
+    ],
+)
+def test_certificate_fails_an_exponent_off_the_grid(family, rank, gamma, den, old, new, failures):
+    # B = 14 and 5: a floor onto the grid (1/B)Z reads 11/8 as the 11/14 it
+    # replaced, and 5/3 as the 1.  Both new exponents lie in the range of
+    # F_1, so the trials, on the exact ints of the table, fail them.
+    cfg = make_config(family, rank, gamma)
+    b = assemble(cfg, random_params(cfg, random.Random(0)))
+    assert b.wronskian.den == den
+    assert old in b.forms[0].exponents
+    assert verify_symmetry(b).passed
+    report = verify_symmetry(_moved_exponent(b, 1, old, new))
+    assert report == toda.solutions.SymmetryReport(False, failures)
+
+
+@pytest.mark.parametrize(
+    "family,rank,m,end,failures", [("C", 2, 1, -1, (1, 3)), ("A", 3, 2, 0, (2,))]
+)
+def test_certificate_range_rule_fails_an_exponent_moved_by_p_minus_1(family, rank, m, end, failures):
+    # x^(e + p - 1) = x^e at every x != 0 (Fermat), so the trials pass the
+    # top exponent of F_m raised by p - 1, or the least one lowered by it,
+    # whatever the draws.  The range rule fails it, with its mirror on C.
+    cfg = make_config(family, rank, [0] * rank)
+    b = assemble(cfg, random_params(cfg, random.Random(0)))
+    old = b.forms[m - 1].exponents[end]
+    shift = toda.solutions._P - 1
+    moved = _moved_exponent(b, m, old, old + shift if end else old - shift)
+    assert verify_symmetry(moved) == toda.solutions.SymmetryReport(False, failures)
+    assert not verify_integrability(moved).passed
+
+
+def test_bundle_needs_k_minus_1_unknowns():
+    # A short bundle would pass the certificate (zip drops the missing
+    # level) and break integrability with an IndexError.
+    cfg = make_config("A", 3, [0, 0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(0)))
+    with pytest.raises(ValueError, match=r"needs k - 1 = 3 unknowns, got 2"):
+        replace(b, forms=b.forms[:-1])
+
+
 def _is_prime(n):
     # Miller-Rabin with the bases 2..37, deterministic for n < 3.3e24.
     if n < 2:
@@ -1597,15 +1650,27 @@ def test_pde_single_point_outcomes_are_pinned(family, rank, gamma, outcomes):
 @pytest.mark.parametrize(
     "family,rank", [("C", 2), ("C", 3), ("C", 4), ("B", 2), ("B", 3), ("A", 2), ("A", 3), ("A", 4)]
 )
-def test_distinct_forms_lists_each_form_once(family, rank):
+def test_form_table_lists_each_form_once(family, rank):
     # k//2 forms on C/B, whose mirror F_(k-m) is the object F_m, and k - 1 on A.
-    cfg = make_config(family, rank, [0] * rank)
-    b = assemble(cfg, random_params(cfg, random.Random(rank)))
-    distinct, slots = toda.solutions._distinct_forms(b.forms)
-    assert len(distinct) == (cfg.k - 1 if family == "A" else cfg.k // 2)
-    assert len({id(form) for form in distinct}) == len(distinct)
-    assert all(form is distinct[slot] for form, slot in zip(b.forms, slots))
-    assert slots[: len(distinct)] == list(range(len(distinct)))
+    # assemble puts every exponent on the grid (1/B)Z, so L = B, which keeps
+    # every report of an assembled bundle byte-identical.
+    for gamma in ([0] * rank, [F(1, 3)] * rank):
+        cfg = make_config(family, rank, gamma)
+        b = assemble(cfg, random_params(cfg, random.Random(rank)))
+        distinct, slots, lcd, exps = toda.solutions._form_table(b)
+        assert len(distinct) == (cfg.k - 1 if family == "A" else cfg.k // 2)
+        assert len({id(form) for form in distinct}) == len(distinct)
+        assert all(form is distinct[slot] for form, slot in zip(b.forms, slots))
+        assert slots[: len(distinct)] == list(range(len(distinct)))
+        assert lcd == b.wronskian.den
+        assert exps == [[e * lcd for e in form.exponents] for form in distinct]
+
+
+def test_degree_range_assumes_no_order():
+    # Exponents out of order: the first entry of row 0 has the greatest
+    # degree, 0 + 2, and the last the least, 0 + 1.
+    form = UnknownForm((F(0), F(2), F(1)), ((0, 1, 1, 0), (0, 2, 1, 0)), 1)
+    assert toda.solutions._degree_range(form, [0, 2, 1], 1) == (1, 2)
 
 
 @pytest.mark.parametrize("family,slot", [("B", 1), ("C", 0)])
