@@ -68,13 +68,25 @@ GOLDEN_COORDS = json.dumps(
 )
 
 
-@pytest.mark.parametrize("family", ["C", "B"])
-def test_verify_matches_golden(capsys, family):
+# The six slots of A3, with the values of the C3/B3 golden.
+A3_COORDS = json.dumps({key: json.loads(GOLDEN_COORDS)[key] for key in ("c10", "c21", "c32", "c20", "c31", "c30")})
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("C", ["--lambda", "1/2,3/2,1/2", "--coords", GOLDEN_COORDS]),
+        ("B", ["--lambda", "1/2,3/2,1/2", "--coords", GOLDEN_COORDS]),
+        ("A", ["--coords", A3_COORDS]),
+    ],
+    ids=["C", "B", "A"],
+)
+def test_verify_matches_golden(capsys, family, params):
     # The whole --json report, pde-residual "max=" text included, byte for
-    # byte: dense coordinates at gamma = 0, default points and seed.
+    # byte: dense coordinates at gamma = 0, default points and seed; A with
+    # its default weights, so that its monic-form row passes.
     code, out, err = run(
-        capsys, "verify", "--family", family, "--rank", "3", "--gamma", "0,0,0",
-        "--lambda", "1/2,3/2,1/2", "--coords", GOLDEN_COORDS, "--json",
+        capsys, "verify", "--family", family, "--rank", "3", "--gamma", "0,0,0", *params, "--json"
     )
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"verify_{family.lower()}3.json").read_text()
