@@ -55,6 +55,7 @@ _EXPORTS = {
         "annulus_points",
         "characteristic_data",
         "full_lambda",
+        "verify",
         "verify_integrability",
         "verify_monodromy",
         "verify_pde",

@@ -7,7 +7,9 @@ machine-readable report is printed to stdout; with the same seed and flags
 the JSON output is byte-identical across runs.  Exit codes: 0 all requested
 checks pass, 1 a check failed (a FAIL in the report, or an exception of the
 toda.exact.CheckFailed family), 2 usage error (any other ValueError, bad
-JSON, a missing file), 3 internal error.
+JSON, a missing file), 3 internal error.  The commands check their
+arguments, call the library and format its results; no verdict is decided
+here (verify prints the rows of toda.solutions.verify).
 
 Every command loads toda.exact, toda.lie and toda.linalg (imported here);
 each command imports the other modules it runs when it runs, so that a
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .exact import CheckFailed, format_fraction
-from .lie import Algebra, coordinate_map, format_root_table, positive_roots, slot_name
+from .lie import Algebra, coordinate_map, format_root_table, positive_roots
 
 if TYPE_CHECKING:
     from .groups import UnipotentCoords
@@ -109,16 +111,12 @@ def _emit(report: dict, args, human_lines) -> None:
             print(line)
 
 
-def _check_lines(checks: list[dict], witnesses: dict[str, str]) -> list[str]:
-    """Human lines; a failed check named in ``witnesses`` shows that text after its detail."""
-    out = []
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        detail = c.get("detail", "")
-        if not c["passed"] and c["name"] in witnesses:
-            detail += " " + witnesses[c["name"]]
-        out.append(f"  {c['name']:<14} {status}   {detail}".rstrip())
-    return out
+def _check_lines(rows) -> list[str]:
+    """Human lines of verify's rows, each with its detail and witness."""
+    return [
+        f"  {row.name:<14} {'PASS' if row.passed else 'FAIL'}   {row.detail} {row.witness}".rstrip()
+        for row in rows
+    ]
 
 
 def cmd_solve(args) -> int:
@@ -159,16 +157,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .jsonio import config_to_json, form_to_json, fractions_to_json
-    from .solutions import (
-        a_case_form,
-        assemble,
-        characteristic_data,
-        verify_integrability,
-        verify_monodromy,
-        verify_pde,
-        verify_symmetry,
-    )
+    from .jsonio import config_to_json, form_to_json
+    from .solutions import assemble, verify
 
     if args.points <= 0:
         raise ValueError(f"--points must be positive, got {args.points}")
@@ -179,83 +169,35 @@ def cmd_verify(args) -> int:
     params = _params_from_args(algebra, cfg, args)
     t0 = time.monotonic()
     bundle = assemble(cfg, params)
-    checks = []
-
-    if cfg.family in ("C", "B"):
-        sym = verify_symmetry(bundle)
-        checks.append(
-            {"name": "symmetry", "passed": sym.passed, "detail": f"failures={list(sym.failures)}"}
-        )
-    mono = verify_monodromy(bundle)
-    checks.append(
-        {
-            "name": "monodromy",
-            "passed": mono.passed and mono.agree,
-            "detail": f"algebraic={mono.algebraic_ok} analytic={mono.analytic_ok}",
-        }
-    )
-    pde = verify_pde(bundle, count=args.points, tol=args.tol, seed=args.seed)
-    pde_detail = f"max={pde.max_residual:.3e} points={pde.points_checked}"
-    if not pde.passed:
-        m, z = pde.worst
-        pde_detail += f" m={m} z={z}"
-    checks.append({"name": "pde-residual", "passed": pde.passed, "detail": pde_detail})
-    integ = verify_integrability(bundle)
-    exponent_rows = [
-        {
-            "index": row.index,
-            "at_zero": format_fraction(row.exponent_at_zero),
-            "at_infinity": format_fraction(row.exponent_at_infinity),
-        }
-        for row in integ.rows
-    ]
-    failing = [row.index for row in integ.rows if not (row.integrable and row.matches_weight)]
-    checks.append(
-        {
-            "name": "integrability",
-            "passed": integ.passed,
-            "detail": f"failures={failing}" if failing else "exponents at 0 match the doubled weights",
-        }
-    )
-    # N1/N2: F_1 lies in ker L (x) ker conj(L), so its exponents are roots of P.
-    cdata = characteristic_data(cfg)
-    values = [(e, cdata.indicial(e)) for e in bundle.forms[0].exponents]
-    off_roots = [f"P({format_fraction(e)}) = {format_fraction(v)}" for e, v in values if v]
-    if off_roots:
-        wsym_detail = f"F_1 exponents off the roots of P: {', '.join(off_roots)}"
-    else:
-        wsym_detail = f"w = [{', '.join(fractions_to_json(cdata.w))}]"
-    checks.append({"name": "w-symmetry", "passed": not off_roots, "detail": wsym_detail})
-    if cfg.family == "A":
-        acase = a_case_form(cfg, params)
-        if acase.product == acase.product_expected:
-            detail = f"product={format_fraction(acase.product)}"
-        else:
-            detail = f"product of normalized weights is {acase.product}, expected {acase.product_expected}"
-        checks.append({"name": "monic-form", "passed": acase.passed, "detail": detail})
+    result = verify(bundle, count=args.points, tol=args.tol, seed=args.seed)
     elapsed = time.monotonic() - t0
-    passed = all(c["passed"] for c in checks)
+    mono = result.monodromy
     report = {
         "schema": SCHEMA,
         "command": "verify",
         "config": config_to_json(cfg),
         "options": {"points": args.points, "tol": args.tol, "seed": args.seed},
-        "checks": checks,
-        "exponents": exponent_rows,
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in result.rows],
+        "exponents": [
+            {
+                "index": row.index,
+                "at_zero": format_fraction(row.exponent_at_zero),
+                "at_infinity": format_fraction(row.exponent_at_infinity),
+            }
+            for row in result.integrability.rows
+        ],
         "monodromy_witnesses": {
             "algebraic": [list(x) for x in mono.algebraic_offenders],
             "analytic": list(mono.analytic_offenders),
         },
         "F1": form_to_json(bundle.forms[0]),
-        "passed": passed,
+        "passed": result.passed,
     }
     lines = [f"verification for {cfg.family}{cfg.rank}:"]
-    slots = ", ".join(slot_name(i, j) for i, j in mono.algebraic_offenders)
-    terms = ", ".join(mono.analytic_offenders)
-    lines += _check_lines(checks, {"monodromy": f"slots=[{slots}] F1_terms=[{terms}]"})
-    lines.append(f"  overall: {'PASS' if passed else 'FAIL'} ({elapsed:.2f}s)")
+    lines += _check_lines(result.rows)
+    lines.append(f"  overall: {'PASS' if result.passed else 'FAIL'} ({elapsed:.2f}s)")
     _emit(report, args, lines)
-    return 0 if passed else 1
+    return 0 if result.passed else 1
 
 
 def cmd_roots(args) -> int:

@@ -33,6 +33,11 @@ Cauchy-Euler characteristic data of the family, read from the indicial
 polynomial on Fractions.  F_1 is also checked against nu^dag H nu on
 integers, and its JSON records are written from its form
 (jsonio.form_to_json).
+
+verify runs the checks on an assembled bundle and decides the verdict:
+one CheckRow per check, in a fixed order per family, with its detail and
+witness text.  It is the only place that does, so a library caller and
+toda verify, which only formats the rows, get the same verdict.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ __all__ = [
     "verify_integrability",
     "a_case_form",
     "annulus_points",
+    "verify",
 ]
 
 
@@ -164,6 +170,10 @@ class UnknownForm(Record):
     the exponents as exact ints (_form_table), in any order and on any grid,
     and the entries in any order; only equality, hashing, the JSON term
     order (jsonio.form_to_json) and the F_1 cross-check in assemble do.
+    Construction raises ValueError on a form that no check can read: one
+    with no entries (F_m is never zero, H being positive definite), with a
+    denominator that is not positive, or with an entry whose i or j is not
+    an index into ``exponents``.
     """
 
     exponents: tuple[Fraction, ...]
@@ -171,6 +181,14 @@ class UnknownForm(Record):
     den: int
 
     def __post_init__(self):
+        if not self.entries:
+            raise ValueError("an unknown form needs at least one entry: F_m is never zero")
+        if self.den <= 0:
+            raise ValueError(f"an unknown form needs a positive denominator, got {self.den}")
+        n = len(self.exponents)
+        for entry in self.entries:
+            if not (0 <= entry[0] < n and 0 <= entry[1] < n):
+                raise ValueError(f"entry {entry} of an unknown form has an index outside its {n} exponents")
         g = gcd(self.den, *(x for _, _, re, im in self.entries for x in (re, im)))
         if g > 1:
             entries = tuple((i, j, re // g, im // g) for i, j, re, im in self.entries)
@@ -899,3 +917,80 @@ def a_case_form(config: TodaConfig, params: SolutionParams) -> ACaseReport:
                 if not params.coords.get(i, j).is_zero:
                     violations.append(name)
     return ACaseReport(lam_hat, product, expected, tuple(coeffs), tuple(forbidden), tuple(violations))
+
+
+class CheckRow(Record):
+    """One row of the verdict of verify.
+
+    ``witness`` is text that the human report shows after the detail of a
+    failed row: the offending slots and terms of a failed monodromy row.  It
+    is "" on a passing row and on every other row, whose detail names its
+    witness.
+    """
+
+    name: str
+    passed: bool
+    detail: str
+    witness: str
+
+
+class VerifyReport(Record):
+    """The rows of verify, with the two reports that the JSON report also reads."""
+
+    rows: tuple[CheckRow, ...]
+    monodromy: MonodromyReport
+    integrability: IntegrabilityReport
+
+    @property
+    def passed(self) -> bool:
+        return all(row.passed for row in self.rows)
+
+
+def verify(bundle: SolutionBundle, *, count: int, tol: float, seed: int) -> VerifyReport:
+    """Run every check of an assembled bundle and decide each row; toda verify formats it.
+
+    The rows, in order: symmetry (C/B only), monodromy, pde-residual (count
+    points drawn with seed, passing at tol), integrability, w-symmetry and
+    monic-form (A only).  w-symmetry is the N1/N2 condition: F_1 lies in
+    ker L (x) ker conj(L), so every exponent of its form is a root of the
+    indicial polynomial P.  Each check is looked up in this module when it
+    runs, so a check replaced here is the one called.
+    """
+    config = bundle.config
+    rows = []
+    if config.family in ("C", "B"):
+        sym = verify_symmetry(bundle)
+        rows.append(CheckRow("symmetry", sym.passed, f"failures={list(sym.failures)}", ""))
+    mono = verify_monodromy(bundle)
+    witness = ""
+    if not mono.passed:
+        slots = ", ".join(slot_name(i, j) for i, j in mono.algebraic_offenders)
+        witness = f"slots=[{slots}] F1_terms=[{', '.join(mono.analytic_offenders)}]"
+    detail = f"algebraic={mono.algebraic_ok} analytic={mono.analytic_ok}"
+    rows.append(CheckRow("monodromy", mono.passed, detail, witness))
+    pde = verify_pde(bundle, count=count, tol=tol, seed=seed)
+    detail = f"max={pde.max_residual:.3e} points={pde.points_checked}"
+    if not pde.passed:
+        m, z = pde.worst
+        detail += f" m={m} z={z}"
+    rows.append(CheckRow("pde-residual", pde.passed, detail, ""))
+    integ = verify_integrability(bundle)
+    failing = [row.index for row in integ.rows if not (row.integrable and row.matches_weight)]
+    detail = f"failures={failing}" if failing else "exponents at 0 match the doubled weights"
+    rows.append(CheckRow("integrability", integ.passed, detail, ""))
+    cdata = characteristic_data(config)
+    values = [(e, cdata.indicial(e)) for e in bundle.forms[0].exponents]
+    off_roots = [f"P({format_fraction(e)}) = {format_fraction(v)}" for e, v in values if v]
+    if off_roots:
+        detail = f"F_1 exponents off the roots of P: {', '.join(off_roots)}"
+    else:
+        detail = f"w = [{', '.join(map(format_fraction, cdata.w))}]"
+    rows.append(CheckRow("w-symmetry", not off_roots, detail, ""))
+    if config.family == "A":
+        acase = a_case_form(config, bundle.params)
+        if acase.product == acase.product_expected:
+            detail = f"product={format_fraction(acase.product)}"
+        else:
+            detail = f"product of normalized weights is {acase.product}, expected {acase.product_expected}"
+        rows.append(CheckRow("monic-form", acase.passed, detail, ""))
+    return VerifyReport(tuple(rows), mono, integ)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import replace
 from toda.cli import main
+from toda.config import make_config
 from toda.exact import BranchCutError, CheckFailed, OriginError
 from toda.groups import (
     NonzeroForbiddenCoordinate,
@@ -17,7 +18,14 @@ from toda.groups import (
 )
 from toda.jsonio import coords_to_json, parse_coords
 from toda.lie import Algebra, coordinate_map
-from toda.solutions import IntegrabilityReport, IntegrabilityRow
+from toda.solutions import (
+    IntegrabilityReport,
+    IntegrabilityRow,
+    SolutionParams,
+    assemble,
+    default_lambdas,
+    verify,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -90,6 +98,42 @@ def test_verify_matches_golden(capsys, family, params):
     )
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"verify_{family.lower()}3.json").read_text()
+
+
+def library_verify(family, rank, gamma, params):
+    """toda.verify on the inputs of a toda verify command line, with its default options."""
+    opts = dict(zip(params[::2], params[1::2]))
+    cfg = make_config(family, rank, [F(x) for x in gamma.split(",")])
+    lams = [F(x) for x in opts["--lambda"].split(",")] if "--lambda" in opts else default_lambdas(cfg)
+    coords = parse_coords(cfg.algebra, json.loads(opts.get("--coords", "{}")))
+    return verify(assemble(cfg, SolutionParams.of(lams, coords)), count=20, tol=1e-9, seed=0)
+
+
+@pytest.mark.parametrize(
+    "family,rank,gamma,params",
+    [
+        ("C", 3, "0,0,0", ["--lambda", "1/2,3/2,1/2", "--coords", GOLDEN_COORDS]),
+        ("B", 3, "0,0,0", ["--lambda", "1/2,3/2,1/2", "--coords", GOLDEN_COORDS]),
+        ("A", 3, "0,0,0", ["--coords", A3_COORDS]),
+        # A forbidden coordinate: monodromy fails, with its witness.
+        ("B", 2, "-1/2,1/4", ["--coords", '{"c10":"1"}']),
+        # det H = 16: monic-form and the PDE fail.
+        ("A", 1, "0", ["--lambda", "2,2"]),
+    ],
+    ids=["C3", "B3", "A3", "B2-forbidden", "A1-det16"],
+)
+def test_library_verify_decides_the_rows_of_the_cli(capsys, family, rank, gamma, params):
+    result = library_verify(family, rank, gamma, params)
+    code, out, _ = run(
+        capsys, "verify", "--family", family, "--rank", str(rank), f"--gamma={gamma}", *params, "--json"
+    )
+    report = json.loads(out)
+    assert [(r.name, r.passed, r.detail) for r in result.rows] == [
+        (c["name"], c["passed"], c["detail"]) for c in report["checks"]
+    ]
+    assert result.passed is report["passed"]
+    assert code == (0 if result.passed else 1)
+    assert not any(r.witness for r in result.rows if r.passed)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +321,11 @@ def test_check_failure_exit_1(capsys):
         "F1_terms=[z^1/4 zb^3/4, z^3/4 zb^1/4, z^13/4 zb^15/4, z^15/4 zb^13/4]"
     ) in out.splitlines()
     assert "  symmetry       PASS   failures=[]" in out.splitlines()
+    # The library row holds that line: its detail, then its witness.
+    rows = library_verify("B", 2, "-1/2,1/4", ["--coords", '{"c10":"1"}']).rows
+    row = next(r for r in rows if r.name == "monodromy")
+    assert f"  monodromy      FAIL   {row.detail} {row.witness}" in out.splitlines()
+    assert row.witness.startswith("slots=[c10, c43] F1_terms=[z^1/4 zb^3/4,")
     _, out, _ = run(
         capsys,
         "verify", "--family", "B", "--rank", "2", "--gamma", "-1/2,1/4",

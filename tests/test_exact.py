@@ -310,6 +310,7 @@ def record_samples() -> dict[type, Record]:
         a_case_form,
         assemble,
         characteristic_data,
+        verify,
         verify_integrability,
         verify_monodromy,
         verify_pde,
@@ -320,6 +321,7 @@ def record_samples() -> dict[type, Record]:
     a2 = make_config("A", 2, [0, 0])
     bundle = assemble(c2, random_params(c2, random.Random(0)))
     integrability = verify_integrability(bundle)
+    verdict = verify(bundle, count=2, tol=1e-9, seed=0)
     samples = [
         ExactScalar.of(1, F(-2, 3)),
         Monomial(ExactScalar.of(2), F(1, 2), F(-1)),
@@ -344,6 +346,8 @@ def record_samples() -> dict[type, Record]:
         integrability.rows[0],
         integrability,
         a_case_form(a2, random_params(a2, random.Random(0))),
+        verdict.rows[0],
+        verdict,
     ]
     return {type(x): x for x in samples}
 

@@ -93,6 +93,9 @@ def test_no_command_loads_dataclasses_or_inspect(argv):
 def test_public_name_loads_its_module_on_access():
     loaded = loaded_after("from toda import minor")
     assert "toda.groups" in loaded and "toda.solutions" not in loaded
+    # The library decides the verdict of verify; only the CLI formats it.
+    loaded = loaded_after("from toda import verify")
+    assert "toda.solutions" in loaded and not {"toda.jsonio", "toda.cli"} & set(loaded)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -170,13 +170,11 @@ _exponent = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 def unknown_forms(draw):
     exponents = sorted(draw(st.sets(_exponent, min_size=1, max_size=5)))
     n = len(exponents)
+    # Each entry nonzero, one part possibly zero; a form has at least one.
     part = st.integers(-(10**6), 10**6)
-    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
-    entries = []
-    for i, j in sorted(pairs):
-        re, im = draw(part), draw(part)
-        if re or im:
-            entries.append((i, j, re, im))
+    coeff = st.tuples(part, part).filter(any)
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=12))
+    entries = [(i, j, *draw(coeff)) for i, j in sorted(pairs)]
     return UnknownForm(tuple(exponents), tuple(entries), draw(st.integers(1, 10**6)))
 
 

@@ -653,6 +653,26 @@ def test_bundle_needs_k_minus_1_unknowns():
         replace(b, forms=b.forms[:-1])
 
 
+def test_malformed_unknown_form_raises_at_construction():
+    # Without the guard, an entry whose index has no exponent made the
+    # symmetry, monodromy, PDE and integrability checks raise IndexError, a
+    # negative index silently read another exponent, and a form with no
+    # entries made integrability raise from min(), and a zero denominator
+    # made the PDE check raise ZeroDivisionError.
+    cfg = make_config("C", 2, [0, 0])
+    f1 = assemble(cfg, random_params(cfg, random.Random(0))).forms[0]
+    n = len(f1.exponents) - 1
+    named = rf"entry \(.*\b{n}\b.*\) of an unknown form has an index outside its {n} exponents"
+    with pytest.raises(ValueError, match=named):
+        replace(f1, exponents=f1.exponents[:-1])
+    with pytest.raises(ValueError, match=r"entry \(-1, 0, 1, 0\) .* has an index outside its"):
+        replace(f1, entries=((-1, 0, 1, 0),) + f1.entries)
+    with pytest.raises(ValueError, match="at least one entry: F_m is never zero"):
+        replace(f1, entries=())
+    with pytest.raises(ValueError, match="needs a positive denominator, got 0"):
+        replace(f1, den=0)
+
+
 def _is_prime(n):
     # Miller-Rabin with the bases 2..37, deterministic for n < 3.3e24.
     if n < 2:
