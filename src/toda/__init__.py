@@ -21,7 +21,6 @@ _EXPORTS = {
         "cartan",
         "coordinate_map",
         "delta_gamma",
-        "monodromy_element",
         "positive_roots",
     ),
     "groups": (

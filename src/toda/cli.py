@@ -121,23 +121,24 @@ def _check_lines(rows) -> list[str]:
 
 def cmd_solve(args) -> int:
     from .jsonio import config_to_json, coords_to_json, form_to_json, fractions_to_json
-    from .solutions import assemble
+    from .solutions import assemble, reduced_unknowns
 
     algebra, cfg = _config_from_args(args)
     params = _params_from_args(algebra, cfg, args)
     bundle = assemble(cfg, params)
+    nu, reduced = bundle.wronskian.nu, reduced_unknowns(cfg)
     report = {
         "schema": SCHEMA,
         "command": "solve",
         "config": config_to_json(cfg),
         "lambda_full": fractions_to_json(bundle.lambdas),
         "coords": coords_to_json(params.coords),
-        "beta": fractions_to_json(bundle.nu.beta),
-        "chi": fractions_to_json(bundle.nu.chi),
+        "beta": fractions_to_json(nu.beta),
+        "chi": fractions_to_json(nu.chi),
         "F1": form_to_json(bundle.forms[0]),
         "term_counts": [len(form.entries) for form in bundle.forms],
     }
-    if bundle.reduced is not None:
+    if reduced is not None:
         report["reduced"] = [
             {
                 "index": r.index,
@@ -145,11 +146,11 @@ def cmd_solve(args) -> int:
                 "power": format_fraction(r.power),
                 "ln2_offset": format_fraction(r.ln2_coefficient),
             }
-            for r in bundle.reduced
+            for r in reduced
         ]
     lines = [
         f"solution for {cfg.family}{cfg.rank}, gamma = {args.gamma}",
-        f"  exponents beta: {', '.join(fractions_to_json(bundle.nu.beta))}",
+        f"  exponents beta: {', '.join(fractions_to_json(nu.beta))}",
         f"  F_1 has {len(bundle.forms[0].entries)} terms",
     ]
     _emit(report, args, lines)

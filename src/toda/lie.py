@@ -277,11 +277,6 @@ def alpha_differences(alpha_tilde: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(b - a for a, b in zip(padded, padded[1:]))
 
 
-def monodromy_element(algebra: Algebra, gamma: Sequence) -> MonodromyElement:
-    """Exponent vector alpha_differences over the A-side alphas of gamma."""
-    return MonodromyElement(alpha_differences(a_side_alpha(symmetrized_gamma(algebra, gamma))))
-
-
 def format_root_table(algebra: Algebra, gamma: Sequence) -> list[dict]:
     """Rows pairing each free slot with its root, pairing value and membership.
 

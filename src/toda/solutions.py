@@ -34,6 +34,10 @@ polynomial on Fractions.  F_1 is also checked against nu^dag H nu on
 integers, and its JSON records are written from its form
 (jsonio.form_to_json).
 
+Every check reads the bundle alone (verify_pde also its points and tol),
+and the bundle holds each value once: nu is wronskian.nu, and the reduced
+unknowns are reduced_unknowns(config).  So a bundle changed in one field
+is checked as that bundle.  No function here has a default argument.
 verify runs the checks on an assembled bundle and decides the verdict:
 one CheckRow per check, in a fixed order per family, with its detail and
 witness text.  It is the only place that does, so a library caller and
@@ -166,14 +170,19 @@ class UnknownForm(Record):
     ((re + i*im) / den) z^(e_i) zb^(e_j), in (e_i, e_j) order, which is the
     term order of the ZExpr.  Construction divides den, re and im by their
     gcd, so forms are equal (and hash the same) iff their unknowns are.
-    assemble builds every form so; the checks assume none of it.  They read
-    the exponents as exact ints (_form_table), in any order and on any grid,
-    and the entries in any order; only equality, hashing, the JSON term
-    order (jsonio.form_to_json) and the F_1 cross-check in assemble do.
-    Construction raises ValueError on a form that no check can read: one
-    with no entries (F_m is never zero, H being positive definite), with a
-    denominator that is not positive, or with an entry whose i or j is not
-    an index into ``exponents``.
+    assemble builds every form so; the checks assume none of the order or
+    the diagonal.  They read the exponents as exact ints (_form_table), in
+    any order and on any grid, and the entries in any order; only equality,
+    hashing, the JSON term order (jsonio.form_to_json) and the F_1
+    cross-check in assemble do.
+    Construction raises ValueError, naming the entry or the exponent, on a
+    form that a check would misread: one with no entries (F_m is never
+    zero, H being positive definite), with a denominator that is not
+    positive, with an entry whose i or j is not an index into
+    ``exponents``, whose coefficient is zero (monodromy would read it as a
+    term of F_1) or whose (i, j) repeats an earlier one (equality would
+    fail on a split entry), or with an exponent that is repeated or that no
+    entry reads (w-symmetry would test it as an exponent of F_1).
     """
 
     exponents: tuple[Fraction, ...]
@@ -186,9 +195,23 @@ class UnknownForm(Record):
         if self.den <= 0:
             raise ValueError(f"an unknown form needs a positive denominator, got {self.den}")
         n = len(self.exponents)
+        if len(set(self.exponents)) != n:
+            repeated = next(e for p, e in enumerate(self.exponents) if e in self.exponents[:p])
+            raise ValueError(f"exponent {repeated} of an unknown form is repeated")
+        seen, read = bytearray(n * n), [False] * n
         for entry in self.entries:
-            if not (0 <= entry[0] < n and 0 <= entry[1] < n):
+            i, j, re, im = entry
+            if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"entry {entry} of an unknown form has an index outside its {n} exponents")
+            if not (re or im):
+                raise ValueError(f"entry {entry} of an unknown form has a zero coefficient")
+            if seen[i * n + j]:
+                raise ValueError(f"entry {entry} of an unknown form repeats the pair {(i, j)}")
+            seen[i * n + j] = 1
+            read[i] = read[j] = True
+        if not all(read):
+            unread = self.exponents[read.index(False)]
+            raise ValueError(f"exponent {unread} of an unknown form is read by no entry")
         g = gcd(self.den, *(x for _, _, re, im in self.entries for x in (re, im)))
         if g > 1:
             entries = tuple((i, j, re // g, im // g) for i, j, re, im in self.entries)
@@ -208,10 +231,8 @@ class UnknownForm(Record):
 class SolutionBundle(Record):
     config: TodaConfig
     params: SolutionParams
-    nu: NuVector
     wronskian: WronskianMatrix
     forms: tuple[UnknownForm, ...]
-    reduced: tuple[ReducedUnknown, ...] | None
     H: GroupElement
     C: GroupElement
     lambdas: tuple[Fraction, ...]
@@ -277,8 +298,7 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
         forms.append(UnknownForm(exponents, entries, scales[m] ** 2 * lam_den**m))
     forms += [forms[k - m - 1] for m in range(built + 1, k)]
     _check_first_unknown(forms[0], nu, h)
-    reduced = reduced_unknowns(config)
-    return SolutionBundle(config, params, nu, w, tuple(forms), reduced, h, c, lams)
+    return SolutionBundle(config, params, w, tuple(forms), h, c, lams)
 
 
 def _holomorphic_matrix(w: WronskianMatrix, c: GroupElement):
@@ -659,7 +679,7 @@ def characteristic_data(config: TodaConfig) -> CharacteristicData:
 _RMIN, _RMAX, _SECTOR = 0.3, 3.0, 0.2
 
 
-def annulus_points(count: int, seed: int = 7) -> tuple[complex, ...]:
+def annulus_points(count: int, seed: int) -> tuple[complex, ...]:
     """Deterministic off-cut sample points in an annulus avoiding the cut."""
     rng = random.Random(seed)
     pts = []
@@ -728,15 +748,8 @@ class PdeReport(Record):
     reduced_checked: bool
 
 
-def verify_pde(
-    bundle: SolutionBundle,
-    points: Sequence[complex] | None = None,
-    *,
-    count: int = 20,
-    tol: float = 1e-9,
-    seed: int = 7,
-) -> PdeReport:
-    """Numeric residual of the coupled log-Laplacian equations at off-cut points.
+def verify_pde(bundle: SolutionBundle, points: Sequence[complex], *, tol: float) -> PdeReport:
+    """Numeric residual of the coupled log-Laplacian equations at the given points.
 
     Each distinct form (_form_table: the mirror pairs F_m = F_{k-m} of
     C/B are one) is compiled once per call into a float plan (_pde_plan):
@@ -749,19 +762,20 @@ def verify_pde(
     in relative terms.  The A-side system
     d_z d_zbar log F_m = prod_j F_j^(-a_mj) is checked at every point as its
     row is built.  For C/B bundles the family system for m <= n is then
-    checked on the same rows, each reduced unknown U_i scaled from the value
-    of F_i already in the row.  A residual that is not finite (NaN or an
-    overflow, a power, F^2 or Cartan factor out of float range at a tiny or
-    huge point, or a reduced unknown with no real value) fails the check:
-    it becomes the worst one unless an earlier one already is not finite.  A
-    failure is reported, never raised: ``worst`` is its witness (m, z); the
-    only errors are OriginError and BranchCutError, from the point's power
-    table: at the origin if any exponent of any plan is negative, and on
-    the cut if any is fractional.
+    checked on the same rows, each reduced unknown U_i of
+    reduced_unknowns(config) scaled from the value of F_i already in the
+    row.  It passes when no residual exceeds tol.  A residual that is not
+    finite (NaN or an overflow, a power, F^2 or Cartan factor out of float
+    range at a tiny or huge point, or a reduced unknown with no real value)
+    fails the check: it becomes the worst one unless an earlier one already
+    is not finite.  A failure is reported, never raised: ``worst`` is its
+    witness (m, z); the only errors are OriginError and BranchCutError, from
+    the point's power table: at the origin if any exponent of any plan is
+    negative, and on the cut if any is fractional.
     An empty point list raises ValueError, since it would pass vacuously.
     """
     config = bundle.config
-    pts = tuple(points) if points is not None else annulus_points(count, seed)
+    pts = tuple(points)
     if not pts:
         raise ValueError("verify_pde needs at least one point")
     index: dict[Fraction, int] = {}
@@ -801,13 +815,14 @@ def verify_pde(
             residual(m, z, lap, values, amat[m - 1], 1.0 + 0.0j)
         rows.append((z, values, laps))
 
-    if bundle.reduced is not None:
+    reduced = reduced_unknowns(config)
+    if reduced is not None:
         fam_matrix = cartan(config.algebra).matrix
         for z, values, laps in rows:
-            red_vals = [r.value_from(v) for r, v in zip(bundle.reduced, values)]
-            for m, r in enumerate(bundle.reduced, start=1):
+            red_vals = [r.value_from(v) for r, v in zip(reduced, values)]
+            for m, r in enumerate(reduced, start=1):
                 residual(m, z, float(r.power) * laps[m - 1], red_vals, fam_matrix[m - 1], 1.0)
-    return PdeReport(max_res <= tol, max_res, worst, len(pts), bundle.reduced is not None)
+    return PdeReport(max_res <= tol, max_res, worst, len(pts), reduced is not None)
 
 
 class IntegrabilityRow(Record):
@@ -874,49 +889,34 @@ class ACaseReport(Record):
         return self.product == self.product_expected and not self.forbidden_violations
 
 
-def a_case_form(config: TodaConfig, params: SolutionParams) -> ACaseReport:
-    """Re-express F_1 of an A-family solution in monic-polynomial form.
+def a_case_form(bundle: SolutionBundle) -> ACaseReport:
+    """Re-express F_1 of an A-family bundle in monic-polynomial form.
 
     Writes F_1 = |z|^(-2 alpha_1) (lhat_0 + sum lhat_i |P_i|^2) with monic
     P_i, records the product of the lhat beside the product of inverse
     squared exponent sums (equal iff det H = 1), and lists the coordinates
-    whose exponent sums are non-integral (these must vanish).  The report is
-    always returned; ``passed`` tests both conditions.
+    on the slots that the monodromy element does not fix (these must
+    vanish; the rule of verify_monodromy).  It reads chi from the bundle's
+    Wronskian, the weights from bundle.lambdas and the coordinates from
+    bundle.params.  The report is always returned; ``passed`` tests both
+    conditions.
     """
+    config = bundle.config
     if config.family != "A":
         raise ValueError("monic form applies to the A family")
-    nu = nu_vector(config)
-    lams = full_lambda(config, params)
-    chi = nu.chi
-    k = config.k
-    mu = config.mu_tilde
-    lam_hat = tuple(lams[i] ** 2 * chi[i] ** 2 for i in range(k))
-    product = Fraction(1)
-    for x in lam_hat:
-        product *= x
-    expected = Fraction(1)
-    for i in range(1, k):
-        for j in range(i, k):
-            expected /= sum(mu[i - 1:j], Fraction(0)) ** 2
-    coeffs = []
-    for i in range(1, k):
-        row = {}
-        for j in range(i):
-            val = params.coords.get(i, j)
-            if not val.is_zero:
-                row[slot_name(i, j)] = val * (chi[j] / chi[i])
-        coeffs.append(row)
-    forbidden = []
-    violations = []
-    for i in range(1, k):
-        for j in range(i):
-            span = sum(mu[j:i], Fraction(0))
-            if span.denominator != 1:
-                name = slot_name(i, j)
-                forbidden.append(name)
-                if not params.coords.get(i, j).is_zero:
-                    violations.append(name)
-    return ACaseReport(lam_hat, product, expected, tuple(coeffs), tuple(forbidden), tuple(violations))
+    chi, coords = bundle.wronskian.nu.chi, bundle.params.coords
+    k, mu = config.k, config.mu_tilde
+    mono = MonodromyElement(config.shifts)
+    lam_hat = tuple((lam * c) ** 2 for lam, c in zip(bundle.lambdas, chi))
+    product = prod(lam_hat, start=Fraction(1))
+    expected = 1 / prod(sum(mu[i - 1:j], Fraction(0)) ** 2 for i in range(1, k) for j in range(i, k))
+    coeffs = [{} for _ in range(1, k)]
+    for (i, j), val in coords.items():
+        coeffs[i - 1][slot_name(i, j)] = val * (chi[j] / chi[i])
+    forbidden = [(i, j) for i in range(1, k) for j in range(i) if not mono.fixes_slot(i, j)]
+    violations = tuple(slot_name(i, j) for i, j in forbidden if not coords.get(i, j).is_zero)
+    forbidden_names = tuple(slot_name(i, j) for i, j in forbidden)
+    return ACaseReport(lam_hat, product, expected, tuple(coeffs), forbidden_names, violations)
 
 
 class CheckRow(Record):
@@ -968,7 +968,7 @@ def verify(bundle: SolutionBundle, *, count: int, tol: float, seed: int) -> Veri
         witness = f"slots=[{slots}] F1_terms=[{', '.join(mono.analytic_offenders)}]"
     detail = f"algebraic={mono.algebraic_ok} analytic={mono.analytic_ok}"
     rows.append(CheckRow("monodromy", mono.passed, detail, witness))
-    pde = verify_pde(bundle, count=count, tol=tol, seed=seed)
+    pde = verify_pde(bundle, annulus_points(count, seed), tol=tol)
     detail = f"max={pde.max_residual:.3e} points={pde.points_checked}"
     if not pde.passed:
         m, z = pde.worst
@@ -987,7 +987,7 @@ def verify(bundle: SolutionBundle, *, count: int, tol: float, seed: int) -> Veri
         detail = f"w = [{', '.join(map(format_fraction, cdata.w))}]"
     rows.append(CheckRow("w-symmetry", not off_roots, detail, ""))
     if config.family == "A":
-        acase = a_case_form(config, bundle.params)
+        acase = a_case_form(bundle)
         if acase.product == acase.product_expected:
             detail = f"product={format_fraction(acase.product)}"
         else:

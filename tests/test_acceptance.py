@@ -42,6 +42,7 @@ from toda.groups import (
 from toda.lie import coordinate_map, delta_gamma
 from toda.solutions import (
     SolutionParams,
+    annulus_points,
     assemble,
     characteristic_data,
     verify_integrability,
@@ -276,7 +277,7 @@ def test_criterion_08_pde_residual():
         configs.append((cfg, random_params(cfg, rng, bound=2)))
     for idx, (cfg, params) in enumerate(configs):
         bundle = assemble(cfg, params)
-        rep = verify_pde(bundle, count=20, tol=1e-9, seed=1000 + idx)
+        rep = verify_pde(bundle, annulus_points(20, 1000 + idx), tol=1e-9)
         if not rep.passed:
             failures.append((str(cfg.algebra), cfg.gamma, rep.max_residual))
     elapsed = time.monotonic() - t0

@@ -305,11 +305,13 @@ def record_samples() -> dict[type, Record]:
     """One instance of each Record class, built through the public API."""
     from toda.config import make_config
     from toda.groups import check_minor_identity
-    from toda.lie import cartan, coordinate_map, monodromy_element, positive_roots
+    from toda.lie import MonodromyElement, cartan, coordinate_map, positive_roots
     from toda.solutions import (
         a_case_form,
+        annulus_points,
         assemble,
         characteristic_data,
+        reduced_unknowns,
         verify,
         verify_integrability,
         verify_monodromy,
@@ -329,23 +331,23 @@ def record_samples() -> dict[type, Record]:
         cartan(c2.algebra),
         positive_roots(c2.algebra)[-1],
         coordinate_map(c2.algebra)[0],
-        monodromy_element(c2.algebra, [F(1, 2), 0]),
+        MonodromyElement(make_config("C", 2, [F(1, 2), 0]).shifts),
         c2,
-        bundle.nu,
+        bundle.wronskian.nu,
         bundle.wronskian,
         bundle.H,
         check_minor_identity(bundle.H),
         bundle.params,
         bundle.forms[0],
-        bundle.reduced[0],
+        reduced_unknowns(c2)[0],
         bundle,
         verify_symmetry(bundle),
         verify_monodromy(bundle),
         characteristic_data(c2),
-        verify_pde(bundle, count=2),
+        verify_pde(bundle, annulus_points(2, 7), tol=1e-9),
         integrability.rows[0],
         integrability,
-        a_case_form(a2, random_params(a2, random.Random(0))),
+        a_case_form(assemble(a2, random_params(a2, random.Random(0)))),
         verdict.rows[0],
         verdict,
     ]

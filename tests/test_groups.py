@@ -1377,13 +1377,14 @@ def test_restricted_elements_form_a_subgroup():
     # supported on slots fixed by the monodromy element.
     from fractions import Fraction
 
-    from toda.lie import monodromy_element
+    from toda.config import make_config
+    from toda.lie import MonodromyElement
 
     rng = random.Random(19)
     for family, rank, gamma in [("C", 3, (F(-1, 2), F(1, 4), F(1))), ("B", 2, (F(-1, 2), F(1, 4)))]:
         alg = Algebra(family, rank)
         dg = delta_gamma(alg, gamma)
-        mono = monodromy_element(alg, gamma)
+        mono = MonodromyElement(make_config(family, rank, gamma).shifts)
         elements = []
         for _ in range(2):
             coords, _ = restrict_to_ngamma(random_coords(alg, rng, 3), dg)

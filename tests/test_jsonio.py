@@ -174,8 +174,11 @@ def unknown_forms(draw):
     part = st.integers(-(10**6), 10**6)
     coeff = st.tuples(part, part).filter(any)
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=12))
-    entries = [(i, j, *draw(coeff)) for i, j in sorted(pairs)]
-    return UnknownForm(tuple(exponents), tuple(entries), draw(st.integers(1, 10**6)))
+    # Only the exponents that some entry reads, renumbered in order.
+    used = sorted({i for pair in pairs for i in pair})
+    index = {old: new for new, old in enumerate(used)}
+    entries = [(index[i], index[j], *draw(coeff)) for i, j in sorted(pairs)]
+    return UnknownForm(tuple(exponents[i] for i in used), tuple(entries), draw(st.integers(1, 10**6)))
 
 
 @settings(max_examples=200, deadline=None)

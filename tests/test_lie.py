@@ -2,15 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from toda.config import make_config
 from toda.lie import (
     Algebra,
+    MonodromyElement,
     Root,
     a_side_alpha,
     alpha_from_gamma,
     cartan,
     coordinate_map,
     delta_gamma,
-    monodromy_element,
     positive_roots,
     symmetrized_gamma,
 )
@@ -203,27 +204,27 @@ def test_cross_family_integrality_matches_a_side():
 
 
 def test_monodromy_b2_example():
-    m = monodromy_element(Algebra("B", 2), [F(-1, 2), F(1, 4)])
+    m = MonodromyElement(make_config("B", 2, [F(-1, 2), F(1, 4)]).shifts)
     assert m.exponents == (F(-1, 4), F(1, 4), F(0), F(-1, 4), F(1, 4))
 
 
 def test_monodromy_b2_gamma_form():
     g1, g2 = F(1, 3), F(2, 5)
-    m = monodromy_element(Algebra("B", 2), [g1, g2])
+    m = MonodromyElement(make_config("B", 2, [g1, g2]).shifts)
     assert m.exponents == (g1 + g2, g2, F(0), -g2, -g1 - g2)
 
 
 def test_monodromy_c3_alpha_form():
     g = (F(1, 2), F(1, 3), F(3, 4))
     a1, a2, a3 = alpha_from_gamma(Algebra("C", 3), g)
-    m = monodromy_element(Algebra("C", 3), g)
+    m = MonodromyElement(make_config("C", 3, g).shifts)
     assert m.exponents == (a1, a2 - a1, a3 - a2, a2 - a3, a1 - a2, -a1)
 
 
 def test_monodromy_fixes_slot_matches_root_values():
     alg = Algebra("B", 2)
     g = (F(-1, 2), F(1, 4))
-    m = monodromy_element(alg, g)
+    m = MonodromyElement(make_config("B", 2, g).shifts)
     for slot in coordinate_map(alg):
         assert m.fixes_slot(slot.row, slot.col) == (slot.root.value(g).denominator == 1)
 
