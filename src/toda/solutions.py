@@ -35,9 +35,10 @@ integers, and its JSON records are written from its form
 (jsonio.form_to_json).
 
 Every check reads the bundle alone (verify_pde also its points and tol),
-and the bundle holds each value once: nu is wronskian.nu, and the reduced
-unknowns are reduced_unknowns(config).  So a bundle changed in one field
-is checked as that bundle.  No function here has a default argument.
+and the bundle holds each value once: H is derived from lambdas and C on
+first read, nu is wronskian.nu, and the reduced unknowns are
+reduced_unknowns(config).  So a bundle changed in one field is checked as
+that bundle.  No function here has a default argument.
 verify runs the checks on an assembled bundle and decides the verdict:
 one CheckRow per check, in a fixed order per family, with its detail and
 witness text.  It is the only place that does, so a library caller and
@@ -55,7 +56,7 @@ from math import factorial, gcd, lcm, nan, prod
 from operator import mul
 from typing import Sequence
 
-from .basis import NuVector, StructureError, WronskianMatrix, nu_vector, wronskian
+from .basis import StructureError, WronskianMatrix, nu_vector, wronskian
 from .config import TodaConfig
 from .exact import (
     ExactScalar,
@@ -67,6 +68,7 @@ from .exact import (
     _power_table,
     as_fraction,
     format_fraction,
+    scalar_over,
     scale_to_ints,
 )
 from .groups import (
@@ -101,7 +103,7 @@ __all__ = [
 
 
 class SolutionParams(Record):
-    """Diagonal weights (the free half for C/B, all k for A) plus coordinates."""
+    """assemble's input, which no bundle keeps: weights (the free half for C/B, all k for A), coordinates."""
 
     lambdas: tuple[Fraction, ...]
     coords: UnipotentCoords
@@ -165,16 +167,15 @@ class ReducedUnknown(Record):
 class UnknownForm(Record):
     """One unknown F_m in integer form, in lowest terms.
 
-    ``exponents`` are sorted and distinct, each with a nonzero diagonal entry;
-    each entry (i, j, re, im) of ``entries`` is the nonzero term
-    ((re + i*im) / den) z^(e_i) zb^(e_j), in (e_i, e_j) order, which is the
-    term order of the ZExpr.  Construction divides den, re and im by their
-    gcd, so forms are equal (and hash the same) iff their unknowns are.
-    assemble builds every form so; the checks assume none of the order or
-    the diagonal.  They read the exponents as exact ints (_form_table), in
-    any order and on any grid, and the entries in any order; only equality,
-    hashing, the JSON term order (jsonio.form_to_json) and the F_1
-    cross-check in assemble do.
+    ``exponents`` are distinct; each entry (i, j, re, im) of ``entries`` is
+    the nonzero term ((re + i*im) / den) z^(e_i) zb^(e_j).  Construction
+    sorts the exponents ascending (renumbering the entries) and the entries
+    by (i, j), the term order of the ZExpr, each only when out of order, and
+    divides den, re and im by their gcd; so forms are equal (and hash the
+    same) iff their unknowns are, in whatever order they were listed.  The
+    JSON term order (jsonio.form_to_json) and the F_1 cross-check in
+    assemble read that order; the checks read the exponents as exact ints
+    (_form_table), on any grid, and assume no nonzero diagonal entry.
     Construction raises ValueError, naming the entry or the exponent, on a
     form that a check would misread: one with no entries (F_m is never
     zero, H being positive definite), with a denominator that is not
@@ -212,11 +213,19 @@ class UnknownForm(Record):
         if not all(read):
             unread = self.exponents[read.index(False)]
             raise ValueError(f"exponent {unread} of an unknown form is read by no entry")
-        g = gcd(self.den, *(x for _, _, re, im in self.entries for x in (re, im)))
+        exps, entries = self.exponents, self.entries
+        if any(a > b for a, b in zip(exps, exps[1:])):
+            order = sorted(range(n), key=exps.__getitem__)
+            new = {i: p for p, i in enumerate(order)}
+            entries = tuple((new[i], new[j], re, im) for i, j, re, im in entries)
+            object.__setattr__(self, "exponents", tuple(exps[i] for i in order))
+        if any(a[:2] > b[:2] for a, b in zip(entries, entries[1:])):
+            entries = tuple(sorted(entries))
+        g = gcd(self.den, *(x for _, _, re, im in entries for x in (re, im)))
         if g > 1:
-            entries = tuple((i, j, re // g, im // g) for i, j, re, im in self.entries)
-            object.__setattr__(self, "entries", entries)
+            entries = tuple((i, j, re // g, im // g) for i, j, re, im in entries)
             object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "entries", entries)
 
     @cached_property
     def expr(self) -> ZExpr:
@@ -229,11 +238,11 @@ class UnknownForm(Record):
 
 
 class SolutionBundle(Record):
+    """A solution: its Wronskian, its unknowns F_1..F_{k-1}, Lambda's k weights and C; H is derived."""
+
     config: TodaConfig
-    params: SolutionParams
     wronskian: WronskianMatrix
     forms: tuple[UnknownForm, ...]
-    H: GroupElement
     C: GroupElement
     lambdas: tuple[Fraction, ...]
 
@@ -247,6 +256,12 @@ class SolutionBundle(Record):
     @property
     def k(self) -> int:
         return self.config.k
+
+    @cached_property
+    def H(self) -> GroupElement:
+        """H = B^dag B, B = Lambda C, built on first read; a copy or a pickle builds its own."""
+        b = scale_rows(self.lambdas, self.C)
+        return b.conj_transpose() @ b
 
     @cached_property
     def F(self) -> tuple[ZExpr, ...]:
@@ -274,15 +289,12 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     paper (C in Sp/SO, palindromic basis).  That symmetry is not trusted:
     verify_symmetry certifies every F_m, mirrored or not, against its
     definition.  The A family builds every level.  F_1 is cross-checked on
-    integers against nu^dag H nu, which reads H directly.  No ZExpr is
+    integers against nu^dag H nu, which builds the bundle's H.  No ZExpr is
     built here: they are built when bundle.F is read.
     """
-    nu = nu_vector(config)
-    w = wronskian(nu)
+    w = wronskian(nu_vector(config))
     c = unipotent_from_coords(config.algebra, params.coords)
     lams = full_lambda(config, params)
-    b = scale_rows(lams, c)
-    h = b.conj_transpose() @ b
     g, scales = _holomorphic_matrix(w, c)
     lam_den, lam_num = scale_to_ints([x * x for x in lams])
     k = config.k
@@ -297,8 +309,9 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
         )
         forms.append(UnknownForm(exponents, entries, scales[m] ** 2 * lam_den**m))
     forms += [forms[k - m - 1] for m in range(built + 1, k)]
-    _check_first_unknown(forms[0], nu, h)
-    return SolutionBundle(config, params, w, tuple(forms), h, c, lams)
+    bundle = SolutionBundle(config, w, tuple(forms), c, lams)
+    _check_first_unknown(bundle)
+    return bundle
 
 
 def _holomorphic_matrix(w: WronskianMatrix, c: GroupElement):
@@ -397,9 +410,10 @@ def _unknown_matrix(level: dict, lam_num: Sequence[int]):
     return exps, re, im
 
 
-def _check_first_unknown(f1: UnknownForm, nu: NuVector, h: GroupElement) -> None:
+def _check_first_unknown(bundle: SolutionBundle) -> None:
     # F_1 = nu^dag H nu: entry H_ab carries conj(nu_a) nu_b = chi_a chi_b zb^beta_a z^beta_b,
     # so on exponents beta, entry (b, a) of F_1 is chi_a chi_b (dH)_ab / d.
+    f1, nu, h = bundle.forms[0], bundle.wronskian.nu, bundle.H
     d = h.den
     terms = {(i, j): (re, im) for i, j, re, im in f1.entries}
     same = f1.exponents == nu.beta
@@ -576,6 +590,11 @@ def _form_value(form: UnknownForm, exps: Sequence[int], x: int, y: int) -> int:
     return sum(r * pow(x, e, _P) for r, e in zip(rows, exps)) % _P
 
 
+def _lower_slots(c: GroupElement) -> list[tuple[int, int]]:
+    """The slots (i, j), i > j, of the nonzero strictly lower entries of c, in row order."""
+    return [(i, j) for i in range(c.dim) for j in range(i) if c.re[i][j] or c.im[i][j]]
+
+
 class MonodromyReport(Record):
     passed: bool
     algebraic_ok: bool
@@ -595,26 +614,15 @@ def verify_monodromy(bundle: SolutionBundle) -> MonodromyReport:
     hence is single-valued off the origin.  A failure is reported, never
     raised: the offending slots and terms are the report's witnesses.
     """
-    config = bundle.config
-    mono = MonodromyElement(config.shifts)
-    c = bundle.C
-    k = config.k
-    alg_offenders = tuple(
-        (i, j)
-        for i in range(k)
-        for j in range(i)
-        if (c.re[i][j] or c.im[i][j]) and not mono.fixes_slot(i, j)
-    )
+    mono = MonodromyElement(bundle.config.shifts)
+    alg_offenders = tuple((i, j) for i, j in _lower_slots(bundle.C) if not mono.fixes_slot(i, j))
     f1 = bundle.forms[0]
     e = f1.exponents
     # e_i - e_j is an integer iff e_i = e_j mod 1; a residue (n mod d)/d of
     # n/d in lowest terms is in lowest terms too, so it is the pair (n mod d, d).
     residue = [(x.numerator % x.denominator, x.denominator) for x in e]
-    ana_offenders = tuple(
-        f"z^{e[i]} zb^{e[j]}" for i, j, _, _ in f1.entries if residue[i] != residue[j]
-    )
-    a_ok = not alg_offenders
-    b_ok = not ana_offenders
+    ana_offenders = tuple(f"z^{e[i]} zb^{e[j]}" for i, j, _, _ in f1.entries if residue[i] != residue[j])
+    a_ok, b_ok = not alg_offenders, not ana_offenders
     return MonodromyReport(a_ok and b_ok, a_ok, b_ok, a_ok == b_ok, alg_offenders, ana_offenders)
 
 
@@ -852,7 +860,6 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
     ranges = [_degree_range(form, e, lcd) for form, e in zip(distinct, exps)]
     mins, maxs = zip(*(ranges[slot] for slot in slots))
     rows = []
-    ok = True
     for m in range(1, k):
         # The Cartan row is tridiagonal: its zero entries add nothing.
         row = [(a, j) for j, a in enumerate(amat[m - 1]) if a]
@@ -860,9 +867,8 @@ def verify_integrability(bundle: SolutionBundle) -> IntegrabilityReport:
         atinf = -sum((a * maxs[j] for a, j in row), Fraction(0))
         integrable = at0 > -2 and atinf < -2
         matches = at0 == 2 * config.gamma_tilde[m - 1]
-        ok = ok and integrable and matches
         rows.append(IntegrabilityRow(m, at0, atinf, integrable, matches))
-    return IntegrabilityReport(ok, tuple(rows))
+    return IntegrabilityReport(all(r.integrable and r.matches_weight for r in rows), tuple(rows))
 
 
 def _degree_range(form: UnknownForm, exps: Sequence[int], lcd: int) -> tuple[Fraction, Fraction]:
@@ -881,42 +887,35 @@ class ACaseReport(Record):
     product: Fraction
     product_expected: Fraction
     monic_coefficients: tuple[dict, ...]
-    forbidden_slots: tuple[str, ...]
-    forbidden_violations: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
-        return self.product == self.product_expected and not self.forbidden_violations
+        return self.product == self.product_expected
 
 
 def a_case_form(bundle: SolutionBundle) -> ACaseReport:
     """Re-express F_1 of an A-family bundle in monic-polynomial form.
 
     Writes F_1 = |z|^(-2 alpha_1) (lhat_0 + sum lhat_i |P_i|^2) with monic
-    P_i, records the product of the lhat beside the product of inverse
-    squared exponent sums (equal iff det H = 1), and lists the coordinates
-    on the slots that the monodromy element does not fix (these must
-    vanish; the rule of verify_monodromy).  It reads chi from the bundle's
-    Wronskian, the weights from bundle.lambdas and the coordinates from
-    bundle.params.  The report is always returned; ``passed`` tests both
-    conditions.
+    P_i, and records the product of the lhat beside the product of inverse
+    squared exponent sums (equal iff det H = 1), which ``passed`` compares.
+    It reads chi from the bundle's Wronskian, the weights from
+    bundle.lambdas and the coordinates from the strictly lower entries of
+    bundle.C, each a free slot on A; verify_monodromy alone decides those
+    on slots that the monodromy element does not fix.
     """
     config = bundle.config
     if config.family != "A":
         raise ValueError("monic form applies to the A family")
-    chi, coords = bundle.wronskian.nu.chi, bundle.params.coords
+    chi, c = bundle.wronskian.nu.chi, bundle.C
     k, mu = config.k, config.mu_tilde
-    mono = MonodromyElement(config.shifts)
-    lam_hat = tuple((lam * c) ** 2 for lam, c in zip(bundle.lambdas, chi))
+    lam_hat = tuple((lam * x) ** 2 for lam, x in zip(bundle.lambdas, chi))
     product = prod(lam_hat, start=Fraction(1))
     expected = 1 / prod(sum(mu[i - 1:j], Fraction(0)) ** 2 for i in range(1, k) for j in range(i, k))
-    coeffs = [{} for _ in range(1, k)]
-    for (i, j), val in coords.items():
-        coeffs[i - 1][slot_name(i, j)] = val * (chi[j] / chi[i])
-    forbidden = [(i, j) for i in range(1, k) for j in range(i) if not mono.fixes_slot(i, j)]
-    violations = tuple(slot_name(i, j) for i, j in forbidden if not coords.get(i, j).is_zero)
-    forbidden_names = tuple(slot_name(i, j) for i, j in forbidden)
-    return ACaseReport(lam_hat, product, expected, tuple(coeffs), forbidden_names, violations)
+    coeffs = tuple({} for _ in range(1, k))
+    for i, j in _lower_slots(c):
+        coeffs[i - 1][slot_name(i, j)] = scalar_over(c.re[i][j], c.im[i][j], c.den) * (chi[j] / chi[i])
+    return ACaseReport(lam_hat, product, expected, coeffs)
 
 
 class CheckRow(Record):
@@ -988,7 +987,7 @@ def verify(bundle: SolutionBundle, *, count: int, tol: float, seed: int) -> Veri
     rows.append(CheckRow("w-symmetry", not off_roots, detail, ""))
     if config.family == "A":
         acase = a_case_form(bundle)
-        if acase.product == acase.product_expected:
+        if acase.passed:
             detail = f"product={format_fraction(acase.product)}"
         else:
             detail = f"product of normalized weights is {acase.product}, expected {acase.product_expected}"

@@ -119,8 +119,10 @@ def library_verify(family, rank, gamma, params):
         ("B", 2, "-1/2,1/4", ["--coords", '{"c10":"1"}']),
         # det H = 16: monic-form and the PDE fail.
         ("A", 1, "0", ["--lambda", "2,2"]),
+        # A forbidden coordinate on A: monodromy fails, monic-form passes.
+        ("A", 2, "1/2,1/2", ["--coords", '{"c10":"1"}']),
     ],
-    ids=["C3", "B3", "A3", "B2-forbidden", "A1-det16"],
+    ids=["C3", "B3", "A3", "B2-forbidden", "A1-det16", "A2-forbidden"],
 )
 def test_library_verify_decides_the_rows_of_the_cli(capsys, family, rank, gamma, params):
     result = library_verify(family, rank, gamma, params)
@@ -335,6 +337,23 @@ def test_check_failure_exit_1(capsys):
     mono = next(c for c in report["checks"] if c["name"] == "monodromy")
     assert mono["detail"] == "algebraic=False analytic=False"
     assert report["monodromy_witnesses"]["algebraic"] == [[1, 0], [4, 3]]
+
+
+def test_a_forbidden_coordinate_fails_monodromy_only(capsys):
+    # On A the monodromy row alone decides a coordinate on a forbidden slot:
+    # it fails with the slot as its witness, monic-form decides only the
+    # product identity, and the run exits 1.
+    code, out, _ = run(
+        capsys, "verify", "--family", "A", "--rank", "2", "--gamma", "1/2,1/2", "--coords", '{"c10":"1"}'
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert (
+        "  monodromy      FAIL   algebraic=False analytic=False slots=[c10] "
+        "F1_terms=[z^-1/2 zb^1, z^1 zb^-1/2]"
+    ) in lines
+    assert "  monic-form     PASS   product=16/729" in lines
+    assert lines[-1].startswith("  overall: FAIL")
 
 
 def test_verify_failed_checks_report_their_witnesses(capsys):

@@ -321,7 +321,8 @@ def record_samples() -> dict[type, Record]:
 
     c2 = make_config("C", 2, [0, 0])
     a2 = make_config("A", 2, [0, 0])
-    bundle = assemble(c2, random_params(c2, random.Random(0)))
+    params = random_params(c2, random.Random(0))
+    bundle = assemble(c2, params)
     integrability = verify_integrability(bundle)
     verdict = verify(bundle, count=2, tol=1e-9, seed=0)
     samples = [
@@ -337,7 +338,7 @@ def record_samples() -> dict[type, Record]:
         bundle.wronskian,
         bundle.H,
         check_minor_identity(bundle.H),
-        bundle.params,
+        params,
         bundle.forms[0],
         reduced_unknowns(c2)[0],
         bundle,

@@ -2,6 +2,7 @@ import cmath
 import importlib
 import inspect
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -27,6 +28,7 @@ from conftest import (
 from toda import Algebra, make_config
 from toda.basis import StructureError, column_minor, nu_vector, wronskian
 from toda.exact import BranchCutError, ExactScalar, Monomial, OriginError, ZExpr, _float_sum
+from toda.jsonio import form_to_json
 from toda.groups import (
     GroupElement,
     UnipotentCoords,
@@ -927,6 +929,39 @@ def test_lowest_terms_form_equality_is_unknown_equality(data, raw, t):
         assert hash(f) == hash(g)
 
 
+def test_form_equality_ignores_the_listed_order():
+    # Construction sorts the exponents (renumbering the entries) and the
+    # entries by (i, j), so a form listed in another order is the same form:
+    # equal, same hash, same JSON record.
+    cfg = make_config("C", 2, [0, 0])
+    f1 = assemble(cfg, random_params(cfg, random.Random(0))).forms[0]
+    reversed_entries = UnknownForm(f1.exponents, f1.entries[::-1], f1.den)
+    # The exponents in descending order, the entries renumbered to match.
+    last = len(f1.exponents) - 1
+    permuted = UnknownForm(
+        f1.exponents[::-1], tuple((last - i, last - j, re, im) for i, j, re, im in f1.entries), f1.den
+    )
+    assert last > 0
+    for g in (reversed_entries, permuted):
+        assert g == f1 and hash(g) == hash(f1)
+        assert form_to_json(g) == form_to_json(f1)
+        assert g.exponents == f1.exponents and g.entries == f1.entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_forms(), st.randoms(use_true_random=False))
+def test_shuffled_form_is_the_same_form(raw, rng):
+    exps, entries, den = raw
+    order = list(range(len(exps)))
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    shuffled = [(where[i], where[j], re, im) for i, j, re, im in entries]
+    rng.shuffle(shuffled)
+    g = UnknownForm(tuple(exps[old] for old in order), tuple(shuffled), den)
+    f = UnknownForm(*raw)
+    assert g == f and hash(g) == hash(f) and g.expr == f.expr
+
+
 def test_first_unknown_is_checked_on_integers():
     # F_1 is compared entry by entry with chi_a chi_b H_ab, without building
     # a ZExpr; bumping any one entry of H, real or imaginary part, fails.
@@ -934,20 +969,37 @@ def test_first_unknown_is_checked_on_integers():
     b = assemble(cfg, random_params(cfg, random.Random(8)))
     assert "expr" not in vars(b.forms[0])
     check = toda.solutions._check_first_unknown
-    check(b.forms[0], b.wronskian.nu, b.H)
+    check(b)
     k = cfg.k
     for a in range(k):
         for c in range(k):
             for bump in (ExactScalar.of(F(1, 10**9)), ExactScalar.of(0, F(1, 10**9))):
                 rows = [list(row) for row in b.H.entries]
                 rows[a][c] = rows[a][c] + bump
+                # A copy whose H is read from its cache: the check reads bundle.H.
+                bumped = replace(b)
+                vars(bumped)["H"] = GroupElement.from_rows(rows)
                 with pytest.raises(StructureError):
-                    check(b.forms[0], b.wronskian.nu, GroupElement.from_rows(rows))
+                    check(bumped)
+    # H comes from (lambdas, C): a bumped weight or a bumped lower entry of
+    # C, real or imaginary part, reaches the check through the derived H.
+    for i in range(k):
+        lams = list(b.lambdas)
+        lams[i] += F(1, 10**9)
+        with pytest.raises(StructureError):
+            check(replace(b, lambdas=tuple(lams)))
+    for i in range(k):
+        for j in range(i):
+            for bump in (ExactScalar.of(F(1, 10**9)), ExactScalar.of(0, F(1, 10**9))):
+                rows = [list(row) for row in b.C.entries]
+                rows[i][j] = rows[i][j] + bump
+                with pytest.raises(StructureError):
+                    check(replace(b, C=GroupElement.from_rows(rows)))
     # The same entries on other exponents are not nu^dag H nu either.
     f1 = b.forms[0]
     shifted = UnknownForm(tuple(e + 1 for e in f1.exponents), f1.entries, f1.den)
     with pytest.raises(StructureError):
-        check(shifted, b.wronskian.nu, b.H)
+        check(replace(b, forms=(shifted,) + b.forms[1:]))
 
 
 def test_symmetry_vacuous_for_k2():
@@ -1734,10 +1786,8 @@ def test_no_solutions_function_has_a_default():
 
 
 def test_a_case_form_reads_the_bundle_weights():
-    # a_case_form reads bundle.lambdas, not weights rebuilt from the params:
-    # a bundle with one weight doubled changes the product by 4 and fails
-    # the monic-form row.
-    assert SolutionBundle._fields == ("config", "params", "wronskian", "forms", "H", "C", "lambdas")
+    # a_case_form reads bundle.lambdas: a bundle with one weight doubled
+    # changes the product by 4 and fails the monic-form row.
     cfg = make_config("A", 3, [0, 0, 0])
     b = assemble(cfg, random_params(cfg, random.Random(3)))
     lams = list(b.lambdas)
@@ -1748,6 +1798,95 @@ def test_a_case_form_reads_the_bundle_weights():
     assert rows["monic-form"].passed
     rows = {row.name: row for row in verify(doubled, count=2, tol=1e-9, seed=0).rows}
     assert not rows["monic-form"].passed
+
+
+def test_bundle_holds_lambda_and_c_once():
+    # The bundle stores (Lambda, C); H is derived, and no field repeats another.
+    assert SolutionBundle._fields == ("config", "wronskian", "forms", "C", "lambdas")
+    assert toda.solutions.ACaseReport._fields == (
+        "lambda_hat", "product", "product_expected", "monic_coefficients"
+    )
+    cfg = make_config("C", 3, [0, 0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(4)))
+    assert b.H == (lambda x: x.conj_transpose() @ x)(diagonal_element(b.lambdas) @ b.C)
+
+
+def test_h_is_built_once_per_assemble_and_verify(monkeypatch):
+    # assemble builds H for the F_1 cross-check, and verify_symmetry reads
+    # that same object: one matrix product in all.
+    calls = []
+    product = GroupElement.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(GroupElement, "__matmul__", counted)
+    cfg = make_config("C", 3, [0, 0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(5)))
+    assert verify(b, count=2, tol=1e-9, seed=0).passed
+    assert len(calls) == 1
+
+
+def test_changed_lambdas_give_a_new_h():
+    # replace builds a new bundle, whose H is derived from its own lambdas:
+    # the old forms then fail the certificate.
+    cfg = make_config("C", 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(6)))
+    h = b.H
+    lams = list(b.lambdas)
+    lams[0] *= 2
+    doubled = replace(b, lambdas=tuple(lams))
+    assert doubled.H != h
+    rows = {row.name: row for row in verify(doubled, count=2, tol=1e-9, seed=0).rows}
+    assert not rows["symmetry"].passed
+
+
+def test_copies_do_not_carry_a_cached_h():
+    cfg = make_config("B", 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(7)))
+    assert "H" in vars(b)
+    for copy in (replace(b), pickle.loads(pickle.dumps(b))):
+        assert copy == b and "H" not in vars(copy)
+        assert copy.H == b.H and copy.H is not b.H
+
+
+def _changed_field(b, field):
+    """A value of one bundle field that differs from b's."""
+    cfg = b.config
+    if field == "wronskian":
+        gamma = [F(1)] + [F(0)] * (cfg.rank - 1)
+        return wronskian(nu_vector(make_config(cfg.family, cfg.rank, gamma)))
+    if field == "lambdas":
+        return (2 * b.lambdas[0],) + b.lambdas[1:]
+    other = assemble(cfg, random_params(cfg, random.Random(12)))
+    return getattr(other, field)
+
+
+_ITEM_7 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 7: toda verify runs the certificate on C/B only, so on A no row reads H",
+)
+
+
+@pytest.mark.parametrize(
+    "family,field",
+    [
+        pytest.param(family, field, marks=_ITEM_7 if family == "A" and field in ("forms", "C") else ())
+        for family in ("C", "B", "A")
+        for field in ("forms", "C", "lambdas", "wronskian")
+    ],
+)
+def test_every_bundle_field_reaches_a_verify_row(family, field):
+    # A bundle changed in one field fails at least one row of verify: no
+    # row reads a copy of the field that the change would miss.
+    cfg = make_config(family, 2, [0, 0])
+    b = assemble(cfg, random_params(cfg, random.Random(11)))
+    assert verify(b, count=2, tol=1e-9, seed=0).passed
+    value = _changed_field(b, field)
+    assert value != getattr(b, field)
+    changed = replace(b, **{field: value})
+    assert not verify(changed, count=2, tol=1e-9, seed=0).passed
 
 
 def test_exported_names_resolve():
@@ -1843,16 +1982,27 @@ def test_a_case_monic_form_rebuilds_first_unknown():
 
 
 def test_a_case_forbidden_coordinates():
+    # mu = (3/2, 3/2): single-step spans are non-integral, the double is,
+    # so c10 and c21 are forbidden and c20 is not.  verify_monodromy alone
+    # decides them; monic-form decides only the product identity.
     cfg = make_config("A", 2, [F(1, 2), F(1, 2)])
     alg = Algebra("A", 2)
-    # mu = (3/2, 3/2): single-step spans are non-integral, the double is.
-    rep = a_case_form(assemble(cfg, SolutionParams.of([1, 1, 1], UnipotentCoords(alg))))
-    assert set(rep.forbidden_slots) == {"c10", "c21"}
-    assert not rep.forbidden_violations
-    bad = SolutionParams.of([1, 1, 1], UnipotentCoords(alg, {(1, 0): ExactScalar.of(1)}))
-    rep2 = a_case_form(assemble(cfg, bad))
-    assert rep2.forbidden_violations == ("c10",)
-    assert not rep2.passed
+
+    def bundle(values):
+        return assemble(cfg, SolutionParams.of([1, 1, 1], UnipotentCoords(alg, values)))
+
+    one = ExactScalar.of(1)
+    for slot in ((1, 0), (2, 1), (2, 0)):
+        rep = verify_monodromy(bundle({slot: one}))
+        assert rep.algebraic_offenders == (() if slot == (2, 0) else (slot,))
+    assert verify_monodromy(bundle({})).passed
+    bad = bundle({(1, 0): one})
+    rep = a_case_form(bad)
+    chi = nu_vector(cfg).chi
+    assert rep.passed and rep.monic_coefficients == ({"c10": one * (chi[0] / chi[1])}, {})
+    rows = {row.name: row for row in verify(bad, count=2, tol=1e-9, seed=0).rows}
+    assert not rows["monodromy"].passed and rows["monodromy"].witness.startswith("slots=[c10] ")
+    assert rows["monic-form"].passed
 
 
 def test_a_case_product_violation():
