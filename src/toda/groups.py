@@ -13,30 +13,32 @@ when read.  A product is (d_a*d_b, (d_a A)(d_b B)), reduced by the gcd of
 its parts.  Each element caches one minor table over d*A (_packed_minors),
 built on first use and shared by the membership test, det, minor,
 all_minors, classify_by_minors, ul_cholesky and the minor-identity check.
-Up to dim _EXHAUSTIVE_DIM = 7, where the identity check reads every minor,
-it is one dense table of all of them, built level by level
-(_DenseMinorTable); beyond, where the check reads a sample, it is the lazy
-memo of linalg.minor_table, which computes only the minors read.  The table
-is over packed rows: each Gaussian integer a + b*i is the one int
-a + b*2^w mod n = 2^(2w) + 1, a ring homomorphism since (2^w)^2 = -1 mod n,
-with w from Hadamard's bound on the rows (exact.pack).  Entries and minors
-are stored as balanced residues, in (-n/2, n/2], so a minor with small
-parts stays a short int.  At that width every minor, and every difference
-the checks compare, has parts below 2^(w-1): a difference is 0 mod n only
-if it is 0, and exact.unpack recovers a minor from its residue.  A minor is
-unpacked and converted to ExactScalar only when returned (divided by d^m
-for size m); the identity check and classify_by_minors compare residues
-and unpack only a failing pair.  The membership test checks
-(dA)^t J (dA) = d^2 J on the int parts and det(dA) = d^k, once per
-element.
+Up to dim _DENSE_DIM = 8 it is one dense table of all the minors, built
+level by level (_DenseMinorTable); from dim 9, where the identity check
+reads a sample and a dense build costs more than the minors it reads, it
+is the lazy memo of linalg.minor_table, which computes only the minors
+read.  The table is over packed rows: each Gaussian integer a + b*i is
+the one int a + b*2^w mod n = 2^(2w) + 1, a ring homomorphism since
+(2^w)^2 = -1 mod n, with w from Hadamard's bound on the rows (exact.pack).
+Entries and minors are stored as balanced residues, in (-n/2, n/2], so a
+minor with small parts stays a short int.  At that width every minor, and
+every difference the checks compare, has parts below 2^(w-1): a difference
+is 0 mod n only if it is 0, and exact.unpack recovers a minor from its
+residue.  A minor is unpacked and converted to ExactScalar only when
+returned (divided by d^m for size m); the identity check and
+classify_by_minors compare residues and unpack only a failing pair.  The
+membership test checks (dA)^t J (dA) = d^2 J on the int parts and
+det(dA) = d^k, once per element.
 
 Every dense table of one dimension shares one plan (_minor_plan: the subsets
 of each size, the position of each bit mask, the Laplace expansion lists
 and the position of each set's mirror iota(comp S)), read by its build and
 by the exhaustive minor-identity walk, which compares the level lists of
-sizes m <= k // 2 with those of k - m by position.  Beyond _EXHAUSTIVE_DIM
-the walk reads 2000 mask pairs (S, iota(comp S)) drawn as a size, then S,
-then T by random.Random(0).choice.
+sizes m <= k // 2 with those of k - m by position.  Beyond dim
+_EXHAUSTIVE_DIM = 7 the walk reads 2000 mask pairs (S, iota(comp S)),
+drawn once per dimension as a size, then S, then T by
+random.Random(0).choice (_identity_pairs), from the dense table at dim 8
+and from the lazy one beyond.
 
 Also here: the two-sided minor characterization of group membership, the
 reversed Cholesky factorization H = B^dag B with B lower-triangular, the
@@ -198,14 +200,14 @@ class GroupElement(Record):
         n = 2^(2w) + 1; unpack(value, w) gives it back exactly.  By
         Hadamard's bound (exact.pack), d^(k-m) times any size-m minor has
         parts of at most H < 2^(w-2), so a difference of two such products
-        is 0 iff it is 0 mod n.  For k <= _EXHAUSTIVE_DIM the table is a
+        is 0 iff it is 0 mod n.  For k <= _DENSE_DIM the table is a
         _DenseMinorTable of all C(2k, k) minors, whose plan and level lists
-        the exhaustive identity walk reads by position, else a lazy
-        linalg.minor_table.
+        the exhaustive identity walk reads by position (and the sampled
+        walk at dim 8 by mask), else a lazy linalg.minor_table.
         """
         w, rows = pack(self.den, self.re, self.im)
         n = packing_modulus(w)
-        if self.dim <= _EXHAUSTIVE_DIM:
+        if self.dim <= _DENSE_DIM:
             return w, _DenseMinorTable(rows, n)
         return w, minor_table(rows, 0, 1, n)
 
@@ -372,16 +374,16 @@ class _DenseMinorTable:
     list with one entry per size-m row set, both in the order of the
     table's _MinorPlan (itertools.combinations order).  An entry is one
     Laplace step along the last column of its column set over level m - 1,
-    read by list position, skipping zero entries, and reduced to its
-    balanced residue in (-n/2, n/2], so that a minor with small parts stays
-    a short int.  The plan (``plan``), one per dimension, is read by
-    the build and by the minor-identity walk, which compares the level
-    lists by position.  Reads are those of linalg.MinorTable:
+    read by list position, and reduced to its balanced residue in
+    (-n/2, n/2], so that a minor with small parts stays a short int.  The
+    plan (``plan``), one per dimension, is read by the build and by the
+    minor-identity walk, which compares the level lists by position.  Reads are those of linalg.MinorTable:
     table(rows, cols) over same-size 0-based index sets, which checks their
     sizes, and table.mask(rmask, cmask) over their bit masks, which checks
     nothing.  A table of dim k holds all C(2k, k) minors,
-    O(sum_m m * C(k, m)^2) products, so it is for the dims whose every
-    minor is read (_EXHAUSTIVE_DIM).
+    O(sum_m m * C(k, m)^2) products, so it is for the dims up to
+    _DENSE_DIM: there it costs less than the lazy memo, at dim 8 even when
+    only the 2000 sampled pairs are read; at dim 9 it costs more.
     """
 
     __slots__ = ("plan", "levels")
@@ -401,13 +403,9 @@ class _DenseMinorTable:
                     # Started at half, so val % modulus - half is the balanced residue.
                     val = half
                     for r, j in plus:
-                        e = col[r]
-                        if e:
-                            val += e * below[j]
+                        val += col[r] * below[j]
                     for r, j in minus:
-                        e = col[r]
-                        if e:
-                            val -= e * below[j]
+                        val -= col[r] * below[j]
                     entries.append(val % modulus - half)
                 level.append(entries)
             levels.append(level)
@@ -477,6 +475,7 @@ class MinorIdentityReport(Record):
 
 _EXHAUSTIVE_DIM = 7  # check_minor_identity walks every pair up to this dim
 _SAMPLED_PAIRS = 2000  # pairs drawn by check_minor_identity beyond _EXHAUSTIVE_DIM
+_DENSE_DIM = 8  # elements up to this dim keep a _DenseMinorTable, beyond a lazy one
 
 
 def _mask_pair(indices: Iterable[int], k: int) -> tuple[int, int]:
@@ -488,22 +487,26 @@ def _mask_pair(indices: Iterable[int], k: int) -> tuple[int, int]:
     return mask, reflected ^ ((1 << k) - 1)
 
 
-def _identity_pairs(k: int):
+@lru_cache(maxsize=None)
+def _identity_pairs(k: int) -> tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]:
     """The pairs (m, (S, S'), (T, T')) drawn by the sampled walk of check_minor_identity.
 
     |S| = |T| = m; S, T and their mirrors S', T' are bit masks.  The mask
-    pairs of each size are listed once per call, in the order of
-    itertools.combinations.  _SAMPLED_PAIRS pairs are drawn by
-    random.Random(0).choice: a size m uniform in 1..k-1, then S and T
-    uniform in the size-m list.
+    pairs of each size are listed in the order of itertools.combinations.
+    _SAMPLED_PAIRS pairs are drawn by random.Random(0).choice: a size m
+    uniform in 1..k-1, then S and T uniform in the size-m list.  A pure
+    function of k, like _minor_plan: drawn once per dimension and shared,
+    read only, by every check of that dimension.
     """
     levels = [[_mask_pair(c, k) for c in combinations(range(k), m)] for m in range(k)]
     choice = random.Random(0).choice
     sizes = range(1, k)
+    pairs = []
     for _ in range(_SAMPLED_PAIRS):
         m = choice(sizes)
         masks = levels[m]
-        yield m, choice(masks), choice(masks)
+        pairs.append((m, choice(masks), choice(masks)))
+    return tuple(pairs)
 
 
 def _mask_indices(x: int, k: int) -> tuple[int, ...]:
@@ -538,10 +541,10 @@ def check_minor_identity(a: GroupElement) -> MinorIdentityReport:
     at size k // 2, and the report still counts all C(2k, k) pairs.  A
     level with a failing pair is read again in (S, T) order, so that the
     witness is the first failing pair by size, then S, then T.  The
-    sampled walk reads the lazy table by bit mask, in draw order.  The
-    input must be exactly in its group; the first failing pair raises
-    IdentityViolation with it as witness and both minors as ExactScalars,
-    the only minors unpacked.
+    sampled walk reads the table by bit mask, in draw order: the dense one
+    at dim 8, the lazy one from dim 9.  The input must be exactly in its
+    group; the first failing pair raises IdentityViolation with it as
+    witness and both minors as ExactScalars, the only minors unpacked.
     """
     if not is_in_group(a):
         raise ValueError("input is not exactly symplectic/orthogonal")
@@ -586,7 +589,7 @@ def classify_by_minors(a: GroupElement) -> str | None:
     Tests a[s][t] == minor over (complement of iota(s), complement of iota(t))
     for all 1 <= s, t <= k, reading the determinant and every such minor from
     the element's cached packed minor table (see _packed_minors; up to
-    _EXHAUSTIVE_DIM the dense one, already built by the membership test):
+    _DENSE_DIM the dense one, already built by the membership test):
     with (d, dA) its integer form,
     (d^(k-1) (dA)[s][t] - d * minor(dA)) % n == 0, n = 2^(2w) + 1.  The
     entry (dA)[s][t] is read as the table's 1x1 minor; both products are

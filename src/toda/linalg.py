@@ -5,12 +5,12 @@ Matrices are sequences of row sequences with entries that support +, - and
 int/Fraction entries and leading_minors ints.  Nothing is numeric.
 leading_minors gives det W on the Wronskian's table and the symmetry
 certificate its minors mod p.  minor_table also runs on ints reduced mod a
-modulus: a group element of dim 8 or more keeps one such lazy table over
+modulus: a group element of dim 9 or more keeps one such lazy table over
 its integer form d*A = re + i*im, holding each entry a + b*i as the one int
 a + b*2^w, a balanced residue mod 2^(2w) + 1, with w wide enough by
 Hadamard's bound that every value it is read for is exact (exact.pack and
-exact.unpack).  Smaller elements, whose every minor is read, keep a dense
-table built in groups instead.
+exact.unpack).  Smaller elements keep a dense table of every minor,
+built in groups instead.
 mat_mul and det have no program caller; they serve the tests as oracles of
 products and determinants.
 """
@@ -64,7 +64,7 @@ def minor_table(m: Matrix, zero: T, one: T, modulus: int = 0) -> MinorTable:
     per entry instead of a tuple of two, for tables shared by thousands of
     lookups.
 
-    `modulus` is internal to groups: the tables of its elements of dim 8 or
+    `modulus` is internal to groups: the tables of its elements of dim 9 or
     more hold the packed entries of d*A = re + i*im, ints mod
     n = 2^(2w) + 1 (exact.pack), and pass n.  Each minor is then reduced once, when
     stored, to its balanced residue in (-n/2, n/2], so stored minors do not

@@ -18,6 +18,7 @@ from conftest import (
     gauss_rows,
     sample_positive_hermitian,
 )
+from toda.cli import main
 from toda.exact import (
     ExactScalar,
     NotASquareError,
@@ -52,6 +53,7 @@ from toda.groups import (
     minor,
     random_coords,
     random_paired_diagonal,
+    _DENSE_DIM,
     _DenseMinorTable,
     _EXHAUSTIVE_DIM,
     _grade_step,
@@ -588,8 +590,9 @@ def _assert_dense_table_matches_lazy(rows, modulus):
                 assert dense.mask(rmask, sum(1 << j for j in t)) == want, (s, t)
 
 
-@pytest.mark.parametrize("family", ["C", "B"])
-@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize(
+    "rank,family", [(rank, family) for rank in (1, 2, 3) for family in "BC"] + [(4, "C")]
+)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_minor_table_matches_lazy_table_on_samples(family, rank, seed):
     g = sample_group_element(Algebra(family, rank), seed=seed, bound=3)
@@ -597,7 +600,7 @@ def test_dense_minor_table_matches_lazy_table_on_samples(family, rank, seed):
     _assert_dense_table_matches_lazy(rows, packing_modulus(w))
 
 
-@pytest.mark.parametrize("k", range(1, _EXHAUSTIVE_DIM + 1))
+@pytest.mark.parametrize("k", range(1, _DENSE_DIM + 1))
 def test_dense_minor_table_matches_lazy_table_on_the_identity(k):
     e = GroupElement.identity(k)
     w, rows = pack(e.den, e.re, e.im)
@@ -606,9 +609,9 @@ def test_dense_minor_table_matches_lazy_table_on_the_identity(k):
 
 @st.composite
 def _sparse_integer_matrices(draw):
-    # Dims 1..7 with many zero entries, so that the skip of zero entries is
-    # exercised; packed as an element's rows are.
-    k = draw(st.integers(1, _EXHAUSTIVE_DIM))
+    # Every dense dim with many zero entries, which the dense build
+    # multiplies and the lazy table skips; packed as an element's rows are.
+    k = draw(st.integers(1, _DENSE_DIM))
     entry = st.one_of(st.just(0), st.just(0), st.integers(-10**6, 10**6), st.integers(-3, 3))
     rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
     return GroupElement.from_rows(rows)
@@ -822,7 +825,7 @@ def test_mirror_half_walk_reads_each_identity_once(family, rank):
     assert len(covered) == math.comb(2 * k, k)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 10))
 def test_pairs_checked_on_the_identity(k):
     exhaustive = k <= _EXHAUSTIVE_DIM
     expected = math.comb(2 * k, k) if exhaustive else 2000
@@ -840,16 +843,17 @@ def test_check_minor_identity_builds_one_minor_table(monkeypatch):
         builds.append(args)
         return real(*args)
 
-    # Patched before sampling: the sampler's membership determinant, the
-    # identity check, the classification and det() all read one table, the
-    # one cached on the element over its packed integer form, reduced mod
-    # 2^(2w) + 1 at the packing width w.
+    # Patched before sampling: from dim 9, the first lazy dim, the
+    # sampler's membership determinant, the identity check, the
+    # classification and det() all read one table, the one cached on the
+    # element over its packed integer form, reduced mod 2^(2w) + 1 at the
+    # packing width w.
     monkeypatch.setattr(toda.linalg, "minor_table", counting)
     monkeypatch.setattr(toda.groups, "minor_table", counting)
-    g = sample_group_element(Algebra("C", 4), seed=0, bound=3)
+    g = sample_group_element(Algebra("B", 4), seed=0, bound=3)
     assert len(builds) == 1
-    assert check_minor_identity(g) == MinorIdentityReport(8, "Sp", 2000, False)
-    assert classify_by_minors(g) == "Sp"
+    assert check_minor_identity(g) == MinorIdentityReport(9, "SO", 2000, False)
+    assert classify_by_minors(g) == "SO"
     assert g.det() == SCALAR_ONE
     assert len(builds) == 1
     w, rows = pack(g.den, g.re, g.im)
@@ -868,8 +872,8 @@ def test_dense_tables_of_one_dimension_share_one_plan():
     assert other.plan is not first.plan and len(other.plan.sets) == 6
 
 
-@pytest.mark.parametrize("family,tag", [("C", "Sp"), ("B", "SO")])
-def test_exhaustive_dims_build_one_dense_minor_table(monkeypatch, family, tag):
+@pytest.mark.parametrize("family,rank,tag", [("C", 3, "Sp"), ("B", 3, "SO"), ("C", 4, "Sp")])
+def test_dense_dims_build_one_dense_minor_table(monkeypatch, family, rank, tag):
     import toda.groups
     import toda.linalg
 
@@ -884,16 +888,22 @@ def test_exhaustive_dims_build_one_dense_minor_table(monkeypatch, family, tag):
         lazy_builds.append(args)
         return toda.linalg.MinorTable(*args)
 
-    # Patched before sampling: up to the exhaustive dim, membership, the
-    # walk, the classification and det() read one dense table over the
-    # packed integer form, and no lazy table is built for the element.
+    # Patched before sampling: up to the dense dim, membership, the walk
+    # (exhaustive up to dim 7, sampled at dim 8), the classification and
+    # det() read one dense table over the packed integer form, and no lazy
+    # table is built for the element.
     monkeypatch.setattr(toda.groups, "_DenseMinorTable", counting)
     monkeypatch.setattr(toda.linalg, "minor_table", lazy)
     monkeypatch.setattr(toda.groups, "minor_table", lazy)
-    g = sample_group_element(Algebra(family, 3), seed=0, bound=3)
+    g = sample_group_element(Algebra(family, rank), seed=0, bound=3)
     assert len(dense_builds) == 1
     k = g.dim
-    assert check_minor_identity(g) == MinorIdentityReport(k, tag, math.comb(2 * k, k), True)
+    want = (
+        MinorIdentityReport(k, tag, math.comb(2 * k, k), True)
+        if k <= _EXHAUSTIVE_DIM
+        else MinorIdentityReport(k, tag, 2000, False)
+    )
+    assert check_minor_identity(g) == want
     assert classify_by_minors(g) == tag
     assert g.det() == SCALAR_ONE
     assert is_in_group(g)
@@ -944,6 +954,18 @@ def test_sampled_identity_witness_matches_minor(monkeypatch, seed, part):
     s, t = want[0]
     assert str(err.value) == f"minor identity fails at S={s}, T={t}: {want[1]} != {want[2]}"
     assert isinstance(err.value.lhs, ExactScalar) and isinstance(err.value.rhs, ExactScalar)
+
+
+def test_identity_pairs_are_drawn_once_per_dimension(capsys):
+    # Two C4 samples through the CLI: the 2000 pairs are drawn by the first
+    # check and read from the per-dimension cache by the second.
+    _identity_pairs.cache_clear()
+    assert main(["minors", "--family", "C", "--rank", "4", "--count", "2"]) == 0
+    assert "2000 pairs" in capsys.readouterr().out
+    info = _identity_pairs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert isinstance(_identity_pairs(8), tuple)
+    assert _identity_pairs(8) is _identity_pairs(8)
 
 
 @pytest.mark.parametrize("k", [8, 10])
