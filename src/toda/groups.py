@@ -12,7 +12,9 @@ determinants and minors run on it; the ExactScalar entries are built only
 when read.  A product is (d_a*d_b, (d_a A)(d_b B)), reduced by the gcd of
 its parts.  Each element caches one minor table over d*A (_packed_minors),
 built on first use and shared by the membership test, det, minor,
-all_minors, classify_by_minors, ul_cholesky and the minor-identity check.
+all_minors, classify_by_minors and the minor-identity check;
+ul_cholesky, which reads only the k leading principal minors, builds a
+one-off lazy table instead.
 Up to dim _DENSE_DIM = 8 it is one dense table of all the minors, built
 level by level (_DenseMinorTable); from dim 9, where the identity check
 reads a sample and a dense build costs more than the minors it reads, it
@@ -624,18 +626,22 @@ def classify_by_minors(a: GroupElement) -> str | None:
 def ul_cholesky(h: GroupElement) -> GroupElement:
     """Factor a Hermitian positive-definite H as B^dag B, B lower-triangular.
 
-    Positive-definiteness is tested exactly through the leading principal
-    minors, read from one minor table.  Elimination runs from the last row
-    upward; each diagonal entry is the exact square root of a rational, so the
-    input must be a B^dag B product of a rational matrix (otherwise
-    NotASquareError propagates).
+    Positive-definiteness is tested exactly through the k leading principal
+    minors, read from a one-off lazy minor table over the packed rows of
+    d*H (linalg.minor_table), which computes only those and their
+    sub-minors; H's own cached table (_packed_minors), dense up to dim 8,
+    is not built.  Elimination runs from the last row upward; each diagonal
+    entry is the exact square root of a rational, so the input must be a
+    B^dag B product of a rational matrix (otherwise NotASquareError
+    propagates).
     """
     k = h.dim
     if not h.is_hermitian():
         raise ValueError("input must be Hermitian")
-    lookup = _minor_lookup(h)
+    w, packed = pack(h.den, h.re, h.im)
+    table = minor_table(packed, 0, 1, packing_modulus(w))
     for m in range(1, k + 1):
-        lead = lookup(range(m), range(m))
+        lead = scalar_over(*unpack(table(range(m), range(m)), w), h.den**m)
         if not lead.is_real or lead.re <= 0:
             raise NotPositiveDefinite(m, lead)
     rows: list[list[ExactScalar]] = [[SCALAR_ZERO] * k for _ in range(k)]

@@ -10,7 +10,8 @@ its integer form d*A = re + i*im, holding each entry a + b*i as the one int
 a + b*2^w, a balanced residue mod 2^(2w) + 1, with w wide enough by
 Hadamard's bound that every value it is read for is exact (exact.pack and
 exact.unpack).  Smaller elements keep a dense table of every minor,
-built in groups instead.
+built in groups instead; groups.ul_cholesky reads its leading minors from
+a one-off lazy table of this kind at every dim.
 mat_mul and det have no program caller; they serve the tests as oracles of
 products and determinants.
 """
@@ -65,7 +66,8 @@ def minor_table(m: Matrix, zero: T, one: T, modulus: int = 0) -> MinorTable:
     lookups.
 
     `modulus` is internal to groups: the tables of its elements of dim 9 or
-    more hold the packed entries of d*A = re + i*im, ints mod
+    more, and the one-off table of ul_cholesky, hold the packed entries of
+    d*A = re + i*im, ints mod
     n = 2^(2w) + 1 (exact.pack), and pass n.  Each minor is then reduced once, when
     stored, to its balanced residue in (-n/2, n/2], so stored minors do not
     grow with their size and a minor with small parts stays a short int;

@@ -23,22 +23,23 @@ the family's own system, with the exact power-of-two normalization for B.
 The checks: the symmetry certificate compares every F_m, assembled or
 mirrored, with the leading minor of W(y)^t H W(x) at random points mod a
 fixed prime p (false-pass bound deg/(p - 1) per trial), so the mirror
-symmetry is proved on each solution; the monodromy conditions,
+symmetry is proved on each solution, and assemble reads it as the one
+exact check of every level it builds; the monodromy conditions,
 algebraically on C and analytically on F_1; the PDE residual at sample
 points, from float plans of the distinct forms summed by exact._float_sum
 over one exact._power_table per point, which alone applies the origin and
 branch-cut rules (a value out of float range makes its residual NaN,
 which fails); the integrability exponents at 0 and infinity; and the
 Cauchy-Euler characteristic data of the family, read from the indicial
-polynomial on Fractions.  F_1 is also checked against nu^dag H nu on
-integers, and its JSON records are written from its form
-(jsonio.form_to_json).
+polynomial on Fractions.  The JSON records of F_1 are written from its
+form (jsonio.form_to_json).
 
 Every check reads the bundle alone (verify_pde also its points and tol),
 and the bundle holds each value once: H is derived from lambdas and C on
-first read, nu is wronskian.nu, and the reduced unknowns are
-reduced_unknowns(config).  So a bundle changed in one field is checked as
-that bundle.  No function here has a default argument.
+first read, and the certificate from the bundle on first read; nu is
+wronskian.nu, and the reduced unknowns are reduced_unknowns(config).  So a
+bundle changed in one field is checked as that bundle.  No function here
+has a default argument.
 verify runs the checks on an assembled bundle and decides the verdict:
 one CheckRow per check, in a fixed order per family, with its detail and
 witness text.  It is the only place that does, so a library caller and
@@ -51,7 +52,7 @@ import cmath
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from math import factorial, gcd, lcm, nan, prod
 from operator import mul
 from typing import Sequence
@@ -173,9 +174,9 @@ class UnknownForm(Record):
     by (i, j), the term order of the ZExpr, each only when out of order, and
     divides den, re and im by their gcd; so forms are equal (and hash the
     same) iff their unknowns are, in whatever order they were listed.  The
-    JSON term order (jsonio.form_to_json) and the F_1 cross-check in
-    assemble read that order; the checks read the exponents as exact ints
-    (_form_table), on any grid, and assume no nonzero diagonal entry.
+    JSON term order (jsonio.form_to_json) reads that order; the checks read
+    the exponents as exact ints (_form_table), on any grid, and assume no
+    nonzero diagonal entry.
     Construction raises ValueError, naming the entry or the exponent, on a
     form that a check would misread: one with no entries (F_m is never
     zero, H being positive definite), with a denominator that is not
@@ -238,7 +239,7 @@ class UnknownForm(Record):
 
 
 class SolutionBundle(Record):
-    """A solution: its Wronskian, its unknowns F_1..F_{k-1}, Lambda's k weights and C; H is derived."""
+    """A solution: Wronskian, unknowns F_1..F_{k-1}, Lambda's k weights, C; H and certificate derived."""
 
     config: TodaConfig
     wronskian: WronskianMatrix
@@ -264,6 +265,11 @@ class SolutionBundle(Record):
         return b.conj_transpose() @ b
 
     @cached_property
+    def certificate(self) -> SymmetryReport:
+        """verify_symmetry(self), computed on first read; a copy or a pickle computes its own."""
+        return verify_symmetry(self)
+
+    @cached_property
     def F(self) -> tuple[ZExpr, ...]:
         """The unknowns F_1..F_{k-1} as ZExprs, built on first access; API only."""
         return tuple(form.expr for form in self.forms)
@@ -286,11 +292,12 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
     of G, and kept as an UnknownForm, in lowest terms.  For C and B only
     the levels m <= k//2 are built: the level generator stops there, and
     F_{k-m} is the same form object as F_m, the mirror symmetry of the
-    paper (C in Sp/SO, palindromic basis).  That symmetry is not trusted:
-    verify_symmetry certifies every F_m, mirrored or not, against its
-    definition.  The A family builds every level.  F_1 is cross-checked on
-    integers against nu^dag H nu, which builds the bundle's H.  No ZExpr is
-    built here: they are built when bundle.F is read.
+    paper (C in Sp/SO, palindromic basis).  The A family builds every level.
+    A built level that fails the bundle's certificate (computed here, with
+    H) raises StructureError naming its m, an internal error; the mirrored
+    levels are the verdict of verify's symmetry row, so a C outside Sp/SO
+    fails a row.  No ZExpr is built here: they are built when bundle.F is
+    read.
     """
     w = wronskian(nu_vector(config))
     c = unipotent_from_coords(config.algebra, params.coords)
@@ -310,7 +317,9 @@ def assemble(config: TodaConfig, params: SolutionParams) -> SolutionBundle:
         forms.append(UnknownForm(exponents, entries, scales[m] ** 2 * lam_den**m))
     forms += [forms[k - m - 1] for m in range(built + 1, k)]
     bundle = SolutionBundle(config, w, tuple(forms), c, lams)
-    _check_first_unknown(bundle)
+    wrong = [m for m in bundle.certificate.failures if m <= built]
+    if wrong:
+        raise StructureError(f"assembled F_m fails the certificate at m = {', '.join(map(str, wrong))}")
     return bundle
 
 
@@ -410,22 +419,6 @@ def _unknown_matrix(level: dict, lam_num: Sequence[int]):
     return exps, re, im
 
 
-def _check_first_unknown(bundle: SolutionBundle) -> None:
-    # F_1 = nu^dag H nu: entry H_ab carries conj(nu_a) nu_b = chi_a chi_b zb^beta_a z^beta_b,
-    # so on exponents beta, entry (b, a) of F_1 is chi_a chi_b (dH)_ab / d.
-    f1, nu, h = bundle.forms[0], bundle.wronskian.nu, bundle.H
-    d = h.den
-    terms = {(i, j): (re, im) for i, j, re, im in f1.entries}
-    same = f1.exponents == nu.beta
-    for a, b in product(range(nu.k), repeat=2):
-        c = nu.chi[a] * nu.chi[b]
-        re, im = terms.get((b, a), (0, 0))
-        scale, num = d * c.denominator, f1.den * c.numerator
-        same = same and re * scale == num * h.re[a][b] and im * scale == num * h.im[a][b]
-    if not same:
-        raise StructureError("principal-minor F_1 disagrees with nu^dag H nu")
-
-
 def reduced_unknowns(config: TodaConfig) -> tuple[ReducedUnknown, ...] | None:
     """The family unknowns U_1..U_n of a C or B configuration; None for A.
 
@@ -485,10 +478,13 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     only the levels m <= k//2; here each form, assembled or mirrored, is
     compared with the leading m x m minor of W^dag H W, so the symmetry is
     proved on this solution, not assumed.  On an A bundle, which has no
-    mirror symmetry, it certifies the forms as built.  With z = x^L and
-    zb = y^L (L from _form_table: a multiple of B = w.den, the lcm of the
-    beta denominators, and of every exponent denominator of the forms), x
-    and y independent, F_m(x, y) is the leading minor of
+    mirror symmetry, it certifies the forms as built.  Level m = 1 is the
+    identity F_1 = nu^dag H nu.  assemble and verify read this report as
+    bundle.certificate.
+    With z = x^L and zb = y^L (L from _form_table: a multiple of
+    B = w.den, the lcm of the beta denominators, and of every exponent
+    denominator of the forms), x and y independent, F_m(x, y) is the
+    leading minor of
     P(x, y) = W(y)^t H W(x), W cut to its first k-1 columns.  A trial draws
     a nonzero pair (x, y) mod p from a fixed-seed random.Random, so the
     report is deterministic.
@@ -501,7 +497,9 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
     pass, and if fewer than _TRIALS of the _DRAWS pairs are kept, every m
     fails, whatever the kept pairs gave.
     Each distinct form is evaluated once per trial, on the int exponents
-    L e of the table (_form_value).  F_m passes a trial when
+    L e of the table (_form_value), from one table of the powers of x and
+    of y over all their exponents (_powers), with each coefficient
+    re + i_p im formed once per call.  F_m passes a trial when
     den_m * minor_m(Q) = d^m (D_0 ... D_(m-1))^2 * num_m(x, y) mod p, its
     form being num_m / den_m; ``failures`` lists every m that fails a trial.
 
@@ -538,6 +536,15 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
         low, high = step * sum(w.exps[:m]) - shift, step * sum(w.exps[k - m:]) - shift
         if not all(low <= e <= high for e in exps[slot]):
             failures.add(m)
+    # Every exponent int of every distinct form, once; per form, where its
+    # exponents lie in it, and its entries as (i, where e_j lies, re + i_p im).
+    union = sorted(set().union(*exps))
+    where = {e: i for i, e in enumerate(union)}
+    positions = [[where[e] for e in form_exps] for form_exps in exps]
+    terms = [
+        [(i, pos[j], re + im * _I_P) for i, j, re, im in form.entries]
+        for form, pos in zip(distinct, positions)
+    ]
     rng = random.Random(_SEED)
     trials = 0
     for _ in range(_DRAWS):
@@ -548,7 +555,8 @@ def verify_symmetry(bundle: SolutionBundle) -> SymmetryReport:
         minors = leading_minors(q, _P)
         if minors is None:
             continue
-        values = [_form_value(form, e, x, y) for form, e in zip(distinct, exps)]
+        xs, ys = _powers(x, union), _powers(y, union)
+        values = [_form_value(t, pos, xs, ys) for t, pos in zip(terms, positions)]
         failures.update(
             m
             for m, (form, slot, minor, scale) in enumerate(zip(forms, slots, minors, scales), start=1)
@@ -577,17 +585,39 @@ def _wronskian_columns(w: WronskianMatrix, x: int, lcd: int) -> list[list[int]]:
     return out
 
 
-def _form_value(form: UnknownForm, exps: Sequence[int], x: int, y: int) -> int:
-    """num(x, y) mod p of a form num / den, on int exponents.
+def _powers(x: int, exps: Sequence[int]) -> list[int]:
+    """x^e mod p for each of the ascending ints exps, x a unit mod p.
 
-    Each entry (i, j, re, im) adds (re + i_p im) x^(L e_i) y^(L e_j), exps
-    holding the ints L e_i (_form_table); the entries are summed row by row.
+    One pow for the first exponent, then one product per step to the next,
+    by x^gap, each distinct gap raised once.
     """
-    ys = [pow(y, e, _P) for e in exps]
-    rows = [0] * len(exps)
-    for i, j, re, im in form.entries:
-        rows[i] += (re + im * _I_P) * ys[j]
-    return sum(r * pow(x, e, _P) for r, e in zip(rows, exps)) % _P
+    steps: dict[int, int] = {}
+    last = exps[0]
+    value = pow(x, last, _P)
+    out = []
+    for e in exps:
+        if e != last:
+            gap = e - last
+            step = steps.get(gap)
+            if step is None:
+                step = steps[gap] = pow(x, gap, _P)
+            value, last = value * step % _P, e
+        out.append(value)
+    return out
+
+
+def _form_value(terms: Sequence[tuple[int, int, int]], pos: Sequence[int], xs: list, ys: list) -> int:
+    """num(x, y) mod p of a form num / den, from the powers of x and y over the exponent union.
+
+    xs and ys hold x^u and y^u mod p for each int u of the union (_powers);
+    pos[i] is where L e_i lies in it.  Each term (i, pos[j], c), c the
+    entry's re + i_p im, adds c x^(L e_i) y^(L e_j); the terms are summed
+    row by row, and reduced mod p once.
+    """
+    rows = [0] * len(pos)
+    for i, j, c in terms:
+        rows[i] += c * ys[j]
+    return sum(map(mul, rows, map(xs.__getitem__, pos))) % _P
 
 
 def _lower_slots(c: GroupElement) -> list[tuple[int, int]]:
@@ -950,15 +980,17 @@ def verify(bundle: SolutionBundle, *, count: int, tol: float, seed: int) -> Veri
 
     The rows, in order: symmetry (C/B only), monodromy, pde-residual (count
     points drawn with seed, passing at tol), integrability, w-symmetry and
-    monic-form (A only).  w-symmetry is the N1/N2 condition: F_1 lies in
-    ker L (x) ker conj(L), so every exponent of its form is a root of the
-    indicial polynomial P.  Each check is looked up in this module when it
-    runs, so a check replaced here is the one called.
+    monic-form (A only).  The symmetry row reads bundle.certificate.
+    w-symmetry is the N1/N2 condition: F_1 lies in ker L (x) ker conj(L),
+    so every exponent of its form is a root of the indicial polynomial P.
+    Each check is looked up in this module when it runs, so a check
+    replaced here is the one called; verify_symmetry is looked up on the
+    first read of a bundle's certificate only.
     """
     config = bundle.config
     rows = []
     if config.family in ("C", "B"):
-        sym = verify_symmetry(bundle)
+        sym = bundle.certificate
         rows.append(CheckRow("symmetry", sym.passed, f"failures={list(sym.failures)}", ""))
     mono = verify_monodromy(bundle)
     witness = ""

@@ -1080,6 +1080,20 @@ def test_ul_cholesky_round_trip_complex():
         assert recovered.entries == b.entries  # uniqueness: same positive diagonal
 
 
+@pytest.mark.parametrize("family,rank", [("C", 4), ("B", 4)])
+def test_ul_cholesky_leaves_the_cached_minor_table_unbuilt(family, rank):
+    # Dim 8 and 9: the k leading minors come from a one-off lazy table, so
+    # H's own table, dense at dim 8, is never built; the factor is B.
+    alg = Algebra(family, rank)
+    rng = random.Random(5)
+    c = unipotent_from_coords(alg, random_coords(alg, rng, 2))
+    b = diagonal_element(random_paired_diagonal(alg.k, rng, 3)) @ c
+    h = b.conj_transpose() @ b
+    assert h.dim == alg.k
+    assert ul_cholesky(h) == b
+    assert "_packed_minors" not in vars(h)
+
+
 def test_ul_cholesky_uniqueness_perturbation():
     b = GroupElement.from_rows([[1, 0], [1, 1]])
     h = b.conj_transpose() @ b

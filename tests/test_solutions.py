@@ -962,44 +962,96 @@ def test_shuffled_form_is_the_same_form(raw, rng):
     assert g == f and hash(g) == hash(f) and g.expr == f.expr
 
 
-def test_first_unknown_is_checked_on_integers():
-    # F_1 is compared entry by entry with chi_a chi_b H_ab, without building
-    # a ZExpr; bumping any one entry of H, real or imaginary part, fails.
+def test_certificate_fails_every_change_of_f1_at_m_1():
+    # Level m = 1 of the certificate is F_1 = nu^dag H nu, mod p: bumping
+    # any one entry of H, real or imaginary part, fails it, without
+    # building a ZExpr.
     cfg = make_config("B", 2, [0, 0])
     b = assemble(cfg, random_params(cfg, random.Random(8)))
-    assert "expr" not in vars(b.forms[0])
-    check = toda.solutions._check_first_unknown
-    check(b)
+    assert verify_symmetry(b).passed
     k = cfg.k
+
+    def fails_at_1(bundle):
+        return 1 in verify_symmetry(bundle).failures
+
     for a in range(k):
         for c in range(k):
             for bump in (ExactScalar.of(F(1, 10**9)), ExactScalar.of(0, F(1, 10**9))):
                 rows = [list(row) for row in b.H.entries]
                 rows[a][c] = rows[a][c] + bump
-                # A copy whose H is read from its cache: the check reads bundle.H.
+                # A copy whose H is read from its cache: the certificate reads bundle.H.
                 bumped = replace(b)
                 vars(bumped)["H"] = GroupElement.from_rows(rows)
-                with pytest.raises(StructureError):
-                    check(bumped)
+                assert fails_at_1(bumped), (a, c, bump)
     # H comes from (lambdas, C): a bumped weight or a bumped lower entry of
-    # C, real or imaginary part, reaches the check through the derived H.
+    # C, real or imaginary part, reaches the certificate through the derived H.
     for i in range(k):
         lams = list(b.lambdas)
         lams[i] += F(1, 10**9)
-        with pytest.raises(StructureError):
-            check(replace(b, lambdas=tuple(lams)))
+        assert fails_at_1(replace(b, lambdas=tuple(lams))), i
     for i in range(k):
         for j in range(i):
             for bump in (ExactScalar.of(F(1, 10**9)), ExactScalar.of(0, F(1, 10**9))):
                 rows = [list(row) for row in b.C.entries]
                 rows[i][j] = rows[i][j] + bump
-                with pytest.raises(StructureError):
-                    check(replace(b, C=GroupElement.from_rows(rows)))
+                assert fails_at_1(replace(b, C=GroupElement.from_rows(rows))), (i, j, bump)
     # The same entries on other exponents are not nu^dag H nu either.
     f1 = b.forms[0]
     shifted = UnknownForm(tuple(e + 1 for e in f1.exponents), f1.entries, f1.den)
-    with pytest.raises(StructureError):
-        check(replace(b, forms=(shifted,) + b.forms[1:]))
+    assert fails_at_1(replace(b, forms=(shifted,) + b.forms[1:]))
+    assert "expr" not in vars(b.forms[0])
+
+
+def _bumped_level(monkeypatch, m):
+    # _unknown_matrix with 1 added to the real part of diagonal entry (0, 0)
+    # of level m, the m-th call of an assemble.
+    real = toda.solutions._unknown_matrix
+    calls = []
+
+    def bumped(level, lam_num):
+        exps, re, im = real(level, lam_num)
+        calls.append(1)
+        if len(calls) == m:
+            re[0][0] += 1
+        return exps, re, im
+
+    monkeypatch.setattr(toda.solutions, "_unknown_matrix", bumped)
+
+
+@pytest.mark.parametrize(
+    "family,rank,m",
+    [("A", 3, 2), ("A", 3, 3), ("A", 5, 2), ("A", 5, 3), ("A", 5, 4), ("A", 5, 5),
+     ("C", 3, 1), ("C", 3, 3), ("B", 3, 1), ("B", 3, 3)],
+)
+def test_assemble_raises_on_a_wrong_assembled_level(monkeypatch, family, rank, m):
+    # Every level assemble builds (all of them on A, m <= k//2 on C/B) is
+    # certified there: a wrong one is an internal error that names its m.
+    # On C/B the mirror F_(k-m) is the same object and fails too, but it is
+    # the symmetry row's to report, so only m is named.
+    cfg = make_config(family, rank, [0] * rank)
+    params = random_params(cfg, random.Random(rank))
+    assert verify_symmetry(assemble(cfg, params)).passed
+    _bumped_level(monkeypatch, m)
+    with pytest.raises(StructureError, match=rf"fails the certificate at m = {m}$"):
+        assemble(cfg, params)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("C", 3), ("B", 2)])
+def test_assemble_and_verify_run_the_certificate_once(monkeypatch, family, rank):
+    # assemble computes the bundle's certificate, and the symmetry row of
+    # verify reads it: _TRIALS modular eliminations in all.
+    real = toda.solutions.leading_minors
+    calls = []
+
+    def counting(q, modulus):
+        calls.append(modulus)
+        return real(q, modulus)
+
+    monkeypatch.setattr(toda.solutions, "leading_minors", counting)
+    cfg = make_config(family, rank, [0] * rank)
+    b = assemble(cfg, random_params(cfg, random.Random(rank)))
+    assert verify(b, count=2, tol=1e-9, seed=0).passed
+    assert calls == [toda.solutions._P] * toda.solutions._TRIALS
 
 
 def test_symmetry_vacuous_for_k2():
@@ -1812,8 +1864,8 @@ def test_bundle_holds_lambda_and_c_once():
 
 
 def test_h_is_built_once_per_assemble_and_verify(monkeypatch):
-    # assemble builds H for the F_1 cross-check, and verify_symmetry reads
-    # that same object: one matrix product in all.
+    # assemble builds H for the bundle's certificate, which the symmetry row
+    # of verify reads from the bundle: one matrix product in all.
     calls = []
     product = GroupElement.__matmul__
 
@@ -1845,10 +1897,11 @@ def test_changed_lambdas_give_a_new_h():
 def test_copies_do_not_carry_a_cached_h():
     cfg = make_config("B", 2, [0, 0])
     b = assemble(cfg, random_params(cfg, random.Random(7)))
-    assert "H" in vars(b)
+    assert "H" in vars(b) and "certificate" in vars(b)
     for copy in (replace(b), pickle.loads(pickle.dumps(b))):
-        assert copy == b and "H" not in vars(copy)
+        assert copy == b and "H" not in vars(copy) and "certificate" not in vars(copy)
         assert copy.H == b.H and copy.H is not b.H
+        assert copy.certificate == b.certificate and copy.certificate is not b.certificate
 
 
 def _changed_field(b, field):
